@@ -5,14 +5,17 @@ with the anchor fixed at the initial point and beta_0 = 0. The averaged
 baseline is x^n = (1 - alpha_n) x^{n-1} + alpha_n * query(x^{n-1}), one oracle
 query per step, no variance reduction.
 
-Residuals and distances in traces are measured with the exact operator, not
-estimated from oracle output.
+Both, and the Q-learning runs in mdp, step through iterate(), the one loop
+that produces a RunRecord. Residuals and distances in traces are measured
+with the exact operator, not estimated from oracle output.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,6 +26,7 @@ __all__ = [
     "StepSchedule",
     "BatchSchedule",
     "RunRecord",
+    "iterate",
     "halpern_run",
     "km_run",
     "bound_nonexpansive",
@@ -163,44 +167,83 @@ class RunRecord:
         return int(self.n.shape[0])
 
 
-class _TraceBuilder:
-    def __init__(self, with_dist: bool):
-        self.rows_n: list[int] = []
-        self.weight: list[float] = []
-        self.batch: list[int] = []
-        self.cum: list[int] = []
-        self.residual: list[float] = []
-        self.dist: list[float] | None = [] if with_dist else None
-        self.noise: list[float] = []
+def iterate(
+    draw: Callable,
+    measure: Callable,
+    x0: np.ndarray,
+    weight: Callable[[int], float],
+    size: Callable[[int], int],
+    N: int,
+    rng: RngStream,
+    *,
+    anchored: bool,
+    with_dist: bool,
+    per_query: int = 1,
+) -> RunRecord:
+    """The one per-step loop behind every RunRecord.
 
-    def add(self, n, w, k, cum, res, dist, noise):
-        self.rows_n.append(n)
-        self.weight.append(w)
-        self.batch.append(k)
-        self.cum.append(cum)
-        self.residual.append(res)
-        if self.dist is not None:
-            self.dist.append(dist)
-        self.noise.append(noise)
+    Step n draws (y, aux) = draw(x^{n-1}, k_n, rng.substream(n)) with
+    k_n = size(n), sets x^n = (1 - w_n) b + w_n y with w_n = weight(n) > 0 and
+    b = x^0 (anchored) or x^{n-1} (averaged), and traces (residual, dist,
+    noise) = measure(x^{n-1}, x^n, y, aux). A non-finite x^n aborts the run
+    with the partial trace and x^{n-1} as final iterate. cum_queries counts
+    k_n * per_query; totals beyond 2^63 - 1 are rejected before step 1.
+    """
+    weights = list(map(weight, range(1, N + 1)))
+    sizes = list(map(size, range(1, N + 1)))
+    cum = list(accumulate(k * per_query for k in sizes))
+    if cum[-1] > 2 ** 63 - 1:
+        raise ValueError(f"cumulative query count {cum[-1]} exceeds 2^63 - 1 within N = {N} steps")
+    residual, dist, noise = [], [], []
 
-    def record(self, final_x, aborted=False, reason=None) -> RunRecord:
+    def record(x, reason=None) -> RunRecord:
+        steps = len(residual)
         return RunRecord(
-            n=np.array(self.rows_n, dtype=np.int64),
-            weight=np.array(self.weight),
-            batch=np.array(self.batch, dtype=np.int64),
-            cum_queries=np.array(self.cum, dtype=np.int64),
-            residual=np.array(self.residual),
-            dist_to_fp=None if self.dist is None else np.array(self.dist),
-            noise_norm=np.array(self.noise),
-            final_x=np.array(final_x, dtype=np.float64),
-            aborted=aborted,
+            n=np.arange(1, steps + 1, dtype=np.int64),
+            weight=np.array(weights[:steps]),
+            batch=np.array(sizes[:steps], dtype=np.int64),
+            cum_queries=np.array(cum[:steps], dtype=np.int64),
+            residual=np.array(residual),
+            dist_to_fp=np.array(dist) if with_dist else None,
+            noise_norm=np.array(noise),
+            final_x=np.array(x, dtype=np.float64).reshape(-1),
+            aborted=reason is not None,
             abort_reason=reason,
         )
 
+    x = x0
+    for n in range(1, N + 1):
+        w = weights[n - 1]
+        y, aux = draw(x, sizes[n - 1], rng.substream(n))
+        x_new = (1.0 - w) * (x0 if anchored else x) + w * y
+        if not np.isfinite(x_new).all():
+            return record(x, f"non-finite iterate at step {n}")
+        res, d, e = measure(x, x_new, y, aux)
+        residual.append(res)
+        dist.append(d)
+        noise.append(e)
+        x = x_new
+    return record(x)
 
-def _fixed_point_target(o: OracleDescriptor):
-    info = o.base.fixed_point_info()
-    return info.point
+
+def _vector_run(o, x0, draw, weight, size, N, norm_kind, rng, anchored) -> RunRecord:
+    """iterate() on an oracle, measured with the exact operator under norm_kind."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    start = as_vector(x0).copy()
+    if start.shape[0] != o.dim:
+        raise ValueError("x0 dimension does not match the operator")
+    apply = o.base.apply
+    target = o.base.fixed_point_info().point
+
+    def measure(x, x_new, y, _):
+        noise = norm(y - apply(x), norm_kind)
+        res = norm(x_new - apply(x_new), norm_kind)
+        dist = norm(x_new - target, norm_kind) if target is not None else None
+        return res, dist, noise
+
+    return iterate(draw, measure, start, weight, size, N, rng, anchored=anchored,
+                   with_dist=target is not None)
 
 
 def halpern_run(
@@ -220,29 +263,10 @@ def halpern_run(
     """
     if not steps.is_halpern:
         raise ValueError("halpern_run needs an anchored (halpern) step schedule")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    anchor = as_vector(x0).copy()
-    if anchor.shape[0] != o.dim:
-        raise ValueError("x0 dimension does not match the operator")
-    target = _fixed_point_target(o)
-    tb = _TraceBuilder(with_dist=target is not None)
-    x = anchor.copy()
-    cum = 0
-    for n in range(1, N + 1):
-        beta = steps.weight(n)
-        k = batches.size(n)
-        cum += k
-        mb = minibatch(o, x, k, rng.substream(n))
-        x_new = (1.0 - beta) * anchor + beta * mb
-        if not (np.isfinite(mb).all() and np.isfinite(x_new).all()):
-            return tb.record(x, aborted=True, reason=f"non-finite iterate at step {n}")
-        noise = norm(mb - o.base.apply(x), norm_kind)
-        res = norm(x_new - o.base.apply(x_new), norm_kind)
-        dist = norm(x_new - target, norm_kind) if target is not None else 0.0
-        tb.add(n, beta, k, cum, res, dist, noise)
-        x = x_new
-    return tb.record(x)
+    return _vector_run(
+        o, x0, lambda x, k, stream: (minibatch(o, x, k, stream), None),
+        steps.weight, batches.size, N, norm_kind, rng, anchored=True,
+    )
 
 
 def km_run(
@@ -256,27 +280,10 @@ def km_run(
     """Run the averaged baseline for N steps (single query per step)."""
     if steps.is_halpern:
         raise ValueError("km_run needs an averaged (km) step schedule")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    x = as_vector(x0).copy()
-    if x.shape[0] != o.dim:
-        raise ValueError("x0 dimension does not match the operator")
-    target = _fixed_point_target(o)
-    tb = _TraceBuilder(with_dist=target is not None)
-    cum = 0
-    for n in range(1, N + 1):
-        alpha = steps.weight(n)
-        cum += 1
-        q = query(o, x, rng.substream(n))
-        x_new = (1.0 - alpha) * x + alpha * q
-        if not (np.isfinite(q).all() and np.isfinite(x_new).all()):
-            return tb.record(x, aborted=True, reason=f"non-finite iterate at step {n}")
-        noise = norm(q - o.base.apply(x), norm_kind)
-        res = norm(x_new - o.base.apply(x_new), norm_kind)
-        dist = norm(x_new - target, norm_kind) if target is not None else 0.0
-        tb.add(n, alpha, 1, cum, res, dist, noise)
-        x = x_new
-    return tb.record(x)
+    return _vector_run(
+        o, x0, lambda x, k, stream: (query(o, x, stream), None),
+        steps.weight, BatchSchedule.constant(1).size, N, norm_kind, rng, anchored=False,
+    )
 
 
 def bound_nonexpansive(kappa_bar: float, sigma_seq, N: int) -> float:

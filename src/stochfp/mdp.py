@@ -2,9 +2,8 @@
 
 Average-reward fixed points solve Q = r + P max Q - v* (nonexpansive in the
 sup norm under the unichain assumption); discounted fixed points solve
-Q = r + gamma P max Q (a gamma-contraction). The anchored learning algorithms
-mirror the engine's Halpern scheme on Q-tables with per-pair generative
-minibatches.
+Q = r + gamma P max Q (a gamma-contraction). Every learning algorithm steps
+through engine.iterate with the Q-table as the iterate.
 
 Sampling order is fixed: within an iteration, (s, a) pairs are visited in
 row-major order and the batch for a pair is drawn before moving on. Batches
@@ -23,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .engine import RunRecord
+from .engine import BatchSchedule, StepSchedule, iterate
 from .oracles import RngStream
 
 __all__ = [
@@ -351,8 +350,8 @@ def _batch_mean_max(m: TabularMDP, maxv: np.ndarray, k: int, gen: np.random.Gene
     return out
 
 
-def _single_sample_max(m: TabularMDP, maxv: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    """max_a' Q(s',a') at one sampled next state per (s, a), row-major order."""
+def _single_sample_max(m: TabularMDP, maxv: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
+    """max_a' Q(s',a') at one sampled next state per (s, a), row-major order (k is 1)."""
     s_count, a_count = m.num_states, m.num_actions
     cdf = m.transition_cdf()
     us = gen.random(size=(s_count, a_count))
@@ -364,43 +363,42 @@ def _single_sample_max(m: TabularMDP, maxv: np.ndarray, gen: np.random.Generator
     return out
 
 
-class _QTrace:
-    def __init__(self, with_dist: bool):
-        self.n: list[int] = []
-        self.weight: list[float] = []
-        self.batch: list[int] = []
-        self.cum: list[int] = []
-        self.residual: list[float] = []
-        self.dist: list[float] | None = [] if with_dist else None
-        self.noise: list[float] = []
-
-    def add(self, n, w, k, cum, res, dist, noise):
-        self.n.append(n)
-        self.weight.append(w)
-        self.batch.append(k)
-        self.cum.append(cum)
-        self.residual.append(res)
-        if self.dist is not None:
-            self.dist.append(dist)
-        self.noise.append(noise)
-
-    def record(self, final_q: np.ndarray, aborted=False, reason=None) -> RunRecord:
-        return RunRecord(
-            n=np.array(self.n, dtype=np.int64),
-            weight=np.array(self.weight),
-            batch=np.array(self.batch, dtype=np.int64),
-            cum_queries=np.array(self.cum, dtype=np.int64),
-            residual=np.array(self.residual),
-            dist_to_fp=None if self.dist is None else np.array(self.dist),
-            noise_norm=np.array(self.noise),
-            final_x=final_q.ravel().copy(),
-            aborted=aborted,
-            abort_reason=reason,
-        )
+def _check_discounted(m: TabularMDP, gamma: float, q0, N: int) -> np.ndarray:
+    q0 = _check_table(m, q0)
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if np.abs(q0).max() > m.r_max / (1.0 - gamma):
+        raise ValueError("||Q0||_inf must not exceed r_max / (1 - gamma)")
+    return q0
 
 
-def _expected_max(m: TabularMDP, maxv: np.ndarray) -> np.ndarray:
-    return (_flat_transitions(m) @ maxv).reshape(m.num_states, m.num_actions)
+def _q_run(m, q0, N, rng, *, target, sample, residual, weight, size, anchored,
+           scale=None, q_star=None):
+    """Synchronous Q-learning on engine.iterate; returns (final table, RunRecord).
+
+    Step n feeds target(Q^{n-1}, est) to the iteration, est = sample(m, max_a' Q^{n-1},
+    k_n, gen), and traces the sup norms of residual(Q^n) - Q^n, Q^n - q_star
+    (with q_star) and scale * (est - E est).
+    """
+
+    def draw(q, k, stream):
+        maxv = q.max(axis=1)
+        est = sample(m, maxv, k, stream.generator())
+        return target(q, est), (est, maxv)
+
+    def measure(q, q_new, _, aux):
+        est, maxv = aux
+        err = np.abs(est - (_flat_transitions(m) @ maxv).reshape(q.shape)).max()
+        noise = float(err if scale is None else scale * err)
+        res = float(np.abs(residual(q_new) - q_new).max())
+        dist = None if q_star is None else float(np.abs(q_new - q_star).max())
+        return res, dist, noise
+
+    rec = iterate(draw, measure, q0, weight, size, N, rng, anchored=anchored,
+                  with_dist=q_star is not None, per_query=m.num_states * m.num_actions)
+    return rec.final_x.reshape(q0.shape).copy(), rec
 
 
 def halpern_q_average(
@@ -425,26 +423,12 @@ def halpern_q_average(
         raise ValueError("N must be >= 1")
     if v_star is None:
         v_star = solve_average_exact(m).v_star
-    sa = m.num_states * m.num_actions
-    trace = _QTrace(with_dist=False)
-    q = q0.copy()
-    cum = 0
-    for n in range(1, N + 1):
-        beta = n / (n + 1.0)
-        k = n ** 6
-        cum += k * sa
-        gen = rng.substream(n).generator()
-        maxv = q.max(axis=1)
-        batch = _batch_mean_max(m, maxv, k, gen)
-        noise = float(np.abs(batch - _expected_max(m, maxv)).max())
-        update = m.rewards + batch - f.value(q)
-        q_new = (1.0 - beta) * q0 + beta * update
-        if not np.isfinite(q_new).all():
-            return q, trace.record(q, aborted=True, reason=f"non-finite table at step {n}")
-        res = float(np.abs(bellman_average(m, q_new, v_star) - q_new).max())
-        trace.add(n, beta, k, cum, res, 0.0, noise)
-        q = q_new
-    return q, trace.record(q)
+    return _q_run(
+        m, q0, N, rng, target=lambda q, est: m.rewards + est - f.value(q),
+        sample=_batch_mean_max, residual=lambda q: bellman_average(m, q, v_star),
+        weight=StepSchedule.halpern_classic().weight, size=BatchSchedule.power_six().size,
+        anchored=True,
+    )
 
 
 def benchmark_q_average(
@@ -463,26 +447,12 @@ def benchmark_q_average(
     q0 = _check_table(m, q0)
     if N < 1:
         raise ValueError("N must be >= 1")
-    sa = m.num_states * m.num_actions
-    trace = _QTrace(with_dist=False)
-    q = q0.copy()
-    cum = 0
-    for n in range(1, N + 1):
-        beta = n / (n + 1.0)
-        k = n ** 6
-        cum += k * sa
-        gen = rng.substream(n).generator()
-        maxv = q.max(axis=1)
-        batch = _batch_mean_max(m, maxv, k, gen)
-        noise = float(np.abs(batch - _expected_max(m, maxv)).max())
-        update = m.rewards + batch - float(v_star)
-        q_new = (1.0 - beta) * q0 + beta * update
-        if not np.isfinite(q_new).all():
-            return q, trace.record(q, aborted=True, reason=f"non-finite table at step {n}")
-        res = float(np.abs(bellman_average(m, q_new, v_star) - q_new).max())
-        trace.add(n, beta, k, cum, res, 0.0, noise)
-        q = q_new
-    return q, trace.record(q)
+    return _q_run(
+        m, q0, N, rng, target=lambda q, est: m.rewards + est - float(v_star),
+        sample=_batch_mean_max, residual=lambda q: bellman_average(m, q, v_star),
+        weight=StepSchedule.halpern_classic().weight, size=BatchSchedule.power_six().size,
+        anchored=True,
+    )
 
 
 def halpern_q_discounted(
@@ -500,37 +470,16 @@ def halpern_q_discounted(
     The trace records both the Bellman residual and ||Q^n - Q*||_inf against
     the exact solution.
     """
-    q0 = _check_table(m, q0)
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    cap = m.r_max / (1.0 - gamma)
-    if np.abs(q0).max() > cap:
-        raise ValueError("||Q0||_inf must not exceed r_max / (1 - gamma)")
+    q0 = _check_discounted(m, gamma, q0, N)
     if q_star is None:
         q_star = solve_discounted_exact(m, gamma, solver_tol)
-    sa = m.num_states * m.num_actions
-    trace = _QTrace(with_dist=True)
-    q = q0.copy()
-    cum = 0
-    for n in range(1, N + 1):
-        beta = n / (n + 1.0)
-        k = max(1, math.ceil(n * n * gamma ** (N - n)))
-        cum += k * sa
-        gen = rng.substream(n).generator()
-        maxv = q.max(axis=1)
-        batch = _batch_mean_max(m, maxv, k, gen)
-        noise = float(gamma * np.abs(batch - _expected_max(m, maxv)).max())
-        update = m.rewards + gamma * batch
-        q_new = (1.0 - beta) * q0 + beta * update
-        if not np.isfinite(q_new).all():
-            return q, trace.record(q, aborted=True, reason=f"non-finite table at step {n}")
-        res = float(np.abs(bellman_discounted(m, q_new, gamma) - q_new).max())
-        dist = float(np.abs(q_new - q_star).max())
-        trace.add(n, beta, k, cum, res, dist, noise)
-        q = q_new
-    return q, trace.record(q)
+    return _q_run(
+        m, q0, N, rng, target=lambda q, est: m.rewards + gamma * est,
+        sample=_batch_mean_max, residual=lambda q: bellman_discounted(m, q, gamma),
+        weight=StepSchedule.halpern_classic().weight,
+        size=BatchSchedule.contractive_geometric(gamma, N).size,
+        anchored=True, scale=gamma, q_star=q_star,
+    )
 
 
 def rvi_q_learning(
@@ -557,25 +506,12 @@ def rvi_q_learning(
         raise ValueError("N must be >= 1")
     if v_star is None:
         v_star = solve_average_exact(m).v_star
-    sa = m.num_states * m.num_actions
-    trace = _QTrace(with_dist=False)
-    q = q0.copy()
-    cum = 0
-    for n in range(1, N + 1):
-        alpha = (n + 1.0) ** (-a_exponent)
-        cum += sa
-        gen = rng.substream(n).generator()
-        maxv = q.max(axis=1)
-        sampled = _single_sample_max(m, maxv, gen)
-        noise = float(np.abs(sampled - _expected_max(m, maxv)).max())
-        target = m.rewards + sampled - f.value(q)
-        q_new = (1.0 - alpha) * q + alpha * target
-        if not np.isfinite(q_new).all():
-            return q, trace.record(q, aborted=True, reason=f"non-finite table at step {n}")
-        res = float(np.abs(bellman_average(m, q_new, v_star) - q_new).max())
-        trace.add(n, alpha, 1, cum, res, 0.0, noise)
-        q = q_new
-    return q, trace.record(q)
+    return _q_run(
+        m, q0, N, rng, target=lambda q, est: m.rewards + est - f.value(q),
+        sample=_single_sample_max, residual=lambda q: bellman_average(m, q, v_star),
+        weight=StepSchedule.km_polynomial(a_exponent).weight,
+        size=BatchSchedule.constant(1).size, anchored=False,
+    )
 
 
 def vanilla_q_discounted(
@@ -593,39 +529,23 @@ def vanilla_q_discounted(
     alpha_schedule is a callable n -> alpha in (0, 1] (alpha = 1 gives exact
     value iteration on deterministic models) or an averaged StepSchedule.
     """
-    q0 = _check_table(m, q0)
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    cap = m.r_max / (1.0 - gamma)
-    if np.abs(q0).max() > cap:
-        raise ValueError("||Q0||_inf must not exceed r_max / (1 - gamma)")
+    q0 = _check_discounted(m, gamma, q0, N)
     weight = alpha_schedule.weight if hasattr(alpha_schedule, "weight") else alpha_schedule
+
+    def alpha(n: int) -> float:
+        value = float(weight(n))
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"alpha_{n} = {value} outside (0, 1]")
+        return value
+
     if q_star is None:
         q_star = solve_discounted_exact(m, gamma, solver_tol)
-    sa = m.num_states * m.num_actions
-    trace = _QTrace(with_dist=True)
-    q = q0.copy()
-    cum = 0
-    for n in range(1, N + 1):
-        alpha = float(weight(n))
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha_{n} = {alpha} outside (0, 1]")
-        cum += sa
-        gen = rng.substream(n).generator()
-        maxv = q.max(axis=1)
-        sampled = _single_sample_max(m, maxv, gen)
-        noise = float(gamma * np.abs(sampled - _expected_max(m, maxv)).max())
-        target = m.rewards + gamma * sampled
-        q_new = (1.0 - alpha) * q + alpha * target
-        if not np.isfinite(q_new).all():
-            return q, trace.record(q, aborted=True, reason=f"non-finite table at step {n}")
-        res = float(np.abs(bellman_discounted(m, q_new, gamma) - q_new).max())
-        dist = float(np.abs(q_new - q_star).max())
-        trace.add(n, alpha, 1, cum, res, dist, noise)
-        q = q_new
-    return q, trace.record(q)
+    return _q_run(
+        m, q0, N, rng, target=lambda q, est: m.rewards + gamma * est,
+        sample=_single_sample_max, residual=lambda q: bellman_discounted(m, q, gamma),
+        weight=alpha, size=BatchSchedule.constant(1).size,
+        anchored=False, scale=gamma, q_star=q_star,
+    )
 
 
 def discounted_iteration_count(

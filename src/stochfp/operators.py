@@ -3,8 +3,7 @@
 Every operator carries a dimension, a declared norm, and a Lipschitz constant
 gamma in (0, 1]: gamma < 1 declares a contraction, gamma = 1 nonexpansive.
 Affine maps are certified at construction; the rest are nonexpansive by
-construction. Bellman wrappers adapt the tabular-MDP operators to the same
-interface so the iteration engine has a single operator surface.
+construction.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import L1, L2, LINF, NormKind, as_vector, norm, require_finite
+from .linalg import L1, L2, NormKind, as_vector, require_finite
 
 __all__ = [
     "FixedPointInfo",
@@ -22,8 +21,6 @@ __all__ = [
     "PlaneRotation",
     "ShiftProjection",
     "ConstantMap",
-    "BellmanDiscountedOp",
-    "BellmanAverageOp",
     "project_box",
     "shift_map",
 ]
@@ -243,72 +240,3 @@ class ConstantMap(Operator):
 
     def fixed_point_info(self) -> FixedPointInfo:
         return FixedPointInfo(self.target.copy(), "the constant target")
-
-
-class BellmanDiscountedOp(Operator):
-    """Discounted Bellman update on flattened Q-tables; gamma-contraction in sup norm."""
-
-    def __init__(self, model, gamma: float, solver_tol: float = 1e-10):
-        from . import mdp as _mdp  # deferred: mdp depends on the engine layer
-
-        self._mdp_mod = _mdp
-        self.model = model
-        if not 0.0 < gamma < 1.0:
-            raise ValueError("discount gamma must lie in (0, 1)")
-        self.discount = float(gamma)
-        self.solver_tol = float(solver_tol)
-        self.dim = model.num_states * model.num_actions
-        self.declared_norm = LINF
-        self.gamma = float(gamma)
-
-    def _as_table(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.model.num_states, self.model.num_actions)
-
-    def apply(self, x) -> np.ndarray:
-        x = as_vector(x)
-        self._check_dim(x)
-        out = self._mdp_mod.bellman_discounted(self.model, self._as_table(x), self.discount)
-        return out.ravel()
-
-    def fixed_point_info(self) -> FixedPointInfo:
-        q = self._mdp_mod.solve_discounted_exact(self.model, self.discount, self.solver_tol)
-        return FixedPointInfo(q.ravel(), f"value iteration solution at tol {self.solver_tol:g}")
-
-
-class BellmanAverageOp(Operator):
-    """Average-reward Bellman update (offset by v*) on flattened Q-tables; nonexpansive in sup norm."""
-
-    def __init__(self, model, v_star: float, solver_tol: float = 1e-10):
-        from . import mdp as _mdp
-
-        self._mdp_mod = _mdp
-        self.model = model
-        self.v_star = float(v_star)
-        self.solver_tol = float(solver_tol)
-        self.dim = model.num_states * model.num_actions
-        self.declared_norm = LINF
-        self.gamma = 1.0
-
-    def _as_table(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.model.num_states, self.model.num_actions)
-
-    def apply(self, x) -> np.ndarray:
-        x = as_vector(x)
-        self._check_dim(x)
-        out = self._mdp_mod.bellman_average(self.model, self._as_table(x), self.v_star)
-        return out.ravel()
-
-    def fixed_point_info(self) -> FixedPointInfo:
-        sol = self._mdp_mod.solve_average_exact(self.model, self.solver_tol)
-        return FixedPointInfo(
-            sol.q_star.ravel(),
-            "relative value iteration solution, Max-normalized; unique up to constant tables",
-        )
-
-
-def lipschitz_violation(op: Operator, x, y) -> float:
-    """max(0, ||Tx - Ty|| - gamma ||x - y||) under the declared norm; test helper."""
-    tx, ty = op.apply(x), op.apply(y)
-    lhs = norm(tx - ty, op.declared_norm)
-    rhs = op.gamma * norm(as_vector(x) - as_vector(y), op.declared_norm)
-    return max(0.0, lhs - rhs)

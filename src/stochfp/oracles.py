@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .linalg import as_vector, last_nonzero_index, norm, L2
+from .linalg import as_vector, last_nonzero_index
 from .operators import Operator, ShiftProjection
 
 __all__ = [
@@ -205,8 +205,3 @@ def empirical_moments(o: OracleDescriptor, x, m: int, rng: RngStream):
     mean[j] = vals.mean()
     second = float(((vals - tx[j]) ** 2).mean())
     return mean, second
-
-
-def realized_noise_norm(o: OracleDescriptor, x, batch_value, kind=L2) -> float:
-    """Norm of the realized estimation error batch_value - Tx."""
-    return norm(as_vector(batch_value) - o.base.apply(x), kind)

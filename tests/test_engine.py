@@ -198,6 +198,15 @@ class TestHalpernRun:
         assert np.array_equal(rec.cum_queries, np.cumsum(ks))
         assert np.all(np.diff(rec.cum_queries) > 0)
 
+    def test_query_count_beyond_int64_is_rejected_up_front(self):
+        # sum of n^12 over n <= 60 is about 1.1e22 > 2^63 - 1
+        o = _noiseless(sf.ShiftProjection(0.2, 4))
+        with pytest.raises(ValueError, match="N = 60"):
+            sf.halpern_run(
+                o, np.zeros(4), sf.StepSchedule.halpern_classic(),
+                sf.BatchSchedule.power(12), 60, sf.L1, sf.RngStream(0),
+            )
+
     def test_noiseless_residual_beats_zero_noise_bound(self):
         op = sf.ShiftProjection(0.2, 10)
         rec = sf.halpern_run(

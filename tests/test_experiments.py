@@ -465,6 +465,23 @@ class TestCli:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_query_count_beyond_int64_exits_one(self, tmp_path, mdp_3x2, capsys):
+        # 6 * sum of n^6 over n <= 600 is about 2.4e19 > 2^63 - 1
+        doc = {
+            "kind": "mdp-avg",
+            "mdp": mdp_3x2.to_dict(),
+            "algorithm": "halpern",
+            "anchor": {"kind": "max"},
+            "N": 600,
+            "seeds": [0],
+        }
+        path = self._write(tmp_path, doc)
+        code = cli_main(["mdp-avg", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "N = 600" in err
+
     def test_failed_check_exits_three(self, tmp_path, capsys):
         doc = _fixedpoint_doc(
             noise={"kind": "none"},

@@ -496,6 +496,19 @@ class TestRviAndVanilla:
                 mdp_3x2, 0.9, lambda n: 1.5, np.zeros((3, 2)), 3, sf.RngStream(0)
             )
 
+    def test_rvi_aborts_on_non_finite_table(self, mdp_3x2):
+        # min anchor -1e308 and sampled max 1e308 overflow the first target
+        q0 = np.tile([1e308, -1e308], (3, 1))
+        with np.errstate(over="ignore"):
+            q, rec = sf.rvi_q_learning(
+                mdp_3x2, sf.AnchorFunction("min"), 1.0, q0, 5, sf.RngStream(0)
+            )
+        assert rec.aborted
+        assert rec.abort_reason == "non-finite iterate at step 1"
+        assert rec.steps() == 0
+        assert np.array_equal(q, q0)
+        assert np.array_equal(rec.final_x, q0.ravel())  # last good table, finite
+
 
 class TestIterationCount:
     def test_reference_value(self, mdp_3x2):

@@ -2,11 +2,8 @@ import numpy as np
 import pytest
 
 from stochfp.linalg import L1, L2, LINF, norm
-from stochfp.mdp import solve_average_exact, solve_discounted_exact
 from stochfp.operators import (
     AffineContraction,
-    BellmanAverageOp,
-    BellmanDiscountedOp,
     ConstantMap,
     PlaneRotation,
     ShiftProjection,
@@ -137,24 +134,3 @@ def test_operator_arrays_are_immutable():
     op = AffineContraction(0.5 * np.eye(2), [1.0, 0.0], 0.5)
     with pytest.raises(ValueError):
         op.matrix[0, 0] = 9.0
-
-
-def test_bellman_wrappers_match_mdp_module(mdp_3x2):
-    gamma = 0.9
-    q_star = solve_discounted_exact(mdp_3x2, gamma, 1e-10)
-    op = BellmanDiscountedOp(mdp_3x2, gamma)
-    assert op.gamma == gamma
-    flat = q_star.ravel()
-    np.testing.assert_allclose(op.apply(flat), flat, atol=2e-10)
-    info = op.fixed_point_info()
-    np.testing.assert_allclose(info.point, flat, atol=2e-10)
-
-    sol = solve_average_exact(mdp_3x2)
-    avg = BellmanAverageOp(mdp_3x2, sol.v_star)
-    assert avg.gamma == 1.0
-    np.testing.assert_allclose(avg.apply(sol.q_star.ravel()), sol.q_star.ravel(), atol=1e-9)
-    rng = np.random.default_rng(26)
-    for _ in range(200):
-        x, y = rng.normal(size=6), rng.normal(size=6)
-        assert norm(avg.apply(x) - avg.apply(y), LINF) <= norm(x - y, LINF) + 1e-12
-        assert norm(op.apply(x) - op.apply(y), LINF) <= gamma * norm(x - y, LINF) + 1e-12

@@ -185,9 +185,10 @@ def iterate(
     Step n draws (y, aux) = draw(x^{n-1}, k_n, rng.substream(n)) with
     k_n = size(n), sets x^n = (1 - w_n) b + w_n y with w_n = weight(n) > 0 and
     b = x^0 (anchored) or x^{n-1} (averaged), and traces (residual, dist,
-    noise) = measure(x^{n-1}, x^n, y, aux). A non-finite x^n aborts the run
-    with the partial trace and x^{n-1} as final iterate. cum_queries counts
-    k_n * per_query; totals beyond 2^63 - 1 are rejected before step 1.
+    noise) = measure(x^{n-1}, x^n, y, aux). A non-finite x^n, or a non-finite
+    measured value (dist may be None), aborts the run with the partial trace
+    and x^{n-1} as final iterate. cum_queries counts k_n * per_query; totals
+    beyond 2^63 - 1 are rejected before step 1.
     """
     weights = list(map(weight, range(1, N + 1)))
     sizes = list(map(size, range(1, N + 1)))
@@ -219,6 +220,8 @@ def iterate(
         if not np.isfinite(x_new).all():
             return record(x, f"non-finite iterate at step {n}")
         res, d, e = measure(x, x_new, y, aux)
+        if not (math.isfinite(res) and math.isfinite(e) and (d is None or math.isfinite(d))):
+            return record(x, f"non-finite measurement at step {n}")
         residual.append(res)
         dist.append(d)
         noise.append(e)
@@ -236,10 +239,16 @@ def _vector_run(o, x0, draw, weight, size, N, norm_kind, rng, anchored) -> RunRe
     apply = o.base.apply
     target = o.base.fixed_point_info().point
 
+    def length(v) -> float:
+        try:
+            return norm(v, norm_kind)
+        except ValueError:  # v overflowed; iterate() aborts on the inf
+            return math.inf
+
     def measure(x, x_new, y, _):
-        noise = norm(y - apply(x), norm_kind)
-        res = norm(x_new - apply(x_new), norm_kind)
-        dist = norm(x_new - target, norm_kind) if target is not None else None
+        noise = length(y - apply(x))
+        res = length(x_new - apply(x_new))
+        dist = length(x_new - target) if target is not None else None
         return res, dist, noise
 
     return iterate(draw, measure, start, weight, size, N, rng, anchored=anchored,

@@ -21,7 +21,9 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,15 +37,9 @@ from .engine import (
     kappa_bar_bounded_range,
     km_run,
 )
-from .linalg import NormKind, as_vector, norm, norm_equivalence_mu
-from .lower_bound import SpanAlgorithm, build_instance, run_adversarial
-from .operators import (
-    AffineContraction,
-    ConstantMap,
-    Operator,
-    PlaneRotation,
-    ShiftProjection,
-)
+from .linalg import NormKind, norm, norm_equivalence_mu
+from .lower_bound import AdversarialInstance, SpanAlgorithm, build_instance, run_adversarial
+from .operators import AffineContraction, ConstantMap, PlaneRotation, ShiftProjection
 from .oracles import (
     AdditiveGaussianIID,
     NoNoise,
@@ -100,7 +96,7 @@ class _Fields:
 
     def sub(self, name: str, required: bool = True) -> "_Fields | None":
         val = self.take(name, required=required)
-        if val is None:
+        if val is None and not required:  # null stands for an absent optional block
             return None
         return _Fields(val, f"{self.path}.{name}")
 
@@ -108,7 +104,13 @@ class _Fields:
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):  # json.load accepts NaN and Infinity
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return x
 
 
 def _integer(value, path: str) -> int:
@@ -143,148 +145,99 @@ def parse_seed_spec(spec) -> list[int]:
     return seeds
 
 
-def _build_norm(spec, path: str) -> NormKind:
-    if isinstance(spec, str):
-        table = {"l1": linalg.L1, "l2": linalg.L2, "linf": linalg.LINF}
-        if spec not in table:
-            raise ConfigError(f"{path}: unknown norm {spec!r} (use l1, l2, linf, or an lp object)")
-        return table[spec]
+class _Family(NamedTuple):
+    """Tagged specs {"kind": k, <fields>}: kinds maps k to (fields, constructor).
+
+    A field is (name, reader), or (name, reader, default) when optional; a None
+    reader passes the JSON value through. unknown is the %-format of the
+    unknown-kind error; construction errors name the spec's path plus blame.
+    """
+
+    kinds: dict
+    unknown: str
+    blame: str = ""
+
+
+_NORMS = _Family({"lp": ((("p", _real),), linalg.lp)},
+                 "only 'lp' norm objects are supported, got %r", ".p")
+_OPERATORS = _Family({
+    "plane-rotation": ((("theta", _real), ("dim", _integer, 2)), PlaneRotation),
+    "affine-contraction": ((("matrix", None), ("offset", None), ("gamma", _real)),
+                           AffineContraction),
+    "shift-projection": ((("lam", _real), ("dim", _integer)),
+                         lambda lam, dim, _: ShiftProjection(lam, dim)),
+    "constant": ((("target", None),), lambda target, nk: ConstantMap(target, declared_norm=nk)),
+}, "unknown operator kind %r")
+_NOISES = _Family({
+    "none": ((), NoNoise),
+    "gaussian": ((("e", _real),), AdditiveGaussianIID),
+    "resistant": ((("p", _real),), ResistantBernoulli),
+}, "unknown noise kind %r")
+_STEPS = _Family({
+    "halpern-classic": ((), StepSchedule.halpern_classic),
+    "halpern-shifted": ((), StepSchedule.halpern_shifted),
+    "km-constant": ((("alpha", _real),), StepSchedule.km_constant),
+    "km-polynomial": ((("a", _real),), StepSchedule.km_polynomial),
+}, "unknown step-schedule kind %r")
+_BATCHES = _Family({
+    "constant": ((("k", _integer),), BatchSchedule.constant),
+    "power": ((("a", _real),), BatchSchedule.power),
+    "contractive-geometric": ((("gamma", _real), ("horizon", _integer)),
+                              BatchSchedule.contractive_geometric),
+    "power-six": ((), BatchSchedule.power_six),
+}, "unknown batch-schedule kind %r")
+# the lower bound's span algorithms, as the step schedule they follow
+_ALGORITHMS = _Family({k: _STEPS.kinds[k] for k in ("halpern-classic", "km-constant")},
+                      "expected 'halpern-classic' or 'km-constant', got %r", ".alpha")
+
+
+def _build(spec, path: str, family: _Family, *context):
+    """Build one tagged spec: read every field, reject leftovers, then construct.
+
+    The constructor gets the field values followed by context; a ValueError
+    or TypeError it raises becomes a ConfigError.
+    """
     f = _Fields(spec, path)
     kind = f.take("kind")
-    if kind != "lp":
-        raise ConfigError(f"{path}.kind: only 'lp' norm objects are supported, got {kind!r}")
-    p = _real(f.take("p"), f"{path}.p")
+    if not isinstance(kind, str) or kind not in family.kinds:
+        raise ConfigError(f"{path}.kind: " + family.unknown % (kind,))
+    fields, construct = family.kinds[kind]
+    values = []
+    for name, read, *default in fields:
+        raw = f.take(name, required=not default)
+        if raw is None and default:
+            values.append(default[0])
+        else:
+            values.append(raw if read is None else read(raw, f"{path}.{name}"))
     f.done()
     try:
-        return linalg.lp(p)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.p: {exc}")
-
-
-def _build_operator(spec, path: str, norm_kind: NormKind) -> Operator:
-    f = _Fields(spec, path)
-    kind = f.take("kind")
-    try:
-        if kind == "plane-rotation":
-            theta = _real(f.take("theta"), f"{path}.theta")
-            dim_raw = f.take("dim", required=False)
-            dim = 2 if dim_raw is None else _integer(dim_raw, f"{path}.dim")
-            f.done()
-            return PlaneRotation(theta, dim, declared_norm=norm_kind)
-        if kind == "affine-contraction":
-            matrix = f.take("matrix")
-            offset = f.take("offset")
-            gamma = _real(f.take("gamma"), f"{path}.gamma")
-            f.done()
-            return AffineContraction(matrix, offset, gamma, declared_norm=norm_kind)
-        if kind == "shift-projection":
-            lam = _real(f.take("lam"), f"{path}.lam")
-            dim = _integer(f.take("dim"), f"{path}.dim")
-            f.done()
-            return ShiftProjection(lam, dim)
-        if kind == "constant":
-            target = f.take("target")
-            f.done()
-            return ConstantMap(target, declared_norm=norm_kind)
+        return construct(*values, *context)
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}")
-    raise ConfigError(f"{path}.kind: unknown operator kind {kind!r}")
+        raise ConfigError(f"{path}{family.blame}: {exc}")
 
 
-def _build_noise(spec, path: str):
-    f = _Fields(spec, path)
-    kind = f.take("kind")
+def _build_norm(spec, path: str) -> NormKind:
+    if not isinstance(spec, str):
+        return _build(spec, path, _NORMS)
+    table = {"l1": linalg.L1, "l2": linalg.L2, "linf": linalg.LINF}
+    if spec not in table:
+        raise ConfigError(f"{path}: unknown norm {spec!r} (use l1, l2, linf, or an lp object)")
+    return table[spec]
+
+
+def _build_mdp(spec, path: str) -> mdp_mod.TabularMDP:
+    """An inline MDP object or a file path, as a validated model."""
+    if isinstance(spec, str) and not os.path.exists(spec):
+        raise ConfigError(f"{path}: file {spec!r} does not exist")
     try:
-        if kind == "none":
-            f.done()
-            return NoNoise()
-        if kind == "gaussian":
-            e = _real(f.take("e"), f"{path}.e")
-            f.done()
-            return AdditiveGaussianIID(e)
-        if kind == "resistant":
-            p = _real(f.take("p"), f"{path}.p")
-            f.done()
-            return ResistantBernoulli(p)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}")
-    raise ConfigError(f"{path}.kind: unknown noise kind {kind!r}")
-
-
-def _build_steps(spec, path: str) -> StepSchedule:
-    f = _Fields(spec, path)
-    kind = f.take("kind")
-    try:
-        if kind == "halpern-classic":
-            f.done()
-            return StepSchedule.halpern_classic()
-        if kind == "halpern-shifted":
-            f.done()
-            return StepSchedule.halpern_shifted()
-        if kind == "km-constant":
-            alpha = _real(f.take("alpha"), f"{path}.alpha")
-            f.done()
-            return StepSchedule.km_constant(alpha)
-        if kind == "km-polynomial":
-            a = _real(f.take("a"), f"{path}.a")
-            f.done()
-            return StepSchedule.km_polynomial(a)
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}")
-    raise ConfigError(f"{path}.kind: unknown step-schedule kind {kind!r}")
-
-
-def _build_batches(spec, path: str) -> BatchSchedule:
-    f = _Fields(spec, path)
-    kind = f.take("kind")
-    try:
-        if kind == "constant":
-            k = _integer(f.take("k"), f"{path}.k")
-            f.done()
-            return BatchSchedule.constant(k)
-        if kind == "power":
-            a = _real(f.take("a"), f"{path}.a")
-            f.done()
-            return BatchSchedule.power(a)
-        if kind == "contractive-geometric":
-            gamma = _real(f.take("gamma"), f"{path}.gamma")
-            horizon = _integer(f.take("horizon"), f"{path}.horizon")
-            f.done()
-            return BatchSchedule.contractive_geometric(gamma, horizon)
-        if kind == "power-six":
-            f.done()
-            return BatchSchedule.power_six()
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}")
-    raise ConfigError(f"{path}.kind: unknown batch-schedule kind {kind!r}")
-
-
-def _normalize_mdp(spec, path: str) -> dict:
-    """Accept an inline MDP object or a file path; return the validated dict."""
-    if isinstance(spec, str):
-        if not os.path.exists(spec):
-            raise ConfigError(f"{path}: file {spec!r} does not exist")
-        try:
-            return mdp_mod.load_mdp(spec).to_dict()
-        except mdp_mod.MDPValidationError as exc:
-            raise ConfigError(f"{path}: {exc}")
-    try:
-        return mdp_mod.mdp_from_dict(spec).to_dict()
+        return mdp_mod.load_mdp(spec) if isinstance(spec, str) else mdp_mod.mdp_from_dict(spec)
     except mdp_mod.MDPValidationError as exc:
         raise ConfigError(f"{path}: {exc}")
 
 
 def _normalize_vector(spec, path: str, dim: int) -> list[float]:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return [float(spec)] * dim
+        return [_real(spec, path)] * dim
     if not isinstance(spec, list):
         raise ConfigError(f"{path}: expected a number or a list of numbers")
     vec = [_real(v, f"{path}[]") for v in spec]
@@ -356,39 +309,34 @@ def validate_config(doc) -> dict:
 
     if kind == "fixedpoint":
         norm_kind = _build_norm(f.take("norm"), "config.norm")
-        out["norm"] = doc["norm"]
-        op = _build_operator(f.take("operator"), "config.operator", norm_kind)
-        out["operator"] = doc["operator"]
-        noise = _build_noise(f.take("noise"), "config.noise")
-        out["noise"] = doc["noise"]
-        method = _build_steps(f.take("method"), "config.method")
-        out["method"] = doc["method"]
+        op = _build(f.take("operator"), "config.operator", _OPERATORS, norm_kind)
+        noise = _build(f.take("noise"), "config.noise", _NOISES)
+        method = _build(f.take("method"), "config.method", _STEPS)
+        out.update({name: doc[name] for name in ("norm", "operator", "noise", "method")})
         try:
             OracleDescriptor(op, noise)
         except ValueError as exc:
             raise ConfigError(f"config.noise: {exc}")
         batches_spec = f.take("batches", required=False)
+        batches = None if batches_spec is None else _build(batches_spec, "config.batches", _BATCHES)
         if method.is_halpern:
-            if batches_spec is None:
+            if batches is None:
                 raise ConfigError("config.batches: missing required field (halpern methods batch)")
-            _build_batches(batches_spec, "config.batches")
             out["batches"] = batches_spec
         else:
-            if batches_spec is not None:
-                b = _build_batches(batches_spec, "config.batches")
-                if b.kind != "constant" or b.size(1) != 1:
-                    raise ConfigError(
-                        "config.batches: averaged (km) methods use one query per step; "
-                        "omit batches or set constant k = 1"
-                    )
+            if batches is not None and (batches.kind != "constant" or batches.k != 1):
+                raise ConfigError(
+                    "config.batches: averaged (km) methods use one query per step; "
+                    "omit batches or set constant k = 1"
+                )
             out["batches"] = {"kind": "constant", "k": 1}
         out["x0"] = _normalize_vector(f.take("x0"), "config.x0", op.dim)
         out["N"] = _integer(f.take("N"), "config.N")
         if out["N"] < 1:
             raise ConfigError("config.N: must be >= 1")
         out["bounds"] = _validate_bounds_block(f.sub("bounds", required=False))
-        if out["bounds"] is not None:
-            _prepare_bounds(out)  # fail fast on missing parameters
+        if out["bounds"] is not None:  # fail fast on missing parameters
+            _bound_params(out["bounds"], op, norm_kind, np.asarray(out["x0"]))
         out["fit"] = _validate_fit_block(f.sub("fit", required=False))
         f.done()
         return out
@@ -402,31 +350,16 @@ def validate_config(doc) -> dict:
         except ValueError as exc:
             raise ConfigError(f"config: {exc}")
         out.update({"epsilon": eps, "kappa_bar": kb, "sigma": sg})
-        algo = f.sub("algorithm")
-        algo_kind = algo.take("kind")
-        if algo_kind == "halpern-classic":
-            algo.done()
-            out["algorithm"] = {"kind": "halpern-classic"}
-        elif algo_kind == "km-constant":
-            alpha = _real(algo.take("alpha"), "config.algorithm.alpha")
-            algo.done()
-            try:
-                StepSchedule.km_constant(alpha)
-            except ValueError as exc:
-                raise ConfigError(f"config.algorithm.alpha: {exc}")
-            out["algorithm"] = {"kind": "km-constant", "alpha": alpha}
-        else:
-            raise ConfigError(
-                f"config.algorithm.kind: expected 'halpern-classic' or 'km-constant', got {algo_kind!r}"
-            )
-        _build_batches(f.take("batches"), "config.batches")
+        _build(f.take("algorithm"), "config.algorithm", _ALGORITHMS)
+        out["algorithm"] = doc["algorithm"]
+        _build(f.take("batches"), "config.batches", _BATCHES)
         out["batches"] = doc["batches"]
         f.done()
         return out
 
     # mdp-avg and mdp-disc
-    out["mdp"] = _normalize_mdp(f.take("mdp"), "config.mdp")
-    model = mdp_mod.mdp_from_dict(out["mdp"])
+    model = _build_mdp(f.take("mdp"), "config.mdp")
+    out["mdp"] = model.to_dict()
     shape = (model.num_states, model.num_actions)
     out["N"] = None
     algorithm = f.take("algorithm")
@@ -441,6 +374,8 @@ def validate_config(doc) -> dict:
         arr = np.asarray(q0, dtype=np.float64) if isinstance(q0, list) else None
         if arr is None or arr.shape != shape:
             raise ConfigError(f"config.q0: expected an {shape[0]}x{shape[1]} nested list")
+        if not np.isfinite(arr).all():
+            raise ConfigError("config.q0: entries must be finite numbers")
         out["q0"] = arr.tolist()
 
     if kind == "mdp-avg":
@@ -497,12 +432,12 @@ def validate_config(doc) -> dict:
     if algorithm == "vanilla":
         if alpha_spec is None:
             raise ConfigError("config.alpha: missing required field for the vanilla baseline")
-        steps = _build_steps(alpha_spec, "config.alpha")
-        if steps.is_halpern:
+        if _build(alpha_spec, "config.alpha", _STEPS).is_halpern:
             raise ConfigError("config.alpha: the vanilla baseline takes an averaged (km) schedule")
         out["alpha"] = alpha_spec
     elif alpha_spec is not None:
         raise ConfigError("config.alpha: only the vanilla baseline takes a step schedule")
+    q0_norm = float(np.abs(np.asarray(out["q0"])).max())
     n_spec = f.take("N", required=False)
     target_eps = f.take("target_epsilon", required=False)
     if (n_spec is None) == (target_eps is None):
@@ -516,12 +451,10 @@ def validate_config(doc) -> dict:
         out["target_epsilon"] = _real(target_eps, "config.target_epsilon")
         if out["target_epsilon"] <= 0:
             raise ConfigError("config.target_epsilon: must be positive")
-        q0_norm = float(np.abs(np.asarray(out["q0"])).max())
         out["N"] = mdp_mod.discounted_iteration_count(
             model, out["gamma"], out["target_epsilon"], q0_norm
         )
-    cap = model.r_max / (1.0 - out["gamma"])
-    if float(np.abs(np.asarray(out["q0"])).max()) > cap:
+    if q0_norm > model.r_max / (1.0 - out["gamma"]):
         raise ConfigError("config.q0: sup norm must not exceed r_max / (1 - gamma)")
     f.done()
     return out
@@ -542,12 +475,6 @@ def _validate_anchor(f: _Fields, model) -> dict:
     raise ConfigError(f"{f.path}.kind: unknown anchor kind {kind!r}")
 
 
-def _anchor_from(spec: dict) -> mdp_mod.AnchorFunction:
-    if spec["kind"] == "coordinate":
-        return mdp_mod.AnchorFunction("coordinate", spec["s"], spec["a"])
-    return mdp_mod.AnchorFunction(spec["kind"])
-
-
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -558,102 +485,90 @@ def load_config(path) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Seed workers (top level so they pickle into a process pool)
+# The run plan: built once per experiment, pickled into the process pool
+
+
+_COLUMNS = ("n", "weight", "batch", "cum_queries", "residual", "dist_to_fp", "noise_norm", "prog")
 
 
 def _record_to_rows(rec) -> dict:
-    return {
-        "n": rec.n.tolist(),
-        "weight": rec.weight.tolist(),
-        "batch": rec.batch.tolist(),
-        "cum_queries": rec.cum_queries.tolist(),
-        "residual": rec.residual.tolist(),
-        "dist_to_fp": None if rec.dist_to_fp is None else rec.dist_to_fp.tolist(),
-        "noise_norm": rec.noise_norm.tolist(),
-        "aborted": rec.aborted,
-        "abort_reason": rec.abort_reason,
-    }
+    """Column lists of a RunRecord, or of an AdversarialTrace (which adds prog, never aborts)."""
+    rows = {c: getattr(rec, c, None) for c in _COLUMNS}
+    rows = {c: None if v is None else v.tolist() for c, v in rows.items()}
+    rows["aborted"] = getattr(rec, "aborted", False)
+    rows["abort_reason"] = getattr(rec, "abort_reason", None)
+    return rows
 
 
-def _run_seed(cfg: dict, seed: int) -> dict:
-    kind = cfg["kind"]
-    rng = RngStream(seed, cfg["stream"])
+@dataclass(frozen=True)
+class _Plan:
+    """A validated config's run objects, shared by every seed.
+
+    runner(rng) runs one seed; instance (lowerbound), v_star (mdp-avg) and
+    bounds (fixedpoint with a bounds block) feed the summary.
+    """
+
+    runner: partial
+    stream: int
+    instance: AdversarialInstance | None = None
+    v_star: float | None = None
+    bounds: dict | None = None
+
+    def run(self, seed: int) -> dict:
+        out = self.runner(RngStream(seed, self.stream))
+        # the Q-learning runners return (final table, record)
+        return _record_to_rows(out[1] if isinstance(out, tuple) else out)
+
+
+def _plan(cfg: dict) -> _Plan:
+    """Build the run objects of a validated config, solving an MDP exactly once.
+
+    Runner functions are looked up here, at run time, so that rebinding a
+    module attribute (as a call tracer does) reaches every seed.
+    """
+    kind, stream = cfg["kind"], cfg["stream"]
     if kind == "fixedpoint":
         norm_kind = _build_norm(cfg["norm"], "config.norm")
-        op = _build_operator(cfg["operator"], "config.operator", norm_kind)
-        noise = _build_noise(cfg["noise"], "config.noise")
-        oracle = OracleDescriptor(op, noise)
-        method = _build_steps(cfg["method"], "config.method")
+        op = _build(cfg["operator"], "config.operator", _OPERATORS, norm_kind)
+        oracle = OracleDescriptor(op, _build(cfg["noise"], "config.noise", _NOISES))
+        method = _build(cfg["method"], "config.method", _STEPS)
         x0 = np.asarray(cfg["x0"], dtype=np.float64)
         if method.is_halpern:
-            rec = halpern_run(
-                oracle, x0, method, _build_batches(cfg["batches"], "config.batches"),
-                cfg["N"], norm_kind, rng,
-            )
+            batches = _build(cfg["batches"], "config.batches", _BATCHES)
+            runner = partial(halpern_run, oracle, x0, method, batches, cfg["N"], norm_kind)
         else:
-            rec = km_run(oracle, x0, method, cfg["N"], norm_kind, rng)
-        out = _record_to_rows(rec)
-        out["seed"] = seed
-        return out
+            runner = partial(km_run, oracle, x0, method, cfg["N"], norm_kind)
+        bounds = None if cfg["bounds"] is None else _bound_params(cfg["bounds"], op, norm_kind, x0)
+        return _Plan(runner, stream, bounds=bounds)
     if kind == "lowerbound":
         inst = build_instance(cfg["epsilon"], cfg["kappa_bar"], cfg["sigma"])
-        batches = _build_batches(cfg["batches"], "config.batches")
-        if cfg["algorithm"]["kind"] == "halpern-classic":
-            algo = SpanAlgorithm("halpern-classic", batches)
-        else:
-            algo = SpanAlgorithm("km-constant", batches, alpha=cfg["algorithm"]["alpha"])
-        tr = run_adversarial(inst, algo, rng)
-        return {
-            "seed": seed,
-            "n": tr.n.tolist(),
-            "weight": tr.weight.tolist(),
-            "batch": tr.batch.tolist(),
-            "cum_queries": tr.cum_queries.tolist(),
-            "residual": tr.residual.tolist(),
-            "dist_to_fp": tr.dist_to_fp.tolist(),
-            "noise_norm": tr.noise_norm.tolist(),
-            "prog": tr.prog.tolist(),
-            "aborted": False,
-            "abort_reason": None,
-        }
+        steps = _build(cfg["algorithm"], "config.algorithm", _ALGORITHMS)
+        batches = _build(cfg["batches"], "config.batches", _BATCHES)
+        algo = SpanAlgorithm(steps.kind, batches, alpha=steps.alpha)
+        return _Plan(partial(run_adversarial, inst, algo), stream, instance=inst)
     model = mdp_mod.mdp_from_dict(cfg["mdp"])
     q0 = np.asarray(cfg["q0"], dtype=np.float64)
+    algorithm, N = cfg["algorithm"], cfg["N"]
     if kind == "mdp-avg":
-        sol = mdp_mod.solve_average_exact(model, cfg["solver_tol"])
-        if cfg["algorithm"] == "halpern":
-            _, rec = mdp_mod.halpern_q_average(
-                model, _anchor_from(cfg["anchor"]), q0, cfg["N"], rng, v_star=sol.v_star
-            )
-        elif cfg["algorithm"] == "benchmark":
-            _, rec = mdp_mod.benchmark_q_average(model, sol.v_star, q0, cfg["N"], rng)
+        v_star = mdp_mod.solve_average_exact(model, cfg["solver_tol"]).v_star
+        if algorithm == "benchmark":
+            runner = partial(mdp_mod.benchmark_q_average, model, v_star, q0, N)
         else:
-            _, rec = mdp_mod.rvi_q_learning(
-                model, _anchor_from(cfg["anchor"]), cfg["a_exponent"], q0, cfg["N"], rng,
-                v_star=sol.v_star,
-            )
-        out = _record_to_rows(rec)
-        out["seed"] = seed
-        out["v_star"] = sol.v_star
-        return out
-    # mdp-disc
-    q_star = mdp_mod.solve_discounted_exact(model, cfg["gamma"], cfg["solver_tol"])
-    if cfg["algorithm"] == "halpern":
-        _, rec = mdp_mod.halpern_q_discounted(
-            model, cfg["gamma"], q0, cfg["N"], rng, q_star=q_star
-        )
+            anchor = mdp_mod.AnchorFunction(**cfg["anchor"])
+            if algorithm == "halpern":
+                runner = partial(mdp_mod.halpern_q_average, model, anchor, q0, N, v_star=v_star)
+            else:
+                runner = partial(mdp_mod.rvi_q_learning, model, anchor, cfg["a_exponent"], q0, N,
+                                 v_star=v_star)
+        return _Plan(runner, stream, v_star=v_star)
+    gamma = cfg["gamma"]
+    q_star = mdp_mod.solve_discounted_exact(model, gamma, cfg["solver_tol"])
+    if algorithm == "halpern":
+        runner = partial(mdp_mod.halpern_q_discounted, model, gamma, q0, N, q_star=q_star)
     else:
-        steps = _build_steps(cfg["alpha"], "config.alpha")
-        _, rec = mdp_mod.vanilla_q_discounted(
-            model, cfg["gamma"], steps, q0, cfg["N"], rng, q_star=q_star
-        )
-    out = _record_to_rows(rec)
-    out["seed"] = seed
-    return out
-
-
-def _pool_entry(args):
-    cfg, seed = args
-    return _run_seed(cfg, seed)
+        steps = _build(cfg["alpha"], "config.alpha", _STEPS)
+        runner = partial(mdp_mod.vanilla_q_discounted, model, gamma, steps, q0, N, q_star=q_star)
+    return _Plan(runner, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -830,12 +745,8 @@ def fit_rate(ns, means, window, noise_floor: float | None = 1e-12) -> RateFit:
     return RateFit(float(slope), float(intercept), r2, (lo, hi), int(xs.shape[0]))
 
 
-def _prepare_bounds(cfg: dict) -> dict:
-    """Resolve bound parameters from a fixedpoint config; raise on gaps."""
-    spec = cfg["bounds"]
-    norm_kind = _build_norm(cfg["norm"], "config.norm")
-    op = _build_operator(cfg["operator"], "config.operator", norm_kind)
-    x0 = np.asarray(cfg["x0"], dtype=np.float64)
+def _bound_params(spec: dict, op, norm_kind: NormKind, x0: np.ndarray) -> dict:
+    """Resolve a bounds block's parameters for the built operator; raise on gaps."""
     if spec["family"] == "nonexpansive":
         m_val = spec.get("range_bound")
         if m_val is None:
@@ -878,56 +789,50 @@ def evaluate_bounds(cfg: dict, agg: dict) -> dict:
     rows are informational only (their batches are still small), so the check
     gates on final_within.
     """
-    params = _prepare_bounds(cfg)
-    ns = np.asarray(agg["n"], dtype=np.int64)
-    rows = []
+    return _overlay_bounds(_plan(cfg).bounds, agg)
+
+
+def _overlay_bounds(params: dict, agg: dict) -> dict:
     if params["family"] == "nonexpansive":
         ks = np.asarray(agg["k_n"], dtype=np.float64)
         sigma_seq = params["mu"] * params["sigma"] / np.sqrt(ks)
-        empirical = np.asarray(agg["residual_mean"], dtype=np.float64)
-        for i, n in enumerate(ns):
-            if n < 1:
-                continue
-            b = bound_nonexpansive(params["kappa_bar"], sigma_seq[: i + 1], int(n))
-            rows.append(
-                {
-                    "n": int(n),
-                    "empirical": float(empirical[i]),
-                    "bound": float(b),
-                    "within_bound": bool(empirical[i] <= b),
-                }
-            )
+        empirical = agg["residual_mean"]
+
+        def bound(i: int, n: int) -> float:
+            return bound_nonexpansive(params["kappa_bar"], sigma_seq[: i + 1], n)
     else:
-        if agg.get("dist_mean") is None and agg.get("dist_to_fp_mean") is None:
+        empirical = agg.get("dist_mean")
+        if empirical is None:
+            empirical = agg.get("dist_to_fp_mean")
+        if empirical is None:
             raise ConfigError(
                 "config.bounds: the contractive bound compares dist_to_fp, "
                 "which this run did not record"
             )
-        dist = agg.get("dist_mean")
-        if dist is None:
-            dist = agg["dist_to_fp_mean"]
-        dist = np.asarray(dist, dtype=np.float64)
-        for i, n in enumerate(ns):
-            if n < 1:
-                continue
-            b = bound_contractive(params["dist0"], params["sigma"], params["gamma"], int(n))
-            rows.append(
-                {
-                    "n": int(n),
-                    "empirical": float(dist[i]),
-                    "bound": float(b),
-                    "within_bound": bool(dist[i] <= b),
-                }
-            )
-    drop_keys = {"family"}
-    fragment = {
+
+        def bound(i: int, n: int) -> float:
+            return bound_contractive(params["dist0"], params["sigma"], params["gamma"], n)
+    empirical = np.asarray(empirical, dtype=np.float64)
+    rows = []
+    for i, n in enumerate(np.asarray(agg["n"], dtype=np.int64)):
+        if n < 1:
+            continue
+        b = bound(i, int(n))
+        rows.append(
+            {
+                "n": int(n),
+                "empirical": float(empirical[i]),
+                "bound": float(b),
+                "within_bound": bool(empirical[i] <= b),
+            }
+        )
+    return {
         "family": params["family"],
-        "params": {k: v for k, v in params.items() if k not in drop_keys},
+        "params": {k: v for k, v in params.items() if k != "family"},
         "rows": rows,
         "all_within": all(r["within_bound"] for r in rows),
         "final_within": bool(rows and rows[-1]["within_bound"]),
     }
-    return fragment
 
 
 # ---------------------------------------------------------------------------
@@ -937,24 +842,25 @@ def evaluate_bounds(cfg: dict, agg: dict) -> dict:
 def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
     """Run all seeds of a validated config and write the output files.
 
-    Returns the summary dict (also written to summary.json). Worker processes
-    are used when jobs > 1; outputs are written by the parent in seed order,
-    so the bytes do not depend on jobs.
+    Returns the summary dict (also written to summary.json). The run objects
+    and any exact MDP solution are built once and shared by every seed.
+    Worker processes are used when jobs > 1; outputs are written by the
+    parent in seed order, so the bytes do not depend on jobs.
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
     seeds = cfg["seeds"]
+    plan = _plan(cfg)
     if jobs == 1 or len(seeds) == 1:
-        results = [_run_seed(cfg, s) for s in seeds]
+        results = [plan.run(s) for s in seeds]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-            results = list(pool.map(_pool_entry, [(cfg, s) for s in seeds], chunksize=1))
-    results.sort(key=lambda r: seeds.index(r["seed"]))
+            results = list(pool.map(plan.run, seeds, chunksize=1))
 
     files = []
-    for r in results:
-        name = f"seed_{r['seed']}.csv"
+    for seed, r in zip(seeds, results):
+        name = f"seed_{seed}.csv"
         _write_seed_csv(os.path.join(out_dir, name), r)
         files.append(name)
     agg = _aggregate(results)
@@ -967,51 +873,54 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
         "n_seeds": len(seeds),
         "rows_aggregated": len(agg["n"]),
         "aborted_seeds": [
-            {"seed": r["seed"], "reason": r["abort_reason"]} for r in results if r["aborted"]
+            {"seed": s, "reason": r["abort_reason"]} for s, r in zip(seeds, results) if r["aborted"]
         ],
     }
+    # pass/fail conditions the --check flag enforces via exit code 3
+    checks = []
+
+    def check(name: str, passed):
+        checks.append({"name": name, "passed": bool(passed)})
+
+    if summary["aborted_seeds"]:
+        check("no_aborts", False)
 
     if cfg["kind"] == "lowerbound":
-        inst = build_instance(cfg["epsilon"], cfg["kappa_bar"], cfg["sigma"])
+        inst = plan.instance
         _write_progress_csv(os.path.join(out_dir, "progress.csv"), results, inst.d)
         files.append("progress.csv")
         n_rows = min(len(r["n"]) for r in results)
         res = np.array([r["residual"][:n_rows] for r in results])
         means = res.mean(axis=0)
         progs = np.array([r["prog"][:n_rows] for r in results])
-        summary["instance"] = {
-            "epsilon": inst.epsilon,
-            "kappa_bar": inst.kappa_bar,
-            "sigma": inst.sigma,
-            "lam": inst.lam,
-            "d": inst.d,
-            "p": inst.p,
-            "n_budget": inst.n_budget,
-        }
+        summary["instance"] = asdict(inst)
         summary["barrier_held"] = bool((means > cfg["epsilon"]).all())
         summary["final_frac_prog_lt_d"] = float((progs[:, -1] < inst.d).mean())
         summary["final_mean_residual"] = float(means[-1])
+        check("barrier_held", summary["barrier_held"])
+        check("final_frac_prog_lt_d_gt_half", summary["final_frac_prog_lt_d"] > 0.5)
 
     if cfg["kind"] == "mdp-avg":
-        summary["v_star"] = results[0]["v_star"]
-        check = cfg.get("residual_ratio_check")
-        if check is not None:
+        summary["v_star"] = plan.v_star
+        ratio = cfg.get("residual_ratio_check")
+        if ratio is not None:
             res_mean = np.asarray(agg["residual_mean"])
             ns = list(agg["n"])
             try:
-                early = res_mean[ns.index(check["early_n"])]
-                late = res_mean[ns.index(check["late_n"])]
+                early = res_mean[ns.index(ratio["early_n"])]
+                late = res_mean[ns.index(ratio["late_n"])]
             except ValueError:
                 raise ConfigError("config.residual_ratio_check: requested n not in the trace")
             summary["residual_ratio"] = {
-                "early_n": check["early_n"],
-                "late_n": check["late_n"],
+                "early_n": ratio["early_n"],
+                "late_n": ratio["late_n"],
                 "early_mean": float(early),
                 "late_mean": float(late),
                 "ratio": float(late / early) if early > 0 else math.inf,
-                "max_ratio": check["max_ratio"],
-                "held": bool(late <= check["max_ratio"] * early),
+                "max_ratio": ratio["max_ratio"],
+                "held": bool(late <= ratio["max_ratio"] * early),
             }
+            check("residual_ratio", summary["residual_ratio"]["held"])
 
     if cfg["kind"] == "mdp-disc":
         summary["N"] = cfg["N"]
@@ -1022,67 +931,35 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
                 summary["target_met"] = bool(
                     summary["final_mean_dist"] <= cfg["target_epsilon"]
                 )
+                check("target_met", summary["target_met"])
 
     if cfg["kind"] == "fixedpoint":
-        if cfg.get("bounds") is not None:
-            summary["bounds"] = evaluate_bounds(cfg, agg)
+        if plan.bounds is not None:
+            bounds = summary["bounds"] = _overlay_bounds(plan.bounds, agg)
+            if bounds["family"] == "nonexpansive":
+                check("bounds_hold", bounds["all_within"])
+            else:
+                check("final_bound_holds", bounds["final_within"])
         if cfg.get("fit") is not None:
             fit_cfg = cfg["fit"]
             floor = fit_cfg.get("noise_floor", 1e-12)
             try:
                 fit = fit_rate(agg["n"], agg["residual_mean"], fit_cfg["window"], floor)
-                summary["rate_fit"] = {
-                    "slope": fit.slope,
-                    "intercept": fit.intercept,
-                    "r_squared": fit.r_squared,
-                    "window": list(fit.window),
-                    "n_points": fit.n_points,
-                }
+            except ValueError as exc:
+                summary["rate_fit"] = {"error": str(exc)}
+                check("rate_fit", False)
+            else:
+                summary["rate_fit"] = dict(asdict(fit), window=list(fit.window))
                 if "expect_slope" in fit_cfg:
                     lo, hi = fit_cfg["expect_slope"]
                     summary["rate_fit"]["expect_slope"] = [lo, hi]
                     summary["rate_fit"]["slope_in_range"] = bool(lo <= fit.slope <= hi)
-            except ValueError as exc:
-                summary["rate_fit"] = {"error": str(exc)}
+                    check("slope_in_range", summary["rate_fit"]["slope_in_range"])
 
-    summary["checks"] = _collect_checks(cfg, summary)
+    summary["checks"] = {"passed": all(c["passed"] for c in checks), "details": checks}
     files.append("summary.json")
     summary["files"] = sorted(files)
     with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
-
-
-def _collect_checks(cfg: dict, summary: dict) -> dict:
-    """Pass/fail conditions the --check flag enforces via exit code 3."""
-    details = []
-    if summary["aborted_seeds"]:
-        details.append({"name": "no_aborts", "passed": False})
-    if cfg["kind"] == "lowerbound":
-        details.append({"name": "barrier_held", "passed": bool(summary["barrier_held"])})
-        details.append(
-            {
-                "name": "final_frac_prog_lt_d_gt_half",
-                "passed": bool(summary["final_frac_prog_lt_d"] > 0.5),
-            }
-        )
-    if cfg["kind"] == "fixedpoint":
-        bounds = summary.get("bounds")
-        if bounds is not None:
-            if bounds["family"] == "nonexpansive":
-                details.append({"name": "bounds_hold", "passed": bool(bounds["all_within"])})
-            else:
-                details.append({"name": "final_bound_holds", "passed": bool(bounds["final_within"])})
-        fit = summary.get("rate_fit")
-        if fit is not None and "slope_in_range" in fit:
-            details.append({"name": "slope_in_range", "passed": bool(fit["slope_in_range"])})
-        elif fit is not None and "error" in fit:
-            details.append({"name": "rate_fit", "passed": False})
-    if cfg["kind"] == "mdp-avg" and summary.get("residual_ratio") is not None:
-        details.append(
-            {"name": "residual_ratio", "passed": bool(summary["residual_ratio"]["held"])}
-        )
-    if cfg["kind"] == "mdp-disc" and "target_met" in summary:
-        details.append({"name": "target_met", "passed": bool(summary["target_met"])})
-    return {"passed": all(d["passed"] for d in details), "details": details}

@@ -17,7 +17,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import stochfp as sf
 

@@ -90,9 +90,25 @@ class TestValidateConfig:
         with pytest.raises(sf.ConfigError, match=r"config\.batches"):
             sf.validate_config(doc)
 
-    def test_x0_length_checked(self):
+    def test_x0_length_checked(self, tmp_path):
         with pytest.raises(sf.ConfigError, match=r"config\.x0"):
             sf.validate_config(_fixedpoint_doc(x0=[0.0, 0.0]))
+        # every config number must be finite; json.load accepts NaN and Infinity
+        nan = float("nan")
+        for overrides, field in [
+            ({"x0": nan}, r"config\.x0"),
+            ({"x0": [0.0] * 5 + [-math.inf]}, r"config\.x0\[\]"),
+            ({"operator": {"kind": "plane-rotation", "theta": nan}, "x0": [0.0, 0.0]},
+             r"config\.operator\.theta"),
+            ({"bounds": {"family": "nonexpansive", "sigma": nan}}, r"config\.bounds\.sigma"),
+            ({"noise": {"kind": "gaussian", "e": 10 ** 400}}, r"config\.noise\.e"),
+        ]:
+            with pytest.raises(sf.ConfigError, match=field + ": expected a finite number"):
+                sf.validate_config(_fixedpoint_doc(**overrides))
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(_fixedpoint_doc(x0=nan)))  # writes the bare literal NaN
+        with pytest.raises(sf.ConfigError, match=r"config\.x0: expected a finite number, got nan"):
+            sf.load_config(path)
 
     def test_contractive_bounds_need_contraction(self):
         doc = _fixedpoint_doc(
@@ -132,6 +148,8 @@ class TestValidateConfig:
 
         with pytest.raises(sf.ConfigError, match=r"config\.anchor"):
             sf.validate_config(dict(base, algorithm="halpern"))
+        with pytest.raises(sf.ConfigError, match=r"config\.anchor: expected a JSON object"):
+            sf.validate_config(dict(base, algorithm="halpern", anchor=None))
 
         with pytest.raises(sf.ConfigError, match="a_exponent"):
             sf.validate_config(dict(base, algorithm="rvi", anchor={"kind": "max"}))
@@ -183,6 +201,9 @@ class TestValidateConfig:
             "q0": [[10.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
         }
         with pytest.raises(sf.ConfigError, match=r"config\.q0"):
+            sf.validate_config(doc)
+        doc["q0"][0][0] = float("nan")
+        with pytest.raises(sf.ConfigError, match=r"config\.q0: entries must be finite"):
             sf.validate_config(doc)
 
     def test_mdp_disc_alpha_rules(self, tmp_path, mdp_3x2):
@@ -280,8 +301,23 @@ class TestRunExperiment:
         assert summary["n_seeds"] == 2
         assert summary["aborted_seeds"] == []
 
-    def test_outputs_are_bytewise_reproducible(self, tmp_path):
-        cfg = sf.validate_config(_fixedpoint_doc(seeds=[1, 2, 3, 4]))
+    @pytest.mark.parametrize("kind", ["fixedpoint", "lowerbound", "mdp-avg", "mdp-disc"])
+    def test_outputs_are_bytewise_reproducible(self, tmp_path, mdp_3x2, kind):
+        # jobs = 3 sends the shared run plan through the process pool
+        path = _write_mdp(tmp_path, mdp_3x2)
+        doc = {
+            "fixedpoint": _fixedpoint_doc(),
+            "lowerbound": {
+                "kind": "lowerbound", "epsilon": 0.25, "kappa_bar": 1.0, "sigma": 1.0,
+                "algorithm": {"kind": "km-constant", "alpha": 0.5},
+                "batches": {"kind": "constant", "k": 1},
+            },
+            "mdp-avg": {"kind": "mdp-avg", "mdp": path, "algorithm": "halpern",
+                        "anchor": {"kind": "max"}, "N": 8},
+            "mdp-disc": {"kind": "mdp-disc", "mdp": path, "algorithm": "halpern",
+                         "gamma": 0.9, "N": 20},
+        }[kind]
+        cfg = sf.validate_config(dict(doc, seeds=[1, 2, 3, 4]))
         sf.run_experiment(cfg, tmp_path / "a", jobs=1)
         sf.run_experiment(cfg, tmp_path / "b", jobs=1)
         sf.run_experiment(cfg, tmp_path / "c", jobs=3)
@@ -409,9 +445,10 @@ class TestEvaluateBounds:
             bounds={"family": "contractive", "sigma": 1.0},
         )
         cfg = sf.validate_config(doc)
+        point = sf.AffineContraction(mat, [1.0, 0.0], 0.8).fixed_point_info().point
         ns = list(range(1, 10))
         bound_at = [sf.bound_contractive(
-            sf.norm(np.array(cfg["x0"]) - _fixed_point(cfg), sf.L2), 1.0, 0.8, n
+            sf.norm(np.array(cfg["x0"]) - point, sf.L2), 1.0, 0.8, n
         ) for n in ns]
         dist = [b * 2 for b in bound_at]  # interior rows violate
         dist[-1] = bound_at[-1] / 2  # the horizon row is inside
@@ -419,14 +456,6 @@ class TestEvaluateBounds:
         frag = sf.evaluate_bounds(cfg, agg)
         assert not frag["all_within"]
         assert frag["final_within"]
-
-
-def _fixed_point(cfg):
-    norm_kind = sf.lp(2.0) if isinstance(cfg["norm"], dict) else sf.L2
-    from stochfp.experiments import _build_operator
-
-    op = _build_operator(cfg["operator"], "config.operator", norm_kind)
-    return op.fixed_point_info().point
 
 
 class TestCli:
@@ -464,6 +493,28 @@ class TestCli:
             code = cli_main(["fixedpoint", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_overflowing_residual_aborts_with_exit_two(self, tmp_path, capsys):
+        # the iterate stays finite, but its noise and residual norms overflow
+        doc = _fixedpoint_doc(
+            norm="l2",
+            operator={"kind": "plane-rotation", "theta": math.pi / 2},
+            noise={"kind": "gaussian", "e": 1e308},
+            batches={"kind": "constant", "k": 1},
+            x0=[0.0, 0.0],
+            N=5,
+            seeds=[4],
+        )
+        path = self._write(tmp_path, doc)
+        out = tmp_path / "o"
+        with np.errstate(over="ignore"):
+            code = cli_main(["fixedpoint", "--config", path, "--out", str(out)])
+        assert code == 2
+        assert "aborted seed 4: non-finite measurement at step 1" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["aborted_seeds"] == [
+            {"seed": 4, "reason": "non-finite measurement at step 1"}
+        ]
 
     def test_query_count_beyond_int64_exits_one(self, tmp_path, mdp_3x2, capsys):
         # 6 * sum of n^6 over n <= 600 is about 2.4e19 > 2^63 - 1

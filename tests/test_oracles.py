@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stochfp.linalg import L1, L2, norm, norm_equivalence_mu
+from stochfp.linalg import L1, norm, norm_equivalence_mu
 from stochfp.operators import ConstantMap, PlaneRotation, ShiftProjection
 from stochfp.oracles import (
     AdditiveGaussianIID,

@@ -4,7 +4,8 @@ Each case runs through the CLI at seeds 0,1. mdp_disc_target runs from an
 inline copy with N = 2000 in place of target_epsilon (the target gives
 N = 41471). Three inline mdp configs cover the loops no shipped config runs:
 the average-reward benchmark, the rvi baseline and the discounted vanilla
-baseline. A deliberate change of the random realization re-pins with
+baseline, and an inline fixedpoint config covers a km method with resistant
+noise. A deliberate change of the random realization re-pins with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -37,7 +38,18 @@ def _inline_docs() -> dict:
     benchmark["algorithm"] = "benchmark"
     rvi = dict(avg, algorithm="rvi", a_exponent=0.9)
     vanilla = dict(disc, algorithm="vanilla", alpha={"kind": "km-polynomial", "a": 0.9})
+    km_resistant = {
+        "kind": "fixedpoint",
+        "norm": "l1",
+        "operator": {"kind": "shift-projection", "lam": 0.2, "dim": 10},
+        "noise": {"kind": "resistant", "p": 0.04},
+        "method": {"kind": "km-constant", "alpha": 0.5},
+        "x0": 0.0,
+        "N": 200,
+        "seeds": [0],
+    }
     return {
+        "fixedpoint_km_resistant": km_resistant,
         "mdp_disc_target_N2000": disc,
         "mdp_avg_benchmark": benchmark,
         "mdp_avg_rvi": rvi,

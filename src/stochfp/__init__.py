@@ -14,146 +14,12 @@ Subpackages by concern:
 - cli: the stochfp command
 """
 
-from .engine import (
-    BatchSchedule,
-    RunRecord,
-    StepSchedule,
-    batch_exponent_h,
-    bound_contractive,
-    bound_nonexpansive,
-    halpern_run,
-    kappa_bar_bounded_range,
-    km_run,
-)
-from .experiments import (
-    ConfigError,
-    RateFit,
-    evaluate_bounds,
-    fit_rate,
-    load_config,
-    read_aggregate_csv,
-    run_experiment,
-    validate_config,
-)
-from .linalg import L1, L2, LINF, NormKind, lp, norm, norm_equivalence_mu
-from .lower_bound import (
-    AdversarialInstance,
-    AdversarialTrace,
-    SpanAlgorithm,
-    build_instance,
-    phi,
-    prog,
-    run_adversarial,
-)
-from .mdp import (
-    AnchorFunction,
-    MDPValidationError,
-    AverageSolution,
-    TabularMDP,
-    bellman_average,
-    bellman_discounted,
-    benchmark_q_average,
-    check_unichain,
-    discounted_iteration_count,
-    generative_sample,
-    greedy_policy,
-    halpern_q_average,
-    halpern_q_discounted,
-    load_mdp,
-    mdp_from_dict,
-    rvi_q_learning,
-    solve_average_exact,
-    solve_discounted_exact,
-    vanilla_q_discounted,
-)
-from .operators import (
-    AffineContraction,
-    ConstantMap,
-    FixedPointInfo,
-    Operator,
-    PlaneRotation,
-    ShiftProjection,
-    project_box,
-    shift_map,
-)
-from .oracles import (
-    AdditiveGaussianIID,
-    NoNoise,
-    OracleDescriptor,
-    ResistantBernoulli,
-    RngStream,
-    empirical_moments,
-    minibatch,
-    query,
-)
+from .engine import *
+from .experiments import *
+from .linalg import *
+from .lower_bound import *
+from .mdp import *
+from .operators import *
+from .oracles import *
 
 __version__ = "1.0.0"
-
-__all__ = [
-    "AdditiveGaussianIID",
-    "AdversarialInstance",
-    "AdversarialTrace",
-    "AffineContraction",
-    "AnchorFunction",
-    "AverageSolution",
-    "BatchSchedule",
-    "ConfigError",
-    "ConstantMap",
-    "FixedPointInfo",
-    "L1",
-    "L2",
-    "LINF",
-    "MDPValidationError",
-    "NoNoise",
-    "NormKind",
-    "Operator",
-    "OracleDescriptor",
-    "PlaneRotation",
-    "RateFit",
-    "ResistantBernoulli",
-    "RngStream",
-    "RunRecord",
-    "ShiftProjection",
-    "SpanAlgorithm",
-    "StepSchedule",
-    "TabularMDP",
-    "batch_exponent_h",
-    "bellman_average",
-    "bellman_discounted",
-    "benchmark_q_average",
-    "bound_contractive",
-    "bound_nonexpansive",
-    "build_instance",
-    "check_unichain",
-    "discounted_iteration_count",
-    "empirical_moments",
-    "evaluate_bounds",
-    "fit_rate",
-    "generative_sample",
-    "greedy_policy",
-    "halpern_q_average",
-    "halpern_q_discounted",
-    "halpern_run",
-    "kappa_bar_bounded_range",
-    "km_run",
-    "load_config",
-    "load_mdp",
-    "lp",
-    "mdp_from_dict",
-    "minibatch",
-    "norm",
-    "norm_equivalence_mu",
-    "phi",
-    "prog",
-    "project_box",
-    "query",
-    "read_aggregate_csv",
-    "run_adversarial",
-    "run_experiment",
-    "rvi_q_learning",
-    "shift_map",
-    "solve_average_exact",
-    "solve_discounted_exact",
-    "validate_config",
-    "vanilla_q_discounted",
-]

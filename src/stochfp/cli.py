@@ -165,13 +165,7 @@ def main(argv=None) -> int:
         if args.command == "validate-mdp":
             return _cmd_validate_mdp(args)
         return _cmd_run(args)
-    except (ConfigError, mdp_mod.MDPValidationError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ConfigError, MDPValidationError too
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except RuntimeError as exc:

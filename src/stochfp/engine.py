@@ -2,8 +2,8 @@
 
 The anchored scheme is x^n = (1 - beta_n) x^0 + beta_n * minibatch(x^{n-1})
 with the anchor fixed at the initial point and beta_0 = 0. The averaged
-baseline is x^n = (1 - alpha_n) x^{n-1} + alpha_n * query(x^{n-1}), one oracle
-query per step, no variance reduction.
+baseline is x^n = (1 - alpha_n) x^{n-1} + alpha_n * minibatch(x^{n-1}) with a
+batch of one, i.e. one oracle query per step, no variance reduction.
 
 Both, and the Q-learning runs in mdp, step through iterate(), the one loop
 that produces a RunRecord. Residuals and distances in traces are measured
@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from .linalg import NormKind, as_vector, norm
-from .oracles import OracleDescriptor, RngStream, minibatch, query
+from .oracles import OracleDescriptor, RngStream, minibatch
 
 __all__ = [
     "StepSchedule",
@@ -229,8 +229,8 @@ def iterate(
     return record(x)
 
 
-def _vector_run(o, x0, draw, weight, size, N, norm_kind, rng, anchored) -> RunRecord:
-    """iterate() on an oracle, measured with the exact operator under norm_kind."""
+def _vector_run(o, x0, weight, size, N, norm_kind, rng, anchored) -> RunRecord:
+    """iterate() on minibatches of an oracle, measured with the exact operator under norm_kind."""
     if N < 1:
         raise ValueError("N must be >= 1")
     start = as_vector(x0).copy()
@@ -250,6 +250,9 @@ def _vector_run(o, x0, draw, weight, size, N, norm_kind, rng, anchored) -> RunRe
         res = length(x_new - apply(x_new))
         dist = length(x_new - target) if target is not None else None
         return res, dist, noise
+
+    def draw(x, k, stream):
+        return minibatch(o, x, k, stream), None
 
     return iterate(draw, measure, start, weight, size, N, rng, anchored=anchored,
                    with_dist=target is not None)
@@ -272,10 +275,7 @@ def halpern_run(
     """
     if not steps.is_halpern:
         raise ValueError("halpern_run needs an anchored (halpern) step schedule")
-    return _vector_run(
-        o, x0, lambda x, k, stream: (minibatch(o, x, k, stream), None),
-        steps.weight, batches.size, N, norm_kind, rng, anchored=True,
-    )
+    return _vector_run(o, x0, steps.weight, batches.size, N, norm_kind, rng, anchored=True)
 
 
 def km_run(
@@ -289,10 +289,8 @@ def km_run(
     """Run the averaged baseline for N steps (single query per step)."""
     if steps.is_halpern:
         raise ValueError("km_run needs an averaged (km) step schedule")
-    return _vector_run(
-        o, x0, lambda x, k, stream: (query(o, x, stream), None),
-        steps.weight, BatchSchedule.constant(1).size, N, norm_kind, rng, anchored=False,
-    )
+    return _vector_run(o, x0, steps.weight, BatchSchedule.constant(1).size, N, norm_kind, rng,
+                       anchored=False)
 
 
 def bound_nonexpansive(kappa_bar: float, sigma_seq, N: int) -> float:

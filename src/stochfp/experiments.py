@@ -371,12 +371,17 @@ def validate_config(doc) -> dict:
     if q0 is None:
         out["q0"] = [[0.0] * shape[1] for _ in range(shape[0])]
     else:
-        arr = np.asarray(q0, dtype=np.float64) if isinstance(q0, list) else None
-        if arr is None or arr.shape != shape:
+        if not (isinstance(q0, list) and len(q0) == shape[0]
+                and all(isinstance(row, list) and len(row) == shape[1] for row in q0)):
             raise ConfigError(f"config.q0: expected an {shape[0]}x{shape[1]} nested list")
-        if not np.isfinite(arr).all():
-            raise ConfigError("config.q0: entries must be finite numbers")
-        out["q0"] = arr.tolist()
+
+        def entry(v) -> float:
+            try:
+                return _real(v, "config.q0")
+            except ConfigError:
+                raise ConfigError(f"config.q0: entries must be finite numbers, got {v!r}") from None
+
+        out["q0"] = [[entry(v) for v in row] for row in q0]
 
     if kind == "mdp-avg":
         if algorithm not in ("halpern", "benchmark", "rvi"):
@@ -599,46 +604,38 @@ def _mean_sem(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, sem
 
 
-def _aggregate(results: list[dict]) -> dict:
-    """Per-n mean and standard error over the rows all seeds share."""
-    n_rows = min(len(r["n"]) for r in results)
-    base = results[0]
-    agg = {
-        "n": base["n"][:n_rows],
-        "k_n": base["batch"][:n_rows],
-        "cum_queries": base["cum_queries"][:n_rows],
-    }
-    res = np.array([r["residual"][:n_rows] for r in results])
-    agg["residual_mean"], agg["residual_sem"] = _mean_sem(res)
-    if all(r["dist_to_fp"] is not None for r in results):
-        dist = np.array([r["dist_to_fp"][:n_rows] for r in results])
-        agg["dist_mean"], agg["dist_sem"] = _mean_sem(dist)
-    else:
-        agg["dist_mean"] = agg["dist_sem"] = None
-    noise = np.array([r["noise_norm"][:n_rows] for r in results])
-    agg["noise_mean"], agg["noise_sem"] = _mean_sem(noise)
-    return agg
-
-
 _AGG_HEADER = (
     "n,k_n,cum_queries,residual_mean,residual_sem,"
     "dist_to_fp_mean,dist_to_fp_sem,noise_norm_mean,noise_norm_sem"
 )
+_AGG_INTS = ("n", "k_n", "cum_queries")
+
+
+def _aggregate(results: list[dict]) -> dict:
+    """Per-n mean and standard error over the rows all seeds share, keyed by
+    the aggregate.csv columns (dist_to_fp_* are None unless every seed has them)."""
+    n_rows = min(len(r["n"]) for r in results)
+    base = results[0]
+    agg = {"n": base["n"][:n_rows], "k_n": base["batch"][:n_rows],
+           "cum_queries": base["cum_queries"][:n_rows]}
+    for col in ("residual", "dist_to_fp", "noise_norm"):
+        if any(r[col] is None for r in results):
+            agg[f"{col}_mean"] = agg[f"{col}_sem"] = None
+        else:
+            values = np.array([r[col][:n_rows] for r in results])
+            agg[f"{col}_mean"], agg[f"{col}_sem"] = _mean_sem(values)
+    return agg
 
 
 def _write_aggregate_csv(path: str, agg: dict):
+    columns = [  # lazy, so no table of strings is held in memory
+        [""] * len(agg["n"]) if agg[name] is None
+        else map(str if name in _AGG_INTS else _fmt, agg[name])
+        for name in _AGG_HEADER.split(",")
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_AGG_HEADER + "\n")
-        for i, n in enumerate(agg["n"]):
-            if agg["dist_mean"] is None:
-                dist_s = ","
-            else:
-                dist_s = f"{_fmt(agg['dist_mean'][i])},{_fmt(agg['dist_sem'][i])}"
-            fh.write(
-                f"{n},{agg['k_n'][i]},{agg['cum_queries'][i]},"
-                f"{_fmt(agg['residual_mean'][i])},{_fmt(agg['residual_sem'][i])},"
-                f"{dist_s},{_fmt(agg['noise_mean'][i])},{_fmt(agg['noise_sem'][i])}\n"
-            )
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def read_aggregate_csv(path) -> dict:
@@ -654,21 +651,11 @@ def read_aggregate_csv(path) -> dict:
                 raise ConfigError(f"{path}: malformed row {line!r}")
             for name, val in zip(cols, parts):
                 cols[name].append(val)
-    out = {
-        "n": np.array([int(v) for v in cols["n"]]),
-        "k_n": np.array([int(v) for v in cols["k_n"]]),
-        "cum_queries": np.array([int(v) for v in cols["cum_queries"]]),
-        "residual_mean": np.array([float(v) for v in cols["residual_mean"]]),
-        "residual_sem": np.array([float(v) for v in cols["residual_sem"]]),
-        "noise_norm_mean": np.array([float(v) for v in cols["noise_norm_mean"]]),
-        "noise_norm_sem": np.array([float(v) for v in cols["noise_norm_sem"]]),
+    return {
+        name: None if name.startswith("dist") and not any(vals)
+        else np.array(list(map(int if name in _AGG_INTS else float, vals)))
+        for name, vals in cols.items()
     }
-    if any(v != "" for v in cols["dist_to_fp_mean"]):
-        out["dist_to_fp_mean"] = np.array([float(v) for v in cols["dist_to_fp_mean"]])
-        out["dist_to_fp_sem"] = np.array([float(v) for v in cols["dist_to_fp_sem"]])
-    else:
-        out["dist_to_fp_mean"] = out["dist_to_fp_sem"] = None
-    return out
 
 
 def _write_progress_csv(path: str, results: list[dict], d: int):
@@ -801,9 +788,7 @@ def _overlay_bounds(params: dict, agg: dict) -> dict:
         def bound(i: int, n: int) -> float:
             return bound_nonexpansive(params["kappa_bar"], sigma_seq[: i + 1], n)
     else:
-        empirical = agg.get("dist_mean")
-        if empirical is None:
-            empirical = agg.get("dist_to_fp_mean")
+        empirical = agg.get("dist_to_fp_mean")
         if empirical is None:
             raise ConfigError(
                 "config.bounds: the contractive bound compares dist_to_fp, "
@@ -889,10 +874,8 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
         inst = plan.instance
         _write_progress_csv(os.path.join(out_dir, "progress.csv"), results, inst.d)
         files.append("progress.csv")
-        n_rows = min(len(r["n"]) for r in results)
-        res = np.array([r["residual"][:n_rows] for r in results])
-        means = res.mean(axis=0)
-        progs = np.array([r["prog"][:n_rows] for r in results])
+        means = agg["residual_mean"]
+        progs = np.array([r["prog"][:len(agg["n"])] for r in results])
         summary["instance"] = asdict(inst)
         summary["barrier_held"] = bool((means > cfg["epsilon"]).all())
         summary["final_frac_prog_lt_d"] = float((progs[:, -1] < inst.d).mean())
@@ -904,7 +887,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
         summary["v_star"] = plan.v_star
         ratio = cfg.get("residual_ratio_check")
         if ratio is not None:
-            res_mean = np.asarray(agg["residual_mean"])
+            res_mean = agg["residual_mean"]
             ns = list(agg["n"])
             try:
                 early = res_mean[ns.index(ratio["early_n"])]
@@ -924,8 +907,8 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
 
     if cfg["kind"] == "mdp-disc":
         summary["N"] = cfg["N"]
-        if agg["dist_mean"] is not None:
-            summary["final_mean_dist"] = float(np.asarray(agg["dist_mean"])[-1])
+        if agg["dist_to_fp_mean"] is not None:
+            summary["final_mean_dist"] = float(agg["dist_to_fp_mean"][-1])
             if cfg.get("target_epsilon") is not None:
                 summary["target_epsilon"] = cfg["target_epsilon"]
                 summary["target_met"] = bool(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -120,29 +119,24 @@ def phi(x, n: int, lam: float) -> float:
 class SpanAlgorithm:
     """An update rule whose iterates stay in the span of past data.
 
-    kinds: 'halpern-classic' (anchored at x^0 = 0), 'km-constant' (averaged,
-    weight alpha), or 'custom' with rule(n, x0, x_prev, batch_mean) -> next x.
+    kinds: 'halpern-classic' (anchored at x^0 = 0) or 'km-constant' (averaged,
+    weight alpha).
     """
 
     kind: str
     batches: BatchSchedule
     alpha: float = 0.0
-    custom_rule: Callable[[int, np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("halpern-classic", "km-constant", "custom"):
+        if self.kind not in ("halpern-classic", "km-constant"):
             raise ValueError(f"unknown span algorithm kind {self.kind!r}")
         if self.kind == "km-constant" and not 0.0 < self.alpha < 1.0:
             raise ValueError("km weight alpha must lie in (0, 1)")
-        if self.kind == "custom" and self.custom_rule is None:
-            raise ValueError("custom span algorithm needs a rule")
 
-    def steps(self) -> StepSchedule | None:
+    def steps(self) -> StepSchedule:
         if self.kind == "halpern-classic":
             return StepSchedule.halpern_classic()
-        if self.kind == "km-constant":
-            return StepSchedule.km_constant(self.alpha)
-        return None
+        return StepSchedule.km_constant(self.alpha)
 
 
 @dataclass
@@ -177,6 +171,7 @@ def run_adversarial(
     x0 = np.zeros(inst.d)
     x = x0.copy()
     schedule = algo.steps()
+    anchored = schedule.is_halpern
 
     ns = [0]
     progs = [0]
@@ -197,15 +192,8 @@ def run_adversarial(
         cum += k
         mb = minibatch(oracle, x, k, rng.substream(n))
         noise = norm(mb - op.apply(x), L1)
-        if algo.kind == "halpern-classic":
-            w = schedule.weight(n)
-            x = (1.0 - w) * x0 + w * mb
-        elif algo.kind == "km-constant":
-            w = schedule.weight(n)
-            x = (1.0 - w) * x + w * mb
-        else:
-            w = math.nan
-            x = as_vector(algo.custom_rule(n, x0, x, mb)).copy()
+        w = schedule.weight(n)
+        x = (1.0 - w) * (x0 if anchored else x) + w * mb
         x[np.abs(x) < _FLUSH] = 0.0
         ns.append(n)
         progs.append(prog(x))

@@ -26,6 +26,7 @@ from .engine import BatchSchedule, StepSchedule, iterate
 from .oracles import RngStream
 
 __all__ = [
+    "MDPValidationError",
     "TabularMDP",
     "AnchorFunction",
     "AverageSolution",

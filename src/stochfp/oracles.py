@@ -8,8 +8,11 @@ replays are bit-identical across platforms.
 Gaussian draws use a fixed inverse-transform realization: u = (r + 0.5) * 2^-53
 for a 53-bit integer r (so u is strictly inside (0, 1)), then z = ndtri(u).
 
-Minibatch means are sampled through exact sufficient statistics rather than
-per-sample loops, which keeps polynomially growing batch sizes runnable:
+Each noise model samples for itself: batch_mean(tx, x, k, rng) is the mean of
+k queries at x given tx = T(x) (a single query is the minibatch of one), and
+moments(tx, x, m, rng) is empirical_moments' (mean, second moment). Minibatch
+means come from exact sufficient statistics rather than per-sample loops,
+which keeps polynomially growing batch sizes runnable:
 
 * iid Gaussian: the mean of k perturbations is Gaussian with std e/sqrt(k);
 * the resistant coordinate: the mean of k iid (xi_i/p) * t values is
@@ -36,7 +39,6 @@ __all__ = [
     "AdditiveGaussianIID",
     "ResistantBernoulli",
     "OracleDescriptor",
-    "query",
     "minibatch",
     "empirical_moments",
 ]
@@ -86,7 +88,13 @@ def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoNoise:
-    pass
+    """Exact evaluations: every query returns T(x)."""
+
+    def batch_mean(self, tx, x, k, rng):
+        return tx
+
+    def moments(self, tx, x, m, rng):
+        return tx.copy(), 0.0
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,15 @@ class AdditiveGaussianIID:
     def __post_init__(self):
         if not self.e >= 0:
             raise ValueError("per-coordinate std e must be >= 0")
+
+    def batch_mean(self, tx, x, k, rng):
+        if self.e == 0.0:
+            return tx
+        return tx + self.e / np.sqrt(float(k)) * standard_normal(rng.generator(), x.shape[0])
+
+    def moments(self, tx, x, m, rng):
+        draws = self.e * standard_normal(rng.generator(), (m, x.shape[0]))
+        return tx + draws.mean(axis=0), float((draws ** 2).sum(axis=1).mean())
 
 
 @dataclass(frozen=True)
@@ -114,12 +131,31 @@ class ResistantBernoulli:
         if not 0.0 < self.p < 1.0:
             raise ValueError("success probability p must lie in (0, 1)")
 
+    def batch_mean(self, tx, x, k, rng):
+        j = last_nonzero_index(x)
+        if j >= x.shape[0]:
+            return tx
+        out = tx.copy()
+        successes = int(rng.generator().binomial(int(k), self.p))
+        out[j] = (successes / (k * self.p)) * tx[j]
+        return out
+
+    def moments(self, tx, x, m, rng):
+        j = last_nonzero_index(x)
+        if j >= x.shape[0]:
+            return tx.copy(), 0.0
+        xi = (_uniform_open(rng.generator(), m) < self.p).astype(np.float64)
+        vals = (xi / self.p) * tx[j]
+        mean = tx.copy()
+        mean[j] = vals.mean()
+        return mean, float(((vals - tx[j]) ** 2).mean())
+
 
 NoiseModel = NoNoise | AdditiveGaussianIID | ResistantBernoulli
 
 
 class OracleDescriptor:
-    """An operator plus a noise model; query results are unbiased for apply()."""
+    """An operator plus a noise model; oracle outputs are unbiased for apply()."""
 
     def __init__(self, base: Operator, noise: NoiseModel):
         if isinstance(noise, ResistantBernoulli) and not isinstance(base, ShiftProjection):
@@ -132,48 +168,15 @@ class OracleDescriptor:
         return self.base.dim
 
 
-def query(o: OracleDescriptor, x, rng: RngStream) -> np.ndarray:
-    """One randomized evaluation; mean over the draw equals the exact operator value."""
-    x = as_vector(x)
-    tx = o.base.apply(x)
-    noise = o.noise
-    if isinstance(noise, NoNoise):
-        return tx
-    if isinstance(noise, AdditiveGaussianIID):
-        if noise.e == 0.0:
-            return tx
-        return tx + noise.e * standard_normal(rng.generator(), x.shape[0])
-    # resistant: randomize the coordinate after the current progress index
-    j = last_nonzero_index(x)
-    if j >= o.base.dim:
-        return tx
-    out = tx.copy()
-    xi = float(_uniform_open(rng.generator(), ()) < noise.p)
-    out[j] = (xi / noise.p) * tx[j]
-    return out
-
-
 def minibatch(o: OracleDescriptor, x, k: int, rng: RngStream) -> np.ndarray:
-    """Arithmetic mean of k independent queries (sampled via exact sufficient statistics)."""
+    """Arithmetic mean of k independent queries (sampled via exact sufficient statistics).
+
+    A single oracle query is the minibatch with k = 1.
+    """
     if k < 1:
         raise ValueError("minibatch size k must be >= 1")
     x = as_vector(x)
-    tx = o.base.apply(x)
-    noise = o.noise
-    if isinstance(noise, NoNoise):
-        return tx
-    if isinstance(noise, AdditiveGaussianIID):
-        if noise.e == 0.0:
-            return tx
-        scale = noise.e / np.sqrt(float(k))
-        return tx + scale * standard_normal(rng.generator(), x.shape[0])
-    j = last_nonzero_index(x)
-    if j >= o.base.dim:
-        return tx
-    out = tx.copy()
-    successes = int(rng.generator().binomial(int(k), noise.p))
-    out[j] = (successes / (k * noise.p)) * tx[j]
-    return out
+    return o.noise.batch_mean(o.base.apply(x), x, k, rng)
 
 
 def empirical_moments(o: OracleDescriptor, x, m: int, rng: RngStream):
@@ -186,22 +189,4 @@ def empirical_moments(o: OracleDescriptor, x, m: int, rng: RngStream):
     if m < 2:
         raise ValueError("need m >= 2 repetitions")
     x = as_vector(x)
-    tx = o.base.apply(x)
-    d = x.shape[0]
-    noise = o.noise
-    if isinstance(noise, NoNoise):
-        return tx.copy(), 0.0
-    if isinstance(noise, AdditiveGaussianIID):
-        draws = noise.e * standard_normal(rng.generator(), (m, d))
-        mean = tx + draws.mean(axis=0)
-        second = float((draws ** 2).sum(axis=1).mean())
-        return mean, second
-    j = last_nonzero_index(x)
-    if j >= o.base.dim:
-        return tx.copy(), 0.0
-    xi = (_uniform_open(rng.generator(), m) < noise.p).astype(np.float64)
-    vals = (xi / noise.p) * tx[j]
-    mean = tx.copy()
-    mean[j] = vals.mean()
-    second = float(((vals - tx[j]) ** 2).mean())
-    return mean, second
+    return o.noise.moments(o.base.apply(x), x, m, rng)

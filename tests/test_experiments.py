@@ -205,6 +205,13 @@ class TestValidateConfig:
         doc["q0"][0][0] = float("nan")
         with pytest.raises(sf.ConfigError, match=r"config\.q0: entries must be finite"):
             sf.validate_config(doc)
+        for bad in ("a", [0.0], True):
+            doc["q0"][0][0] = bad
+            with pytest.raises(sf.ConfigError, match=r"config\.q0: entries must be finite"):
+                sf.validate_config(doc)
+        doc["q0"] = [[0.0, 0.0], [0.0], [0.0, 0.0]]
+        with pytest.raises(sf.ConfigError, match=r"config\.q0: expected an 3x2 nested list"):
+            sf.validate_config(doc)
 
     def test_mdp_disc_alpha_rules(self, tmp_path, mdp_3x2):
         path = _write_mdp(tmp_path, mdp_3x2)
@@ -419,7 +426,7 @@ class TestEvaluateBounds:
             "n": [1, 2],
             "k_n": [1, 4],
             "residual_mean": [0.1, 0.05],
-            "dist_mean": None,
+            "dist_to_fp_mean": None,
         }
         frag = sf.evaluate_bounds(cfg, agg)
         assert frag["family"] == "nonexpansive"
@@ -452,7 +459,7 @@ class TestEvaluateBounds:
         ) for n in ns]
         dist = [b * 2 for b in bound_at]  # interior rows violate
         dist[-1] = bound_at[-1] / 2  # the horizon row is inside
-        agg = {"n": ns, "k_n": [1] * 9, "residual_mean": [0.0] * 9, "dist_mean": dist}
+        agg = {"n": ns, "k_n": [1] * 9, "residual_mean": [0.0] * 9, "dist_to_fp_mean": dist}
         frag = sf.evaluate_bounds(cfg, agg)
         assert not frag["all_within"]
         assert frag["final_within"]

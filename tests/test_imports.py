@@ -1,9 +1,30 @@
-"""Static check that every imported name is used; the project depends on no linter."""
+"""Import hygiene: every imported name is used (the project depends on no
+linter), and the package re-exports its submodules' public names."""
 
 import ast
+import importlib
 from pathlib import Path
 
+import stochfp
+
 ROOT = Path(__file__).resolve().parents[1]
+
+# The package's public names, spelled out so that a name dropped from a
+# submodule's __all__ fails here rather than in a user's import.
+PACKAGE_NAMES = """
+AdditiveGaussianIID AdversarialInstance AdversarialTrace AffineContraction AnchorFunction
+AverageSolution BatchSchedule ConfigError ConstantMap FixedPointInfo L1 L2 LINF
+MDPValidationError NoNoise NormKind Operator OracleDescriptor PlaneRotation RateFit
+ResistantBernoulli RngStream RunRecord ShiftProjection SpanAlgorithm StepSchedule TabularMDP
+batch_exponent_h bellman_average bellman_discounted benchmark_q_average bound_contractive
+bound_nonexpansive build_instance check_unichain discounted_iteration_count
+empirical_moments evaluate_bounds fit_rate generative_sample greedy_policy
+halpern_q_average halpern_q_discounted halpern_run kappa_bar_bounded_range km_run
+load_config load_mdp lp mdp_from_dict minibatch norm norm_equivalence_mu phi prog
+project_box read_aggregate_csv run_adversarial run_experiment rvi_q_learning shift_map
+solve_average_exact solve_discounted_exact validate_config vanilla_q_discounted
+""".split()
+SUBMODULES = ("engine", "experiments", "linalg", "lower_bound", "mdp", "operators", "oracles")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,3 +63,11 @@ def test_no_unused_imports_in_package_or_tests():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert found == {}
+
+
+def test_package_exports_every_public_name():
+    assert [name for name in PACKAGE_NAMES if not hasattr(stochfp, name)] == []
+    for short in SUBMODULES:
+        mod = importlib.import_module(f"stochfp.{short}")
+        for name in mod.__all__:
+            assert getattr(stochfp, name) is getattr(mod, name), f"stochfp.{name} != {short}.{name}"

@@ -235,11 +235,8 @@ class TestRunAdversarial:
                     tr.residual[i], abs=1e-12
                 )
 
-    def test_custom_rule_runs(self):
-        def rule(n, x0, x_prev, mb):
-            return 0.5 * x_prev + 0.5 * mb
-
-        algo = sf.SpanAlgorithm("custom", sf.BatchSchedule.constant(2), custom_rule=rule)
+    def test_constant_batches_fill_the_budget(self):
+        algo = sf.SpanAlgorithm("km-constant", sf.BatchSchedule.constant(2), alpha=0.5)
         tr = sf.run_adversarial(self.inst, algo, sf.RngStream(9))
         assert tr.steps() == self.inst.n_budget // 2
-        assert np.all(np.isnan(tr.weight[1:]))
+        assert np.all(tr.weight[1:] == 0.5)

@@ -13,7 +13,7 @@ from stochfp.oracles import (
     RngStream,
     empirical_moments,
     minibatch,
-    query,
+    standard_normal,
 )
 
 
@@ -51,19 +51,21 @@ def test_noiseless_query_is_exact():
     op = PlaneRotation(0.3)
     o = OracleDescriptor(op, NoNoise())
     x = np.array([0.2, -1.0])
-    np.testing.assert_array_equal(query(o, x, RngStream(1)), op.apply(x))
-    np.testing.assert_array_equal(minibatch(o, x, 7, RngStream(1)), op.apply(x))
+    for k in (1, 7):
+        np.testing.assert_array_equal(minibatch(o, x, k, RngStream(1)), op.apply(x))
     mean, second = empirical_moments(o, x, 10, RngStream(1))
     np.testing.assert_array_equal(mean, op.apply(x))
     assert second == 0.0
 
 
 def test_query_determinism_bit_identical():
-    o = _gaussian_oracle()
+    o = _gaussian_oracle(e=0.3)
     x = np.array([1.0, 2.0, 3.0])
-    q1 = query(o, x, RngStream(5, 1))
-    q2 = query(o, x, RngStream(5, 1))
+    q1 = minibatch(o, x, 1, RngStream(5, 1))
+    q2 = minibatch(o, x, 1, RngStream(5, 1))
     np.testing.assert_array_equal(q1, q2)
+    # a single query is T(x) + e * z, bit for bit (here T(x) = 0)
+    np.testing.assert_array_equal(q1, 0.3 * standard_normal(RngStream(5, 1).generator(), 3))
     m1 = minibatch(o, x, 16, RngStream(5, 2))
     m2 = minibatch(o, x, 16, RngStream(5, 2))
     np.testing.assert_array_equal(m1, m2)
@@ -86,7 +88,7 @@ def test_resistant_query_structure():
     tx = op.apply(x)
     seen = set()
     for seed in range(400):
-        out = query(o, x, RngStream(seed))
+        out = minibatch(o, x, 1, RngStream(seed))
         np.testing.assert_array_equal(np.delete(out, 2), np.delete(tx, 2))
         assert out[2] in (0.0, pytest.approx(tx[2] / p))
         seen.add(out[2] != 0.0)
@@ -99,7 +101,7 @@ def test_resistant_full_progress_returns_exact_value():
     o = OracleDescriptor(op, ResistantBernoulli(0.1))
     x = np.array([0.1, 0.2, 0.05])  # progress == d
     for seed in range(20):
-        np.testing.assert_array_equal(query(o, x, RngStream(seed)), op.apply(x))
+        np.testing.assert_array_equal(minibatch(o, x, 1, RngStream(seed)), op.apply(x))
 
 
 def test_minibatch_rejects_k_zero():
@@ -197,4 +199,4 @@ def test_variance_reduction_mu_over_sqrt_k():
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        query(_gaussian_oracle(dim=3), np.zeros(2), RngStream(0))
+        minibatch(_gaussian_oracle(dim=3), np.zeros(2), 1, RngStream(0))

@@ -134,18 +134,21 @@ class BatchSchedule:
         return cls("power-six")
 
     def size(self, n: int) -> int:
+        """k_n, exact for integer powers below 2^64; beyond the float range a ValueError."""
         if n < 1:
             raise ValueError("batch sizes are defined for n >= 1")
         if self.kind == "constant":
             return self.k
         if self.kind == "power-six":
             return int(n) ** 6
-        if self.kind == "power":
-            if float(self.a).is_integer():
-                return max(1, int(n) ** int(self.a))
-            return max(1, math.ceil(float(n) ** self.a))
-        val = float(n) * float(n) * self.gamma ** (self.horizon - n)
-        return max(1, math.ceil(val))
+        if self.kind == "power" and float(self.a).is_integer() and self.a * math.log2(n) < 64:
+            return max(1, int(n) ** int(self.a))
+        try:
+            if self.kind == "power":
+                return max(1, math.ceil(float(n) ** self.a))
+            return max(1, math.ceil(float(n) * float(n) * self.gamma ** (self.horizon - n)))
+        except OverflowError:
+            raise ValueError(f"batch size k_n at n = {n} exceeds 2^63 - 1") from None
 
 
 @dataclass

@@ -572,7 +572,8 @@ def _plan(cfg: dict) -> _Plan:
         runner = partial(mdp_mod.halpern_q_discounted, model, gamma, q0, N, q_star=q_star)
     else:
         steps = _build(cfg["alpha"], "config.alpha", _STEPS)
-        runner = partial(mdp_mod.vanilla_q_discounted, model, gamma, steps, q0, N, q_star=q_star)
+        runner = partial(mdp_mod.vanilla_q_discounted, model, gamma, steps.weight, q0, N,
+                         q_star=q_star)
     return _Plan(runner, stream)
 
 

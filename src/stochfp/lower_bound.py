@@ -69,12 +69,16 @@ def build_instance(epsilon: float, kappa_bar: float, sigma: float) -> Adversaria
     lam = 2.0 * epsilon
     if kappa_bar < lam:
         raise ValueError("kappa_bar must be at least 2 * epsilon")
+    if not math.isfinite(kappa_bar / lam):
+        raise ValueError("derived dimension d = kappa_bar / (2 epsilon) overflows")
     # epsilon guards absorb float rounding of the quotients (e.g. 2/0.2, d/(2p))
     d = int(math.floor(kappa_bar / lam + 1e-9))
     p = lam * lam / (sigma * sigma)
     if not 0.0 < p < 1.0:
         raise ValueError("derived success probability p must lie in (0, 1)")
     q = d / (2.0 * p)
+    if not math.isfinite(q):
+        raise ValueError("derived query budget d / (2p) overflows")
     n_budget = int(math.ceil(q - 1e-9)) - 1
     if not (n_budget < q <= n_budget + 1 + 1e-6):
         raise AssertionError("budget derivation violated N < d/(2p) <= N + 1")

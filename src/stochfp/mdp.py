@@ -5,12 +5,12 @@ sup norm under the unichain assumption); discounted fixed points solve
 Q = r + gamma P max Q (a gamma-contraction). Every learning algorithm steps
 through engine.iterate with the Q-table as the iterate.
 
-Sampling order is fixed: within an iteration, (s, a) pairs are visited in
-row-major order and the batch for a pair is drawn before moving on. Batches
-are realized through the exact multinomial sufficient statistic: k iid
-next-state draws per (s, a) collapse to one multinomial count vector, and the
-batch mean of max_a' Q(s', a') is counts . max-vector / k. Coupled replays
-(same seed and stream) therefore consume identical counts sample-for-sample.
+Sampling order is fixed: each step of all five runners draws the next-state
+counts of every (s, a) pair in one multinomial call, in row-major (s, a)
+order. The count vector of k iid draws is the exact sufficient statistic for
+the batch mean of max_a' Q(s', a'), counts . max-vector / k; rvi and vanilla
+draw batches of one. Coupled replays (same seed and stream) therefore
+consume identical counts sample-for-sample.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "solve_discounted_exact",
     "solve_average_exact",
     "check_unichain",
-    "generative_sample",
     "greedy_policy",
     "halpern_q_average",
     "benchmark_q_average",
@@ -111,10 +110,6 @@ class TabularMDP:
     @property
     def r_max(self) -> float:
         return float(self.rewards.max())
-
-    def transition_cdf(self) -> np.ndarray:
-        """Per-(s, a) cumulative distribution over next states (fixed state order)."""
-        return np.cumsum(self.transitions, axis=2)
 
     def to_dict(self) -> dict:
         return {
@@ -321,47 +316,20 @@ def check_unichain(m: TabularMDP) -> bool:
     return True
 
 
-def generative_sample(m: TabularMDP, s: int, a: int, rng: RngStream) -> int:
-    """One next-state draw from p(.|s,a) by inverse CDF over the fixed state order."""
-    if not (0 <= s < m.num_states and 0 <= a < m.num_actions):
-        raise ValueError(f"state-action ({s}, {a}) out of range")
-    u = rng.generator().random()
-    cdf = m.transition_cdf()[s, a]
-    return int(min(np.searchsorted(cdf, u, side="right"), m.num_states - 1))
-
-
 def greedy_policy(q: np.ndarray) -> np.ndarray:
     """Greedy action per state; ties go to the lowest action index."""
     return np.argmax(q, axis=1)
 
 
 def _batch_mean_max(m: TabularMDP, maxv: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
-    """(1/k) sum over k generative draws of max_a' Q(s',a'), per (s, a), row-major.
+    """(1/k) sum over k generative draws of max_a' Q(s',a'), per (s, a).
 
-    Realized via one multinomial count vector per pair (exact sufficient
-    statistic for the batch mean).
+    One multinomial call draws every pair's count vector in row-major order.
+    The row-wise vecdot keeps the bits of a per-pair counts @ maxv, which a
+    2-D matmul does not.
     """
-    s_count, a_count = m.num_states, m.num_actions
-    out = np.empty((s_count, a_count))
-    p = m.transitions
-    for s in range(s_count):
-        for a in range(a_count):
-            counts = gen.multinomial(k, p[s, a])
-            out[s, a] = (counts @ maxv) / k
-    return out
-
-
-def _single_sample_max(m: TabularMDP, maxv: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
-    """max_a' Q(s',a') at one sampled next state per (s, a), row-major order (k is 1)."""
-    s_count, a_count = m.num_states, m.num_actions
-    cdf = m.transition_cdf()
-    us = gen.random(size=(s_count, a_count))
-    out = np.empty((s_count, a_count))
-    for s in range(s_count):
-        for a in range(a_count):
-            idx = min(np.searchsorted(cdf[s, a], us[s, a], side="right"), m.num_states - 1)
-            out[s, a] = maxv[idx]
-    return out
+    counts = gen.multinomial(k, m.transitions)
+    return np.vecdot(counts.astype(np.float64), maxv) / k
 
 
 def _check_discounted(m: TabularMDP, gamma: float, q0, N: int) -> np.ndarray:
@@ -375,24 +343,24 @@ def _check_discounted(m: TabularMDP, gamma: float, q0, N: int) -> np.ndarray:
     return q0
 
 
-def _q_run(m, q0, N, rng, *, target, sample, residual, weight, size, anchored,
-           scale=None, q_star=None):
+def _q_run(m, q0, N, rng, *, target, residual, weight, size, anchored,
+           scale=1.0, q_star=None):
     """Synchronous Q-learning on engine.iterate; returns (final table, RunRecord).
 
-    Step n feeds target(Q^{n-1}, est) to the iteration, est = sample(m, max_a' Q^{n-1},
-    k_n, gen), and traces the sup norms of residual(Q^n) - Q^n, Q^n - q_star
-    (with q_star) and scale * (est - E est).
+    Step n feeds target(Q^{n-1}, est) to the iteration, est = the k_n-sample
+    batch mean of max_a' Q^{n-1} per pair, and traces the sup norms of
+    residual(Q^n) - Q^n, Q^n - q_star (with q_star) and scale * (est - E est).
     """
 
     def draw(q, k, stream):
         maxv = q.max(axis=1)
-        est = sample(m, maxv, k, stream.generator())
+        est = _batch_mean_max(m, maxv, k, stream.generator())
         return target(q, est), (est, maxv)
 
     def measure(q, q_new, _, aux):
         est, maxv = aux
         err = np.abs(est - (_flat_transitions(m) @ maxv).reshape(q.shape)).max()
-        noise = float(err if scale is None else scale * err)
+        noise = float(scale * err)
         res = float(np.abs(residual(q_new) - q_new).max())
         dist = None if q_star is None else float(np.abs(q_new - q_star).max())
         return res, dist, noise
@@ -426,7 +394,7 @@ def halpern_q_average(
         v_star = solve_average_exact(m).v_star
     return _q_run(
         m, q0, N, rng, target=lambda q, est: m.rewards + est - f.value(q),
-        sample=_batch_mean_max, residual=lambda q: bellman_average(m, q, v_star),
+        residual=lambda q: bellman_average(m, q, v_star),
         weight=StepSchedule.halpern_classic().weight, size=BatchSchedule.power_six().size,
         anchored=True,
     )
@@ -450,7 +418,7 @@ def benchmark_q_average(
         raise ValueError("N must be >= 1")
     return _q_run(
         m, q0, N, rng, target=lambda q, est: m.rewards + est - float(v_star),
-        sample=_batch_mean_max, residual=lambda q: bellman_average(m, q, v_star),
+        residual=lambda q: bellman_average(m, q, v_star),
         weight=StepSchedule.halpern_classic().weight, size=BatchSchedule.power_six().size,
         anchored=True,
     )
@@ -476,7 +444,7 @@ def halpern_q_discounted(
         q_star = solve_discounted_exact(m, gamma, solver_tol)
     return _q_run(
         m, q0, N, rng, target=lambda q, est: m.rewards + gamma * est,
-        sample=_batch_mean_max, residual=lambda q: bellman_discounted(m, q, gamma),
+        residual=lambda q: bellman_discounted(m, q, gamma),
         weight=StepSchedule.halpern_classic().weight,
         size=BatchSchedule.contractive_geometric(gamma, N).size,
         anchored=True, scale=gamma, q_star=q_star,
@@ -492,7 +460,7 @@ def rvi_q_learning(
     rng: RngStream,
     v_star: float | None = None,
 ):
-    """Relative-value-iteration Q-learning baseline (single sample per pair per step).
+    """Relative-value-iteration Q-learning baseline (a batch of one per pair per step).
 
     Q^n(s,a) = (1 - alpha_n) Q^{n-1}(s,a)
              + alpha_n (r(s,a) + max_a' Q^{n-1}(s_n(s,a), a') - f(Q^{n-1})),
@@ -509,7 +477,7 @@ def rvi_q_learning(
         v_star = solve_average_exact(m).v_star
     return _q_run(
         m, q0, N, rng, target=lambda q, est: m.rewards + est - f.value(q),
-        sample=_single_sample_max, residual=lambda q: bellman_average(m, q, v_star),
+        residual=lambda q: bellman_average(m, q, v_star),
         weight=StepSchedule.km_polynomial(a_exponent).weight,
         size=BatchSchedule.constant(1).size, anchored=False,
     )
@@ -525,16 +493,15 @@ def vanilla_q_discounted(
     q_star: np.ndarray | None = None,
     solver_tol: float = 1e-10,
 ):
-    """Synchronous Q-learning baseline, one sample per pair per step.
+    """Synchronous Q-learning baseline, a batch of one per pair per step.
 
-    alpha_schedule is a callable n -> alpha in (0, 1] (alpha = 1 gives exact
-    value iteration on deterministic models) or an averaged StepSchedule.
+    alpha_schedule is a callable n -> alpha in (0, 1]; alpha = 1 gives exact
+    value iteration on deterministic models.
     """
     q0 = _check_discounted(m, gamma, q0, N)
-    weight = alpha_schedule.weight if hasattr(alpha_schedule, "weight") else alpha_schedule
 
     def alpha(n: int) -> float:
-        value = float(weight(n))
+        value = float(alpha_schedule(n))
         if not 0.0 < value <= 1.0:
             raise ValueError(f"alpha_{n} = {value} outside (0, 1]")
         return value
@@ -543,7 +510,7 @@ def vanilla_q_discounted(
         q_star = solve_discounted_exact(m, gamma, solver_tol)
     return _q_run(
         m, q0, N, rng, target=lambda q, est: m.rewards + gamma * est,
-        sample=_single_sample_max, residual=lambda q: bellman_discounted(m, q, gamma),
+        residual=lambda q: bellman_discounted(m, q, gamma),
         weight=alpha, size=BatchSchedule.constant(1).size,
         anchored=False, scale=gamma, q_star=q_star,
     )

@@ -91,6 +91,21 @@ class TestBatchSchedule:
         ):
             assert min(b.size(n) for n in range(1, 60)) >= 1
 
+    def test_sizes_beyond_the_float_range_are_value_errors(self):
+        with pytest.raises(ValueError, match=r"n = 3 exceeds 2\^63 - 1"):
+            sf.BatchSchedule.power(1000.5).size(3)
+        with pytest.raises(ValueError, match=r"n = 2000 exceeds 2\^63 - 1"):
+            sf.BatchSchedule.contractive_geometric(0.5, 1).size(2000)
+
+    def test_integer_exponent_exact_only_below_two_to_the_64(self):
+        assert sf.BatchSchedule.power(39).size(3) == 3**39  # above 2^53, below 2^63
+        assert sf.BatchSchedule.power(63).size(2) == 2**63
+        # 2^(10^18) would be a 10^18-bit integer; it is rejected without being built
+        b = sf.BatchSchedule.power(1e18)
+        assert b.size(1) == 1
+        with pytest.raises(ValueError, match=r"n = 2 exceeds 2\^63 - 1"):
+            b.size(2)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             sf.BatchSchedule.constant(0)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 import stochfp as sf
 from stochfp.cli import main as cli_main
 from stochfp.experiments import parse_seed_spec
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _fixedpoint_doc(**overrides):
@@ -539,6 +542,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "N = 600" in err
+
+    def test_overflowing_lowerbound_dimension_exits_one(self, tmp_path, capsys):
+        # the shipped lowerbound_km with kappa_bar / (2 epsilon) beyond the float range
+        doc = json.loads((REPO / "configs" / "lowerbound_km.json").read_text())
+        doc.update(epsilon=1e-10, kappa_bar=1e308)
+        path = self._write(tmp_path, doc)
+        code = cli_main(["lowerbound", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: derived dimension")
+        assert "Traceback" not in err
+
+    def test_batch_size_beyond_the_float_range_exits_one(self, tmp_path, capsys):
+        doc = _fixedpoint_doc(batches={"kind": "power", "a": 1000.5}, N=3, seeds=[0])
+        path = self._write(tmp_path, doc)
+        code = cli_main(["fixedpoint", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "n = 3 exceeds 2^63 - 1" in err
+        assert "Traceback" not in err
 
     def test_failed_check_exits_three(self, tmp_path, capsys):
         doc = _fixedpoint_doc(

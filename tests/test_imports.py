@@ -18,7 +18,7 @@ MDPValidationError NoNoise NormKind Operator OracleDescriptor PlaneRotation Rate
 ResistantBernoulli RngStream RunRecord ShiftProjection SpanAlgorithm StepSchedule TabularMDP
 batch_exponent_h bellman_average bellman_discounted benchmark_q_average bound_contractive
 bound_nonexpansive build_instance check_unichain discounted_iteration_count
-empirical_moments evaluate_bounds fit_rate generative_sample greedy_policy
+empirical_moments evaluate_bounds fit_rate greedy_policy
 halpern_q_average halpern_q_discounted halpern_run kappa_bar_bounded_range km_run
 load_config load_mdp lp mdp_from_dict minibatch norm norm_equivalence_mu phi prog
 project_box read_aggregate_csv run_adversarial run_experiment rvi_q_learning shift_map

@@ -35,6 +35,12 @@ class TestBuildInstance:
         with pytest.raises(ValueError):
             sf.build_instance(0.1, 0.1, 1.0)  # kappa_bar below 2 epsilon
 
+    def test_overflowing_derivations_are_value_errors(self):
+        with pytest.raises(ValueError, match="derived dimension"):
+            sf.build_instance(1e-10, 1e308, 1.0)  # kappa_bar / lam is inf
+        with pytest.raises(ValueError, match="derived query budget"):
+            sf.build_instance(1e-100, 1e200, 1.0)  # d / (2p) is inf
+
     def test_instance_oracle_wiring(self):
         inst = sf.build_instance(0.1, 2.0, 1.0)
         op = inst.operator()

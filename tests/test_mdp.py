@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stochfp as sf
+from stochfp.mdp import _batch_mean_max
 
 
 def _chain_mdp():
@@ -289,36 +292,72 @@ class TestUnichain:
             sf.check_unichain(m)
 
 
+def _per_pair_reference(m, maxv, k, gen):
+    """The batch mean drawn pair by pair in row-major order."""
+    out = np.empty((m.num_states, m.num_actions))
+    for s in range(m.num_states):
+        for a in range(m.num_actions):
+            counts = gen.multinomial(k, m.transitions[s, a])
+            out[s, a] = (counts @ maxv) / k
+    return out
+
+
+@st.composite
+def _sampler_cases(draw):
+    s_count = draw(st.integers(1, 16))
+    a_count = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 10 ** 12))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    gen = np.random.default_rng(seed)
+    p = gen.dirichlet(np.full(s_count, draw(st.sampled_from([0.1, 1.0, 10.0]))),
+                      size=(s_count, a_count))
+    m = sf.TabularMDP(p, gen.uniform(size=(s_count, a_count)))
+    maxv = gen.normal(size=s_count) * draw(st.sampled_from([1e-3, 1.0, 1e6]))
+    return m, maxv, k, seed
+
+
 class TestSampling:
     def test_point_mass(self):
+        # both pairs of the chain move to state 1 with probability one
         m = _chain_mdp()
+        maxv = np.array([-3.0, 7.0])
         master = sf.RngStream(1)
         for i in range(20):
-            assert sf.generative_sample(m, 0, 0, master.substream(i)) == 1
+            est = _batch_mean_max(m, maxv, 1, master.substream(i).generator())
+            assert est.tolist() == [[7.0], [7.0]]
 
     def test_uniform_frequencies(self):
+        # with max-vector (0, 1, 2, 3) a batch of one returns the drawn state
         p = np.full((4, 1, 4), 0.25)
         m = sf.TabularMDP(p, np.zeros((4, 1)))
+        maxv = np.arange(4.0)
         master = sf.RngStream(99)
-        draws = np.array(
-            [sf.generative_sample(m, 0, 0, master.substream(i)) for i in range(100_000)]
-        )
+        draws = np.concatenate([
+            _batch_mean_max(m, maxv, 1, master.substream(i).generator()).ravel()
+            for i in range(25_000)
+        ]).astype(np.int64)
         freqs = np.bincount(draws, minlength=4) / draws.size
         assert np.all((freqs >= 0.24) & (freqs <= 0.26))
 
     def test_replay_determinism(self, mdp_3x2):
         def seq(seed):
             master = sf.RngStream(seed)
-            return [sf.generative_sample(mdp_3x2, 1, 1, master.substream(i)) for i in range(50)]
+            maxv = np.arange(3.0)
+            return [
+                _batch_mean_max(mdp_3x2, maxv, 1, master.substream(i).generator()).tolist()
+                for i in range(50)
+            ]
 
         assert seq(5) == seq(5)
         assert seq(5) != seq(6)
 
-    def test_index_bounds(self, mdp_3x2):
-        with pytest.raises(ValueError):
-            sf.generative_sample(mdp_3x2, 3, 0, sf.RngStream(0))
-        with pytest.raises(ValueError):
-            sf.generative_sample(mdp_3x2, 0, 2, sf.RngStream(0))
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(_sampler_cases())
+    def test_one_call_matches_per_pair_draws_bit_for_bit(self, case):
+        m, maxv, k, seed = case
+        est = _batch_mean_max(m, maxv, k, sf.RngStream(seed).generator())
+        ref = _per_pair_reference(m, maxv, k, sf.RngStream(seed).generator())
+        assert est.tobytes() == ref.tobytes()
 
     def test_greedy_ties_to_lowest_action(self):
         q = np.array([[0.5, 0.5], [0.2, 0.7]])

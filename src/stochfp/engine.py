@@ -8,6 +8,12 @@ batch of one, i.e. one oracle query per step, no variance reduction.
 Both, and the Q-learning runs in mdp, step through iterate(), the one loop
 that produces a RunRecord. Residuals and distances in traces are measured
 with the exact operator, not estimated from oracle output.
+
+A run owns one generator (oracles.StepGenerator): each step that draws
+re-keys it to the key RngStream.generator() would use for rng.substream(n),
+so the draws are those of a fresh generator per step. The exact evaluation a
+step's residual needs, T(x^n), is carried into step n+1's draw, so a vector
+run applies T once per step plus once for x^0.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from itertools import accumulate
 import numpy as np
 
 from .linalg import NormKind, as_vector, norm
-from .oracles import OracleDescriptor, RngStream, minibatch
+from .oracles import OracleDescriptor, RngStream, StepGenerator
 
 __all__ = [
     "StepSchedule",
@@ -185,10 +191,13 @@ def iterate(
 ) -> RunRecord:
     """The one per-step loop behind every RunRecord.
 
-    Step n draws (y, aux) = draw(x^{n-1}, k_n, rng.substream(n)) with
+    Step n draws (y, aux) = draw(x^{n-1}, k_n, stream, carry) with
     k_n = size(n), sets x^n = (1 - w_n) b + w_n y with w_n = weight(n) > 0 and
     b = x^0 (anchored) or x^{n-1} (averaged), and traces (residual, dist,
-    noise) = measure(x^{n-1}, x^n, y, aux). A non-finite x^n, or a non-finite
+    noise) from (residual, dist, noise, carry) = measure(x^{n-1}, x^n, y, aux).
+    stream is the run's one StepGenerator, at rng.substream(n); carry is what
+    step n-1's measure returned (None at step 1), so work done to measure x^n
+    need not be redone to draw at it. A non-finite x^n, or a non-finite
     measured value (dist may be None), aborts the run with the partial trace
     and x^{n-1} as final iterate. cum_queries counts k_n * per_query; totals
     beyond 2^63 - 1 are rejected before step 1.
@@ -215,14 +224,15 @@ def iterate(
             abort_reason=reason,
         )
 
-    x = x0
+    keyed = StepGenerator()
+    x, carry = x0, None
     for n in range(1, N + 1):
         w = weights[n - 1]
-        y, aux = draw(x, sizes[n - 1], rng.substream(n))
+        y, aux = draw(x, sizes[n - 1], keyed.at(rng.substream(n)), carry)
         x_new = (1.0 - w) * (x0 if anchored else x) + w * y
         if not np.isfinite(x_new).all():
             return record(x, f"non-finite iterate at step {n}")
-        res, d, e = measure(x, x_new, y, aux)
+        res, d, e, carry = measure(x, x_new, y, aux)
         if not (math.isfinite(res) and math.isfinite(e) and (d is None or math.isfinite(d))):
             return record(x, f"non-finite measurement at step {n}")
         residual.append(res)
@@ -248,14 +258,17 @@ def _vector_run(o, x0, weight, size, N, norm_kind, rng, anchored) -> RunRecord:
         except ValueError:  # v overflowed; iterate() aborts on the inf
             return math.inf
 
-    def measure(x, x_new, y, _):
-        noise = length(y - apply(x))
-        res = length(x_new - apply(x_new))
-        dist = length(x_new - target) if target is not None else None
-        return res, dist, noise
+    def draw(x, k, stream, tx):
+        if tx is None:
+            tx = apply(x)
+        return o.noise.batch_mean(tx, x, k, stream), tx
 
-    def draw(x, k, stream):
-        return minibatch(o, x, k, stream), None
+    def measure(x, x_new, y, tx):
+        noise = length(y - tx)
+        tx_new = apply(x_new)
+        res = length(x_new - tx_new)
+        dist = length(x_new - target) if target is not None else None
+        return res, dist, noise, tx_new
 
     return iterate(draw, measure, start, weight, size, N, rng, anchored=anchored,
                    with_dist=target is not None)

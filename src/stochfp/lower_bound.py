@@ -22,7 +22,7 @@ import numpy as np
 from .engine import BatchSchedule, StepSchedule
 from .linalg import L1, as_vector, last_nonzero_index, norm
 from .operators import ShiftProjection
-from .oracles import OracleDescriptor, ResistantBernoulli, RngStream, minibatch
+from .oracles import OracleDescriptor, ResistantBernoulli, RngStream, StepGenerator
 
 __all__ = [
     "AdversarialInstance",
@@ -36,6 +36,8 @@ __all__ = [
 
 # denormal dust below this magnitude is flushed to exact zero so prog stays well defined
 _FLUSH = 1e-300
+# largest derived dimension d: a run keeps a few d-vectors of 8 bytes per coordinate
+MAX_DIM = 10 ** 7
 
 
 def prog(x) -> int:
@@ -61,7 +63,8 @@ class AdversarialInstance:
 
 
 def build_instance(epsilon: float, kappa_bar: float, sigma: float) -> AdversarialInstance:
-    """Derive the hard instance; requires 0 < epsilon < sigma/2 and kappa_bar >= 2 epsilon."""
+    """Derive the hard instance; requires 0 < epsilon < sigma/2, kappa_bar >= 2 epsilon
+    and a derived dimension d of at most MAX_DIM coordinates."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not epsilon < sigma / 2.0:
@@ -79,6 +82,8 @@ def build_instance(epsilon: float, kappa_bar: float, sigma: float) -> Adversaria
     q = d / (2.0 * p)
     if not math.isfinite(q):
         raise ValueError("derived query budget d / (2p) overflows")
+    if d > MAX_DIM:
+        raise ValueError(f"derived dimension d = {d} exceeds the cap of {MAX_DIM} coordinates")
     n_budget = int(math.ceil(q - 1e-9)) - 1
     if not (n_budget < q <= n_budget + 1 + 1e-6):
         raise AssertionError("budget derivation violated N < d/(2p) <= N + 1")
@@ -167,20 +172,24 @@ def run_adversarial(
     """Run one seeded trajectory from x^0 = 0 until the query budget is exhausted.
 
     Steps whose batch would push cumulative queries past the budget are not
-    taken; every recorded step is budget-feasible.
+    taken; every recorded step is budget-feasible. As in engine.iterate, one
+    generator is re-keyed per step and T(x^n), measured for the residual, is
+    reused for step n+1's draw: T is applied steps + 1 times.
     """
     op = inst.operator()
-    oracle = inst.oracle()
+    noise = inst.oracle().noise
     x_star = np.full(inst.d, inst.lam / 2.0)
     x0 = np.zeros(inst.d)
     x = x0.copy()
+    tx = op.apply(x)
     schedule = algo.steps()
     anchored = schedule.is_halpern
+    keyed = StepGenerator()
 
     ns = [0]
     progs = [0]
     cums = [0]
-    residuals = [norm(x - op.apply(x), L1)]
+    residuals = [norm(x - tx, L1)]
     weights = [0.0]
     batches = [0]
     noises = [0.0]
@@ -194,18 +203,18 @@ def run_adversarial(
         if cum + k > inst.n_budget:
             break
         cum += k
-        mb = minibatch(oracle, x, k, rng.substream(n))
-        noise = norm(mb - op.apply(x), L1)
+        mb = noise.batch_mean(tx, x, k, keyed.at(rng.substream(n)))
+        noises.append(norm(mb - tx, L1))
         w = schedule.weight(n)
         x = (1.0 - w) * (x0 if anchored else x) + w * mb
         x[np.abs(x) < _FLUSH] = 0.0
+        tx = op.apply(x)
         ns.append(n)
         progs.append(prog(x))
         cums.append(cum)
-        residuals.append(norm(x - op.apply(x), L1))
+        residuals.append(norm(x - tx, L1))
         weights.append(w)
         batches.append(k)
-        noises.append(noise)
         dists.append(norm(x - x_star, L1))
 
     return AdversarialTrace(

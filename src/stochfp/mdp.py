@@ -349,21 +349,28 @@ def _q_run(m, q0, N, rng, *, target, residual, weight, size, anchored,
 
     Step n feeds target(Q^{n-1}, est) to the iteration, est = the k_n-sample
     batch mean of max_a' Q^{n-1} per pair, and traces the sup norms of
-    residual(Q^n) - Q^n, Q^n - q_star (with q_star) and scale * (est - E est).
+    residual(P max Q^n) - Q^n, Q^n - q_star (with q_star) and
+    scale * (est - E est). The lookahead P max Q^n measured at step n is
+    step n+1's E est, so it is carried over, not recomputed.
     """
+    flat = _flat_transitions(m)
 
-    def draw(q, k, stream):
+    def lookahead(q):
         maxv = q.max(axis=1)
+        return maxv, (flat @ maxv).reshape(q.shape)
+
+    def draw(q, k, stream, carry):
+        maxv, pm = lookahead(q) if carry is None else carry
         est = _batch_mean_max(m, maxv, k, stream.generator())
-        return target(q, est), (est, maxv)
+        return target(q, est), (est, pm)
 
     def measure(q, q_new, _, aux):
-        est, maxv = aux
-        err = np.abs(est - (_flat_transitions(m) @ maxv).reshape(q.shape)).max()
-        noise = float(scale * err)
-        res = float(np.abs(residual(q_new) - q_new).max())
+        est, pm = aux
+        noise = float(scale * np.abs(est - pm).max())
+        maxv_new, pm_new = lookahead(q_new)
+        res = float(np.abs(residual(pm_new) - q_new).max())
         dist = None if q_star is None else float(np.abs(q_new - q_star).max())
-        return res, dist, noise
+        return res, dist, noise, (maxv_new, pm_new)
 
     rec = iterate(draw, measure, q0, weight, size, N, rng, anchored=anchored,
                   with_dist=q_star is not None, per_query=m.num_states * m.num_actions)
@@ -394,7 +401,7 @@ def halpern_q_average(
         v_star = solve_average_exact(m).v_star
     return _q_run(
         m, q0, N, rng, target=lambda q, est: m.rewards + est - f.value(q),
-        residual=lambda q: bellman_average(m, q, v_star),
+        residual=lambda pm: (m.rewards + pm) - float(v_star),
         weight=StepSchedule.halpern_classic().weight, size=BatchSchedule.power_six().size,
         anchored=True,
     )
@@ -418,7 +425,7 @@ def benchmark_q_average(
         raise ValueError("N must be >= 1")
     return _q_run(
         m, q0, N, rng, target=lambda q, est: m.rewards + est - float(v_star),
-        residual=lambda q: bellman_average(m, q, v_star),
+        residual=lambda pm: (m.rewards + pm) - float(v_star),
         weight=StepSchedule.halpern_classic().weight, size=BatchSchedule.power_six().size,
         anchored=True,
     )
@@ -444,7 +451,7 @@ def halpern_q_discounted(
         q_star = solve_discounted_exact(m, gamma, solver_tol)
     return _q_run(
         m, q0, N, rng, target=lambda q, est: m.rewards + gamma * est,
-        residual=lambda q: bellman_discounted(m, q, gamma),
+        residual=lambda pm: m.rewards + gamma * pm,
         weight=StepSchedule.halpern_classic().weight,
         size=BatchSchedule.contractive_geometric(gamma, N).size,
         anchored=True, scale=gamma, q_star=q_star,
@@ -477,7 +484,7 @@ def rvi_q_learning(
         v_star = solve_average_exact(m).v_star
     return _q_run(
         m, q0, N, rng, target=lambda q, est: m.rewards + est - f.value(q),
-        residual=lambda q: bellman_average(m, q, v_star),
+        residual=lambda pm: (m.rewards + pm) - float(v_star),
         weight=StepSchedule.km_polynomial(a_exponent).weight,
         size=BatchSchedule.constant(1).size, anchored=False,
     )
@@ -510,7 +517,7 @@ def vanilla_q_discounted(
         q_star = solve_discounted_exact(m, gamma, solver_tol)
     return _q_run(
         m, q0, N, rng, target=lambda q, est: m.rewards + gamma * est,
-        residual=lambda q: bellman_discounted(m, q, gamma),
+        residual=lambda pm: m.rewards + gamma * pm,
         weight=alpha, size=BatchSchedule.constant(1).size,
         anchored=False, scale=gamma, q_star=q_star,
     )

@@ -5,8 +5,16 @@ Randomness comes from counter-based Philox generators keyed by a
 with the SplitMix64 finalizer, so any (run, iteration) owns its own stream and
 replays are bit-identical across platforms.
 
+A run owns one generator (StepGenerator) and re-keys it at every step that
+draws: it gets the key RngStream.generator() would use for the step's
+substream, a zero counter and an empty buffer, so its draws are those of a
+fresh generator at a quarter of the cost of building one.
+
 Gaussian draws use a fixed inverse-transform realization: u = (r + 0.5) * 2^-53
 for a 53-bit integer r (so u is strictly inside (0, 1)), then z = ndtri(u).
+scipy.special, which supplies ndtri, is most of the package's import time, so
+it is imported when the first AdditiveGaussianIID is built (or at the first
+standard_normal call), not with the package.
 
 Each noise model samples for itself: batch_mean(tx, x, k, rng) is the mean of
 k queries at x given tx = T(x) (a single query is the minibatch of one), and
@@ -27,13 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .linalg import as_vector, last_nonzero_index
 from .operators import Operator, ShiftProjection
 
 __all__ = [
     "RngStream",
+    "StepGenerator",
     "standard_normal",
     "NoNoise",
     "AdditiveGaussianIID",
@@ -76,6 +84,48 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
 
 
+class StepGenerator:
+    """One run's Philox generator, re-keyed to the stream of each step that draws.
+
+    at(stream) selects the stream; generator() then resets the shared Philox
+    to stream.generator()'s state (the same key, numpy's conversion of
+    [seed, stream] included, a zero counter and an empty buffer) and returns
+    the shared Generator. Each call resets it again, so a StepGenerator must
+    only reach code that draws from one stream at a time.
+    """
+
+    def __init__(self):
+        self._gen = np.random.Generator(np.random.Philox(0))
+        zeros = np.zeros(4, dtype=np.uint64)
+        self._state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": zeros[:2]},
+                       "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self.stream = None
+
+    def at(self, stream: RngStream) -> "StepGenerator":
+        self.stream = stream
+        return self
+
+    def generator(self) -> np.random.Generator:
+        # the key conversion Philox(key=[seed, stream]) applies to a list
+        key = np.asarray([self.stream.seed, self.stream.stream]).astype(np.uint64)
+        self._state["state"]["key"] = key
+        self._gen.bit_generator.state = self._state
+        return self._gen
+
+
+_ndtri = None
+
+
+def _load_ndtri():
+    """scipy.special.ndtri, imported on first use."""
+    global _ndtri
+    if _ndtri is None:
+        from scipy.special import ndtri
+
+        _ndtri = ndtri
+    return _ndtri
+
+
 def _uniform_open(gen: np.random.Generator, size) -> np.ndarray:
     r = gen.integers(0, 1 << 53, size=size, dtype=np.uint64)
     return (r.astype(np.float64) + 0.5) * (2.0 ** -53)
@@ -83,7 +133,7 @@ def _uniform_open(gen: np.random.Generator, size) -> np.ndarray:
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """Inverse-transform standard normals (fixed realization, see module doc)."""
-    return ndtri(_uniform_open(gen, size))
+    return _load_ndtri()(_uniform_open(gen, size))
 
 
 @dataclass(frozen=True)
@@ -106,6 +156,7 @@ class AdditiveGaussianIID:
     def __post_init__(self):
         if not self.e >= 0:
             raise ValueError("per-coordinate std e must be >= 0")
+        _load_ndtri()  # before any worker pool forks, so workers inherit it
 
     def batch_mean(self, tx, x, k, rng):
         if self.e == 0.0:

@@ -350,3 +350,56 @@ class TestReproducibility:
         assert np.array_equal(a.final_x, b.final_x)
         assert np.array_equal(a.residual, b.residual)
         assert not np.array_equal(a.final_x, c.final_x)
+
+
+class _CountingShift(sf.ShiftProjection):
+    """A shift-projection that counts its exact evaluations."""
+
+    def __init__(self, lam, dim):
+        super().__init__(lam, dim)
+        self.calls = 0
+
+    def apply(self, x):
+        self.calls += 1
+        return super().apply(x)
+
+
+class TestExactEvaluations:
+    """One exact T per step, plus one at x^0: the carried T(x^n) is never recomputed."""
+
+    @pytest.mark.parametrize(
+        "noise", [sf.NoNoise(), sf.AdditiveGaussianIID(0.3), sf.ResistantBernoulli(0.3)]
+    )
+    def test_halpern_and_km_runs_apply_n_plus_one_times(self, noise):
+        for run in (
+            lambda o: sf.halpern_run(o, np.zeros(6), sf.StepSchedule.halpern_classic(),
+                                     sf.BatchSchedule.power(2), 40, sf.L1, sf.RngStream(3)),
+            lambda o: sf.km_run(o, np.zeros(6), sf.StepSchedule.km_constant(0.5), 40, sf.L1,
+                                sf.RngStream(3)),
+        ):
+            op = _CountingShift(0.2, 6)
+            rec = run(sf.OracleDescriptor(op, noise))
+            assert rec.steps() == 40
+            assert op.calls == 41
+
+    def test_aborted_run_applies_fewer_times(self):
+        op = _CountingShift(0.2, 8)
+        o = sf.OracleDescriptor(op, sf.AdditiveGaussianIID(1e308))
+        with np.errstate(over="ignore"):
+            rec = sf.km_run(o, np.zeros(8), sf.StepSchedule.km_constant(0.5), 10, sf.L2,
+                            sf.RngStream(0))
+        assert rec.aborted
+        assert op.calls <= min(11, rec.steps() + 2)
+
+    @pytest.mark.parametrize("kind, batches, alpha", [
+        ("halpern-classic", sf.BatchSchedule.power(4), 0.0),
+        ("km-constant", sf.BatchSchedule.constant(1), 0.5),
+    ])
+    def test_run_adversarial_applies_steps_plus_one_times(self, monkeypatch, kind, batches, alpha):
+        inst = sf.build_instance(0.1, 2.0, 1.0)
+        op = _CountingShift(inst.lam, inst.d)
+        monkeypatch.setattr(sf.AdversarialInstance, "operator", lambda self: op)
+        tr = sf.run_adversarial(inst, sf.SpanAlgorithm(kind, batches, alpha=alpha),
+                                sf.RngStream(1))
+        assert tr.steps() > 1
+        assert op.calls == tr.steps() + 1

@@ -554,6 +554,17 @@ class TestCli:
         assert err.startswith("config error: config: derived dimension")
         assert "Traceback" not in err
 
+    def test_lowerbound_dimension_beyond_the_cap_exits_one(self, tmp_path, capsys):
+        # the shipped lowerbound_km with d = 5e12 coordinates: finite, but no memory holds it
+        doc = json.loads((REPO / "configs" / "lowerbound_km.json").read_text())
+        doc.update(kappa_bar=1e12)
+        path = self._write(tmp_path, doc)
+        code = cli_main(["lowerbound", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: derived dimension d = 5000000000000")
+        assert "Traceback" not in err
+
     def test_batch_size_beyond_the_float_range_exits_one(self, tmp_path, capsys):
         doc = _fixedpoint_doc(batches={"kind": "power", "a": 1000.5}, N=3, seeds=[0])
         path = self._write(tmp_path, doc)

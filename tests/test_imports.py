@@ -3,6 +3,9 @@ linter), and the package re-exports its submodules' public names."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stochfp
@@ -15,7 +18,8 @@ PACKAGE_NAMES = """
 AdditiveGaussianIID AdversarialInstance AdversarialTrace AffineContraction AnchorFunction
 AverageSolution BatchSchedule ConfigError ConstantMap FixedPointInfo L1 L2 LINF
 MDPValidationError NoNoise NormKind Operator OracleDescriptor PlaneRotation RateFit
-ResistantBernoulli RngStream RunRecord ShiftProjection SpanAlgorithm StepSchedule TabularMDP
+ResistantBernoulli RngStream RunRecord ShiftProjection SpanAlgorithm StepGenerator StepSchedule
+TabularMDP
 batch_exponent_h bellman_average bellman_discounted benchmark_q_average bound_contractive
 bound_nonexpansive build_instance check_unichain discounted_iteration_count
 empirical_moments evaluate_bounds fit_rate greedy_policy
@@ -71,3 +75,26 @@ def test_package_exports_every_public_name():
         mod = importlib.import_module(f"stochfp.{short}")
         for name in mod.__all__:
             assert getattr(stochfp, name) is getattr(mod, name), f"stochfp.{name} != {short}.{name}"
+
+
+def _fresh_interpreter(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(Path(stochfp.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return proc.stdout.split()
+
+
+def test_scipy_special_is_imported_only_for_gaussian_noise():
+    # scipy.special is most of the package's import time; only Gaussian draws need it
+    assert _fresh_interpreter(
+        "import sys, stochfp\n"
+        "print('scipy.special' in sys.modules)\n"
+        "stochfp.AdditiveGaussianIID(1.0)\n"
+        "print('scipy.special' in sys.modules)\n"
+    ) == ["False", "True"]
+    # a direct standard_normal call needs no Gaussian noise model first
+    assert _fresh_interpreter(
+        "import numpy as np, stochfp\n"
+        "z = stochfp.standard_normal(stochfp.RngStream(1).generator(), 4)\n"
+        "print(z.shape == (4,) and bool(np.isfinite(z).all()))\n"
+    ) == ["True"]

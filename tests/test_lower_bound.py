@@ -41,6 +41,12 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match="derived query budget"):
             sf.build_instance(1e-100, 1e200, 1.0)  # d / (2p) is inf
 
+    def test_dimension_beyond_the_cap_is_a_value_error(self):
+        # kappa_bar / (2 epsilon) = 5e12 coordinates would need 36 TiB per vector
+        with pytest.raises(ValueError, match=r"derived dimension d = 5000000000000 exceeds the cap"):
+            sf.build_instance(0.1, 1e12, 1.0)
+        assert sf.build_instance(0.1, 2e6, 1.0).d == 10**7  # the cap itself is allowed
+
     def test_instance_oracle_wiring(self):
         inst = sf.build_instance(0.1, 2.0, 1.0)
         op = inst.operator()

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochfp.linalg import L1, norm, norm_equivalence_mu
 from stochfp.operators import ConstantMap, PlaneRotation, ShiftProjection
@@ -11,6 +14,7 @@ from stochfp.oracles import (
     OracleDescriptor,
     ResistantBernoulli,
     RngStream,
+    StepGenerator,
     empirical_moments,
     minibatch,
     standard_normal,
@@ -19,6 +23,50 @@ from stochfp.oracles import (
 
 def _gaussian_oracle(dim=3, e=1.0):
     return OracleDescriptor(ConstantMap(np.zeros(dim)), AdditiveGaussianIID(e))
+
+
+_U64 = st.integers(0, 2**64 - 1)
+# the first draws a run takes: a multinomial step, Gaussian bits, resistant binomials
+# (n = 1 by inversion, n = 10^6 by BTPE)
+_FIRST_DRAWS = (
+    lambda g: g.multinomial(1000, [[0.2, 0.3, 0.5], [0.9, 0.0, 0.1]]),
+    lambda g: g.integers(0, 1 << 53, size=3, dtype=np.uint64),
+    lambda g: g.binomial([1, 10**6], 0.04),
+)
+
+
+def _flat_state(gen):
+    state = gen.bit_generator.state
+    words = {k: np.asarray(v).tolist() for k, v in state["state"].items()}
+    return dict(state, state=words, buffer=state["buffer"].tolist())
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(seed=_U64, stream=_U64, previous=_U64)
+@example(seed=3, stream=2**64 - 1, previous=0)
+@example(seed=9223372036854775809, stream=RngStream(0).substream(3).stream, previous=1)
+@example(seed=9223372036854775810, stream=RngStream(0).substream(3).stream, previous=1)
+@example(seed=2**64 - 1, stream=2**64 - 1, previous=2**63)
+@example(seed=2**63 - 1, stream=2**63 + 1, previous=2**64 - 1)
+def test_step_generator_draws_as_a_fresh_generator(seed, stream, previous):
+    target = RngStream(seed, stream)
+    keyed = StepGenerator()
+    with warnings.catch_warnings():
+        # numpy warns when it rounds a key word to 2^64; both paths must round alike
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fresh = target.generator().bit_generator.state["state"]["key"]
+        rekeyed = keyed.at(target).generator().bit_generator.state["state"]["key"]
+        assert rekeyed.tolist() == fresh.tolist()
+        for draw in _FIRST_DRAWS:
+            # a previous step leaves the shared generator mid-buffer, with a spare uint32
+            gen = keyed.at(RngStream(previous, seed ^ stream)).generator()
+            gen.random()
+            gen.integers(0, 10, dtype=np.uint32)
+            state = gen.bit_generator.state
+            assert state["buffer_pos"] != 4 and state["has_uint32"] == 1
+            got = keyed.at(target).generator()
+            assert _flat_state(got) == _flat_state(target.generator())
+            assert np.array_equal(draw(got), draw(target.generator()))
 
 
 def test_rng_stream_determinism_and_substreams():

@@ -5,15 +5,19 @@ with the anchor fixed at the initial point and beta_0 = 0. The averaged
 baseline is x^n = (1 - alpha_n) x^{n-1} + alpha_n * minibatch(x^{n-1}) with a
 batch of one, i.e. one oracle query per step, no variance reduction.
 
-Both, and the Q-learning runs in mdp, step through iterate(), the one loop
-that produces a RunRecord. Residuals and distances in traces are measured
-with the exact operator, not estimated from oracle output.
+Every seed of a vector run, and of an adversarial run in lower_bound, steps
+through iterate_stack(): the seeds of a run advance together as one (B, d)
+array, and halpern_run, km_run and run_adversarial are stacks of one. The
+Q-learning runs in mdp step through iterate(), one seed at a time. Residuals
+and distances in traces are measured with the exact operator, not estimated
+from oracle output.
 
-A run owns one generator (oracles.StepGenerator): each step that draws
-re-keys it to the key RngStream.generator() would use for rng.substream(n),
-so the draws are those of a fresh generator per step. The exact evaluation a
-step's residual needs, T(x^n), is carried into step n+1's draw, so a vector
-run applies T once per step plus once for x^0.
+A stack owns one generator (oracles.StepGenerator). Each step computes its
+substream id once for the stack, and each row that draws re-keys the
+generator to the key RngStream(seed_i, stream).substream(n).generator() would
+use, so every (seed, step) draws what a fresh generator would. The exact
+evaluation a step's residual needs, T(x^n), is carried into step n+1's draw,
+so a stack applies T once per step plus once for x^0.
 """
 
 from __future__ import annotations
@@ -21,20 +25,24 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import NormKind, as_vector, norm
+from .linalg import NormKind, as_vector, last_nonzero_index, norm
 from .oracles import OracleDescriptor, RngStream, StepGenerator
 
 __all__ = [
     "StepSchedule",
     "BatchSchedule",
     "RunRecord",
+    "StackTrace",
     "iterate",
+    "iterate_stack",
     "halpern_run",
+    "halpern_runs",
     "km_run",
+    "km_runs",
     "bound_nonexpansive",
     "bound_contractive",
     "kappa_bar_bounded_range",
@@ -176,6 +184,49 @@ class RunRecord:
         return int(self.n.shape[0])
 
 
+class StackTrace(NamedTuple):
+    """Columns n = 0..steps of a stack of runs that share a schedule; row i is seed i.
+
+    Column 0 measures x^0 (weight, batch, cumulative queries and noise 0).
+    Row i holds steps[i] steps: a seed that aborted at step n keeps columns
+    0..n-1, its abort_reason, and x^{n-1} as final_x. The schedule columns
+    n, weight, batch and cum_queries are read-only, since the record of
+    every row shares them.
+    """
+
+    n: np.ndarray
+    weight: np.ndarray
+    batch: np.ndarray
+    cum_queries: np.ndarray
+    residual: np.ndarray  # (B, steps + 1)
+    dist_to_fp: np.ndarray | None  # (B, steps + 1), absent without a known x*
+    noise_norm: np.ndarray  # (B, steps + 1)
+    prog: np.ndarray  # (B, steps + 1) last nonzero coordinate, as lower_bound.prog
+    final_x: np.ndarray  # (B, d)
+    steps: list[int]
+    abort_reason: list[str | None]
+
+
+def _schedule(weight, size, N: int, per_query: int = 1, budget: int | None = None):
+    """(weights, sizes, cumulative queries) of steps 1..N.
+
+    With a budget the schedule ends before the first step whose cumulative
+    query count would pass it; without one, totals beyond 2^63 - 1 are a
+    ValueError.
+    """
+    sizes, cum, total = [], [], 0
+    for n in range(1, N + 1):
+        k = size(n)
+        if budget is not None and total + k * per_query > budget:
+            break
+        total += k * per_query
+        sizes.append(k)
+        cum.append(total)
+    if total > 2 ** 63 - 1:
+        raise ValueError(f"cumulative query count {total} exceeds 2^63 - 1 within N = {N} steps")
+    return [weight(n) for n in range(1, len(sizes) + 1)], sizes, cum
+
+
 def iterate(
     draw: Callable,
     measure: Callable,
@@ -189,24 +240,20 @@ def iterate(
     with_dist: bool,
     per_query: int = 1,
 ) -> RunRecord:
-    """The one per-step loop behind every RunRecord.
+    """The per-step loop of one Q-learning run.
 
     Step n draws (y, aux) = draw(x^{n-1}, k_n, stream, carry) with
     k_n = size(n), sets x^n = (1 - w_n) b + w_n y with w_n = weight(n) > 0 and
     b = x^0 (anchored) or x^{n-1} (averaged), and traces (residual, dist,
     noise) from (residual, dist, noise, carry) = measure(x^{n-1}, x^n, y, aux).
-    stream is the run's one StepGenerator, at rng.substream(n); carry is what
-    step n-1's measure returned (None at step 1), so work done to measure x^n
-    need not be redone to draw at it. A non-finite x^n, or a non-finite
-    measured value (dist may be None), aborts the run with the partial trace
-    and x^{n-1} as final iterate. cum_queries counts k_n * per_query; totals
-    beyond 2^63 - 1 are rejected before step 1.
+    stream is the run's StepGenerator, at step n; carry is what step n-1's
+    measure returned (None at step 1), so work done to measure x^n need not
+    be redone to draw at it. A non-finite x^n, or a non-finite measured value
+    (dist may be None), aborts the run with the partial trace and x^{n-1} as
+    final iterate. cum_queries counts k_n * per_query; totals beyond
+    2^63 - 1 are rejected before step 1.
     """
-    weights = list(map(weight, range(1, N + 1)))
-    sizes = list(map(size, range(1, N + 1)))
-    cum = list(accumulate(k * per_query for k in sizes))
-    if cum[-1] > 2 ** 63 - 1:
-        raise ValueError(f"cumulative query count {cum[-1]} exceeds 2^63 - 1 within N = {N} steps")
+    weights, sizes, cum = _schedule(weight, size, N, per_query)
     residual, dist, noise = [], [], []
 
     def record(x, reason=None) -> RunRecord:
@@ -224,11 +271,11 @@ def iterate(
             abort_reason=reason,
         )
 
-    keyed = StepGenerator()
+    keyed = StepGenerator([rng])
     x, carry = x0, None
     for n in range(1, N + 1):
         w = weights[n - 1]
-        y, aux = draw(x, sizes[n - 1], keyed.at(rng.substream(n)), carry)
+        y, aux = draw(x, sizes[n - 1], keyed.step(n), carry)
         x_new = (1.0 - w) * (x0 if anchored else x) + w * y
         if not np.isfinite(x_new).all():
             return record(x, f"non-finite iterate at step {n}")
@@ -242,36 +289,155 @@ def iterate(
     return record(x)
 
 
-def _vector_run(o, x0, weight, size, N, norm_kind, rng, anchored) -> RunRecord:
-    """iterate() on minibatches of an oracle, measured with the exact operator under norm_kind."""
+def iterate_stack(
+    o: OracleDescriptor,
+    x0: np.ndarray,
+    weight: Callable[[int], float],
+    size: Callable[[int], int],
+    N: int,
+    norm_kind: NormKind,
+    rngs: list[RngStream],
+    *,
+    anchored: bool,
+    budget: int | None = None,
+    flush: float = 0.0,
+) -> StackTrace:
+    """The per-step loop of every vector and adversarial run: the seeds of a stack step together.
+
+    Row i runs rngs[i] (the rows share a stream), and every row starts at x0
+    and follows the schedule k_n = size(n), w_n = weight(n) of steps 1..N,
+    cut with a budget before the first step whose cumulative queries would
+    pass it. Step n draws each row's minibatch mean y of k_n queries at its
+    x^{n-1} from its seed's substream(n), sets x^n = (1 - w_n) b + w_n y with
+    b = x^0 (anchored) or x^{n-1} (averaged), and zeroes the coordinates of
+    x^n below flush in magnitude. It records the exact residual, distance to
+    the operator's known fixed point and noise norm under norm_kind, and
+    prog(x^n). A row whose x^n, or one of whose measured values, is not
+    finite aborts at step n; the other rows carry on. A step holds a few
+    (B, d) arrays, so memory grows with the number of rows.
+    """
+    weights, sizes, cum = _schedule(weight, size, N, budget=budget)
+    apply = o.base.apply
+    target = o.base.fixed_point_info().point
+    seeds = [r.seed for r in rngs]
+    keyed = StepGenerator(rngs)
+    rows, cols = len(rngs), len(sizes) + 1
+
+    def lengths(v):
+        try:
+            return norm(v, norm_kind)
+        except ValueError:  # rows that overflowed measure inf, so they abort
+            ok = np.isfinite(v).all(axis=1)
+            out = np.full(v.shape[0], math.inf)
+            out[ok] = norm(v[ok], norm_kind)
+            return out
+
+    x = np.tile(x0, (rows, 1))
+    tx = apply(x)
+    # column-major, so a step writes one contiguous column
+    residual, noise = np.zeros((cols, rows)), np.zeros((cols, rows))
+    dist = None if target is None else np.zeros((cols, rows))
+    prog = np.zeros((cols, rows), dtype=np.int64)
+    residual[0] = lengths(x - tx)
+    if dist is not None:
+        dist[0] = lengths(x - target)
+    prog[0] = last_nonzero_index(x)
+    final_x = x.copy()
+    steps, reasons = [cols - 1] * rows, [None] * rows
+    live = np.arange(rows)  # the stack's rows that have not aborted, in seed order
+
+    def stop(bad, n, reason, x_prev):
+        """Abort the rows of the bad mask at step n; returns the mask of the others."""
+        for i, xi in zip(live[bad].tolist(), x_prev[bad]):
+            final_x[i], steps[i], reasons[i] = xi, n - 1, f"{reason} at step {n}"
+        keyed.seeds = [seeds[i] for i in live[~bad].tolist()]
+        return ~bad
+
+    for n in range(1, cols):
+        w = weights[n - 1]
+        y = o.noise.batch_mean(tx, x, sizes[n - 1], keyed.step(n))
+        x_new = (1.0 - w) * (x0 if anchored else x) + w * y
+        ok = np.isfinite(x_new).all(axis=1)
+        if not ok.all():
+            keep = stop(~ok, n, "non-finite iterate", x)
+            live, x, tx, y, x_new = live[keep], x[keep], tx[keep], y[keep], x_new[keep]
+        if flush:
+            x_new[np.abs(x_new) < flush] = 0.0
+        noisy = y - tx
+        tx = apply(x_new)
+        diffs = [noisy, x_new - tx] if dist is None else [noisy, x_new - tx, x_new - target]
+        # one norm call measures noise, residual and distance of every row
+        m = lengths(np.concatenate(diffs)).reshape(len(diffs), -1)
+        ok = m.max(axis=0) < math.inf  # norms are >= 0, never NaN
+        if not ok.all():
+            keep = stop(~ok, n, "non-finite measurement", x)
+            live, x_new, tx, m = live[keep], x_new[keep], tx[keep], m[:, keep]
+        noise[n][live] = m[0]
+        residual[n][live] = m[1]
+        if dist is not None:
+            dist[n][live] = m[2]
+        prog[n][live] = last_nonzero_index(x_new)
+        x = x_new
+        if not live.size:
+            break
+    final_x[live] = x
+    shared = [np.arange(cols, dtype=np.int64), np.array([0.0] + weights),
+              np.array([0] + sizes, dtype=np.int64), np.array([0] + cum, dtype=np.int64)]
+    for column in shared:
+        column.setflags(write=False)  # every row's record holds these
+    return StackTrace(
+        *shared,
+        residual=residual.T,
+        dist_to_fp=None if dist is None else dist.T,
+        noise_norm=noise.T,
+        prog=prog.T,
+        final_x=final_x,
+        steps=steps,
+        abort_reason=reasons,
+    )
+
+
+def _vector_runs(o, x0, weight, size, N, norm_kind, rngs, anchored) -> list[RunRecord]:
+    """One RunRecord per seed of iterate_stack on minibatches of an oracle."""
     if N < 1:
         raise ValueError("N must be >= 1")
     start = as_vector(x0).copy()
     if start.shape[0] != o.dim:
         raise ValueError("x0 dimension does not match the operator")
-    apply = o.base.apply
-    target = o.base.fixed_point_info().point
+    t = iterate_stack(o, start, weight, size, N, norm_kind, rngs, anchored=anchored)
+    records, heads = [], {}
+    for i, steps in enumerate(t.steps):
+        cut = slice(1, steps + 1)
+        if steps not in heads:  # records of one length share their schedule columns
+            heads[steps] = t.n[cut], t.weight[cut], t.batch[cut], t.cum_queries[cut]
+        records.append(RunRecord(
+            *heads[steps],
+            residual=t.residual[i, cut],
+            dist_to_fp=None if t.dist_to_fp is None else t.dist_to_fp[i, cut],
+            noise_norm=t.noise_norm[i, cut],
+            final_x=t.final_x[i],
+            aborted=t.abort_reason[i] is not None,
+            abort_reason=t.abort_reason[i],
+        ))
+    return records
 
-    def length(v) -> float:
-        try:
-            return norm(v, norm_kind)
-        except ValueError:  # v overflowed; iterate() aborts on the inf
-            return math.inf
 
-    def draw(x, k, stream, tx):
-        if tx is None:
-            tx = apply(x)
-        return o.noise.batch_mean(tx, x, k, stream), tx
+def halpern_runs(
+    o: OracleDescriptor,
+    x0,
+    steps: StepSchedule,
+    batches: BatchSchedule,
+    N: int,
+    norm_kind: NormKind,
+    rngs: list[RngStream],
+) -> list[RunRecord]:
+    """halpern_run for each of rngs (one stream, any seeds), stepped together.
 
-    def measure(x, x_new, y, tx):
-        noise = length(y - tx)
-        tx_new = apply(x_new)
-        res = length(x_new - tx_new)
-        dist = length(x_new - target) if target is not None else None
-        return res, dist, noise, tx_new
-
-    return iterate(draw, measure, start, weight, size, N, rng, anchored=anchored,
-                   with_dist=target is not None)
+    Record i is what halpern_run(..., rngs[i]) returns.
+    """
+    if not steps.is_halpern:
+        raise ValueError("halpern_run needs an anchored (halpern) step schedule")
+    return _vector_runs(o, x0, steps.weight, batches.size, N, norm_kind, rngs, anchored=True)
 
 
 def halpern_run(
@@ -289,9 +455,25 @@ def halpern_run(
     rng.substream(n). On a non-finite iterate the run aborts and returns the
     partial trace flagged as aborted.
     """
-    if not steps.is_halpern:
-        raise ValueError("halpern_run needs an anchored (halpern) step schedule")
-    return _vector_run(o, x0, steps.weight, batches.size, N, norm_kind, rng, anchored=True)
+    return halpern_runs(o, x0, steps, batches, N, norm_kind, [rng])[0]
+
+
+def km_runs(
+    o: OracleDescriptor,
+    x0,
+    steps: StepSchedule,
+    N: int,
+    norm_kind: NormKind,
+    rngs: list[RngStream],
+) -> list[RunRecord]:
+    """km_run for each of rngs (one stream, any seeds), stepped together.
+
+    Record i is what km_run(..., rngs[i]) returns.
+    """
+    if steps.is_halpern:
+        raise ValueError("km_run needs an averaged (km) step schedule")
+    return _vector_runs(o, x0, steps.weight, BatchSchedule.constant(1).size, N, norm_kind, rngs,
+                        anchored=False)
 
 
 def km_run(
@@ -303,10 +485,7 @@ def km_run(
     rng: RngStream,
 ) -> RunRecord:
     """Run the averaged baseline for N steps (single query per step)."""
-    if steps.is_halpern:
-        raise ValueError("km_run needs an averaged (km) step schedule")
-    return _vector_run(o, x0, steps.weight, BatchSchedule.constant(1).size, N, norm_kind, rng,
-                       anchored=False)
+    return km_runs(o, x0, steps, N, norm_kind, [rng])[0]
 
 
 def bound_nonexpansive(kappa_bar: float, sigma_seq, N: int) -> float:

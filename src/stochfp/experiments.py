@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import NamedTuple
@@ -33,12 +32,12 @@ from .engine import (
     StepSchedule,
     bound_contractive,
     bound_nonexpansive,
-    halpern_run,
+    halpern_runs,
     kappa_bar_bounded_range,
-    km_run,
+    km_runs,
 )
 from .linalg import NormKind, norm, norm_equivalence_mu
-from .lower_bound import AdversarialInstance, SpanAlgorithm, build_instance, run_adversarial
+from .lower_bound import AdversarialInstance, SpanAlgorithm, adversarial_runs, build_instance
 from .operators import AffineContraction, ConstantMap, PlaneRotation, ShiftProjection
 from .oracles import (
     AdditiveGaussianIID,
@@ -496,33 +495,60 @@ def load_config(path) -> dict:
 _COLUMNS = ("n", "weight", "batch", "cum_queries", "residual", "dist_to_fp", "noise_norm", "prog")
 
 
-def _record_to_rows(rec) -> dict:
-    """Column lists of a RunRecord, or of an AdversarialTrace (which adds prog, never aborts)."""
-    rows = {c: getattr(rec, c, None) for c in _COLUMNS}
-    rows = {c: None if v is None else v.tolist() for c, v in rows.items()}
+def _record_to_rows(rec, lists: dict) -> dict:
+    """Column lists of a RunRecord, or of an AdversarialTrace (which adds prog, never aborts).
+
+    lists maps id(array) to its list, so the records of a stack, which share
+    their schedule columns, share those lists too.
+    """
+    rows = {}
+    for c in _COLUMNS:
+        v = getattr(rec, c, None)
+        if v is not None and id(v) not in lists:
+            lists[id(v)] = v.tolist()
+        rows[c] = None if v is None else lists[id(v)]
     rows["aborted"] = getattr(rec, "aborted", False)
     rows["abort_reason"] = getattr(rec, "abort_reason", None)
     return rows
+
+
+def _one_by_one(run, rngs: list[RngStream]) -> list:
+    """The records of a Q-learning runner, which steps one seed at a time and
+    returns (final table, record)."""
+    return [run(rng)[1] for rng in rngs]
+
+
+# The seeds a runner steps together hold at most this many iterate
+# coordinates (2 MiB per array of a step), so wide runs go in shorter stacks.
+_STACK_COORDS = 1 << 18
 
 
 @dataclass(frozen=True)
 class _Plan:
     """A validated config's run objects, shared by every seed.
 
-    runner(rng) runs one seed; instance (lowerbound), v_star (mdp-avg) and
-    bounds (fixedpoint with a bounds block) feed the summary.
+    runner(rngs) runs a stack of seeds (stepped together, except for
+    Q-learning) and returns one record per seed; width is the size of one
+    seed's iterate. instance (lowerbound), v_star (mdp-avg) and bounds
+    (fixedpoint with a bounds block) feed the summary.
     """
 
     runner: partial
     stream: int
+    width: int
     instance: AdversarialInstance | None = None
     v_star: float | None = None
     bounds: dict | None = None
 
-    def run(self, seed: int) -> dict:
-        out = self.runner(RngStream(seed, self.stream))
-        # the Q-learning runners return (final table, record)
-        return _record_to_rows(out[1] if isinstance(out, tuple) else out)
+    def run(self, seeds: list[int]) -> list[dict]:
+        """Rows of each seed; the seeds run in stacks of at most _STACK_COORDS // width."""
+        height = max(1, _STACK_COORDS // self.width)
+        rows = []
+        for i in range(0, len(seeds), height):
+            records = self.runner([RngStream(seed, self.stream) for seed in seeds[i:i + height]])
+            lists = {}
+            rows += [_record_to_rows(r, lists) for r in records]
+        return rows
 
 
 def _plan(cfg: dict) -> _Plan:
@@ -540,22 +566,25 @@ def _plan(cfg: dict) -> _Plan:
         x0 = np.asarray(cfg["x0"], dtype=np.float64)
         if method.is_halpern:
             batches = _build(cfg["batches"], "config.batches", _BATCHES)
-            runner = partial(halpern_run, oracle, x0, method, batches, cfg["N"], norm_kind)
+            runner = partial(halpern_runs, oracle, x0, method, batches, cfg["N"], norm_kind)
         else:
-            runner = partial(km_run, oracle, x0, method, cfg["N"], norm_kind)
+            runner = partial(km_runs, oracle, x0, method, cfg["N"], norm_kind)
         bounds = None if cfg["bounds"] is None else _bound_params(cfg["bounds"], op, norm_kind, x0)
-        return _Plan(runner, stream, bounds=bounds)
+        return _Plan(runner, stream, op.dim, bounds=bounds)
     if kind == "lowerbound":
         inst = build_instance(cfg["epsilon"], cfg["kappa_bar"], cfg["sigma"])
         steps = _build(cfg["algorithm"], "config.algorithm", _ALGORITHMS)
         batches = _build(cfg["batches"], "config.batches", _BATCHES)
         algo = SpanAlgorithm(steps.kind, batches, alpha=steps.alpha)
-        return _Plan(partial(run_adversarial, inst, algo), stream, instance=inst)
+        return _Plan(partial(adversarial_runs, inst, algo), stream, inst.d, instance=inst)
     model = mdp_mod.mdp_from_dict(cfg["mdp"])
     q0 = np.asarray(cfg["q0"], dtype=np.float64)
     algorithm, N = cfg["algorithm"], cfg["N"]
     if kind == "mdp-avg":
-        v_star = mdp_mod.solve_average_exact(model, cfg["solver_tol"]).v_star
+        try:
+            v_star = mdp_mod.solve_average_exact(model, cfg["solver_tol"]).v_star
+        except RuntimeError as exc:  # relative value iteration fails on a multichain model
+            raise ConfigError(f"config.mdp: {exc}") from None
         if algorithm == "benchmark":
             runner = partial(mdp_mod.benchmark_q_average, model, v_star, q0, N)
         else:
@@ -565,7 +594,7 @@ def _plan(cfg: dict) -> _Plan:
             else:
                 runner = partial(mdp_mod.rvi_q_learning, model, anchor, cfg["a_exponent"], q0, N,
                                  v_star=v_star)
-        return _Plan(runner, stream, v_star=v_star)
+        return _Plan(partial(_one_by_one, runner), stream, q0.size, v_star=v_star)
     gamma = cfg["gamma"]
     q_star = mdp_mod.solve_discounted_exact(model, gamma, cfg["solver_tol"])
     if algorithm == "halpern":
@@ -574,7 +603,7 @@ def _plan(cfg: dict) -> _Plan:
         steps = _build(cfg["alpha"], "config.alpha", _STEPS)
         runner = partial(mdp_mod.vanilla_q_discounted, model, gamma, steps.weight, q0, N,
                          q_star=q_star)
-    return _Plan(runner, stream)
+    return _Plan(partial(_one_by_one, runner), stream, q0.size)
 
 
 # ---------------------------------------------------------------------------
@@ -825,24 +854,42 @@ def _overlay_bounds(params: dict, agg: dict) -> dict:
 # Experiment driver
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunks(seeds: list[int], jobs: int) -> list[list[int]]:
+    """min(jobs, len(seeds), usable CPUs) contiguous chunks of seeds, sizes within one."""
+    count = min(jobs, len(seeds), _usable_cpus())
+    return [seeds[i * len(seeds) // count:(i + 1) * len(seeds) // count] for i in range(count)]
+
+
 def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
     """Run all seeds of a validated config and write the output files.
 
     Returns the summary dict (also written to summary.json). The run objects
-    and any exact MDP solution are built once and shared by every seed.
-    Worker processes are used when jobs > 1; outputs are written by the
-    parent in seed order, so the bytes do not depend on jobs.
+    and any exact MDP solution are built once and shared by every seed. The
+    seeds run in contiguous chunks, one per worker process when jobs > 1 (at
+    most one per seed and per usable CPU); outputs are written by the parent
+    in seed order, so the bytes do not depend on jobs.
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
     seeds = cfg["seeds"]
     plan = _plan(cfg)
-    if jobs == 1 or len(seeds) == 1:
-        results = [plan.run(s) for s in seeds]
+    chunks = _chunks(seeds, jobs)
+    if len(chunks) == 1:
+        results = plan.run(seeds)
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
-            results = list(pool.map(plan.run, seeds, chunksize=1))
+        # imported here: multiprocessing is a sixth of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            results = [r for chunk in pool.map(plan.run, chunks) for r in chunk]
 
     files = []
     for seed, r in zip(seeds, results):

@@ -2,6 +2,8 @@
 
 Vectors are plain 1-D float64 numpy arrays. Public operations treat them as
 immutable values: inputs are never mutated and results are freshly allocated.
+norm and last_nonzero_index also take a (B, d) stack of vectors and work row
+by row: row i of the result has the bits the 1-D call on row i returns.
 """
 
 from __future__ import annotations
@@ -69,20 +71,36 @@ def require_finite(v: np.ndarray, what: str = "vector"):
         raise ValueError(f"{what} has non-finite entries")
 
 
-def norm(v, kind: NormKind) -> float:
-    """Exact norm of v under the given kind.
+def _rows(x) -> np.ndarray:
+    """A (B, d) float64 stack as is, or a vector as a stack of one."""
+    v = np.asarray(x, dtype=np.float64)
+    return v if v.ndim == 2 and v.shape[1] >= 1 else as_vector(v)[None]
+
+
+def norm(v, kind: NormKind):
+    """Exact norm of v under the given kind; of each row for a (B, d) stack.
+
+    A vector gives a float, a stack an array of B floats. The row norms keep
+    the bits of the per-vector reductions numpy applies: a dot product for
+    l2 (and lp with p = 2), a pairwise sum of |v_i|^p and then a scalar power
+    for the other lp.
 
     :raises ValueError: on non-finite entries (domain error).
     """
-    v = as_vector(v)
-    require_finite(v)
+    rows = _rows(v)
+    require_finite(rows)
     if kind.tag == "l1":
-        return float(np.abs(v).sum())
-    if kind.tag == "l2":
-        return float(np.linalg.norm(v))
-    if kind.tag == "linf":
-        return float(np.abs(v).max())
-    return float(np.linalg.norm(v, ord=kind.p))
+        out = np.abs(rows).sum(axis=1)
+    elif kind.tag == "l2" or kind.p == 2.0:
+        out = np.sqrt(np.vecdot(rows, rows))
+    elif kind.tag == "linf":
+        out = np.abs(rows).max(axis=1)
+    else:
+        powers = np.abs(rows) ** kind.p
+        inv = 1.0 / kind.p
+        # an array power may round otherwise than the scalar one numpy applies to a vector
+        out = np.array([s ** inv for s in powers.sum(axis=1).tolist()])
+    return out if np.ndim(v) == 2 else float(out[0])
 
 
 def norm_equivalence_mu(kind: NormKind, dim: int) -> float:
@@ -100,8 +118,11 @@ def norm_equivalence_mu(kind: NormKind, dim: int) -> float:
     return 1.0
 
 
-def last_nonzero_index(x) -> int:
-    """1-based index of the last coordinate with |x_i| > 0; 0 for the zero vector."""
-    v = as_vector(x)
-    nz = np.flatnonzero(v)
-    return 0 if nz.size == 0 else int(nz[-1]) + 1
+def last_nonzero_index(x):
+    """1-based index of the last coordinate with |x_i| > 0; 0 for the zero vector.
+
+    A (B, d) stack gives an int64 array with the index of each row.
+    """
+    nz = _rows(x) != 0.0
+    out = (nz.shape[1] - nz[:, ::-1].argmax(axis=1)) * nz.any(axis=1)
+    return out if np.ndim(x) == 2 else int(out[0])

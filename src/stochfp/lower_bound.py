@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import BatchSchedule, StepSchedule
-from .linalg import L1, as_vector, last_nonzero_index, norm
+from .engine import BatchSchedule, StepSchedule, iterate_stack
+from .linalg import L1, as_vector, last_nonzero_index
 from .operators import ShiftProjection
-from .oracles import OracleDescriptor, ResistantBernoulli, RngStream, StepGenerator
+from .oracles import OracleDescriptor, ResistantBernoulli, RngStream
 
 __all__ = [
     "AdversarialInstance",
@@ -32,6 +32,7 @@ __all__ = [
     "prog",
     "phi",
     "run_adversarial",
+    "adversarial_runs",
 ]
 
 # denormal dust below this magnitude is flushed to exact zero so prog stays well defined
@@ -40,8 +41,11 @@ _FLUSH = 1e-300
 MAX_DIM = 10 ** 7
 
 
-def prog(x) -> int:
-    """Progress of x: the largest 1-based index with |x_i| > 0, or 0 at the origin."""
+def prog(x):
+    """Progress of x: the largest 1-based index with |x_i| > 0, or 0 at the origin.
+
+    A (B, d) stack gives the progress of each row.
+    """
     return last_nonzero_index(x)
 
 
@@ -166,65 +170,47 @@ class AdversarialTrace:
         return int(self.n.shape[0]) - 1
 
 
+def adversarial_runs(
+    inst: AdversarialInstance, algo: SpanAlgorithm, rngs: list[RngStream]
+) -> list[AdversarialTrace]:
+    """run_adversarial for each of rngs (one stream, any seeds), stepped together.
+
+    Trace i is what run_adversarial(inst, algo, rngs[i]) returns. The span
+    algorithms' iterates stay finite; a seed that does not raises ValueError.
+    """
+    schedule = algo.steps()
+    # every step spends at least one query, so the budget bounds the steps
+    t = iterate_stack(inst.oracle(), np.zeros(inst.d), schedule.weight, algo.batches.size,
+                      inst.n_budget, L1, rngs, anchored=schedule.is_halpern,
+                      budget=inst.n_budget, flush=_FLUSH)
+    for rng, reason in zip(rngs, t.abort_reason):
+        if reason is not None:
+            raise ValueError(f"seed {rng.seed}: {reason}")
+    return [
+        AdversarialTrace(
+            n=t.n,
+            prog=t.prog[i],
+            cum_queries=t.cum_queries,
+            residual=t.residual[i],
+            weight=t.weight,
+            batch=t.batch,
+            noise_norm=t.noise_norm[i],
+            dist_to_fp=t.dist_to_fp[i],
+            final_x=t.final_x[i],
+        )
+        for i in range(len(rngs))
+    ]
+
+
 def run_adversarial(
     inst: AdversarialInstance, algo: SpanAlgorithm, rng: RngStream
 ) -> AdversarialTrace:
     """Run one seeded trajectory from x^0 = 0 until the query budget is exhausted.
 
     Steps whose batch would push cumulative queries past the budget are not
-    taken; every recorded step is budget-feasible. As in engine.iterate, one
-    generator is re-keyed per step and T(x^n), measured for the residual, is
-    reused for step n+1's draw: T is applied steps + 1 times.
+    taken; every recorded step is budget-feasible. Coordinates below _FLUSH
+    in magnitude are set to 0 after each step, so prog stays well defined. T
+    is applied steps + 1 times: T(x^n), measured for the residual, is reused
+    for step n+1's draw.
     """
-    op = inst.operator()
-    noise = inst.oracle().noise
-    x_star = np.full(inst.d, inst.lam / 2.0)
-    x0 = np.zeros(inst.d)
-    x = x0.copy()
-    tx = op.apply(x)
-    schedule = algo.steps()
-    anchored = schedule.is_halpern
-    keyed = StepGenerator()
-
-    ns = [0]
-    progs = [0]
-    cums = [0]
-    residuals = [norm(x - tx, L1)]
-    weights = [0.0]
-    batches = [0]
-    noises = [0.0]
-    dists = [norm(x - x_star, L1)]
-
-    cum = 0
-    n = 0
-    while True:
-        n += 1
-        k = algo.batches.size(n)
-        if cum + k > inst.n_budget:
-            break
-        cum += k
-        mb = noise.batch_mean(tx, x, k, keyed.at(rng.substream(n)))
-        noises.append(norm(mb - tx, L1))
-        w = schedule.weight(n)
-        x = (1.0 - w) * (x0 if anchored else x) + w * mb
-        x[np.abs(x) < _FLUSH] = 0.0
-        tx = op.apply(x)
-        ns.append(n)
-        progs.append(prog(x))
-        cums.append(cum)
-        residuals.append(norm(x - tx, L1))
-        weights.append(w)
-        batches.append(k)
-        dists.append(norm(x - x_star, L1))
-
-    return AdversarialTrace(
-        n=np.array(ns, dtype=np.int64),
-        prog=np.array(progs, dtype=np.int64),
-        cum_queries=np.array(cums, dtype=np.int64),
-        residual=np.array(residuals),
-        weight=np.array(weights),
-        batch=np.array(batches, dtype=np.int64),
-        noise_norm=np.array(noises),
-        dist_to_fp=np.array(dists),
-        final_x=x.copy(),
-    )
+    return adversarial_runs(inst, algo, [rng])[0]

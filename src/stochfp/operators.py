@@ -3,7 +3,8 @@
 Every operator carries a dimension, a declared norm, and a Lipschitz constant
 gamma in (0, 1]: gamma < 1 declares a contraction, gamma = 1 nonexpansive.
 Affine maps are certified at construction; the rest are nonexpansive by
-construction.
+construction. apply maps a vector, or each row of a (B, dim) stack of
+vectors with the bits the per-vector call gives.
 """
 
 from __future__ import annotations
@@ -49,10 +50,14 @@ def shift_map(y, lam: float) -> np.ndarray:
 
     An L1 isometry: it permutes coordinates and reflects one of them.
     """
-    y = as_vector(y)
+    return _shift_rows(as_vector(y), lam)
+
+
+def _shift_rows(y: np.ndarray, lam: float) -> np.ndarray:
+    """shift_map along the last axis of a vector or a stack."""
     out = np.empty_like(y)
-    out[0] = lam - y[-1]
-    out[1:] = y[:-1]
+    out[..., 0] = lam - y[..., -1]
+    out[..., 1:] = y[..., :-1]
     return out
 
 
@@ -64,16 +69,22 @@ class Operator:
     gamma: float
 
     def apply(self, x) -> np.ndarray:
+        """T(x) for a vector, or T of each row of a (B, dim) stack."""
         raise NotImplementedError
 
     def fixed_point_info(self) -> FixedPointInfo:
         return FixedPointInfo(None)
 
-    def _check_dim(self, x: np.ndarray):
-        if x.shape[0] != self.dim:
+    def _points(self, x) -> np.ndarray:
+        """x as a float64 vector or (B, dim) stack, checked against dim."""
+        v = np.asarray(x, dtype=np.float64)
+        if v.ndim != 2:
+            v = as_vector(v)
+        if v.shape[-1] != self.dim:
             raise ValueError(
-                f"dimension mismatch: operator expects {self.dim}, got {x.shape[0]}"
+                f"dimension mismatch: operator expects {self.dim}, got {v.shape[-1]}"
             )
+        return v
 
 
 def _operator_norm_l2_power_iteration(a: np.ndarray) -> float:
@@ -143,9 +154,11 @@ class AffineContraction(Operator):
         self.gamma = float(gamma)
 
     def apply(self, x) -> np.ndarray:
-        x = as_vector(x)
-        self._check_dim(x)
-        return self.matrix @ x + self.offset
+        x = self._points(x)
+        if x.ndim == 1:
+            return self.matrix @ x + self.offset
+        # one matrix-vector product per row keeps the 1-D bits; x @ matrix.T does not
+        return (self.matrix @ x[:, :, None])[:, :, 0] + self.offset
 
     def fixed_point_info(self) -> FixedPointInfo:
         eye = np.eye(self.dim)
@@ -172,11 +185,10 @@ class PlaneRotation(Operator):
         self._cos, self._sin = c, s
 
     def apply(self, x) -> np.ndarray:
-        x = as_vector(x)
-        self._check_dim(x)
+        x = self._points(x)
         out = x.copy()
-        out[0] = self._cos * x[0] - self._sin * x[1]
-        out[1] = self._sin * x[0] + self._cos * x[1]
+        out[..., 0] = self._cos * x[..., 0] - self._sin * x[..., 1]
+        out[..., 1] = self._sin * x[..., 0] + self._cos * x[..., 1]
         return out
 
     def fixed_point_info(self) -> FixedPointInfo:
@@ -205,9 +217,7 @@ class ShiftProjection(Operator):
         self.gamma = 1.0
 
     def apply(self, x) -> np.ndarray:
-        x = as_vector(x)
-        self._check_dim(x)
-        return shift_map(project_box(x, self.lam), self.lam)
+        return _shift_rows(np.clip(self._points(x), 0.0, self.lam), self.lam)
 
     def range_bound(self) -> float:
         """L1 bound on the operator's range: ||Tx||_1 <= d * lam."""
@@ -234,9 +244,7 @@ class ConstantMap(Operator):
         self.gamma = float(gamma)
 
     def apply(self, x) -> np.ndarray:
-        x = as_vector(x)
-        self._check_dim(x)
-        return self.target.copy()
+        return np.broadcast_to(self.target, self._points(x).shape).copy()
 
     def fixed_point_info(self) -> FixedPointInfo:
         return FixedPointInfo(self.target.copy(), "the constant target")

@@ -5,20 +5,29 @@ Randomness comes from counter-based Philox generators keyed by a
 with the SplitMix64 finalizer, so any (run, iteration) owns its own stream and
 replays are bit-identical across platforms.
 
-A run owns one generator (StepGenerator) and re-keys it at every step that
-draws: it gets the key RngStream.generator() would use for the step's
-substream, a zero counter and an empty buffer, so its draws are those of a
-fresh generator at a quarter of the cost of building one.
+A stack of runs (one run per seed, every seed on the same stream) owns one
+generator (StepGenerator). At each step the stack computes the step's stream
+id once, as an int, and each row that draws re-keys the generator to the key
+RngStream(seed_i, stream).substream(n).generator() would use, with a zero
+counter and an empty buffer. So each (seed, step) draws exactly what a fresh
+generator would, at a fraction of the cost of building one, and a row that
+draws nothing does not re-key.
 
 Gaussian draws use a fixed inverse-transform realization: u = (r + 0.5) * 2^-53
 for a 53-bit integer r (so u is strictly inside (0, 1)), then z = ndtri(u).
+r is the top 53 bits of a raw 64-bit Philox output, which is exactly what
+Generator.integers(0, 2^53) returns (Lemire's method on a power-of-two range
+keeps the high bits of the product and never rejects), without its per-call
+argument handling.
 scipy.special, which supplies ndtri, is most of the package's import time, so
 it is imported when the first AdditiveGaussianIID is built (or at the first
 standard_normal call), not with the package.
 
-Each noise model samples for itself: batch_mean(tx, x, k, rng) is the mean of
-k queries at x given tx = T(x) (a single query is the minibatch of one), and
-moments(tx, x, m, rng) is empirical_moments' (mean, second moment). Minibatch
+Each noise model samples for itself: batch_mean(tx, x, k, keyed) is, row by
+row, the mean of k queries at each row of the (B, d) stack x given tx = T(x),
+drawn from keyed's generator for that row (a single query is the minibatch
+of one, a single point the stack of one), and moments(tx, x, m, rng) is
+empirical_moments' (mean, second moment) at one point. Minibatch
 means come from exact sufficient statistics rather than per-sample loops,
 which keeps polynomially growing batch sizes runnable:
 
@@ -52,6 +61,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_TOP = 1 << 63
 
 
 def _splitmix64(z: int) -> int:
@@ -59,6 +69,27 @@ def _splitmix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
+
+
+def _child(stream: int, index: int) -> int:
+    """The stream id of substream(index) of the given stream id."""
+    return _splitmix64((stream ^ (int(index) & _MASK64)) & _MASK64)
+
+
+def _philox_key(seed: int, stream: int) -> tuple[int, int]:
+    """The key words Philox(key=[seed, stream]) holds.
+
+    numpy converts a list that mixes a word below 2^63 with one at or above
+    it to float64, so both words are then rounded to 53 significant bits. A
+    word that rounds to 2^64 has no defined conversion; it goes through
+    numpy's own cast, as it does for a fresh generator.
+    """
+    if (seed < _TOP) == (stream < _TOP):
+        return seed, stream
+    a, b = float(seed), float(stream)
+    if a < 2.0 ** 64 and b < 2.0 ** 64:
+        return int(a), int(b)
+    return tuple(np.asarray([seed, stream]).astype(np.uint64).tolist())
 
 
 @dataclass(frozen=True)
@@ -76,7 +107,7 @@ class RngStream:
         """Derive a child stream; distinct index tuples give distinct streams."""
         s = self.stream
         for ix in indices:
-            s = _splitmix64((s ^ (int(ix) & _MASK64)) & _MASK64)
+            s = _child(s, ix)
         return RngStream(self.seed, s)
 
     def generator(self) -> np.random.Generator:
@@ -85,30 +116,36 @@ class RngStream:
 
 
 class StepGenerator:
-    """One run's Philox generator, re-keyed to the stream of each step that draws.
+    """One Philox generator shared by a stack of runs on one stream.
 
-    at(stream) selects the stream; generator() then resets the shared Philox
-    to stream.generator()'s state (the same key, numpy's conversion of
-    [seed, stream] included, a zero counter and an empty buffer) and returns
-    the shared Generator. Each call resets it again, so a StepGenerator must
-    only reach code that draws from one stream at a time.
+    seeds holds the seed of each row; stream is the id the rows draw from,
+    the run's stream until step(n) selects its substream(n). generator(i)
+    resets the shared Philox to RngStream(seeds[i], stream).generator()'s
+    state (the same key, numpy's conversion of [seed, stream] included, a
+    zero counter and an empty buffer) and returns the shared Generator. Each
+    call resets it again, so a StepGenerator must only reach code that draws
+    from one row at a time. The Generator is built on the first call.
     """
 
-    def __init__(self):
-        self._gen = np.random.Generator(np.random.Philox(0))
-        zeros = np.zeros(4, dtype=np.uint64)
-        self._state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": zeros[:2]},
-                       "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self.stream = None
+    def __init__(self, rngs):
+        self.seeds = [r.seed for r in rngs]
+        streams = {r.stream for r in rngs}
+        if len(streams) != 1:
+            raise ValueError("the runs of a stack must share one stream")
+        self._root = self.stream = streams.pop()
+        self._gen = None
+        self._state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def at(self, stream: RngStream) -> "StepGenerator":
-        self.stream = stream
+    def step(self, n: int) -> "StepGenerator":
+        """Select substream(n) of the run's stream for every row."""
+        self.stream = _child(self._root, n)
         return self
 
-    def generator(self) -> np.random.Generator:
-        # the key conversion Philox(key=[seed, stream]) applies to a list
-        key = np.asarray([self.stream.seed, self.stream.stream]).astype(np.uint64)
-        self._state["state"]["key"] = key
+    def generator(self, row: int = 0) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(0))
+        self._state["state"]["key"] = _philox_key(self.seeds[row], self.stream)
         self._gen.bit_generator.state = self._state
         return self._gen
 
@@ -126,21 +163,21 @@ def _load_ndtri():
     return _ndtri
 
 
-def _uniform_open(gen: np.random.Generator, size) -> np.ndarray:
-    r = gen.integers(0, 1 << 53, size=size, dtype=np.uint64)
-    return (r.astype(np.float64) + 0.5) * (2.0 ** -53)
+def _uniform_open(raw: np.ndarray) -> np.ndarray:
+    """u = (r + 0.5) * 2^-53 for r the top 53 bits of each raw Philox output (see module doc)."""
+    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """Inverse-transform standard normals (fixed realization, see module doc)."""
-    return _load_ndtri()(_uniform_open(gen, size))
+    return _load_ndtri()(_uniform_open(gen.bit_generator.random_raw(size)))
 
 
 @dataclass(frozen=True)
 class NoNoise:
     """Exact evaluations: every query returns T(x)."""
 
-    def batch_mean(self, tx, x, k, rng):
+    def batch_mean(self, tx, x, k, keyed):
         return tx
 
     def moments(self, tx, x, m, rng):
@@ -158,10 +195,15 @@ class AdditiveGaussianIID:
             raise ValueError("per-coordinate std e must be >= 0")
         _load_ndtri()  # before any worker pool forks, so workers inherit it
 
-    def batch_mean(self, tx, x, k, rng):
+    def batch_mean(self, tx, x, k, keyed):
         if self.e == 0.0:
             return tx
-        return tx + self.e / np.sqrt(float(k)) * standard_normal(rng.generator(), x.shape[0])
+        rows, d = x.shape
+        raw = np.empty((rows, d), dtype=np.uint64)
+        for i in range(rows):
+            raw[i] = keyed.generator(i).bit_generator.random_raw(d)
+        z = _load_ndtri()(_uniform_open(raw))
+        return tx + self.e / np.sqrt(float(k)) * z
 
     def moments(self, tx, x, m, rng):
         draws = self.e * standard_normal(rng.generator(), (m, x.shape[0]))
@@ -182,20 +224,20 @@ class ResistantBernoulli:
         if not 0.0 < self.p < 1.0:
             raise ValueError("success probability p must lie in (0, 1)")
 
-    def batch_mean(self, tx, x, k, rng):
-        j = last_nonzero_index(x)
-        if j >= x.shape[0]:
-            return tx
+    def batch_mean(self, tx, x, k, keyed):
         out = tx.copy()
-        successes = int(rng.generator().binomial(int(k), self.p))
-        out[j] = (successes / (k * self.p)) * tx[j]
+        for i, j in enumerate(last_nonzero_index(x).tolist()):
+            if j < x.shape[1]:  # a row at full progress reveals nothing and draws nothing
+                successes = int(keyed.generator(i).binomial(int(k), self.p))
+                out[i, j] = (successes / (k * self.p)) * tx[i, j]
         return out
 
     def moments(self, tx, x, m, rng):
         j = last_nonzero_index(x)
         if j >= x.shape[0]:
             return tx.copy(), 0.0
-        xi = (_uniform_open(rng.generator(), m) < self.p).astype(np.float64)
+        u = _uniform_open(rng.generator().bit_generator.random_raw(m))
+        xi = (u < self.p).astype(np.float64)
         vals = (xi / self.p) * tx[j]
         mean = tx.copy()
         mean[j] = vals.mean()
@@ -222,12 +264,13 @@ class OracleDescriptor:
 def minibatch(o: OracleDescriptor, x, k: int, rng: RngStream) -> np.ndarray:
     """Arithmetic mean of k independent queries (sampled via exact sufficient statistics).
 
-    A single oracle query is the minibatch with k = 1.
+    A single oracle query is the minibatch with k = 1, and a single point the
+    stack of one.
     """
     if k < 1:
         raise ValueError("minibatch size k must be >= 1")
-    x = as_vector(x)
-    return o.noise.batch_mean(o.base.apply(x), x, k, rng)
+    x = as_vector(x)[None]
+    return o.noise.batch_mean(o.base.apply(x), x, k, StepGenerator([rng]))[0]
 
 
 def empirical_moments(o: OracleDescriptor, x, m: int, rng: RngStream):

@@ -1,5 +1,6 @@
 """Experiment harness: config validation, rate fits, runs, CSV outputs, CLI."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import stochfp as sf
+from stochfp import experiments
 from stochfp.cli import main as cli_main
 from stochfp.experiments import parse_seed_spec
 
@@ -311,9 +313,14 @@ class TestRunExperiment:
         assert summary["n_seeds"] == 2
         assert summary["aborted_seeds"] == []
 
-    @pytest.mark.parametrize("kind", ["fixedpoint", "lowerbound", "mdp-avg", "mdp-disc"])
-    def test_outputs_are_bytewise_reproducible(self, tmp_path, mdp_3x2, kind):
-        # jobs = 3 sends the shared run plan through the process pool
+    @pytest.mark.parametrize("kind", [
+        "fixedpoint", "lowerbound", "mdp-avg", "mdp-disc",
+        "fixedpoint-7-seeds", "lowerbound-7-seeds", "mdp-disc-7-seeds", "fixedpoint-abort",
+    ])
+    def test_outputs_are_bytewise_reproducible(self, tmp_path, mdp_3x2, kind, monkeypatch):
+        # jobs = 3 sends the shared run plan through the process pool; 7 seeds split
+        # into chunks of 3 + 4 at jobs 2 and 2 + 2 + 3 at jobs 3
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
         path = _write_mdp(tmp_path, mdp_3x2)
         doc = {
             "fixedpoint": _fixedpoint_doc(),
@@ -326,17 +333,87 @@ class TestRunExperiment:
                         "anchor": {"kind": "max"}, "N": 8},
             "mdp-disc": {"kind": "mdp-disc", "mdp": path, "algorithm": "halpern",
                          "gamma": 0.9, "N": 20},
-        }[kind]
-        cfg = sf.validate_config(dict(doc, seeds=[1, 2, 3, 4]))
-        sf.run_experiment(cfg, tmp_path / "a", jobs=1)
-        sf.run_experiment(cfg, tmp_path / "b", jobs=1)
-        sf.run_experiment(cfg, tmp_path / "c", jobs=3)
-        names = sorted(os.listdir(tmp_path / "a"))
-        assert names == sorted(os.listdir(tmp_path / "b")) == sorted(os.listdir(tmp_path / "c"))
+            # T = 1e308 with noise of std 3e307 overflows seed 6's iterate at step 3 only
+            "fixedpoint-abort": _fixedpoint_doc(
+                operator={"kind": "constant", "target": [1e308, 1e308]},
+                noise={"kind": "gaussian", "e": 3e307}, batches={"kind": "constant", "k": 1},
+                x0=[-1e308, 1e308], N=6),
+        }[kind.removesuffix("-7-seeds")]
+        if kind in ("fixedpoint", "lowerbound", "mdp-avg", "mdp-disc"):
+            seeds, jobs = [1, 2, 3, 4], (1, 1, 3)
+        else:
+            seeds, jobs = list(range(1, 8)), (1, 2, 3)
+        cfg = sf.validate_config(dict(doc, seeds=seeds))
+        with np.errstate(over="ignore"):
+            summaries = [sf.run_experiment(cfg, tmp_path / f"{i}", jobs=j)
+                         for i, j in enumerate(jobs)]
+        if kind == "fixedpoint-abort":
+            assert [s["aborted_seeds"] for s in summaries] == [
+                [{"seed": 6, "reason": "non-finite iterate at step 3"}]] * 3
+        names = sorted(os.listdir(tmp_path / "0"))
+        assert names == sorted(os.listdir(tmp_path / "1")) == sorted(os.listdir(tmp_path / "2"))
         for name in names:
-            a = (tmp_path / "a" / name).read_bytes()
-            assert a == (tmp_path / "b" / name).read_bytes()
-            assert a == (tmp_path / "c" / name).read_bytes()
+            a = (tmp_path / "0" / name).read_bytes()
+            assert a == (tmp_path / "1" / name).read_bytes()
+            assert a == (tmp_path / "2" / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["fixedpoint", "lowerbound"])
+    def test_wide_runs_step_in_shorter_stacks(self, tmp_path, monkeypatch, kind):
+        doc = _fixedpoint_doc() if kind == "fixedpoint" else {
+            "kind": "lowerbound", "epsilon": 0.25, "kappa_bar": 2.0, "sigma": 1.0,
+            "algorithm": {"kind": "halpern-classic"}, "batches": {"kind": "constant", "k": 1}}
+        cfg = sf.validate_config(dict(doc, seeds=list(range(1, 8))))
+        sf.run_experiment(cfg, tmp_path / "one", jobs=1)
+        calls = []
+        runner = experiments.halpern_runs if kind == "fixedpoint" else experiments.adversarial_runs
+
+        def recording(*args):
+            calls.append(len(args[-1]))
+            return runner(*args)
+
+        monkeypatch.setattr(experiments, "halpern_runs" if kind == "fixedpoint"
+                            else "adversarial_runs", recording)
+        monkeypatch.setattr(experiments, "_STACK_COORDS", 13)  # 2 rows of d = 6, 3 of d = 4
+        sf.run_experiment(cfg, tmp_path / "short", jobs=1)
+        assert calls == ([2, 2, 2, 1] if kind == "fixedpoint" else [3, 3, 1])
+        for name in os.listdir(tmp_path / "one"):
+            ref = (tmp_path / "one" / name).read_bytes()
+            assert (tmp_path / "short" / name).read_bytes() == ref
+
+    def test_pool_has_at_most_one_worker_per_usable_cpu_and_seed(self, tmp_path, monkeypatch):
+        pools = []
+
+        class RecordingPool:
+            """Runs the chunks in this process and records the pool it was asked for."""
+
+            def __init__(self, max_workers):
+                self.max_workers = max_workers
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                chunks = list(chunks)
+                pools.append((self.max_workers, [len(c) for c in chunks]))
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        cfg = sf.validate_config(_fixedpoint_doc(seeds=list(range(1, 8)), N=3))
+        sf.run_experiment(cfg, tmp_path / "ref", jobs=1)
+        for jobs in (2, 500):
+            sf.run_experiment(cfg, tmp_path / f"jobs{jobs}", jobs=jobs)
+            for name in os.listdir(tmp_path / "ref"):
+                ref = (tmp_path / "ref" / name).read_bytes()
+                assert (tmp_path / f"jobs{jobs}" / name).read_bytes() == ref
+        two_seeds = sf.validate_config(_fixedpoint_doc(seeds=[5, 6], N=3))
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
+        sf.run_experiment(two_seeds, tmp_path / "two", jobs=500)
+        # jobs 1 runs in this process; a pool never outnumbers the CPUs or the seeds
+        assert pools == [(2, [3, 4]), (2, [3, 4]), (2, [1, 1])]
 
     def test_csv_headers_and_roundtrip(self, tmp_path):
         cfg = sf.validate_config(_fixedpoint_doc(seeds=[1, 2]))
@@ -525,6 +602,28 @@ class TestCli:
         assert summary["aborted_seeds"] == [
             {"seed": 4, "reason": "non-finite measurement at step 1"}
         ]
+
+    def test_multichain_average_reward_model_exits_one(self, tmp_path, monkeypatch, capsys):
+        # relative value iteration raises this after its sweep cap on a multichain model
+        def no_gain(*args, **kwargs):
+            raise RuntimeError("relative value iteration did not reach span 1e-10")
+
+        monkeypatch.setattr(sf.mdp, "solve_average_exact", no_gain)
+        doc = {
+            "kind": "mdp-avg",
+            "mdp": {"num_states": 2, "num_actions": 1, "transitions": [[[1, 0]], [[0, 1]]],
+                    "rewards": [[1], [0]]},
+            "algorithm": "halpern",
+            "anchor": {"kind": "max"},
+            "N": 4,
+            "seeds": [1],
+        }
+        with pytest.raises(sf.ConfigError, match="^config.mdp: relative value iteration"):
+            sf.run_experiment(sf.validate_config(doc), tmp_path / "run")
+        path = self._write(tmp_path, doc)
+        code = cli_main(["mdp-avg", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: config.mdp: relative value")
 
     def test_query_count_beyond_int64_exits_one(self, tmp_path, mdp_3x2, capsys):
         # 6 * sum of n^6 over n <= 600 is about 2.4e19 > 2^63 - 1

@@ -18,12 +18,13 @@ PACKAGE_NAMES = """
 AdditiveGaussianIID AdversarialInstance AdversarialTrace AffineContraction AnchorFunction
 AverageSolution BatchSchedule ConfigError ConstantMap FixedPointInfo L1 L2 LINF
 MDPValidationError NoNoise NormKind Operator OracleDescriptor PlaneRotation RateFit
-ResistantBernoulli RngStream RunRecord ShiftProjection SpanAlgorithm StepGenerator StepSchedule
-TabularMDP
-batch_exponent_h bellman_average bellman_discounted benchmark_q_average bound_contractive
-bound_nonexpansive build_instance check_unichain discounted_iteration_count
+ResistantBernoulli RngStream RunRecord ShiftProjection SpanAlgorithm StackTrace StepGenerator
+StepSchedule TabularMDP
+adversarial_runs batch_exponent_h bellman_average bellman_discounted benchmark_q_average
+bound_contractive bound_nonexpansive build_instance check_unichain discounted_iteration_count
 empirical_moments evaluate_bounds fit_rate greedy_policy
-halpern_q_average halpern_q_discounted halpern_run kappa_bar_bounded_range km_run
+halpern_q_average halpern_q_discounted halpern_run halpern_runs iterate_stack
+kappa_bar_bounded_range km_run km_runs
 load_config load_mdp lp mdp_from_dict minibatch norm norm_equivalence_mu phi prog
 project_box read_aggregate_csv run_adversarial run_experiment rvi_q_learning shift_map
 solve_average_exact solve_discounted_exact validate_config vanilla_q_discounted
@@ -98,3 +99,10 @@ def test_scipy_special_is_imported_only_for_gaussian_noise():
         "z = stochfp.standard_normal(stochfp.RngStream(1).generator(), 4)\n"
         "print(z.shape == (4,) and bool(np.isfinite(z).all()))\n"
     ) == ["True"]
+
+
+def test_the_process_pool_is_imported_only_by_pooled_runs():
+    assert _fresh_interpreter(
+        "import sys, stochfp\n"
+        "print('multiprocessing' in sys.modules)\n"
+    ) == ["False"]

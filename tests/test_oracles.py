@@ -50,23 +50,29 @@ def _flat_state(gen):
 @example(seed=2**63 - 1, stream=2**63 + 1, previous=2**64 - 1)
 def test_step_generator_draws_as_a_fresh_generator(seed, stream, previous):
     target = RngStream(seed, stream)
-    keyed = StepGenerator()
+    # row 0 is the seed under test; row 1 is another seed of the same stack
+    keyed = StepGenerator([target, RngStream(previous, stream)])
     with warnings.catch_warnings():
         # numpy warns when it rounds a key word to 2^64; both paths must round alike
         warnings.simplefilter("ignore", RuntimeWarning)
         fresh = target.generator().bit_generator.state["state"]["key"]
-        rekeyed = keyed.at(target).generator().bit_generator.state["state"]["key"]
+        rekeyed = keyed.generator(0).bit_generator.state["state"]["key"]
         assert rekeyed.tolist() == fresh.tolist()
-        for draw in _FIRST_DRAWS:
-            # a previous step leaves the shared generator mid-buffer, with a spare uint32
-            gen = keyed.at(RngStream(previous, seed ^ stream)).generator()
+        for n, draw in enumerate(_FIRST_DRAWS, start=1):
+            # the other row leaves the shared generator mid-buffer, with a spare uint32
+            gen = keyed.step(n).generator(1)
             gen.random()
             gen.integers(0, 10, dtype=np.uint32)
             state = gen.bit_generator.state
             assert state["buffer_pos"] != 4 and state["has_uint32"] == 1
-            got = keyed.at(target).generator()
-            assert _flat_state(got) == _flat_state(target.generator())
-            assert np.array_equal(draw(got), draw(target.generator()))
+            got = keyed.generator(0)
+            assert _flat_state(got) == _flat_state(target.substream(n).generator())
+            assert np.array_equal(draw(got), draw(target.substream(n).generator()))
+
+
+def test_step_generator_stack_shares_one_stream():
+    with pytest.raises(ValueError, match="share one stream"):
+        StepGenerator([RngStream(1, 5), RngStream(2, 6)])
 
 
 def test_rng_stream_determinism_and_substreams():

@@ -1,0 +1,227 @@
+"""Seed-stacked runs against a per-seed reference loop, bit for bit.
+
+halpern_run, km_run and run_adversarial are stacks of one of the code under
+test, so the reference here is written out separately: one seed at a time,
+1-D arithmetic, a fresh generator per step built from
+RngStream(seed, stream).substream(n), numpy's own norms, and
+Generator.integers for the Gaussian bits.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtri
+
+import stochfp as sf
+
+_EDGE_SEEDS = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+_SEEDS = st.lists(st.sampled_from(_EDGE_SEEDS) | st.integers(0, 2**64 - 1), min_size=1, max_size=6)
+_STREAMS = st.sampled_from(_EDGE_SEEDS) | st.integers(0, 2**64 - 1)
+_NORMS = st.sampled_from([sf.L1, sf.L2, sf.LINF, sf.lp(1.5), sf.lp(2.0), sf.lp(3.7)])
+
+
+def _ref_norm(v, kind) -> float:
+    if not np.isfinite(v).all():
+        return math.inf
+    if kind.tag == "l1":
+        return float(np.abs(v).sum())
+    if kind.tag == "l2":
+        return float(np.linalg.norm(v))
+    if kind.tag == "linf":
+        return float(np.abs(v).max())
+    return float(np.linalg.norm(v, ord=kind.p))
+
+
+def _ref_apply(op, x):
+    if isinstance(op, sf.AffineContraction):
+        return op.matrix @ x + op.offset
+    if isinstance(op, sf.PlaneRotation):
+        c, s = np.cos(op.theta), np.sin(op.theta)
+        out = x.copy()
+        out[0] = c * x[0] - s * x[1]
+        out[1] = s * x[0] + c * x[1]
+        return out
+    if isinstance(op, sf.ShiftProjection):
+        y = np.clip(x, 0.0, op.lam)
+        out = np.empty_like(y)
+        out[0] = op.lam - y[-1]
+        out[1:] = y[:-1]
+        return out
+    return op.target.copy()
+
+
+def _ref_draw(noise, tx, x, k, stream):
+    if isinstance(noise, sf.AdditiveGaussianIID) and noise.e != 0.0:
+        r = stream.generator().integers(0, 1 << 53, size=x.shape[0], dtype=np.uint64)
+        z = ndtri((r.astype(np.float64) + 0.5) * (2.0 ** -53))
+        return tx + noise.e / np.sqrt(float(k)) * z
+    if isinstance(noise, sf.ResistantBernoulli):
+        nz = np.flatnonzero(x)
+        j = 0 if nz.size == 0 else int(nz[-1]) + 1
+        if j < x.shape[0]:
+            out = tx.copy()
+            successes = int(stream.generator().binomial(int(k), noise.p))
+            out[j] = (successes / (k * noise.p)) * tx[j]
+            return out
+    return tx
+
+
+def _ref_vector_run(o, x0, weight, size, N, kind, rng, anchored):
+    """(rows of (n, weight, k, cum, residual, dist, noise), final x, abort reason) of one seed."""
+    target = o.base.fixed_point_info().point
+    x, tx, cum, rows = x0.copy(), _ref_apply(o.base, x0), 0, []
+    for n in range(1, N + 1):
+        k, w = size(n), weight(n)
+        y = _ref_draw(o.noise, tx, x, k, rng.substream(n))
+        x_new = (1.0 - w) * (x0 if anchored else x) + w * y
+        if not np.isfinite(x_new).all():
+            return rows, x, f"non-finite iterate at step {n}"
+        e = _ref_norm(y - tx, kind)
+        tx = _ref_apply(o.base, x_new)
+        res = _ref_norm(x_new - tx, kind)
+        d = None if target is None else _ref_norm(x_new - target, kind)
+        if not (math.isfinite(res) and math.isfinite(e) and (d is None or math.isfinite(d))):
+            return rows, x, f"non-finite measurement at step {n}"
+        cum += k
+        rows.append((n, w, k, cum, res, d, e))
+        x = x_new
+    return rows, x, None
+
+
+def _ref_adversarial(inst, algo, rng):
+    """Columns n = 0.. of one seed's budget-stopped run, and its final x."""
+    op, noise = inst.operator(), inst.oracle().noise
+    schedule = algo.steps()
+    x_star = np.full(inst.d, inst.lam / 2.0)
+    x0 = np.zeros(inst.d)
+    x, tx = x0.copy(), _ref_apply(op, x0)
+    cols = [(0, 0, 0, _ref_norm(x - tx, sf.L1), 0.0, 0, 0.0, _ref_norm(x - x_star, sf.L1))]
+    cum, n = 0, 0
+    while True:
+        n += 1
+        k = algo.batches.size(n)
+        if cum + k > inst.n_budget:
+            break
+        cum += k
+        mb = _ref_draw(noise, tx, x, k, rng.substream(n))
+        e = _ref_norm(mb - tx, sf.L1)
+        w = schedule.weight(n)
+        x = (1.0 - w) * (x0 if schedule.is_halpern else x) + w * mb
+        x[np.abs(x) < 1e-300] = 0.0
+        tx = _ref_apply(op, x)
+        nz = np.flatnonzero(x)
+        prog = 0 if nz.size == 0 else int(nz[-1]) + 1
+        cols.append((n, prog, cum, _ref_norm(x - tx, sf.L1), w, k, e, _ref_norm(x - x_star, sf.L1)))
+    return list(zip(*cols)), x
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _assert_record_matches(rec, ref):
+    rows, x, reason = ref
+    n, w, k, cum, res, d, e = zip(*rows) if rows else ((),) * 7
+    assert rec.n.tolist() == list(n)
+    assert _bits(rec.weight) == _bits(w)
+    assert rec.batch.tolist() == list(k) and rec.cum_queries.tolist() == list(cum)
+    assert _bits(rec.residual) == _bits(res)
+    assert _bits(rec.noise_norm) == _bits(e)
+    if rec.dist_to_fp is None:
+        assert all(v is None for v in d)
+    else:
+        assert _bits(rec.dist_to_fp) == _bits(d)
+    assert _bits(rec.final_x) == _bits(x)
+    assert rec.aborted == (reason is not None) and rec.abort_reason == reason
+
+
+@st.composite
+def _oracles(draw):
+    """An operator of every kind with every noise kind it takes, including e = 0."""
+    kind = draw(st.sampled_from(["affine", "rotation", "shift", "constant"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32)))
+    dim = draw(st.integers(2, 12) | st.just(150))  # 150 > the 128-term block of numpy sums
+    if kind == "affine":
+        a = gen.standard_normal((dim, dim))
+        a *= draw(st.sampled_from([0.5, 1.0])) / np.abs(a).sum(axis=0).max()
+        op = sf.AffineContraction(a, gen.standard_normal(dim), 1.0, sf.L1)
+    elif kind == "rotation":
+        op = sf.PlaneRotation(draw(st.floats(-4.0, 4.0)), dim)
+    elif kind == "shift":
+        op = sf.ShiftProjection(draw(st.sampled_from([0.2, 1.0])), dim)
+    else:
+        op = sf.ConstantMap(gen.standard_normal(dim) * draw(st.sampled_from([1.0, 1e307])))
+    noises = [sf.NoNoise(), sf.AdditiveGaussianIID(0.0), sf.AdditiveGaussianIID(0.3),
+              sf.AdditiveGaussianIID(1e308)]
+    if kind == "shift":
+        noises.append(sf.ResistantBernoulli(draw(st.sampled_from([0.05, 0.5]))))
+    x0 = gen.standard_normal(dim) * draw(st.sampled_from([0.1, 1.0, 1e307]))
+    return sf.OracleDescriptor(op, draw(st.sampled_from(noises))), x0
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(oracle=_oracles(), norm=_NORMS, seeds=_SEEDS, stream=_STREAMS, N=st.integers(1, 8),
+       method=st.sampled_from(["halpern-constant", "halpern-power", "km"]))
+def test_stacked_vector_rows_equal_per_seed_runs(oracle, norm, seeds, stream, N, method):
+    o, x0 = oracle
+    rngs = [sf.RngStream(s, stream) for s in seeds]
+    with np.errstate(all="ignore"):
+        if method == "km":
+            steps = sf.StepSchedule.km_constant(0.5)
+            records = sf.km_runs(o, x0, steps, N, norm, rngs)
+            size = sf.BatchSchedule.constant(1).size
+        else:
+            steps = sf.StepSchedule.halpern_classic()
+            batches = sf.BatchSchedule.constant(3) if method == "halpern-constant" else \
+                sf.BatchSchedule.power(2.5)
+            records = sf.halpern_runs(o, x0, steps, batches, N, norm, rngs)
+            size = batches.size
+        refs = [_ref_vector_run(o, x0, steps.weight, size, N, norm, r, method != "km")
+                for r in rngs]
+    assert len(records) == len(rngs)
+    for rec, ref in zip(records, refs):
+        _assert_record_matches(rec, ref)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(eps_kappa=st.sampled_from([(0.1, 2.0), (0.2, 1.0), (0.15, 0.9), (0.1, 0.6)]),
+       algo=st.sampled_from([
+           sf.SpanAlgorithm("halpern-classic", sf.BatchSchedule.power(2)),
+           sf.SpanAlgorithm("halpern-classic", sf.BatchSchedule.constant(1)),
+           sf.SpanAlgorithm("km-constant", sf.BatchSchedule.constant(1), alpha=0.5),
+           sf.SpanAlgorithm("km-constant", sf.BatchSchedule.constant(2), alpha=0.3),
+       ]),
+       seeds=_SEEDS, stream=_STREAMS)
+@example(eps_kappa=(0.1, 2.0), algo=sf.SpanAlgorithm("halpern-classic", sf.BatchSchedule.power(4)),
+         seeds=[2**64 - 1, 2**63, 5], stream=2**64 - 1)
+def test_stacked_adversarial_rows_equal_per_seed_runs(eps_kappa, algo, seeds, stream):
+    inst = sf.build_instance(*eps_kappa, 1.0)
+    rngs = [sf.RngStream(s, stream) for s in seeds]
+    traces = sf.adversarial_runs(inst, algo, rngs)
+    assert len(traces) == len(rngs)
+    for tr, rng in zip(traces, rngs):
+        (n, prog, cum, res, w, k, e, d), x = _ref_adversarial(inst, algo, rng)
+        assert tr.n.tolist() == list(n) and tr.prog.tolist() == list(prog)
+        assert tr.cum_queries.tolist() == list(cum) and tr.batch.tolist() == list(k)
+        assert _bits(tr.residual) == _bits(res) and _bits(tr.weight) == _bits(w)
+        assert _bits(tr.noise_norm) == _bits(e) and _bits(tr.dist_to_fp) == _bits(d)
+        assert _bits(tr.final_x) == _bits(x)
+
+
+def test_an_aborting_seed_leaves_the_rest_of_its_stack_running():
+    # T = 1e308 with noise of std 3e307 overflows seed 6's iterate at step 3 only
+    o = sf.OracleDescriptor(sf.ConstantMap([1e308, 1e308]), sf.AdditiveGaussianIID(3e307))
+    x0 = np.array([-1e308, 1e308])
+    steps, batches = sf.StepSchedule.halpern_classic(), sf.BatchSchedule.constant(1)
+    rngs = [sf.RngStream(s, 0) for s in range(1, 8)]
+    with np.errstate(all="ignore"):
+        records = sf.halpern_runs(o, x0, steps, batches, 6, sf.L1, rngs)
+        refs = [_ref_vector_run(o, x0, steps.weight, batches.size, 6, sf.L1, r, True)
+                for r in rngs]
+    assert [r.steps() for r in records] == [6, 6, 6, 6, 6, 2, 6]
+    assert records[5].abort_reason == "non-finite iterate at step 3"
+    for rec, ref in zip(records, refs):
+        _assert_record_matches(rec, ref)
+

@@ -341,7 +341,7 @@ def iterate_stack(
     residual[0] = lengths(x - tx)
     if dist is not None:
         dist[0] = lengths(x - target)
-    prog[0] = last_nonzero_index(x)
+    front = prog[0] = last_nonzero_index(x)  # of the live rows of x, for the next draw
     final_x = x.copy()
     steps, reasons = [cols - 1] * rows, [None] * rows
     live = np.arange(rows)  # the stack's rows that have not aborted, in seed order
@@ -355,7 +355,7 @@ def iterate_stack(
 
     for n in range(1, cols):
         w = weights[n - 1]
-        y = o.noise.batch_mean(tx, x, sizes[n - 1], keyed.step(n))
+        y = o.noise.batch_mean(tx, x, sizes[n - 1], keyed.step(n), front)
         x_new = (1.0 - w) * (x0 if anchored else x) + w * y
         ok = np.isfinite(x_new).all(axis=1)
         if not ok.all():
@@ -376,7 +376,7 @@ def iterate_stack(
         residual[n][live] = m[1]
         if dist is not None:
             dist[n][live] = m[2]
-        prog[n][live] = last_nonzero_index(x_new)
+        front = prog[n][live] = last_nonzero_index(x_new)
         x = x_new
         if not live.size:
             break

@@ -66,10 +66,6 @@ class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field path."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 class _Fields:
     """Tracks field consumption of one JSON object so leftovers become errors."""
 
@@ -295,7 +291,7 @@ def validate_config(doc) -> dict:
     """Validate and normalize an experiment config document.
 
     Returns a plain JSON-safe dict (MDP files are inlined, seeds expanded) so
-    worker processes need no filesystem access.
+    worker processes read no input files.
     """
     f = _Fields(doc, "config")
     kind = f.take("kind")
@@ -492,24 +488,7 @@ def load_config(path) -> dict:
 # The run plan: built once per experiment, pickled into the process pool
 
 
-_COLUMNS = ("n", "weight", "batch", "cum_queries", "residual", "dist_to_fp", "noise_norm", "prog")
-
-
-def _record_to_rows(rec, lists: dict) -> dict:
-    """Column lists of a RunRecord, or of an AdversarialTrace (which adds prog, never aborts).
-
-    lists maps id(array) to its list, so the records of a stack, which share
-    their schedule columns, share those lists too.
-    """
-    rows = {}
-    for c in _COLUMNS:
-        v = getattr(rec, c, None)
-        if v is not None and id(v) not in lists:
-            lists[id(v)] = v.tolist()
-        rows[c] = None if v is None else lists[id(v)]
-    rows["aborted"] = getattr(rec, "aborted", False)
-    rows["abort_reason"] = getattr(rec, "abort_reason", None)
-    return rows
+_COLUMNS = ("n", "batch", "cum_queries", "residual", "dist_to_fp", "noise_norm", "prog")
 
 
 def _one_by_one(run, rngs: list[RngStream]) -> list:
@@ -540,15 +519,18 @@ class _Plan:
     v_star: float | None = None
     bounds: dict | None = None
 
-    def run(self, seeds: list[int]) -> list[dict]:
-        """Rows of each seed; the seeds run in stacks of at most _STACK_COORDS // width."""
+    def run(self, seeds: list[int], out_dir) -> list[dict]:
+        """Run and write the seeds' CSVs in stacks of at most _STACK_COORDS // width;
+        returns each seed's _COLUMNS (arrays, or None) and abort_reason."""
         height = max(1, _STACK_COORDS // self.width)
-        rows = []
+        results = []
         for i in range(0, len(seeds), height):
-            records = self.runner([RngStream(seed, self.stream) for seed in seeds[i:i + height]])
-            lists = {}
-            rows += [_record_to_rows(r, lists) for r in records]
-        return rows
+            stack = seeds[i:i + height]
+            records = self.runner([RngStream(seed, self.stream) for seed in stack])
+            _write_seed_csvs(out_dir, stack, records)
+            results += [dict({c: getattr(r, c, None) for c in _COLUMNS},
+                             abort_reason=getattr(r, "abort_reason", None)) for r in records]
+        return results
 
 
 def _plan(cfg: dict) -> _Plan:
@@ -611,18 +593,36 @@ def _plan(cfg: dict) -> _Plan:
 
 
 _SEED_HEADER = "n,beta_or_alpha,k_n,cum_queries,residual,dist_to_fp,noise_norm"
+# rows of a seed CSV formatted by one %-template and written by one write
+_BLOCK = 1024
 
 
-def _write_seed_csv(path: str, rows: dict):
-    dist = rows["dist_to_fp"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_SEED_HEADER + "\n")
-        for i, n in enumerate(rows["n"]):
-            dist_s = "" if dist is None else _fmt(dist[i])
-            fh.write(
-                f"{n},{_fmt(rows['weight'][i])},{rows['batch'][i]},{rows['cum_queries'][i]},"
-                f"{_fmt(rows['residual'][i])},{dist_s},{_fmt(rows['noise_norm'][i])}\n"
-            )
+def _write_seed_csvs(out_dir, seeds: list[int], records: list):
+    """Write seed_<seed>.csv of each (seed, record) of a stack.
+
+    The prefix "n,weight,k_n,cum_queries," is formatted once per group of
+    records that share their schedule columns, and each block of _BLOCK rows
+    by one template ('%.17g' % x has the bits of f'{x:.17g}').
+    """
+    prefixes = {}
+    for seed, rec in zip(seeds, records):
+        schedule = (rec.n, rec.weight, rec.batch, rec.cum_queries)
+        key = tuple(map(id, schedule))
+        if key not in prefixes:
+            prefixes[key] = list(map("%d,%.17g,%d,%d,".__mod__,
+                                     zip(*(c.tolist() for c in schedule))))
+        columns = [prefixes[key]] + [c.tolist() for c in (rec.residual, rec.dist_to_fp,
+                                                          rec.noise_norm) if c is not None]
+        row = "%s%.17g,,%.17g\n" if rec.dist_to_fp is None else "%s%.17g,%.17g,%.17g\n"
+        with open(os.path.join(out_dir, f"seed_{seed}.csv"), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            fh.write(_SEED_HEADER + "\n")
+            for a in range(0, len(columns[0]), _BLOCK):
+                block = [c[a:a + _BLOCK] for c in columns]
+                args = [None] * (len(block) * len(block[0]))  # the block's cells, row by row
+                for j, col in enumerate(block):
+                    args[j::len(block)] = col
+                fh.write(row * len(block[0]) % tuple(args))
 
 
 def _mean_sem(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -660,7 +660,7 @@ def _aggregate(results: list[dict]) -> dict:
 def _write_aggregate_csv(path: str, agg: dict):
     columns = [  # lazy, so no table of strings is held in memory
         [""] * len(agg["n"]) if agg[name] is None
-        else map(str if name in _AGG_INTS else _fmt, agg[name])
+        else map(str if name in _AGG_INTS else "%.17g".__mod__, agg[name].tolist())
         for name in _AGG_HEADER.split(",")
     ]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -688,20 +688,14 @@ def read_aggregate_csv(path) -> dict:
     }
 
 
-def _write_progress_csv(path: str, results: list[dict], d: int):
-    """Per-n progress statistics across seeds for lower-bound runs."""
-    n_rows = min(len(r["n"]) for r in results)
-    progs = np.array([r["prog"][:n_rows] for r in results], dtype=np.float64)
-    ns = results[0]["n"][:n_rows]
-    cums = results[0]["cum_queries"][:n_rows]
+def _write_progress_csv(path: str, agg: dict, progs: np.ndarray, d: int):
+    """Per-n progress statistics over the seeds (rows) of progs, whose integer sums are exact."""
+    columns = [agg["n"].tolist(), agg["cum_queries"].tolist(), progs.mean(axis=0).tolist(),
+               progs.min(axis=0).tolist(), progs.max(axis=0).tolist(),
+               (progs < d).mean(axis=0).tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("n,cum_queries,prog_mean,prog_min,prog_max,frac_prog_lt_d\n")
-        for i in range(n_rows):
-            col = progs[:, i]
-            fh.write(
-                f"{ns[i]},{cums[i]},{_fmt(col.mean())},{int(col.min())},{int(col.max())},"
-                f"{_fmt(float((col < d).mean()))}\n"
-            )
+        fh.writelines("%d,%d,%.17g,%d,%d,%.17g\n" % row for row in zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -872,30 +866,32 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
 
     Returns the summary dict (also written to summary.json). The run objects
     and any exact MDP solution are built once and shared by every seed. The
-    seeds run in contiguous chunks, one per worker process when jobs > 1 (at
-    most one per seed and per usable CPU); outputs are written by the parent
-    in seed order, so the bytes do not depend on jobs.
+    seeds run in contiguous chunks, at most one per seed and per usable CPU:
+    this process runs the first, a worker process each other. A seed's CSV is
+    written where it ran, the other outputs here in seed order, so the bytes
+    do not depend on jobs.
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    os.makedirs(out_dir, exist_ok=True)
+    try:  # once, before any seed runs, since each seed's CSV is written where it ran
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file where the directory, or one of its parents, should be
+        raise ConfigError(f"--out: {exc}") from None
     seeds = cfg["seeds"]
     plan = _plan(cfg)
     chunks = _chunks(seeds, jobs)
     if len(chunks) == 1:
-        results = plan.run(seeds)
+        results = plan.run(seeds, out_dir)
     else:
         # imported here: multiprocessing is a sixth of the package's import time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = [r for chunk in pool.map(plan.run, chunks) for r in chunk]
+        with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
+            # map submits every chunk at once, so the workers run beside this process
+            rest = pool.map(plan.run, chunks[1:], [out_dir] * (len(chunks) - 1))
+            results = plan.run(chunks[0], out_dir) + [r for chunk in rest for r in chunk]
 
-    files = []
-    for seed, r in zip(seeds, results):
-        name = f"seed_{seed}.csv"
-        _write_seed_csv(os.path.join(out_dir, name), r)
-        files.append(name)
+    files = [f"seed_{seed}.csv" for seed in seeds]
     agg = _aggregate(results)
     _write_aggregate_csv(os.path.join(out_dir, "aggregate.csv"), agg)
     files.append("aggregate.csv")
@@ -906,7 +902,8 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
         "n_seeds": len(seeds),
         "rows_aggregated": len(agg["n"]),
         "aborted_seeds": [
-            {"seed": s, "reason": r["abort_reason"]} for s, r in zip(seeds, results) if r["aborted"]
+            {"seed": s, "reason": r["abort_reason"]} for s, r in zip(seeds, results)
+            if r["abort_reason"] is not None
         ],
     }
     # pass/fail conditions the --check flag enforces via exit code 3
@@ -920,10 +917,10 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
 
     if cfg["kind"] == "lowerbound":
         inst = plan.instance
-        _write_progress_csv(os.path.join(out_dir, "progress.csv"), results, inst.d)
+        progs = np.array([r["prog"][:len(agg["n"])] for r in results])
+        _write_progress_csv(os.path.join(out_dir, "progress.csv"), agg, progs, inst.d)
         files.append("progress.csv")
         means = agg["residual_mean"]
-        progs = np.array([r["prog"][:len(agg["n"])] for r in results])
         summary["instance"] = asdict(inst)
         summary["barrier_held"] = bool((means > cfg["epsilon"]).all())
         summary["final_frac_prog_lt_d"] = float((progs[:, -1] < inst.d).mean())
@@ -936,7 +933,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
         ratio = cfg.get("residual_ratio_check")
         if ratio is not None:
             res_mean = agg["residual_mean"]
-            ns = list(agg["n"])
+            ns = agg["n"].tolist()
             try:
                 early = res_mean[ns.index(ratio["early_n"])]
                 late = res_mean[ns.index(ratio["late_n"])]

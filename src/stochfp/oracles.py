@@ -23,11 +23,12 @@ scipy.special, which supplies ndtri, is most of the package's import time, so
 it is imported when the first AdditiveGaussianIID is built (or at the first
 standard_normal call), not with the package.
 
-Each noise model samples for itself: batch_mean(tx, x, k, keyed) is, row by
-row, the mean of k queries at each row of the (B, d) stack x given tx = T(x),
-drawn from keyed's generator for that row (a single query is the minibatch
-of one, a single point the stack of one), and moments(tx, x, m, rng) is
-empirical_moments' (mean, second moment) at one point. Minibatch
+Each noise model samples for itself: batch_mean(tx, x, k, keyed, front) is,
+row by row, the mean of k queries at each row of the (B, d) stack x given
+tx = T(x), drawn from keyed's generator for that row (a single query is the
+minibatch of one, a single point the stack of one; front, if not None, is
+last_nonzero_index(x)), and moments(tx, x, m, rng) is empirical_moments'
+(mean, second moment) at one point. Minibatch
 means come from exact sufficient statistics rather than per-sample loops,
 which keeps polynomially growing batch sizes runnable:
 
@@ -177,7 +178,7 @@ def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
 class NoNoise:
     """Exact evaluations: every query returns T(x)."""
 
-    def batch_mean(self, tx, x, k, keyed):
+    def batch_mean(self, tx, x, k, keyed, front=None):
         return tx
 
     def moments(self, tx, x, m, rng):
@@ -195,7 +196,7 @@ class AdditiveGaussianIID:
             raise ValueError("per-coordinate std e must be >= 0")
         _load_ndtri()  # before any worker pool forks, so workers inherit it
 
-    def batch_mean(self, tx, x, k, keyed):
+    def batch_mean(self, tx, x, k, keyed, front=None):
         if self.e == 0.0:
             return tx
         rows, d = x.shape
@@ -224,9 +225,9 @@ class ResistantBernoulli:
         if not 0.0 < self.p < 1.0:
             raise ValueError("success probability p must lie in (0, 1)")
 
-    def batch_mean(self, tx, x, k, keyed):
+    def batch_mean(self, tx, x, k, keyed, front=None):
         out = tx.copy()
-        for i, j in enumerate(last_nonzero_index(x).tolist()):
+        for i, j in enumerate((last_nonzero_index(x) if front is None else front).tolist()):
             if j < x.shape[1]:  # a row at full progress reveals nothing and draws nothing
                 successes = int(keyed.generator(i).binomial(int(k), self.p))
                 out[i, j] = (successes / (k * self.p)) * tx[i, j]

@@ -403,3 +403,19 @@ class TestExactEvaluations:
                                 sf.RngStream(1))
         assert tr.steps() > 1
         assert op.calls == tr.steps() + 1
+
+    def test_run_adversarial_finds_each_iterates_front_once(self, monkeypatch):
+        # the draw at x^{n-1} reads the prog column the stack already holds
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return sf.linalg.last_nonzero_index(x)
+
+        for module in (sf.engine, sf.oracles):
+            monkeypatch.setattr(module, "last_nonzero_index", counting)
+        tr = sf.run_adversarial(sf.build_instance(0.1, 2.0, 1.0),
+                                sf.SpanAlgorithm("km-constant", sf.BatchSchedule.constant(1),
+                                                 alpha=0.5), sf.RngStream(1))
+        assert tr.steps() > 1
+        assert len(calls) == tr.steps() + 1

@@ -4,10 +4,13 @@ import concurrent.futures
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stochfp as sf
 from stochfp import experiments
@@ -384,7 +387,7 @@ class TestRunExperiment:
         pools = []
 
         class RecordingPool:
-            """Runs the chunks in this process and records the pool it was asked for."""
+            """Runs the workers' chunks in this process and records the pool it was asked for."""
 
             def __init__(self, max_workers):
                 self.max_workers = max_workers
@@ -395,10 +398,10 @@ class TestRunExperiment:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, chunks):
+            def map(self, fn, chunks, *rest):
                 chunks = list(chunks)
                 pools.append((self.max_workers, [len(c) for c in chunks]))
-                return map(fn, chunks)
+                return map(fn, chunks, *rest)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
@@ -412,8 +415,10 @@ class TestRunExperiment:
         two_seeds = sf.validate_config(_fixedpoint_doc(seeds=[5, 6], N=3))
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
         sf.run_experiment(two_seeds, tmp_path / "two", jobs=500)
-        # jobs 1 runs in this process; a pool never outnumbers the CPUs or the seeds
-        assert pools == [(2, [3, 4]), (2, [3, 4]), (2, [1, 1])]
+        # jobs 1 runs in this process; otherwise this process runs the first chunk
+        # (3 seeds of 7, 1 of 2) and the pool one worker per other chunk, so the
+        # processes never outnumber the CPUs (2, then 64) or the seeds (7, then 2)
+        assert pools == [(1, [4]), (1, [4]), (1, [1])]
 
     def test_csv_headers_and_roundtrip(self, tmp_path):
         cfg = sf.validate_config(_fixedpoint_doc(seeds=[1, 2]))
@@ -495,6 +500,66 @@ class TestRunExperiment:
         assert block["ratio"] == pytest.approx(
             block["late_mean"] / block["early_mean"], rel=1e-12
         )
+
+
+def _reference_seed_csv(rec) -> str:
+    """A seed CSV as the per-row f-string writer wrote it before block formatting."""
+
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    n, w, k, cum, res, noise = (getattr(rec, c).tolist() for c in (
+        "n", "weight", "batch", "cum_queries", "residual", "noise_norm"))
+    dist = None if rec.dist_to_fp is None else rec.dist_to_fp.tolist()
+    lines = ["n,beta_or_alpha,k_n,cum_queries,residual,dist_to_fp,noise_norm\n"]
+    for i in range(len(n)):
+        dist_s = "" if dist is None else fmt(dist[i])
+        lines.append(f"{n[i]},{fmt(w[i])},{k[i]},{cum[i]},{fmt(res[i])},{dist_s},{fmt(noise[i])}\n")
+    return "".join(lines)
+
+
+# -0.0, the smallest and the largest subnormal, the largest finite doubles, and
+# values that need all 17 digits
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 2 / 3,
+                0.30000000000000004, 1e16 + 2, 123456789.12345679]
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+_INTS = st.sampled_from([0, 1, 2**53 + 1, 2**63 - 1]) | st.integers(0, 2**63 - 1)
+
+
+class TestSeedCsvWriter:
+    @settings(max_examples=60, deadline=None)
+    @given(floats=st.lists(_FLOATS, min_size=1, max_size=8),
+           ints=st.lists(_INTS, min_size=1, max_size=4),
+           length=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
+           first_n=st.sampled_from([0, 1]), with_dist=st.booleans(),
+           seeds=st.integers(1, 3), shared=st.booleans())
+    @example(floats=[0.1], ints=[2**63 - 1], length=(1, 0), first_n=0, with_dist=True, seeds=1,
+             shared=True)
+    def test_block_writer_matches_the_per_row_writer(self, floats, ints, length, first_n,
+                                                     with_dist, seeds, shared):
+        # lengths 0, 1, B - 1, B, B + 1 and 2B + 1 for the block size B
+        rows = length[0] * experiments._BLOCK + length[1]
+        pool, whole = np.array(floats), np.array(ints, dtype=np.int64)
+
+        def col(shift, values=pool):  # the pool, cycled from a column's own offset
+            return np.resize(np.roll(values, shift), rows)
+
+        def schedule(shift):
+            return (np.arange(first_n, first_n + rows, dtype=np.int64), col(shift),
+                    col(shift, whole), col(shift + 1, whole))
+
+        head = schedule(0)
+        records = [sf.RunRecord(*(head if shared else schedule(i)),
+                                residual=col(3 * i + 1), dist_to_fp=col(3 * i + 2) if with_dist
+                                else None, noise_norm=col(3 * i + 3), final_x=np.zeros(1))
+                   for i in range(seeds)]
+        with tempfile.TemporaryDirectory() as out:
+            experiments._write_seed_csvs(out, list(range(seeds)), records)
+            for i, rec in enumerate(records):
+                with open(os.path.join(out, f"seed_{i}.csv"), encoding="utf-8", newline="") as fh:
+                    got = fh.read().splitlines(keepends=True)
+                assert got == _reference_seed_csv(rec).splitlines(keepends=True)
 
 
 class TestEvaluateBounds:
@@ -672,6 +737,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "n = 3 exceeds 2^63 - 1" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["a file", "under a file"])
+    def test_unusable_out_exits_one_before_any_seed_runs(self, tmp_path, capsys, monkeypatch,
+                                                         where):
+        def no_runs(*args):
+            raise AssertionError("a seed ran")
+
+        monkeypatch.setattr(experiments, "adversarial_runs", no_runs)
+        path = str(REPO / "configs" / "lowerbound_km.json")
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" if where == "a file" else tmp_path / "taken" / "out"
+        code = cli_main(["lowerbound", "--config", path, "--out", str(out), "--jobs", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --out: ")
+        assert ("File exists" if where == "a file" else "Not a directory") in err
         assert "Traceback" not in err
 
     def test_failed_check_exits_three(self, tmp_path, capsys):

@@ -8,9 +8,9 @@ batch of one, i.e. one oracle query per step, no variance reduction.
 Every seed of a vector run, and of an adversarial run in lower_bound, steps
 through iterate_stack(): the seeds of a run advance together as one (B, d)
 array, and halpern_run, km_run and run_adversarial are stacks of one. The
-Q-learning runs in mdp step through iterate(), one seed at a time. Residuals
-and distances in traces are measured with the exact operator, not estimated
-from oracle output.
+Q-learning runs in mdp have their own loop, one seed at a time, on this
+module's _schedule and RunRecord. Residuals and distances in traces are
+measured with the exact operator, not estimated from oracle output.
 
 A stack owns one generator (oracles.StepGenerator). Each step computes its
 substream id once for the stack, and each row that draws re-keys the
@@ -37,7 +37,6 @@ __all__ = [
     "BatchSchedule",
     "RunRecord",
     "StackTrace",
-    "iterate",
     "iterate_stack",
     "halpern_run",
     "halpern_runs",
@@ -225,68 +224,6 @@ def _schedule(weight, size, N: int, per_query: int = 1, budget: int | None = Non
     if total > 2 ** 63 - 1:
         raise ValueError(f"cumulative query count {total} exceeds 2^63 - 1 within N = {N} steps")
     return [weight(n) for n in range(1, len(sizes) + 1)], sizes, cum
-
-
-def iterate(
-    draw: Callable,
-    measure: Callable,
-    x0: np.ndarray,
-    weight: Callable[[int], float],
-    size: Callable[[int], int],
-    N: int,
-    rng: RngStream,
-    *,
-    anchored: bool,
-    with_dist: bool,
-    per_query: int = 1,
-) -> RunRecord:
-    """The per-step loop of one Q-learning run.
-
-    Step n draws (y, aux) = draw(x^{n-1}, k_n, stream, carry) with
-    k_n = size(n), sets x^n = (1 - w_n) b + w_n y with w_n = weight(n) > 0 and
-    b = x^0 (anchored) or x^{n-1} (averaged), and traces (residual, dist,
-    noise) from (residual, dist, noise, carry) = measure(x^{n-1}, x^n, y, aux).
-    stream is the run's StepGenerator, at step n; carry is what step n-1's
-    measure returned (None at step 1), so work done to measure x^n need not
-    be redone to draw at it. A non-finite x^n, or a non-finite measured value
-    (dist may be None), aborts the run with the partial trace and x^{n-1} as
-    final iterate. cum_queries counts k_n * per_query; totals beyond
-    2^63 - 1 are rejected before step 1.
-    """
-    weights, sizes, cum = _schedule(weight, size, N, per_query)
-    residual, dist, noise = [], [], []
-
-    def record(x, reason=None) -> RunRecord:
-        steps = len(residual)
-        return RunRecord(
-            n=np.arange(1, steps + 1, dtype=np.int64),
-            weight=np.array(weights[:steps]),
-            batch=np.array(sizes[:steps], dtype=np.int64),
-            cum_queries=np.array(cum[:steps], dtype=np.int64),
-            residual=np.array(residual),
-            dist_to_fp=np.array(dist) if with_dist else None,
-            noise_norm=np.array(noise),
-            final_x=np.array(x, dtype=np.float64).reshape(-1),
-            aborted=reason is not None,
-            abort_reason=reason,
-        )
-
-    keyed = StepGenerator([rng])
-    x, carry = x0, None
-    for n in range(1, N + 1):
-        w = weights[n - 1]
-        y, aux = draw(x, sizes[n - 1], keyed.step(n), carry)
-        x_new = (1.0 - w) * (x0 if anchored else x) + w * y
-        if not np.isfinite(x_new).all():
-            return record(x, f"non-finite iterate at step {n}")
-        res, d, e, carry = measure(x, x_new, y, aux)
-        if not (math.isfinite(res) and math.isfinite(e) and (d is None or math.isfinite(d))):
-            return record(x, f"non-finite measurement at step {n}")
-        residual.append(res)
-        dist.append(d)
-        noise.append(e)
-        x = x_new
-    return record(x)
 
 
 def iterate_stack(

@@ -114,8 +114,15 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _uint64(value, path: str) -> int:
+    """An integer a Philox key word holds: 0 <= value <= 2^64 - 1."""
+    if not 0 <= _integer(value, path) < 2 ** 64:
+        raise ConfigError(f"{path}: expected an integer in 0..2^64 - 1, got {value!r}")
+    return value
+
+
 def parse_seed_spec(spec) -> list[int]:
-    """Seeds as a JSON list of ints or an inclusive range string 'A..B'."""
+    """Seeds as a JSON list of ints or an inclusive range string 'A..B', each in 0..2^64 - 1."""
     if isinstance(spec, str):
         parts = spec.split("..")
         if len(parts) != 2:
@@ -126,15 +133,13 @@ def parse_seed_spec(spec) -> list[int]:
             raise ConfigError(f"seeds: range endpoints must be integers, got {spec!r}")
         if hi < lo:
             raise ConfigError(f"seeds: empty range {spec!r}")
-        seeds = list(range(lo, hi + 1))
+        seeds = list(range(_uint64(lo, "seeds"), _uint64(hi, "seeds") + 1))
     elif isinstance(spec, list):
-        seeds = [_integer(s, "seeds[]") for s in spec]
+        seeds = [_uint64(s, "seeds[]") for s in spec]
     else:
         raise ConfigError("seeds: expected a list of integers or a range string 'A..B'")
     if not seeds:
         raise ConfigError("seeds: must be non-empty")
-    if any(s < 0 for s in seeds):
-        raise ConfigError("seeds: must be >= 0")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds: duplicates are not allowed")
     return seeds
@@ -300,7 +305,7 @@ def validate_config(doc) -> dict:
     out: dict = {"kind": kind}
     out["seeds"] = parse_seed_spec(f.take("seeds"))
     stream = f.take("stream", required=False)
-    out["stream"] = 0 if stream is None else _integer(stream, "config.stream")
+    out["stream"] = 0 if stream is None else _uint64(stream, "config.stream")
 
     if kind == "fixedpoint":
         norm_kind = _build_norm(f.take("norm"), "config.norm")
@@ -593,16 +598,33 @@ def _plan(cfg: dict) -> _Plan:
 
 
 _SEED_HEADER = "n,beta_or_alpha,k_n,cum_queries,residual,dist_to_fp,noise_norm"
-# rows of a seed CSV formatted by one %-template and written by one write
+# rows of a CSV formatted by one %-template and written by one write
 _BLOCK = 1024
+
+
+def _write_csv(path: str, header: str, row: str, columns: list):
+    """Write header and one line per index of columns, equal-length arrays or lists.
+
+    Each block of _BLOCK lines is formatted by one %-template, row repeated
+    ('%.17g' % x has the bits of f'{x:.17g}', '%d' % i of str(i)). Arrays
+    become Python numbers a block at a time, so no whole column is held as
+    objects.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for a in range(0, len(columns[0]), _BLOCK):
+            block = [c[a:a + _BLOCK] for c in columns]
+            args = [None] * (len(block) * len(block[0]))  # the block's cells, row by row
+            for j, col in enumerate(block):
+                args[j::len(block)] = col.tolist() if isinstance(col, np.ndarray) else col
+            fh.write(row * len(block[0]) % tuple(args))
 
 
 def _write_seed_csvs(out_dir, seeds: list[int], records: list):
     """Write seed_<seed>.csv of each (seed, record) of a stack.
 
     The prefix "n,weight,k_n,cum_queries," is formatted once per group of
-    records that share their schedule columns, and each block of _BLOCK rows
-    by one template ('%.17g' % x has the bits of f'{x:.17g}').
+    records that share their schedule columns.
     """
     prefixes = {}
     for seed, rec in zip(seeds, records):
@@ -611,18 +633,10 @@ def _write_seed_csvs(out_dir, seeds: list[int], records: list):
         if key not in prefixes:
             prefixes[key] = list(map("%d,%.17g,%d,%d,".__mod__,
                                      zip(*(c.tolist() for c in schedule))))
-        columns = [prefixes[key]] + [c.tolist() for c in (rec.residual, rec.dist_to_fp,
-                                                          rec.noise_norm) if c is not None]
+        columns = [prefixes[key]] + [c for c in (rec.residual, rec.dist_to_fp, rec.noise_norm)
+                                     if c is not None]
         row = "%s%.17g,,%.17g\n" if rec.dist_to_fp is None else "%s%.17g,%.17g,%.17g\n"
-        with open(os.path.join(out_dir, f"seed_{seed}.csv"), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write(_SEED_HEADER + "\n")
-            for a in range(0, len(columns[0]), _BLOCK):
-                block = [c[a:a + _BLOCK] for c in columns]
-                args = [None] * (len(block) * len(block[0]))  # the block's cells, row by row
-                for j, col in enumerate(block):
-                    args[j::len(block)] = col
-                fh.write(row * len(block[0]) % tuple(args))
+        _write_csv(os.path.join(out_dir, f"seed_{seed}.csv"), _SEED_HEADER, row, columns)
 
 
 def _mean_sem(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -658,14 +672,9 @@ def _aggregate(results: list[dict]) -> dict:
 
 
 def _write_aggregate_csv(path: str, agg: dict):
-    columns = [  # lazy, so no table of strings is held in memory
-        [""] * len(agg["n"]) if agg[name] is None
-        else map(str if name in _AGG_INTS else "%.17g".__mod__, agg[name].tolist())
-        for name in _AGG_HEADER.split(",")
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_AGG_HEADER + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+    names = _AGG_HEADER.split(",")
+    row = ",".join("" if agg[c] is None else "%d" if c in _AGG_INTS else "%.17g" for c in names)
+    _write_csv(path, _AGG_HEADER, row + "\n", [agg[c] for c in names if agg[c] is not None])
 
 
 def read_aggregate_csv(path) -> dict:
@@ -690,12 +699,10 @@ def read_aggregate_csv(path) -> dict:
 
 def _write_progress_csv(path: str, agg: dict, progs: np.ndarray, d: int):
     """Per-n progress statistics over the seeds (rows) of progs, whose integer sums are exact."""
-    columns = [agg["n"].tolist(), agg["cum_queries"].tolist(), progs.mean(axis=0).tolist(),
-               progs.min(axis=0).tolist(), progs.max(axis=0).tolist(),
-               (progs < d).mean(axis=0).tolist()]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,cum_queries,prog_mean,prog_min,prog_max,frac_prog_lt_d\n")
-        fh.writelines("%d,%d,%.17g,%d,%d,%.17g\n" % row for row in zip(*columns))
+    columns = [agg["n"], agg["cum_queries"], progs.mean(axis=0), progs.min(axis=0),
+               progs.max(axis=0), (progs < d).mean(axis=0)]
+    _write_csv(path, "n,cum_queries,prog_mean,prog_min,prog_max,frac_prog_lt_d",
+               "%d,%d,%.17g,%d,%d,%.17g\n", columns)
 
 
 # ---------------------------------------------------------------------------

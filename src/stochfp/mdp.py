@@ -3,7 +3,8 @@
 Average-reward fixed points solve Q = r + P max Q - v* (nonexpansive in the
 sup norm under the unichain assumption); discounted fixed points solve
 Q = r + gamma P max Q (a gamma-contraction). Every learning algorithm steps
-through engine.iterate with the Q-table as the iterate.
+through _q_run, one seed at a time: a step only draws and updates the
+Q-table, and each block of steps is measured at once.
 
 Sampling order is fixed: each step of all five runners draws the next-state
 counts of every (s, a) pair in one multinomial call, in row-major (s, a)
@@ -22,8 +23,8 @@ from itertools import product
 
 import numpy as np
 
-from .engine import BatchSchedule, StepSchedule, iterate
-from .oracles import RngStream
+from .engine import BatchSchedule, RunRecord, StepSchedule, _schedule
+from .oracles import RngStream, StepGenerator
 
 __all__ = [
     "MDPValidationError",
@@ -328,8 +329,7 @@ def _batch_mean_max(m: TabularMDP, maxv: np.ndarray, k: int, gen: np.random.Gene
     The row-wise vecdot keeps the bits of a per-pair counts @ maxv, which a
     2-D matmul does not.
     """
-    counts = gen.multinomial(k, m.transitions)
-    return np.vecdot(counts.astype(np.float64), maxv) / k
+    return np.vecdot(gen.multinomial(k, m.transitions), maxv) / k
 
 
 def _check_discounted(m: TabularMDP, gamma: float, q0, N: int) -> np.ndarray:
@@ -343,38 +343,85 @@ def _check_discounted(m: TabularMDP, gamma: float, q0, N: int) -> np.ndarray:
     return q0
 
 
+# The steps of a Q-learning run are measured this many at a time.
+_BLOCK = 1024
+
+
 def _q_run(m, q0, N, rng, *, target, residual, weight, size, anchored,
            scale=1.0, q_star=None):
-    """Synchronous Q-learning on engine.iterate; returns (final table, RunRecord).
+    """The loop of every synchronous Q-learning run; returns (final table, RunRecord).
 
-    Step n feeds target(Q^{n-1}, est) to the iteration, est = the k_n-sample
-    batch mean of max_a' Q^{n-1} per pair, and traces the sup norms of
-    residual(P max Q^n) - Q^n, Q^n - q_star (with q_star) and
-    scale * (est - E est). The lookahead P max Q^n measured at step n is
-    step n+1's E est, so it is carried over, not recomputed.
+    Step n re-keys the run's StepGenerator to substream(n), draws est = the
+    k_n-sample batch mean of max_a' Q^{n-1} per pair (k_n = size(n)) and
+    sets Q^n = (1 - w_n) B + w_n target(Q^{n-1}, est) with w_n = weight(n)
+    and B = Q^0 (anchored) or Q^{n-1} (averaged). A block of up to _BLOCK
+    steps keeps its est and Q^n, and is then measured in a few array
+    operations: the sup norms of scale * (est - E est), residual(P max Q^n)
+    - Q^n and, with q_star, Q^n - q_star, where E est = P max Q^{n-1} is the
+    previous row's lookahead. The stacked product is one gemv per row, so
+    every traced value has the bits of a step-by-step measurement.
+
+    A non-finite Q^n, or a non-finite measured value, aborts the run at the
+    first such step (the iterate check first at equal n) with the partial
+    trace and Q^{n-1} as final table. cum_queries counts k_n per pair;
+    totals beyond 2^63 - 1 are rejected before step 1.
     """
-    flat = _flat_transitions(m)
-
-    def lookahead(q):
-        maxv = q.max(axis=1)
-        return maxv, (flat @ maxv).reshape(q.shape)
-
-    def draw(q, k, stream, carry):
-        maxv, pm = lookahead(q) if carry is None else carry
-        est = _batch_mean_max(m, maxv, k, stream.generator())
-        return target(q, est), (est, pm)
-
-    def measure(q, q_new, _, aux):
-        est, pm = aux
-        noise = float(scale * np.abs(est - pm).max())
-        maxv_new, pm_new = lookahead(q_new)
-        res = float(np.abs(residual(pm_new) - q_new).max())
-        dist = None if q_star is None else float(np.abs(q_new - q_star).max())
-        return res, dist, noise, (maxv_new, pm_new)
-
-    rec = iterate(draw, measure, q0, weight, size, N, rng, anchored=anchored,
-                  with_dist=q_star is not None, per_query=m.num_states * m.num_actions)
-    return rec.final_x.reshape(q0.shape).copy(), rec
+    weights, sizes, cum = _schedule(weight, size, N, m.num_states * m.num_actions)
+    flat, shape = _flat_transitions(m), (-1,) + q0.shape
+    height = min(N, _BLOCK)
+    tables, ests = np.empty((height,) + q0.shape), np.empty((height,) + q0.shape)
+    traced = np.empty((2 if q_star is None else 3, N))  # noise, residual and dist of each step
+    keyed = StepGenerator([rng])
+    q, maxv = q0, q0.max(axis=1)
+    pm = (flat @ maxv).reshape(q0.shape)  # E est of the block's first step
+    steps, reason = N, None
+    for start in range(0, N, height):
+        head = q  # Q^start
+        rows = min(height, N - start)
+        if anchored:  # (1 - w_n) Q^0 of the block's steps
+            bases = (1.0 - np.array(weights[start:start + rows]))[:, None, None] * q0
+        for j in range(rows):
+            n = start + j + 1
+            w, k = weights[n - 1], sizes[n - 1]
+            est = _batch_mean_max(m, maxv, k, keyed.step(n).generator())
+            q_new = (bases[j] if anchored else (1.0 - w) * q) + w * target(q, est)
+            if not np.isfinite(q_new).all():
+                steps, reason, rows = n - 1, f"non-finite iterate at step {n}", j
+                break
+            q = tables[j] = q_new
+            ests[j] = est
+            maxv = q.max(axis=1)
+        if rows:
+            block = tables[:rows]
+            pms = (flat @ block.max(axis=2)[:, :, None])[:, :, 0].reshape(shape)
+            before = np.concatenate((pm[None], pms[:-1]))
+            measured = [scale * np.abs(ests[:rows] - before).max(axis=(1, 2)),
+                        np.abs(residual(pms) - block).max(axis=(1, 2))]
+            if q_star is not None:
+                measured.append(np.abs(block - q_star).max(axis=(1, 2)))
+            measured = np.array(measured)
+            bad = np.flatnonzero(~np.isfinite(measured).all(axis=0))
+            cut = int(bad[0]) if bad.size else rows
+            traced[:, start:start + cut] = measured[:, :cut]
+            if bad.size:
+                q = block[cut - 1] if cut else head
+                steps, reason = start + cut, f"non-finite measurement at step {start + cut + 1}"
+            pm = pms[-1]
+        if reason is not None:
+            break
+    record = RunRecord(
+        n=np.arange(1, steps + 1, dtype=np.int64),
+        weight=np.array(weights[:steps]),
+        batch=np.array(sizes[:steps], dtype=np.int64),
+        cum_queries=np.array(cum[:steps], dtype=np.int64),
+        residual=traced[1, :steps],
+        dist_to_fp=None if q_star is None else traced[2, :steps],
+        noise_norm=traced[0, :steps],
+        final_x=q.reshape(-1).copy(),
+        aborted=reason is not None,
+        abort_reason=reason,
+    )
+    return q.copy(), record
 
 
 def halpern_q_average(

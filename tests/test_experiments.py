@@ -51,7 +51,8 @@ class TestSeedSpec:
         assert parse_seed_spec([5, 1, 9]) == [5, 1, 9]
 
     def test_errors(self):
-        for bad in ("6..3", "a..b", "5", [], [1, 1], [-2], [1.5]):
+        for bad in ("6..3", "a..b", "5", [], [1, 1], [-2], [1.5], [2**64], "-1..2",
+                    f"{2**64 - 2}..{2**64}"):
             with pytest.raises(sf.ConfigError):
                 parse_seed_spec(bad)
 
@@ -755,6 +756,37 @@ class TestCli:
         assert err.startswith("config error: --out: ")
         assert ("File exists" if where == "a file" else "Not a directory") in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("field, value, blame", [
+        ("seeds", [0, 2**64], "seeds[]"),
+        ("seeds", f"{2**64 - 1}..{2**64}", "seeds"),
+        ("stream", -5, "config.stream"),
+        ("stream", 2**64, "config.stream"),
+    ])
+    def test_key_word_outside_uint64_exits_one_before_out_is_made(self, tmp_path, capsys,
+                                                                   field, value, blame, jobs):
+        # the shipped mdp_disc_target with a seed or stream no Philox key word holds
+        doc = json.loads((REPO / "configs" / "mdp_disc_target.json").read_text())
+        doc.update({"mdp": str(REPO / "configs" / "mdp_3x2.json"), field: value})
+        path = self._write(tmp_path, doc)
+        out = tmp_path / "o"
+        code = cli_main(["mdp-disc", "--config", path, "--out", str(out), "--jobs", jobs])
+        assert code == 1
+        bad = value[-1] if isinstance(value, list) else 2**64 if field == "seeds" else value
+        assert capsys.readouterr().err == (
+            f"config error: {blame}: expected an integer in 0..2^64 - 1, got {bad}\n")
+        assert not out.exists()
+
+    def test_seed_override_outside_uint64_exits_one_before_out_is_made(self, tmp_path, capsys):
+        doc = json.loads((REPO / "configs" / "mdp_disc_target.json").read_text())
+        path = self._write(tmp_path, dict(doc, mdp=str(REPO / "configs" / "mdp_3x2.json")))
+        out = tmp_path / "o"
+        code = cli_main(["mdp-disc", "--config", path, "--out", str(out), "--seeds",
+                         f"1,{2**64}"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: seeds[]: expected an integer")
+        assert not out.exists()
 
     def test_failed_check_exits_three(self, tmp_path, capsys):
         doc = _fixedpoint_doc(

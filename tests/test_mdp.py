@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochfp as sf
+from stochfp import mdp
 from stochfp.mdp import _batch_mean_max
 
 
@@ -547,6 +550,169 @@ class TestRviAndVanilla:
         assert rec.steps() == 0
         assert np.array_equal(q, q0)
         assert np.array_equal(rec.final_x, q0.ravel())  # last good table, finite
+
+
+def _ref_q_run(m, q0, N, rng, *, target, residual, weight, size, anchored, scale=1.0,
+               q_star=None):
+    """(rows of (n, w, k, cum, residual, dist, noise), final table, abort reason) of one run.
+
+    The Q-learning loop measured step by step: a fresh generator per step from
+    rng.substream(n), one multinomial call per step, each sup norm taken as
+    its step is reached, and the lookahead P max Q^n of step n reused as
+    step n+1's E est.
+    """
+    flat = m.transitions.reshape(-1, m.num_states)
+    x, maxv = q0, q0.max(axis=1)
+    pm = (flat @ maxv).reshape(q0.shape)
+    cum, rows = 0, []
+    for n in range(1, N + 1):
+        k, w = size(n), weight(n)
+        counts = rng.substream(n).generator().multinomial(k, m.transitions)
+        est = np.vecdot(counts.astype(np.float64), maxv) / k
+        x_new = (1.0 - w) * (q0 if anchored else x) + w * target(x, est)
+        if not np.isfinite(x_new).all():
+            return rows, x, f"non-finite iterate at step {n}"
+        e = float(scale * np.abs(est - pm).max())
+        maxv = x_new.max(axis=1)
+        pm = (flat @ maxv).reshape(q0.shape)
+        res = float(np.abs(residual(pm) - x_new).max())
+        d = None if q_star is None else float(np.abs(x_new - q_star).max())
+        if not (math.isfinite(res) and math.isfinite(e) and (d is None or math.isfinite(d))):
+            return rows, x, f"non-finite measurement at step {n}"
+        cum += k * q0.size
+        rows.append((n, w, k, cum, res, d, e))
+        x = x_new
+    return rows, x, None
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _assert_run_matches(run, ref):
+    (q, rec), (rows, x, reason) = run, ref
+    n, w, k, cum, res, d, e = zip(*rows) if rows else ((),) * 7
+    assert rec.n.tolist() == list(n)
+    assert _bits(rec.weight) == _bits(w)
+    assert rec.batch.tolist() == list(k) and rec.cum_queries.tolist() == list(cum)
+    assert _bits(rec.residual) == _bits(res)
+    assert _bits(rec.noise_norm) == _bits(e)
+    if rec.dist_to_fp is None:
+        assert all(v is None for v in d)
+    else:
+        assert _bits(rec.dist_to_fp) == _bits(d)
+    assert _bits(rec.final_x) == _bits(x) and _bits(q) == _bits(x) and q.shape == x.shape
+    assert rec.aborted == (reason is not None) and rec.abort_reason == reason
+
+
+def _run_both(name, m, q0, N, rng, *, gamma=0.9, f=None, a=1.0, v_star=0.5):
+    """(the runner's (table, record), the reference's) of one of the five Q-learning runners."""
+    r = m.rewards
+    halpern = sf.StepSchedule.halpern_classic().weight
+    if name in ("halpern_q_discounted", "vanilla_q_discounted"):
+        q_star = sf.solve_discounted_exact(m, gamma)
+        spec = dict(target=lambda q, est: r + gamma * est, residual=lambda pm: r + gamma * pm,
+                    scale=gamma, q_star=q_star)
+        if name == "halpern_q_discounted":
+            run = sf.halpern_q_discounted(m, gamma, q0, N, rng, q_star=q_star)
+            spec.update(weight=halpern, anchored=True,
+                        size=sf.BatchSchedule.contractive_geometric(gamma, N).size)
+        else:
+            alpha = sf.StepSchedule.km_polynomial(0.7).weight
+            run = sf.vanilla_q_discounted(m, gamma, alpha, q0, N, rng, q_star=q_star)
+            spec.update(weight=alpha, size=lambda n: 1, anchored=False)
+    else:
+        spec = dict(residual=lambda pm: (r + pm) - v_star,
+                    target=lambda q, est: r + est - f.value(q))
+        if name == "halpern_q_average":
+            run = sf.halpern_q_average(m, f, q0, N, rng, v_star=v_star)
+            spec.update(weight=halpern, size=lambda n: n ** 6, anchored=True)
+        elif name == "benchmark_q_average":
+            run = sf.benchmark_q_average(m, v_star, q0, N, rng)
+            spec.update(weight=halpern, size=lambda n: n ** 6, anchored=True,
+                        target=lambda q, est: r + est - v_star)
+        else:
+            run = sf.rvi_q_learning(m, f, a, q0, N, rng, v_star=v_star)
+            spec.update(weight=sf.StepSchedule.km_polynomial(a).weight, size=lambda n: 1,
+                        anchored=False)
+    return run, _ref_q_run(m, q0, N, rng, **spec)
+
+
+_Q_RUNNERS = ["halpern_q_discounted", "vanilla_q_discounted", "halpern_q_average",
+              "benchmark_q_average", "rvi_q_learning"]
+_EDGE_KEYS = st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _q_cases(draw):
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s_count, a_count = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    p = gen.dirichlet(np.full(s_count, draw(st.sampled_from([0.1, 1.0, 10.0]))),
+                      size=(s_count, a_count))
+    m = sf.TabularMDP(p, gen.uniform(size=(s_count, a_count)))
+    name = draw(st.sampled_from(_Q_RUNNERS))
+    # the n^6 batches of the average-reward anchored runs pass 2^63 queries near n = 500
+    blocks = [1, 2, 5, 16] + ([] if name.endswith("_average") else [mdp._BLOCK])
+    block = draw(st.sampled_from(blocks))
+    N = draw(st.sampled_from([n for n in (1, block - 1, block, block + 1, 2 * block + 3) if n]))
+    gamma = draw(st.sampled_from([0.5, 0.9, 0.99]))
+    kind = draw(st.sampled_from(["max", "min", "mean", "coordinate"]))
+    f = sf.AnchorFunction(kind, draw(st.integers(0, s_count - 1)), draw(st.integers(0, a_count - 1)))
+    q0 = gen.uniform(-1.0, 1.0, size=(s_count, a_count)) * (m.r_max / (1.0 - gamma))
+    rng = sf.RngStream(draw(_EDGE_KEYS), draw(_EDGE_KEYS))
+    kw = dict(gamma=gamma, f=f, a=draw(st.sampled_from([0.81, 0.9, 1.0])),
+              v_star=float(gen.uniform(0.0, 1.0)))
+    return name, m, q0, N, rng, block, kw
+
+
+class TestQLoop:
+    """The block-measured Q-learning loop against _ref_q_run, bit for bit."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(_q_cases())
+    def test_every_runner_matches_the_per_step_reference(self, case):
+        name, m, q0, N, rng, block, kw = case
+        with mock.patch.object(mdp, "_BLOCK", block):
+            run, ref = _run_both(name, m, q0, N, rng, **kw)
+        _assert_run_matches(run, ref)
+
+    @staticmethod
+    def _doubling(q0, N, residual_factor):
+        """Q^n = 2 Q^{n-1} on the one-state self-loop, so Q^n = 2^n Q^0 exactly."""
+        m = sf.TabularMDP(np.ones((1, 1, 1)), np.ones((1, 1)))
+        spec = dict(target=lambda q, est: 2.0 * est, residual=lambda pm: residual_factor * pm,
+                    weight=lambda n: 1.0, size=lambda n: 1, anchored=False)
+        rng = sf.RngStream(3, 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return mdp._q_run(m, q0, N, rng, **spec), _ref_q_run(m, q0, N, rng, **spec)
+
+    @pytest.mark.parametrize("step", [mdp._BLOCK + 1, mdp._BLOCK + 476, 2 * mdp._BLOCK + 3])
+    def test_non_finite_iterate_past_the_first_block(self, step):
+        # 2^n Q^0 first reaches 2^1024 at n = step; 0.5 Q^n - Q^n stays finite
+        run, ref = self._doubling(np.array([[2.0 ** (1024 - step)]]), 3 * mdp._BLOCK, 0.5)
+        assert run[1].abort_reason == f"non-finite iterate at step {step}"
+        assert run[1].steps() == step - 1 and run[0][0, 0] == 2.0 ** 1023
+        _assert_run_matches(run, ref)
+
+    @pytest.mark.parametrize("step", [mdp._BLOCK + 1, mdp._BLOCK + 476, 2 * mdp._BLOCK + 3])
+    def test_non_finite_measurement_past_the_first_block(self, step):
+        # 4 P max Q^n first overflows at n = step, two steps before the iterate does
+        run, ref = self._doubling(np.array([[2.0 ** (1022 - step)]]), 3 * mdp._BLOCK, 4.0)
+        assert run[1].abort_reason == f"non-finite measurement at step {step}"
+        assert run[1].steps() == step - 1 and run[0][0, 0] == 2.0 ** 1021
+        _assert_run_matches(run, ref)
+
+    @pytest.mark.parametrize("block", [20, 44])
+    def test_runner_aborts_past_the_first_block(self, monkeypatch, mdp_3x2, block):
+        # k_n max Q^{n-1} ~ n^5 1e300 overflows the batch sum at step 45: the
+        # third block of 20 steps, or the first step after a block of 44
+        monkeypatch.setattr(mdp, "_BLOCK", block)
+        q0 = np.full((3, 2), 1e300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            run, ref = _run_both("halpern_q_average", mdp_3x2, q0, 100, sf.RngStream(8),
+                                 f=sf.AnchorFunction("mean"))
+        assert run[1].abort_reason == "non-finite iterate at step 45"
+        _assert_run_matches(run, ref)
 
 
 class TestIterationCount:

@@ -13,9 +13,9 @@ module's _schedule and RunRecord. Residuals and distances in traces are
 measured with the exact operator, not estimated from oracle output.
 
 A stack owns one generator (oracles.StepGenerator). Each step computes its
-substream id once for the stack, and each row that draws re-keys the
-generator to the key RngStream(seed_i, stream).substream(n).generator() would
-use, so every (seed, step) draws what a fresh generator would. The exact
+substream id once for the stack, and every row draws with the key
+RngStream(seed_i, stream).substream(n).generator() would use, so every
+(seed, step) draws what a fresh generator would. The exact
 evaluation a step's residual needs, T(x^n), is carried into step n+1's draw,
 so a stack applies T once per step plus once for x^0.
 """
@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import NormKind, as_vector, last_nonzero_index, norm
-from .oracles import OracleDescriptor, RngStream, StepGenerator
+from .oracles import OracleDescriptor, ResistantBernoulli, RngStream, StepGenerator
 
 __all__ = [
     "StepSchedule",
@@ -200,7 +200,7 @@ class StackTrace(NamedTuple):
     residual: np.ndarray  # (B, steps + 1)
     dist_to_fp: np.ndarray | None  # (B, steps + 1), absent without a known x*
     noise_norm: np.ndarray  # (B, steps + 1)
-    prog: np.ndarray  # (B, steps + 1) last nonzero coordinate, as lower_bound.prog
+    prog: np.ndarray | None  # (B, steps + 1) last nonzero coordinate, as lower_bound.prog
     final_x: np.ndarray  # (B, d)
     steps: list[int]
     abort_reason: list[str | None]
@@ -248,10 +248,12 @@ def iterate_stack(
     x^{n-1} from its seed's substream(n), sets x^n = (1 - w_n) b + w_n y with
     b = x^0 (anchored) or x^{n-1} (averaged), and zeroes the coordinates of
     x^n below flush in magnitude. It records the exact residual, distance to
-    the operator's known fixed point and noise norm under norm_kind, and
-    prog(x^n). A row whose x^n, or one of whose measured values, is not
-    finite aborts at step n; the other rows carry on. A step holds a few
-    (B, d) arrays, so memory grows with the number of rows.
+    the operator's known fixed point and noise norm under norm_kind, and,
+    when the noise reads it (resistant noise reveals the coordinate past
+    it), prog(x^n); otherwise prog is None. A row whose x^n, or one of whose
+    measured values, is not finite aborts at step n; the other rows carry
+    on. A step holds a few (B, d) arrays, so memory grows with the number of
+    rows.
     """
     weights, sizes, cum = _schedule(weight, size, N, budget=budget)
     apply = o.base.apply
@@ -274,11 +276,13 @@ def iterate_stack(
     # column-major, so a step writes one contiguous column
     residual, noise = np.zeros((cols, rows)), np.zeros((cols, rows))
     dist = None if target is None else np.zeros((cols, rows))
-    prog = np.zeros((cols, rows), dtype=np.int64)
+    prog = np.zeros((cols, rows), dtype=np.int64) if isinstance(o.noise, ResistantBernoulli) else None
     residual[0] = lengths(x - tx)
     if dist is not None:
         dist[0] = lengths(x - target)
-    front = prog[0] = last_nonzero_index(x)  # of the live rows of x, for the next draw
+    front = None  # last_nonzero_index of the live rows of x, for the next draw
+    if prog is not None:
+        front = prog[0] = last_nonzero_index(x)
     final_x = x.copy()
     steps, reasons = [cols - 1] * rows, [None] * rows
     live = np.arange(rows)  # the stack's rows that have not aborted, in seed order
@@ -313,7 +317,8 @@ def iterate_stack(
         residual[n][live] = m[1]
         if dist is not None:
             dist[n][live] = m[2]
-        front = prog[n][live] = last_nonzero_index(x_new)
+        if prog is not None:
+            front = prog[n][live] = last_nonzero_index(x_new)
         x = x_new
         if not live.size:
             break
@@ -327,7 +332,7 @@ def iterate_stack(
         residual=residual.T,
         dist_to_fp=None if dist is None else dist.T,
         noise_norm=noise.T,
-        prog=prog.T,
+        prog=None if prog is None else prog.T,
         final_x=final_x,
         steps=steps,
         abort_reason=reasons,

@@ -7,21 +7,24 @@ replays are bit-identical across platforms.
 
 A stack of runs (one run per seed, every seed on the same stream) owns one
 generator (StepGenerator). At each step the stack computes the step's stream
-id once, as an int, and each row that draws re-keys the generator to the key
-RngStream(seed_i, stream).substream(n).generator() would use, with a zero
-counter and an empty buffer. So each (seed, step) draws exactly what a fresh
-generator would, at a fraction of the cost of building one, and a row that
-draws nothing does not re-key.
+id once, as an int. A row that draws through numpy re-keys the generator to
+the key RngStream(seed_i, stream).substream(n).generator() would use, with a
+zero counter and an empty buffer. Raw words for every row of a wide stack
+come at once from _philox_words, a numpy Philox4x64-10 over the rows' key
+words (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+So each (seed, step) draws exactly what a fresh generator would, at a
+fraction of the cost of building one, and a row that draws nothing does not
+re-key.
 
 Gaussian draws use a fixed inverse-transform realization: u = (r + 0.5) * 2^-53
-for a 53-bit integer r (so u is strictly inside (0, 1)), then z = ndtri(u).
+for a 53-bit integer r, then z = ndtri(u). u lies in (0, 1) except for
+r = 2^53 - 1, where r + 0.5 rounds to 2^53; that u is taken as 1 - 2^-53.
 r is the top 53 bits of a raw 64-bit Philox output, which is exactly what
 Generator.integers(0, 2^53) returns (Lemire's method on a power-of-two range
 keeps the high bits of the product and never rejects), without its per-call
-argument handling.
-scipy.special, which supplies ndtri, is most of the package's import time, so
-it is imported when the first AdditiveGaussianIID is built (or at the first
-standard_normal call), not with the package.
+argument handling. ndtri is cephes' (the one scipy.special ships), ported to
+numpy with its coefficients and operation order (see _ndtri), so the package
+needs no scipy and draws the same bits as with it.
 
 Each noise model samples for itself: batch_mean(tx, x, k, keyed, front) is,
 row by row, the mean of k queries at each row of the (B, d) stack x given
@@ -42,6 +45,7 @@ Both collapses are equalities in distribution, not approximations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +97,59 @@ def _philox_key(seed: int, stream: int) -> tuple[int, int]:
     return tuple(np.asarray([seed, stream]).astype(np.uint64).tolist())
 
 
+# A _philox_words pass costs about 200 us whatever the rows (one numpy call per
+# operation), a re-keyed numpy Philox about 3 us per row: the pass pays from
+# about 100 rows on.
+_PHILOX_VECTOR_MIN = 96
+# Philox4x64-10's multipliers and key increments (Random123's PHILOX_M4x64_*, PHILOX_W64_*)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _philox_words(k0: np.ndarray, k1: np.ndarray, count: int) -> np.ndarray:
+    """(rows, count) raw words; row i is Philox(key=[k0[i], k1[i]]).random_raw(count).
+
+    k0 and k1 are uint64 arrays of key words. A fresh Philox increments its
+    counter before its first block, so block b (b = 0, 1, ...) encrypts the
+    counter (b + 1, 0, 0, 0). Every block of every row runs at once: the pair
+    (c0, c2) that a round multiplies is one (2, rows * blocks) array, whose
+    64x64 -> 128-bit products come from 32-bit halves; c holds (c3, c1), the
+    words each product's high half meets, and key holds (k1, k0) to match.
+    """
+    rows, blocks = len(k0), -(-count // 4)
+    n = rows * blocks
+
+    def pair(first, second):
+        out = np.empty((2, n), dtype=np.uint64)
+        out[0], out[1] = first, second
+        return out
+
+    m, bump = pair(*_PHILOX_M), pair(_PHILOX_W[1], _PHILOX_W[0])
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    key = pair(np.repeat(k1, blocks), np.repeat(k0, blocks))
+    a = pair(np.tile(np.arange(1, blocks + 1, dtype=np.uint64), rows), 0)
+    c = np.zeros((2, n), dtype=np.uint64)
+    for r in range(10):
+        if r:
+            key += bump
+        a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+        t = a_lo * m_lo
+        u = a_hi * m_lo
+        u += t >> _SHIFT32
+        v = a_lo * m_hi
+        v += u & _LOW32
+        hi = a_hi * m_hi
+        hi += u >> _SHIFT32
+        hi += v >> _SHIFT32
+        hi ^= c
+        hi ^= key
+        # new c0 = hi(c2) ^ c1 ^ k0, c2 = hi(c0) ^ c3 ^ k1, c1 = lo(c2), c3 = lo(c0)
+        a, c = hi[::-1], a * m
+    return np.stack([a[0], c[1], a[1], c[0]], axis=-1).reshape(rows, 4 * blocks)[:, :count]
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A named position in the Philox key space: (seed, stream id)."""
@@ -126,17 +183,37 @@ class StepGenerator:
     zero counter and an empty buffer) and returns the shared Generator. Each
     call resets it again, so a StepGenerator must only reach code that draws
     from one row at a time. The Generator is built on the first call.
+    raw(count) gives every row's first count raw words at once.
     """
 
     def __init__(self, rngs):
-        self.seeds = [r.seed for r in rngs]
         streams = {r.stream for r in rngs}
         if len(streams) != 1:
             raise ValueError("the runs of a stack must share one stream")
+        self.seeds = [r.seed for r in rngs]
         self._root = self.stream = streams.pop()
         self._gen = None
         self._state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
                        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    @property
+    def seeds(self) -> list[int]:
+        return self._seeds
+
+    @seeds.setter
+    def seeds(self, seeds: list[int]):
+        self._seeds = seeds
+        self._seed_words = None  # built by the first keys() call
+
+    def _words(self):
+        """(seeds, seeds below 2^63, each seed's word in a pair that mixes the halves of the range)."""
+        if self._seed_words is None:
+            words = np.array(self._seeds, dtype=np.uint64)
+            # numpy warns of a word that rounds to 2^64 only if a row's key uses it
+            with np.errstate(invalid="ignore"):
+                rounded = [_philox_key(s, _TOP if s < _TOP else 0)[0] for s in self._seeds]
+            self._seed_words = words, words < _TOP, np.array(rounded, dtype=np.uint64)
+        return self._seed_words
 
     def step(self, n: int) -> "StepGenerator":
         """Select substream(n) of the run's stream for every row."""
@@ -150,28 +227,139 @@ class StepGenerator:
         self._gen.bit_generator.state = self._state
         return self._gen
 
+    def raw(self, count: int) -> np.ndarray:
+        """(rows, count): each row's first count raw Philox words at the current stream."""
+        if len(self.seeds) < _PHILOX_VECTOR_MIN:
+            return np.stack([self.generator(i).bit_generator.random_raw(count)
+                             for i in range(len(self.seeds))])
+        return _philox_words(*self.keys(), count)
 
-_ndtri = None
+    def keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's key words (_philox_key of its seed and the stream) as two uint64 arrays."""
+        words, low, rounded = self._words()
+        s = self.stream
+        mixed = low != (s < _TOP)
+        if not mixed.any():
+            return words, np.full(len(words), s, dtype=np.uint64)
+        s_rounded = _philox_key(_TOP if s < _TOP else 0, s)[1]
+        return (np.where(mixed, rounded, words),
+                np.where(mixed, np.uint64(s_rounded), np.uint64(s)))
 
 
-def _load_ndtri():
-    """scipy.special.ndtri, imported on first use."""
-    global _ndtri
-    if _ndtri is None:
-        from scipy.special import ndtri
+# cephes ndtri (as scipy.special ships it): sqrt(2 pi), exp(-2) and the
+# rational approximations for |u - 1/2| <= 1/2 - exp(-2) (P0/Q0) and for
+# z = sqrt(-2 log u) in [2, 8) (P1/Q1) and [8, 64] (P2/Q2); the Q
+# polynomials have a leading 1, which _p1evl supplies
+_S2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
-        _ndtri = ndtri
-    return _ndtri
+
+def _polevl(x, coef):
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x, coef):
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_log(v: np.ndarray) -> np.ndarray:
+    """math.log, the C library's log, of each element."""
+    return np.fromiter(map(math.log, v.tolist()), np.float64, v.size)
+
+
+def _ndtri_scalar(y0: float) -> float:
+    """cephes ndtri at y0 strictly inside (0, 1), line by line, on Python floats."""
+    upper = y0 > 1.0 - _EXP_M2
+    y = 1.0 - y0 if upper else y0
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        return (y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x = x0 - x1
+    return x if upper else -x
+
+
+# The array form costs about 80 us whatever the size, _ndtri_scalar about 1.6 us
+# per element: the array form pays from about 50 elements on.
+_NDTRI_VECTOR_MIN = 48
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """cephes ndtri at each element of u, all strictly inside (0, 1), bit for bit.
+
+    Same coefficients and operation order as cephes; the tail branch's logs
+    go through math.log, the libm log cephes calls (np.log's SIMD loop
+    differs from it in the last bit).
+    """
+    if u.size < _NDTRI_VECTOR_MIN:
+        return np.array([_ndtri_scalar(v) for v in u.ravel().tolist()]).reshape(u.shape)
+    y0 = u.ravel()
+    out = np.empty_like(y0)
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+    tail = ~central
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    far = x >= 8.0  # u below exp(-32)
+    if far.any():
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _P2) / _p1evl(zf, _Q2)
+    x = x0 - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out.reshape(u.shape)
+
+
+_U_MAX = 1.0 - 2.0 ** -53
 
 
 def _uniform_open(raw: np.ndarray) -> np.ndarray:
-    """u = (r + 0.5) * 2^-53 for r the top 53 bits of each raw Philox output (see module doc)."""
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    """u = (r + 0.5) * 2^-53 for r the top 53 bits of each raw Philox output, at most 1 - 2^-53.
+
+    Only r = 2^53 - 1 would give 1.0 (see module doc); every other r gives
+    u <= 1 - 2^-52, so the cap moves no other draw.
+    """
+    return np.minimum(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53), _U_MAX)
 
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     """Inverse-transform standard normals (fixed realization, see module doc)."""
-    return _load_ndtri()(_uniform_open(gen.bit_generator.random_raw(size)))
+    return _ndtri(_uniform_open(gen.bit_generator.random_raw(size)))
 
 
 @dataclass(frozen=True)
@@ -194,16 +382,11 @@ class AdditiveGaussianIID:
     def __post_init__(self):
         if not self.e >= 0:
             raise ValueError("per-coordinate std e must be >= 0")
-        _load_ndtri()  # before any worker pool forks, so workers inherit it
 
     def batch_mean(self, tx, x, k, keyed, front=None):
         if self.e == 0.0:
             return tx
-        rows, d = x.shape
-        raw = np.empty((rows, d), dtype=np.uint64)
-        for i in range(rows):
-            raw[i] = keyed.generator(i).bit_generator.random_raw(d)
-        z = _load_ndtri()(_uniform_open(raw))
+        z = _ndtri(_uniform_open(keyed.raw(x.shape[1])))
         return tx + self.e / np.sqrt(float(k)) * z
 
     def moments(self, tx, x, m, rng):

@@ -419,3 +419,21 @@ class TestExactEvaluations:
                                                  alpha=0.5), sf.RngStream(1))
         assert tr.steps() > 1
         assert len(calls) == tr.steps() + 1
+
+    @pytest.mark.parametrize("noise", [sf.NoNoise(), sf.AdditiveGaussianIID(0.5)])
+    def test_vector_runs_do_not_track_the_front(self, monkeypatch, noise):
+        # only resistant noise reads prog, so other stacks neither compute nor keep it
+        calls = []
+
+        def counting(x):
+            calls.append(1)
+            return sf.linalg.last_nonzero_index(x)
+
+        for module in (sf.engine, sf.oracles):
+            monkeypatch.setattr(module, "last_nonzero_index", counting)
+        o = sf.OracleDescriptor(sf.ShiftProjection(0.2, 6), noise)
+        t = sf.iterate_stack(o, np.zeros(6), sf.StepSchedule.halpern_classic().weight,
+                             sf.BatchSchedule.power(2).size, 8, sf.L1,
+                             [sf.RngStream(seed, 3) for seed in range(4)], anchored=True)
+        assert t.prog is None and t.steps == [8] * 4
+        assert calls == []

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import stochfp as sf
 from stochfp import experiments
 from stochfp.cli import main as cli_main
-from stochfp.experiments import parse_seed_spec
+from stochfp.experiments import _MAX_SEEDS, parse_seed_spec
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -46,13 +46,14 @@ class TestSeedSpec:
     def test_range_string(self):
         assert parse_seed_spec("3..6") == [3, 4, 5, 6]
         assert parse_seed_spec("7..7") == [7]
+        assert len(parse_seed_spec(f"{2**64 - _MAX_SEEDS}..{2**64 - 1}")) == _MAX_SEEDS
 
     def test_list_preserved(self):
         assert parse_seed_spec([5, 1, 9]) == [5, 1, 9]
 
     def test_errors(self):
         for bad in ("6..3", "a..b", "5", [], [1, 1], [-2], [1.5], [2**64], "-1..2",
-                    f"{2**64 - 2}..{2**64}"):
+                    f"{2**64 - 2}..{2**64}", f"0..{_MAX_SEEDS}", [0] * (_MAX_SEEDS + 1)):
             with pytest.raises(sf.ConfigError):
                 parse_seed_spec(bad)
 
@@ -776,6 +777,25 @@ class TestCli:
         bad = value[-1] if isinstance(value, list) else 2**64 if field == "seeds" else value
         assert capsys.readouterr().err == (
             f"config error: {blame}: expected an integer in 0..2^64 - 1, got {bad}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("spec, count", [
+        (f"0..{2**64 - 1}", 2**64),
+        ("0..100000000000", 100000000001),
+        (f"5..{5 + _MAX_SEEDS}", _MAX_SEEDS + 1),
+    ])
+    def test_seed_range_past_the_cap_exits_one_before_out_is_made(self, tmp_path, capsys,
+                                                                  spec, count, jobs):
+        doc = json.loads((REPO / "configs" / "mdp_disc_target.json").read_text())
+        doc.update({"mdp": str(REPO / "configs" / "mdp_3x2.json"), "seeds": spec})
+        path = self._write(tmp_path, doc)
+        out = tmp_path / "o"
+        code = cli_main(["mdp-disc", "--config", path, "--out", str(out), "--jobs", jobs])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: seeds: range {spec!r} names {count} seeds, "
+            f"more than the {_MAX_SEEDS} a run takes\n")
         assert not out.exists()
 
     def test_seed_override_outside_uint64_exits_one_before_out_is_made(self, tmp_path, capsys):

@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stochfp import oracles
 from stochfp.linalg import L1, norm, norm_equivalence_mu
 from stochfp.operators import ConstantMap, PlaneRotation, ShiftProjection
 from stochfp.oracles import (
@@ -68,6 +70,99 @@ def test_step_generator_draws_as_a_fresh_generator(seed, stream, previous):
             got = keyed.generator(0)
             assert _flat_state(got) == _flat_state(target.substream(n).generator())
             assert np.array_equal(draw(got), draw(target.substream(n).generator()))
+
+
+_EDGE_WORDS = [0, 1, 2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1025, 2**64 - 1024,
+               2**64 - 2, 2**64 - 1]
+_WORD = st.sampled_from(_EDGE_WORDS) | _U64
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seeds=st.lists(_WORD, min_size=1, max_size=6, unique=True), stream=_WORD,
+       n=st.integers(0, 3), count=st.integers(1, 13))
+@example(seeds=[5, 2**64 - 1], stream=0, n=0, count=13)
+@example(seeds=[2**63 + 1, 2**63 + 2, 3], stream=5, n=0, count=4)
+@example(seeds=[3, 2**63], stream=2**64 - 1, n=0, count=5)
+def test_philox_words_equal_random_raw(seeds, stream, n, count):
+    with warnings.catch_warnings():
+        # numpy warns when it rounds a key word to 2^64
+        warnings.simplefilter("ignore", RuntimeWarning)
+        keyed = StepGenerator([RngStream(s, stream) for s in seeds])
+        if n:
+            keyed.step(n)
+        k0, k1 = keyed.keys()
+        assert k0.dtype == k1.dtype == np.uint64
+        words = oracles._philox_words(k0, k1, count)
+        assert words.shape == (len(seeds), count) and words.dtype == np.uint64
+        assert np.array_equal(keyed.raw(count), words)  # a narrow stack re-keys numpy's Philox
+        for i, seed in enumerate(seeds):
+            # the key words the stack derives, numpy's rounding of mixed pairs included
+            fresh = RngStream(seed, keyed.stream).generator().bit_generator
+            assert [int(k0[i]), int(k1[i])] == fresh.state["state"]["key"].tolist()
+            assert np.array_equal(words[i], fresh.random_raw(count))
+            # and the cipher itself on the exact words
+            exact = np.random.Philox(key=np.array([seed, keyed.stream], dtype=np.uint64))
+            assert np.array_equal(oracles._philox_words(np.array([seed], dtype=np.uint64),
+                                                        np.array([keyed.stream], dtype=np.uint64),
+                                                        count)[0], exact.random_raw(count))
+
+
+def test_wide_stack_raw_words_equal_fresh_generators():
+    gen = np.random.default_rng(21)
+    seeds = _EDGE_WORDS + [int(v) for v in gen.integers(0, 2**64 - 1, 2 * oracles._PHILOX_VECTOR_MIN,
+                                                        dtype=np.uint64, endpoint=True)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for stream in (0, 2**63 - 1, 2**64 - 1):
+            keyed = StepGenerator([RngStream(s, stream) for s in seeds])
+            for n, count in ((0, 10), (1, 13), (2, 1), (3, 4)):
+                if n == 2:  # rows leave the stack, as aborted seeds do
+                    keyed.seeds = keyed.seeds[1::2]
+                if n:
+                    keyed.step(n)
+                assert len(keyed.seeds) >= oracles._PHILOX_VECTOR_MIN
+                expected = [RngStream(s, keyed.stream).generator().bit_generator.random_raw(count)
+                            for s in keyed.seeds]
+                assert np.array_equal(keyed.raw(count), np.array(expected))
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+def test_ndtri_matches_scipy_bit_for_bit():
+    words = (np.array([0, 1, 2**53 - 2, 2**53 - 1], dtype=np.uint64) << np.uint64(11))
+    u = [oracles._uniform_open(words)]
+    for edge in (math.exp(-2), 1.0 - math.exp(-2), math.exp(-32), oracles._EXP_M2,
+                 1.0 - oracles._EXP_M2):
+        # both sides of each branch switch; x = 8 is u = exp(-32)
+        steps = np.arange(-64, 65)
+        u.append(edge + steps * np.spacing(edge))
+    x = 8.0 + np.arange(-64, 65) * np.spacing(8.0)
+    u.append(np.exp(-x * x / 2.0))
+    raw = np.random.Philox(key=np.array([11, 12], dtype=np.uint64)).random_raw(1_000_000)
+    u.append(oracles._uniform_open(raw))
+    u = np.concatenate(u)
+    assert ((u > 0.0) & (u < 1.0)).all()
+    expected = scipy.special.ndtri(u)
+    assert _same_bits(oracles._ndtri(u), expected)
+    # the per-element form that small arrays take
+    edges = u[:-1_000_000]
+    assert _same_bits([oracles._ndtri_scalar(v) for v in edges.tolist()], expected[:edges.size])
+    for size in (1, oracles._NDTRI_VECTOR_MIN - 1, oracles._NDTRI_VECTOR_MIN):
+        assert _same_bits(oracles._ndtri(edges[:size]), expected[:size])
+    assert _same_bits(oracles._ndtri(u[:12].reshape(3, 4)), expected[:12].reshape(3, 4))
+
+
+def test_uniform_endpoint_stays_below_one():
+    top = np.uint64(2**53 - 1) << np.uint64(11)
+    raw = np.array([top, top | np.uint64(2**11 - 1), np.uint64(2**53 - 2) << np.uint64(11), 0],
+                   dtype=np.uint64)
+    u = oracles._uniform_open(raw)
+    assert u.tolist() == [1.0 - 2.0**-53, 1.0 - 2.0**-53, 1.0 - 2.0**-52, 2.0**-54]
+    z = oracles._ndtri(u)
+    assert np.isfinite(z).all() and z[0] > z[2] > 8.0
+    assert _same_bits(z, scipy.special.ndtri(u))
 
 
 def test_step_generator_stack_shares_one_stream():

@@ -276,7 +276,8 @@ def iterate_stack(
     # column-major, so a step writes one contiguous column
     residual, noise = np.zeros((cols, rows)), np.zeros((cols, rows))
     dist = None if target is None else np.zeros((cols, rows))
-    prog = np.zeros((cols, rows), dtype=np.int64) if isinstance(o.noise, ResistantBernoulli) else None
+    reads_front = isinstance(o.noise, ResistantBernoulli)
+    prog = np.zeros((cols, rows), dtype=np.int64) if reads_front else None
     residual[0] = lengths(x - tx)
     if dist is not None:
         dist[0] = lengths(x - target)

@@ -206,7 +206,11 @@ class StepGenerator:
         self._seed_words = None  # built by the first keys() call
 
     def _words(self):
-        """(seeds, seeds below 2^63, each seed's word in a pair that mixes the halves of the range)."""
+        """Seeds as uint64, their mask below 2^63, and their words in pairs mixing the halves.
+
+        A pair [seed, stream] mixes the halves of the range when one word is
+        below 2^63 and the other is not; see _philox_key.
+        """
         if self._seed_words is None:
             words = np.array(self._seeds, dtype=np.uint64)
             # numpy warns of a word that rounds to 2^64 only if a row's key uses it

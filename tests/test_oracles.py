@@ -109,8 +109,9 @@ def test_philox_words_equal_random_raw(seeds, stream, n, count):
 
 def test_wide_stack_raw_words_equal_fresh_generators():
     gen = np.random.default_rng(21)
-    seeds = _EDGE_WORDS + [int(v) for v in gen.integers(0, 2**64 - 1, 2 * oracles._PHILOX_VECTOR_MIN,
-                                                        dtype=np.uint64, endpoint=True)]
+    wide = 2 * oracles._PHILOX_VECTOR_MIN
+    seeds = _EDGE_WORDS + [int(v) for v in gen.integers(0, 2**64 - 1, wide, dtype=np.uint64,
+                                                        endpoint=True)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         for stream in (0, 2**63 - 1, 2**64 - 1):

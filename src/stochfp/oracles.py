@@ -9,12 +9,11 @@ A stack of runs (one run per seed, every seed on the same stream) owns one
 generator (StepGenerator). At each step the stack computes the step's stream
 id once, as an int. A row that draws through numpy re-keys the generator to
 the key RngStream(seed_i, stream).substream(n).generator() would use, with a
-zero counter and an empty buffer. Raw words for every row of a wide stack
-come at once from _philox_words, a numpy Philox4x64-10 over the rows' key
-words (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
-So each (seed, step) draws exactly what a fresh generator would, at a
-fraction of the cost of building one, and a row that draws nothing does not
-re-key.
+zero counter and an empty buffer. Raw words for every row of a stack come at
+once from _philox_words, a numpy Philox4x64-10 over the rows' key words
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). So
+each (seed, step) draws exactly what a fresh generator would, at a fraction
+of the cost of building one, and a row that draws nothing does not re-key.
 
 Gaussian draws use a fixed inverse-transform realization: u = (r + 0.5) * 2^-53
 for a 53-bit integer r, then z = ndtri(u). u lies in (0, 1) except for
@@ -97,10 +96,6 @@ def _philox_key(seed: int, stream: int) -> tuple[int, int]:
     return tuple(np.asarray([seed, stream]).astype(np.uint64).tolist())
 
 
-# A _philox_words pass costs about 200 us whatever the rows (one numpy call per
-# operation), a re-keyed numpy Philox about 3 us per row: the pass pays from
-# about 100 rows on.
-_PHILOX_VECTOR_MIN = 96
 # Philox4x64-10's multipliers and key increments (Random123's PHILOX_M4x64_*, PHILOX_W64_*)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
@@ -203,21 +198,8 @@ class StepGenerator:
     @seeds.setter
     def seeds(self, seeds: list[int]):
         self._seeds = seeds
-        self._seed_words = None  # built by the first keys() call
-
-    def _words(self):
-        """Seeds as uint64, their mask below 2^63, and their words in pairs mixing the halves.
-
-        A pair [seed, stream] mixes the halves of the range when one word is
-        below 2^63 and the other is not; see _philox_key.
-        """
-        if self._seed_words is None:
-            words = np.array(self._seeds, dtype=np.uint64)
-            # numpy warns of a word that rounds to 2^64 only if a row's key uses it
-            with np.errstate(invalid="ignore"):
-                rounded = [_philox_key(s, _TOP if s < _TOP else 0)[0] for s in self._seeds]
-            self._seed_words = words, words < _TOP, np.array(rounded, dtype=np.uint64)
-        return self._seed_words
+        self._seed_words = self._seed_low = None  # built by the first keys() call
+        self._mixed_words = {}  # keys()' seed words, by whether the stream is below 2^63
 
     def step(self, n: int) -> "StepGenerator":
         """Select substream(n) of the run's stream for every row."""
@@ -233,21 +215,34 @@ class StepGenerator:
 
     def raw(self, count: int) -> np.ndarray:
         """(rows, count): each row's first count raw Philox words at the current stream."""
-        if len(self.seeds) < _PHILOX_VECTOR_MIN:
-            return np.stack([self.generator(i).bit_generator.random_raw(count)
-                             for i in range(len(self.seeds))])
         return _philox_words(*self.keys(), count)
 
     def keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's key words (_philox_key of its seed and the stream) as two uint64 arrays."""
-        words, low, rounded = self._words()
+        """Every row's key words (_philox_key of its seed and the stream) as two uint64 arrays.
+
+        A pair [seed, stream] mixes the halves of the range when one word is
+        below 2^63 and the other is not (see _philox_key). The seed words of
+        such rows are rounded on the first step that keys them with a stream
+        in that half, so numpy warns of a word that rounds to 2^64 when, and
+        only when, a row's key uses it (once per stack and half, where a fresh
+        generator warns at each step).
+        """
+        if self._seed_words is None:
+            self._seed_words = np.array(self._seeds, dtype=np.uint64)
+            self._seed_low = self._seed_words < _TOP
         s = self.stream
-        mixed = low != (s < _TOP)
+        s_low = s < _TOP
+        mixed = self._seed_low != s_low
         if not mixed.any():
-            return words, np.full(len(words), s, dtype=np.uint64)
-        s_rounded = _philox_key(_TOP if s < _TOP else 0, s)[1]
-        return (np.where(mixed, rounded, words),
-                np.where(mixed, np.uint64(s_rounded), np.uint64(s)))
+            return self._seed_words, np.full(len(self._seeds), s, dtype=np.uint64)
+        k0 = self._mixed_words.get(s_low)
+        if k0 is None:
+            k0 = self._seed_words.copy()
+            k0[mixed] = np.array([_philox_key(self._seeds[i], s)[0]
+                                  for i in np.flatnonzero(mixed).tolist()], dtype=np.uint64)
+            self._mixed_words[s_low] = k0
+        s_rounded = _philox_key(_TOP if s_low else 0, s)[1]
+        return k0, np.where(mixed, np.uint64(s_rounded), np.uint64(s))
 
 
 # cephes ndtri (as scipy.special ships it): sqrt(2 pi), exp(-2) and the
@@ -294,30 +289,6 @@ def _libm_log(v: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, v.tolist()), np.float64, v.size)
 
 
-def _ndtri_scalar(y0: float) -> float:
-    """cephes ndtri at y0 strictly inside (0, 1), line by line, on Python floats."""
-    upper = y0 > 1.0 - _EXP_M2
-    y = 1.0 - y0 if upper else y0
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        return (y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
-    else:
-        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
-    x = x0 - x1
-    return x if upper else -x
-
-
-# The array form costs about 80 us whatever the size, _ndtri_scalar about 1.6 us
-# per element: the array form pays from about 50 elements on.
-_NDTRI_VECTOR_MIN = 48
-
-
 def _ndtri(u: np.ndarray) -> np.ndarray:
     """cephes ndtri at each element of u, all strictly inside (0, 1), bit for bit.
 
@@ -325,8 +296,6 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     go through math.log, the libm log cephes calls (np.log's SIMD loop
     differs from it in the last bit).
     """
-    if u.size < _NDTRI_VECTOR_MIN:
-        return np.array([_ndtri_scalar(v) for v in u.ravel().tolist()]).reshape(u.shape)
     y0 = u.ravel()
     out = np.empty_like(y0)
     upper = y0 > 1.0 - _EXP_M2

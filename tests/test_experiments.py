@@ -53,7 +53,7 @@ class TestSeedSpec:
 
     def test_errors(self):
         for bad in ("6..3", "a..b", "5", [], [1, 1], [-2], [1.5], [2**64], "-1..2",
-                    f"{2**64 - 2}..{2**64}", f"0..{_MAX_SEEDS}", [0] * (_MAX_SEEDS + 1)):
+                    f"{2**64 - 2}..{2**64}", f"0..{_MAX_SEEDS}"):
             with pytest.raises(sf.ConfigError):
                 parse_seed_spec(bad)
 
@@ -795,7 +795,7 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err == (
             f"config error: seeds: range {spec!r} names {count} seeds, "
-            f"more than the {_MAX_SEEDS} a run takes\n")
+            f"more than the {_MAX_SEEDS} a range may name\n")
         assert not out.exists()
 
     def test_seed_override_outside_uint64_exits_one_before_out_is_made(self, tmp_path, capsys):

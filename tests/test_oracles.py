@@ -94,7 +94,7 @@ def test_philox_words_equal_random_raw(seeds, stream, n, count):
         assert k0.dtype == k1.dtype == np.uint64
         words = oracles._philox_words(k0, k1, count)
         assert words.shape == (len(seeds), count) and words.dtype == np.uint64
-        assert np.array_equal(keyed.raw(count), words)  # a narrow stack re-keys numpy's Philox
+        assert np.array_equal(keyed.raw(count), words)
         for i, seed in enumerate(seeds):
             # the key words the stack derives, numpy's rounding of mixed pairs included
             fresh = RngStream(seed, keyed.stream).generator().bit_generator
@@ -109,8 +109,7 @@ def test_philox_words_equal_random_raw(seeds, stream, n, count):
 
 def test_wide_stack_raw_words_equal_fresh_generators():
     gen = np.random.default_rng(21)
-    wide = 2 * oracles._PHILOX_VECTOR_MIN
-    seeds = _EDGE_WORDS + [int(v) for v in gen.integers(0, 2**64 - 1, wide, dtype=np.uint64,
+    seeds = _EDGE_WORDS + [int(v) for v in gen.integers(0, 2**64 - 1, 192, dtype=np.uint64,
                                                         endpoint=True)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -121,10 +120,29 @@ def test_wide_stack_raw_words_equal_fresh_generators():
                     keyed.seeds = keyed.seeds[1::2]
                 if n:
                     keyed.step(n)
-                assert len(keyed.seeds) >= oracles._PHILOX_VECTOR_MIN
                 expected = [RngStream(s, keyed.stream).generator().bit_generator.random_raw(count)
                             for s in keyed.seeds]
                 assert np.array_equal(keyed.raw(count), np.array(expected))
+
+
+@pytest.mark.parametrize("width", [2, 200])
+def test_key_word_rounding_to_two_to_the_64_warns_only_when_a_key_uses_it(width):
+    # 2^64 - 1 rounds to 2^64 in a pair with a stream below 2^63, not with one above
+    seeds = [2**64 - 1] + list(range(1, width))
+    keyed = StepGenerator([RngStream(s, 2**63) for s in seeds])
+    low = next(n for n in range(1, 64) if oracles._child(2**63, n) < 2**63)
+    high = next(n for n in range(1, 64) if 2**63 <= oracles._child(2**63, n) < 2**64 - 2**11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        keyed.raw(3)
+        keyed.step(high).raw(3)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
+        words = keyed.step(low).raw(3)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
+        fresh = RngStream(seeds[0], keyed.stream).generator().bit_generator.random_raw(3)
+    assert np.array_equal(words[0], fresh)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
+        keyed.generator(0)  # the per-row re-key that resistant noise takes
 
 
 def _same_bits(a, b):
@@ -147,11 +165,8 @@ def test_ndtri_matches_scipy_bit_for_bit():
     assert ((u > 0.0) & (u < 1.0)).all()
     expected = scipy.special.ndtri(u)
     assert _same_bits(oracles._ndtri(u), expected)
-    # the per-element form that small arrays take
-    edges = u[:-1_000_000]
-    assert _same_bits([oracles._ndtri_scalar(v) for v in edges.tolist()], expected[:edges.size])
-    for size in (1, oracles._NDTRI_VECTOR_MIN - 1, oracles._NDTRI_VECTOR_MIN):
-        assert _same_bits(oracles._ndtri(edges[:size]), expected[:size])
+    for size in (0, 1, 10):  # as a small stack draws
+        assert _same_bits(oracles._ndtri(u[:size]), expected[:size])
     assert _same_bits(oracles._ndtri(u[:12].reshape(3, 4)), expected[:12].reshape(3, 4))
 
 

@@ -7,9 +7,7 @@ RngStream(seed, stream).substream(n), numpy's own norms, and
 Generator.integers for the Gaussian bits.
 """
 
-import contextlib
 import math
-from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -163,20 +161,13 @@ def _oracles(draw):
     return sf.OracleDescriptor(op, draw(st.sampled_from(noises))), x0
 
 
-def _wide(on: bool):
-    """Take the array paths of the Gaussian draw (_philox_words, the array _ndtri) at any size."""
-    if not on:
-        return contextlib.nullcontext()
-    return mock.patch.multiple(sf.oracles, _PHILOX_VECTOR_MIN=1, _NDTRI_VECTOR_MIN=1)
-
-
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(oracle=_oracles(), norm=_NORMS, seeds=_SEEDS, stream=_STREAMS, N=st.integers(1, 8),
-       method=st.sampled_from(["halpern-constant", "halpern-power", "km"]), wide=st.booleans())
-def test_stacked_vector_rows_equal_per_seed_runs(oracle, norm, seeds, stream, N, method, wide):
+       method=st.sampled_from(["halpern-constant", "halpern-power", "km"]))
+def test_stacked_vector_rows_equal_per_seed_runs(oracle, norm, seeds, stream, N, method):
     o, x0 = oracle
     rngs = [sf.RngStream(s, stream) for s in seeds]
-    with np.errstate(all="ignore"), _wide(wide):
+    with np.errstate(all="ignore"):
         if method == "km":
             steps = sf.StepSchedule.km_constant(0.5)
             records = sf.km_runs(o, x0, steps, N, norm, rngs)
@@ -226,13 +217,11 @@ def test_an_aborting_seed_leaves_the_rest_of_its_stack_running():
     steps, batches = sf.StepSchedule.halpern_classic(), sf.BatchSchedule.constant(1)
     rngs = [sf.RngStream(s, 0) for s in range(1, 8)]
     with np.errstate(all="ignore"):
+        records = sf.halpern_runs(o, x0, steps, batches, 6, sf.L1, rngs)
         refs = [_ref_vector_run(o, x0, steps.weight, batches.size, 6, sf.L1, r, True)
                 for r in rngs]
-        for wide in (False, True):
-            with _wide(wide):
-                records = sf.halpern_runs(o, x0, steps, batches, 6, sf.L1, rngs)
-            assert [r.steps() for r in records] == [6, 6, 6, 6, 6, 2, 6]
-            assert records[5].abort_reason == "non-finite iterate at step 3"
-            for rec, ref in zip(records, refs):
-                _assert_record_matches(rec, ref)
+    assert [r.steps() for r in records] == [6, 6, 6, 6, 6, 2, 6]
+    assert records[5].abort_reason == "non-finite iterate at step 3"
+    for rec, ref in zip(records, refs):
+        _assert_record_matches(rec, ref)
 

@@ -12,12 +12,14 @@ Q-learning runs in mdp have their own loop, one seed at a time, on this
 module's _schedule and RunRecord. Residuals and distances in traces are
 measured with the exact operator, not estimated from oracle output.
 
-A stack owns one generator (oracles.StepGenerator). Each step computes its
-substream id once for the stack, and every row draws with the key
-RngStream(seed_i, stream).substream(n).generator() would use, so every
-(seed, step) draws what a fresh generator would. The exact
-evaluation a step's residual needs, T(x^n), is carried into step n+1's draw,
-so a stack applies T once per step plus once for x^0.
+A stack owns one generator (oracles.StepGenerator), which knows the run's
+horizon. Each step computes its substream id once for the stack, and every
+row draws with the key RngStream(seed_i, stream).substream(n).generator()
+would use, so every (seed, step) draws what a fresh generator would. The raw
+words of Gaussian and resistant draws come a block of upcoming steps per
+pass; they do not depend on the iterate. The exact evaluation a step's
+residual needs, T(x^n), is carried into step n+1's draw, so a stack applies
+T once per step plus once for x^0.
 """
 
 from __future__ import annotations
@@ -259,7 +261,7 @@ def iterate_stack(
     apply = o.base.apply
     target = o.base.fixed_point_info().point
     seeds = [r.seed for r in rngs]
-    keyed = StepGenerator(rngs)
+    keyed = StepGenerator(rngs, len(sizes))
     rows, cols = len(rngs), len(sizes) + 1
 
     def lengths(v):

@@ -7,13 +7,21 @@ replays are bit-identical across platforms.
 
 A stack of runs (one run per seed, every seed on the same stream) owns one
 generator (StepGenerator). At each step the stack computes the step's stream
-id once, as an int. A row that draws through numpy re-keys the generator to
-the key RngStream(seed_i, stream).substream(n).generator() would use, with a
-zero counter and an empty buffer. Raw words for every row of a stack come at
-once from _philox_words, a numpy Philox4x64-10 over the rows' key words
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11). So
-each (seed, step) draws exactly what a fresh generator would, at a fraction
-of the cost of building one, and a row that draws nothing does not re-key.
+id once, as an int. Raw words for every row of a stack come at once from
+_philox_words, a numpy Philox4x64-10 over the rows' key words (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), each row keyed
+as RngStream(seed_i, stream).substream(n).generator() would be. They do not
+depend on the iterate, so a run that knows its horizon draws them for a
+block of upcoming steps per pass. A draw that needs numpy's own sampler
+re-keys one shared Generator to that row's key, with a zero counter and an
+empty buffer. So each (seed, step) draws exactly what a fresh generator
+would, at a fraction of the cost of building one.
+
+Resistant draws replay numpy's Generator.binomial on those words: while
+min(p, 1 - p) k <= 30 numpy inverts the CDF from one word, and _binomial
+does the same for every drawing row at once with numpy's operation order.
+Only numpy's BTPE regime (min(p, 1 - p) k > 30) and the rare inversion that
+runs past its bound and restarts on the next word re-key per row.
 
 Gaussian draws use a fixed inverse-transform realization: u = (r + 0.5) * 2^-53
 for a 53-bit integer r, then z = ndtri(u). u lies in (0, 1) except for
@@ -44,6 +52,7 @@ Both collapses are equalities in distribution, not approximations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,17 +113,18 @@ _SHIFT32 = np.uint64(32)
 
 
 def _philox_words(k0: np.ndarray, k1: np.ndarray, count: int) -> np.ndarray:
-    """(rows, count) raw words; row i is Philox(key=[k0[i], k1[i]]).random_raw(count).
+    """Raw words of Philox(key=[k0, k1]).random_raw(count) for each pair of key words.
 
-    k0 and k1 are uint64 arrays of key words. A fresh Philox increments its
-    counter before its first block, so block b (b = 0, 1, ...) encrypts the
-    counter (b + 1, 0, 0, 0). Every block of every row runs at once: the pair
-    (c0, c2) that a round multiplies is one (2, rows * blocks) array, whose
+    k0 and k1 are uint64 arrays of key words, of one shape S; the result has
+    shape S + (count,). A fresh Philox increments its counter before its
+    first block, so block b (b = 0, 1, ...) encrypts the counter
+    (b + 1, 0, 0, 0). Every block of every key runs at once: the pair
+    (c0, c2) that a round multiplies is one (2, keys * blocks) array, whose
     64x64 -> 128-bit products come from 32-bit halves; c holds (c3, c1), the
     words each product's high half meets, and key holds (k1, k0) to match.
     """
-    rows, blocks = len(k0), -(-count // 4)
-    n = rows * blocks
+    blocks = -(-count // 4)
+    n = k0.size * blocks
 
     def pair(first, second):
         out = np.empty((2, n), dtype=np.uint64)
@@ -124,7 +134,7 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, count: int) -> np.ndarray:
     m, bump = pair(*_PHILOX_M), pair(_PHILOX_W[1], _PHILOX_W[0])
     m_lo, m_hi = m & _LOW32, m >> _SHIFT32
     key = pair(np.repeat(k1, blocks), np.repeat(k0, blocks))
-    a = pair(np.tile(np.arange(1, blocks + 1, dtype=np.uint64), rows), 0)
+    a = pair(np.tile(np.arange(1, blocks + 1, dtype=np.uint64), k0.size) if blocks > 1 else 1, 0)
     c = np.zeros((2, n), dtype=np.uint64)
     for r in range(10):
         if r:
@@ -142,7 +152,11 @@ def _philox_words(k0: np.ndarray, k1: np.ndarray, count: int) -> np.ndarray:
         hi ^= key
         # new c0 = hi(c2) ^ c1 ^ k0, c2 = hi(c0) ^ c3 ^ k1, c1 = lo(c2), c3 = lo(c0)
         a, c = hi[::-1], a * m
-    return np.stack([a[0], c[1], a[1], c[0]], axis=-1).reshape(rows, 4 * blocks)[:, :count]
+    width = min(count, 4)
+    words = np.empty((n, width), dtype=np.uint64)
+    for i, w in enumerate((a[0], c[1], a[1], c[0])[:width]):
+        words[:, i] = w
+    return words.reshape(k0.shape + (blocks * width,))[..., :count]
 
 
 @dataclass(frozen=True)
@@ -168,25 +182,46 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=[self.seed, self.stream]))
 
 
+# A run with a horizon draws its raw words for as many upcoming steps as fit
+# in one _philox_words pass of at most this many words (one step at least).
+_PASS_WORDS = 1 << 14
+
+
 class StepGenerator:
     """One Philox generator shared by a stack of runs on one stream.
 
     seeds holds the seed of each row; stream is the id the rows draw from,
-    the run's stream until step(n) selects its substream(n). generator(i)
-    resets the shared Philox to RngStream(seeds[i], stream).generator()'s
-    state (the same key, numpy's conversion of [seed, stream] included, a
-    zero counter and an empty buffer) and returns the shared Generator. Each
-    call resets it again, so a StepGenerator must only reach code that draws
-    from one row at a time. The Generator is built on the first call.
-    raw(count) gives every row's first count raw words at once.
+    the run's stream until step(n) selects its substream(n). steps is the
+    run's horizon, the last step it selects (0 if it is not known).
+
+    raw(count) gives every row's first count raw words at the current
+    stream, what RngStream(seeds[i], stream).generator() would give. Raw
+    words do not depend on the iterate, so at a step n within the horizon
+    one _philox_words pass draws them for steps n, n + 1, ... as long as the
+    pass stays within _PASS_WORDS words, and the later steps of that block
+    are served from it. A change of seeds (a row that aborted) or of count
+    drops the block; a step outside it starts a new one, and the run's own
+    stream (no step(n) yet) is drawn alone. numpy's warning for a key word
+    that rounds to 2^64 (see _keys) therefore comes when the block holding
+    the first step whose key uses that word is drawn, up to a block's
+    length before that step.
+
+    generator(i) resets the shared Philox to RngStream(seeds[i],
+    stream).generator()'s state (the same key, numpy's conversion of
+    [seed, stream] included, a zero counter and an empty buffer) and
+    returns the shared Generator. Each call resets it again, so a
+    StepGenerator must only reach code that draws from one row at a time.
+    The Generator is built on the first call.
     """
 
-    def __init__(self, rngs):
+    def __init__(self, rngs, steps: int = 0):
         streams = {r.stream for r in rngs}
         if len(streams) != 1:
             raise ValueError("the runs of a stack must share one stream")
         self.seeds = [r.seed for r in rngs]
         self._root = self.stream = streams.pop()
+        self._steps = steps
+        self._n = None  # the step selected, None for the run's own stream
         self._gen = None
         self._state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
                        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -198,12 +233,14 @@ class StepGenerator:
     @seeds.setter
     def seeds(self, seeds: list[int]):
         self._seeds = seeds
-        self._seed_words = self._seed_low = None  # built by the first keys() call
-        self._mixed_words = {}  # keys()' seed words, by whether the stream is below 2^63
+        self._seed_words = self._seed_low = None  # built by the first _keys() call
+        self._mixed_words = {}  # _seed_key_words(), by whether the stream is below 2^63
+        self._block = None  # (first step, (steps, rows, count) raw words)
 
     def step(self, n: int) -> "StepGenerator":
         """Select substream(n) of the run's stream for every row."""
         self.stream = _child(self._root, n)
+        self._n = n
         return self
 
     def generator(self, row: int = 0) -> np.random.Generator:
@@ -215,34 +252,57 @@ class StepGenerator:
 
     def raw(self, count: int) -> np.ndarray:
         """(rows, count): each row's first count raw Philox words at the current stream."""
-        return _philox_words(*self.keys(), count)
+        n, block = self._n, self._block
+        if n is None:  # the run's own stream, in no block
+            return _philox_words(*self._keys([self.stream]), count)[0]
+        if block is None or block[1].shape[2] != count or not 0 <= n - block[0] < len(block[1]):
+            fit = _PASS_WORDS // max(1, len(self._seeds) * 4 * -(-count // 4))
+            later = range(n + 1, min(self._steps, n + fit - 1) + 1)
+            streams = [self.stream] + [_child(self._root, m) for m in later]
+            block = self._block = n, _philox_words(*self._keys(streams), count)
+        return block[1][n - block[0]]
 
     def keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's key words (_philox_key of its seed and the stream) as two uint64 arrays.
+        """Every row's key words (_philox_key of its seed and the stream) as two uint64 arrays."""
+        k0, k1 = self._keys([self.stream])
+        return k0[0], k1[0]
+
+    def _keys(self, streams: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """(steps, rows) key words, _philox_key of each row's seed and each of streams.
 
         A pair [seed, stream] mixes the halves of the range when one word is
         below 2^63 and the other is not (see _philox_key). The seed words of
-        such rows are rounded on the first step that keys them with a stream
-        in that half, so numpy warns of a word that rounds to 2^64 when, and
-        only when, a row's key uses it (once per stack and half, where a fresh
+        such rows are rounded by the first call that keys them with a stream
+        in that half, so numpy warns of a word that rounds to 2^64 when a
+        key of the call uses it (once per stack and half, where a fresh
         generator warns at each step).
         """
         if self._seed_words is None:
             self._seed_words = np.array(self._seeds, dtype=np.uint64)
             self._seed_low = self._seed_words < _TOP
-        s = self.stream
+        s = np.array(streams, dtype=np.uint64)[:, None]
         s_low = s < _TOP
         mixed = self._seed_low != s_low
         if not mixed.any():
-            return self._seed_words, np.full(len(self._seeds), s, dtype=np.uint64)
-        k0 = self._mixed_words.get(s_low)
+            k0, k1 = np.empty((2,) + mixed.shape, dtype=np.uint64)
+            k0[:], k1[:] = self._seed_words, s
+            return k0, k1
+        halves = {low: self._seed_key_words(low) for low in set(s_low[:, 0].tolist())}
+        rounded = [_philox_key(_TOP if v < _TOP else 0, v)[1] if r else v
+                   for v, r in zip(streams, mixed.any(axis=1).tolist())]
+        return (np.where(s_low, halves.get(True, 0), halves.get(False, 0)),
+                np.where(mixed, np.array(rounded, dtype=np.uint64)[:, None], s))
+
+    def _seed_key_words(self, low: bool) -> np.ndarray:
+        """Every row's first key word with a stream below 2^63 (low) or not."""
+        k0 = self._mixed_words.get(low)
         if k0 is None:
             k0 = self._seed_words.copy()
-            k0[mixed] = np.array([_philox_key(self._seeds[i], s)[0]
+            mixed = self._seed_low != low
+            k0[mixed] = np.array([_philox_key(self._seeds[i], 0 if low else _TOP)[0]
                                   for i in np.flatnonzero(mixed).tolist()], dtype=np.uint64)
-            self._mixed_words[s_low] = k0
-        s_rounded = _philox_key(_TOP if s_low else 0, s)[1]
-        return k0, np.where(mixed, np.uint64(s_rounded), np.uint64(s))
+            self._mixed_words[low] = k0
+        return k0
 
 
 # cephes ndtri (as scipy.special ships it): sqrt(2 pi), exp(-2) and the
@@ -335,6 +395,64 @@ def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     return _ndtri(_uniform_open(gen.bit_generator.random_raw(size)))
 
 
+@functools.lru_cache(maxsize=256)
+def _inversion_table(k: int, p: float) -> tuple[float, ...]:
+    """px_0, ..., px_bound of numpy's binomial inversion of k trials at p <= 1/2.
+
+    As random_binomial_inversion computes them: px_0 = exp(k log1p(-p)),
+    px_X = ((k - X + 1) p px_{X-1}) / (X q) with q = 1 - p, and
+    bound = int(min(k, k p + 10 sqrt(k p q + 1))).
+    """
+    q = 1.0 - p
+    kp = k * p
+    bound = int(min(float(k), kp + 10.0 * math.sqrt(kp * q + 1)))
+    px = [math.exp(k * math.log1p(-p))]
+    for x in range(1, bound + 1):
+        px.append(((k - x + 1) * p * px[-1]) / (x * q))
+    return tuple(px)
+
+
+def _inversion_count(u: float, table: tuple[float, ...]) -> int:
+    """The X numpy's inversion reaches at uniform u; len(table) when it restarts."""
+    for x, px in enumerate(table):
+        if not u > px:
+            return x
+        u -= px
+    return len(table)
+
+
+def _binomial(keyed: StepGenerator, rows: np.ndarray, k: int, p: float) -> np.ndarray:
+    """keyed.generator(i).binomial(k, p) for each i of rows, as numpy draws it.
+
+    numpy inverts at q = min(p, 1 - p) while q k <= 30 (a draw at p > 1/2
+    is k minus one at 1 - p). Inversion reads one word: U = (word >> 11)
+    2^-53, and the count X steps up while U > px_X, taking U -= px_X, so one
+    _inversion_table serves every row. Rounding is monotone, so no row
+    steps further than the one with the largest U, and the rows step
+    together that many times. The cases that read more words draw from the
+    row's own generator: numpy's BTPE (q k > 30) and a row whose X would
+    pass the table, where numpy restarts on the next word.
+    """
+    q = p if p <= 0.5 else 1.0 - p
+    if q * k > 30.0:
+        return np.array([keyed.generator(i).binomial(k, p) for i in rows.tolist()], dtype=np.int64)
+    u = (keyed.raw(1)[rows, 0] >> np.uint64(11)) * 2.0 ** -53
+    table = _inversion_table(k, q)
+    top = _inversion_count(float(u.max()), table)
+    x = np.zeros(rows.size, dtype=np.int64)
+    more = np.ones(rows.size, dtype=bool)  # the rows still stepping
+    for px in table[:top]:
+        np.greater(u, px, out=more, where=more)
+        x += more
+        np.subtract(u, px, out=u, where=more)
+    if q != p:
+        x = k - x
+    if top == len(table):
+        for r in np.flatnonzero(more).tolist():
+            x[r] = keyed.generator(int(rows[r])).binomial(k, p)
+    return x
+
+
 @dataclass(frozen=True)
 class NoNoise:
     """Exact evaluations: every query returns T(x)."""
@@ -383,10 +501,13 @@ class ResistantBernoulli:
 
     def batch_mean(self, tx, x, k, keyed, front=None):
         out = tx.copy()
-        for i, j in enumerate((last_nonzero_index(x) if front is None else front).tolist()):
-            if j < x.shape[1]:  # a row at full progress reveals nothing and draws nothing
-                successes = int(keyed.generator(i).binomial(int(k), self.p))
-                out[i, j] = (successes / (k * self.p)) * tx[i, j]
+        j = last_nonzero_index(x) if front is None else front
+        # a row at full progress reveals nothing and draws nothing
+        rows = np.flatnonzero(j < x.shape[1])
+        if rows.size:
+            cols = j[rows]
+            successes = _binomial(keyed, rows, int(k), self.p)
+            out[rows, cols] = (successes / (k * self.p)) * tx[rows, cols]
         return out
 
     def moments(self, tx, x, m, rng):

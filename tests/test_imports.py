@@ -100,6 +100,21 @@ def test_scipy_is_never_imported(tmp_path):
     )[-3:] == ["True", "0", "[]"]
 
 
+def test_vector_runs_never_import_numpy_random(tmp_path):
+    # resistant and Gaussian draws replay numpy's samplers on the package's own Philox words
+    lowerbound = ROOT / "configs" / "lowerbound_km.json"
+    fixedpoint = ROOT / "configs" / "fixedpoint_shift_bound.json"
+    assert _fresh_interpreter(
+        "import sys\n"
+        "from stochfp.cli import main\n"
+        f"a = main(['lowerbound', '--config', {str(lowerbound)!r},"
+        f" '--out', {str(tmp_path / 'a')!r}])\n"
+        f"b = main(['fixedpoint', '--config', {str(fixedpoint)!r},"
+        f" '--out', {str(tmp_path / 'b')!r}, '--seeds', '0..3'])\n"
+        "print(a, b, 'numpy.random' in sys.modules)\n"
+    )[-3:] == ["0", "0", "False"]
+
+
 def test_the_process_pool_is_imported_only_by_pooled_runs():
     assert _fresh_interpreter(
         "import sys, stochfp\n"

@@ -145,6 +145,137 @@ def test_key_word_rounding_to_two_to_the_64_warns_only_when_a_key_uses_it(width)
         keyed.generator(0)  # the per-row re-key that resistant noise takes
 
 
+def _fresh_raw(seeds, stream, count):
+    return np.array([RngStream(s, stream).generator().bit_generator.random_raw(count)
+                     for s in seeds]).reshape(len(seeds), count)
+
+
+def test_block_raw_words_equal_fresh_generators():
+    # 700 rows of 1 Philox block each fill a pass in 5 steps, of 3 blocks in 1
+    gen = np.random.default_rng(22)
+    seeds = _EDGE_WORDS + [int(v) for v in gen.integers(0, 2**64 - 1, 690, dtype=np.uint64,
+                                                        endpoint=True)]
+    plan = [(1, 1), (2, 1), (5, 1), (6, 1), (7, 1),  # across a block boundary
+            (8, 1), (9, 1),  # rows dropped before step 8, mid-block
+            (10, 10), (11, 10), (12, 3), (13, 3),  # count changes, then past the horizon 12
+            (4, 3)]  # back to an earlier step
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for stream in (0, 2**63 - 1, 2**64 - 1):
+            keyed = StepGenerator([RngStream(s, stream) for s in seeds], 12)
+            for n, count in plan:
+                if n == 8:
+                    keyed.seeds = keyed.seeds[1::3]
+                words = keyed.step(n).raw(count)
+                assert np.array_equal(words, _fresh_raw(keyed.seeds, keyed.stream, count))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(seeds=st.lists(_WORD, min_size=1, max_size=6), stream=_WORD, horizon=st.integers(0, 6),
+       plan=st.lists(st.tuples(st.integers(-1, 8), st.sampled_from([1, 3, 4, 5, 13]),
+                               st.booleans()), min_size=1, max_size=10))
+def test_raw_words_at_any_step_sequence_equal_fresh_generators(seeds, stream, horizon, plan):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        keyed = StepGenerator([RngStream(s, stream) for s in seeds], horizon)
+        for n, count, drop in plan:
+            if drop and len(keyed.seeds) > 1:
+                keyed.seeds = keyed.seeds[1:]
+            if n >= 0:  # -1 stays at the current step
+                keyed.step(n)
+            assert np.array_equal(keyed.raw(count), _fresh_raw(keyed.seeds, keyed.stream, count))
+
+
+def _resistant_case(progress, d=6):
+    """A shift projection and a stack whose row i has progress[i] nonzero leading coordinates."""
+    op = ShiftProjection(0.5, d)
+    x = np.zeros((len(progress), d))
+    for i, j in enumerate(progress):
+        x[i, :j] = 0.25 + 0.01 * np.arange(j)
+    return op, x
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(seeds=st.lists(_WORD, min_size=1, max_size=5), stream=_WORD,
+       p=st.sampled_from([0.04, 0.2, 0.5, 0.7, 0.96]) | st.floats(1e-4, 1 - 1e-4),
+       k=st.integers(1, 200) | st.sampled_from([59, 60, 61, 750, 751, 10**6]),
+       progress=st.lists(st.integers(0, 6), min_size=5, max_size=5))
+@example(seeds=[3, 2**64 - 1, 2**63 + 1], stream=5, p=0.5, k=60, progress=[0, 6, 2, 5, 1])
+@example(seeds=[3, 2**64 - 1, 2**63 + 1], stream=2**64 - 1, p=0.5, k=61, progress=[0, 6, 2, 5, 1])
+@example(seeds=[2**63 + 2, 7], stream=2**63 - 1, p=0.96, k=749, progress=[1, 1, 6, 0, 3])
+@example(seeds=[2**63 + 2, 7], stream=0, p=0.96, k=751, progress=[1, 1, 6, 0, 3])
+def test_resistant_stack_draws_numpy_binomial_per_row(seeds, stream, p, k, progress):
+    # rows at full progress (6) draw nothing; min(p, 1 - p) k <= 30 inverts, above it is BTPE
+    op, x = _resistant_case(progress[:len(seeds)])
+    tx = op.apply(x)
+    noise = ResistantBernoulli(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        keyed = StepGenerator([RngStream(s, stream) for s in seeds], 3)
+        for n in (1, 2, 3):
+            out = noise.batch_mean(tx, x, k, keyed.step(n))
+            for i, seed in enumerate(seeds):
+                expected = tx[i].copy()
+                j = progress[i]
+                if j < x.shape[1]:
+                    gen = np.random.Generator(np.random.Philox(key=[seed, keyed.stream]))
+                    expected[j] = (int(gen.binomial(k, p)) / (k * p)) * tx[i, j]
+                assert _same_bits(out[i], expected)
+
+
+def test_resistant_draws_at_a_tiny_p_take_numpy_log1p():
+    # at k p = 30 with p = 1e-12, exp(k log(1 - p)) and exp(k log1p(-p)) differ by 0.3%,
+    # which moves a few of these 400 counts
+    seeds = list(range(400))
+    keyed = StepGenerator([RngStream(s, 7) for s in seeds])
+    got = oracles._binomial(keyed, np.arange(len(seeds)), 3 * 10**13, 1e-12)
+    expected = [RngStream(s, 7).generator().binomial(3 * 10**13, 1e-12) for s in seeds]
+    assert got.tolist() == expected
+
+
+def _buffered_generator(words):
+    """A Generator whose next raw words are the four given ones."""
+    bitgen = np.random.Philox(0)
+    state = bitgen.state
+    state["buffer"], state["buffer_pos"] = np.array(words, dtype=np.uint64), 0
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+class _CraftedWords:
+    """Stands in for a StepGenerator whose rows' first raw words are given."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.generated = []
+
+    def raw(self, count):
+        return self.words[:, :count]
+
+    def generator(self, row):
+        self.generated.append(row)
+        return _buffered_generator(self.words[row])
+
+
+# word 2^64 - 1 gives U = 1 - 2^-53, which passes numpy's whole inversion table at these
+# (k, p), so numpy restarts on the next word; the other rows stop within the table
+@pytest.mark.parametrize("k, p", [(1, 0.3809289644822412), (2, 0.5007654218072691)])
+def test_binomial_restart_draws_from_the_row_generator(k, p):
+    words = [[2**64 - 1, 0, 5, 6], [0, 1, 2, 3], [2**63, 0, 0, 0],
+             [2**64 - 1, 2**64 - 1, 2**63, 7], [2**64 - 2**11, 0, 0, 0]]
+    crafted = _CraftedWords(words)
+    got = oracles._binomial(crafted, np.arange(len(words)), k, p)
+    expected, restarted = [], []
+    for i, w in enumerate(words):
+        gen = _buffered_generator(w)
+        expected.append(gen.binomial(k, p))
+        if gen.bit_generator.state["buffer_pos"] > 1:  # numpy read past the first word
+            restarted.append(i)
+    assert got.tolist() == expected
+    # only the restarted rows draw from their generator
+    assert crafted.generated == restarted and restarted[:2] == [0, 3] and 1 not in restarted
+
+
 def _same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
 

@@ -9,7 +9,8 @@ Every seed of a vector run, and of an adversarial run in lower_bound, steps
 through iterate_stack(): the seeds of a run advance together as one (B, d)
 array, and halpern_run, km_run and run_adversarial are stacks of one. The
 Q-learning runs in mdp have their own loop, one seed at a time, on this
-module's _schedule and RunRecord. Residuals and distances in traces are
+module's schedule columns (_schedule_columns, shared by the runs of one
+schedule) and RunRecord. Residuals and distances in traces are
 measured with the exact operator, not estimated from oracle output.
 
 A stack owns one generator (oracles.StepGenerator), which knows the run's
@@ -226,6 +227,42 @@ def _schedule(weight, size, N: int, per_query: int = 1, budget: int | None = Non
     if total > 2 ** 63 - 1:
         raise ValueError(f"cumulative query count {total} exceeds 2^63 - 1 within N = {N} steps")
     return [weight(n) for n in range(1, len(sizes) + 1)], sizes, cum
+
+
+def _by_value(f):
+    """f's cache key if f is a bound method of a frozen dataclass, which gives equal
+    schedules for equal instances; None for any other callable."""
+    owner = getattr(f, "__self__", None)
+    params = getattr(owner, "__dataclass_params__", None)
+    return (f.__func__, owner) if params is not None and params.frozen else None
+
+
+# the schedule columns of the last few (weight, size, N, per_query) that _by_value keys
+_SCHEDULES: dict = {}
+_SCHEDULES_KEPT = 4
+
+
+def _schedule_columns(weight, size, N: int, per_query: int):
+    """(n, weight, batch, cum_queries) of steps 1..N as read-only arrays, _schedule's values.
+
+    Runs whose weight and size are bound methods of equal frozen dataclasses
+    share one set of arrays, so each schedule is computed (and a writer that
+    keys on the arrays formats it) once; other callables are not cached.
+    """
+    key = _by_value(weight), _by_value(size)
+    key = None if None in key else key + (N, per_query)
+    columns = _SCHEDULES.get(key)
+    if columns is None:
+        weights, sizes, cum = _schedule(weight, size, N, per_query)
+        columns = (np.arange(1, len(sizes) + 1, dtype=np.int64), np.array(weights, dtype=np.float64),
+                   np.array(sizes, dtype=np.int64), np.array(cum, dtype=np.int64))
+        for c in columns:
+            c.setflags(write=False)
+        if key is not None:
+            if len(_SCHEDULES) >= _SCHEDULES_KEPT:
+                del _SCHEDULES[next(iter(_SCHEDULES))]
+            _SCHEDULES[key] = columns
+    return columns
 
 
 def iterate_stack(

@@ -122,6 +122,18 @@ def _uint64(value, path: str) -> int:
 
 
 _MAX_SEEDS = 1_000_000
+# A run takes at most this many steps; a longer one is refused before --out is made.
+_MAX_STEPS = 10_000_000
+
+
+def _steps(value, path: str) -> int:
+    """An iteration count N: 1 <= N <= _MAX_STEPS."""
+    N = _integer(value, path)
+    if N < 1:
+        raise ConfigError(f"{path}: must be >= 1")
+    if N > _MAX_STEPS:
+        raise ConfigError(f"{path}: {N} steps, more than the {_MAX_STEPS} a run may take")
+    return N
 
 
 def parse_seed_spec(spec) -> list[int]:
@@ -342,9 +354,7 @@ def validate_config(doc) -> dict:
                 )
             out["batches"] = {"kind": "constant", "k": 1}
         out["x0"] = _normalize_vector(f.take("x0"), "config.x0", op.dim)
-        out["N"] = _integer(f.take("N"), "config.N")
-        if out["N"] < 1:
-            raise ConfigError("config.N: must be >= 1")
+        out["N"] = _steps(f.take("N"), "config.N")
         out["bounds"] = _validate_bounds_block(f.sub("bounds", required=False))
         if out["bounds"] is not None:  # fail fast on missing parameters
             _bound_params(out["bounds"], op, norm_kind, np.asarray(out["x0"]))
@@ -416,9 +426,7 @@ def validate_config(doc) -> dict:
                 raise ConfigError("config.a_exponent: must lie in (4/5, 1]")
         elif a_exp is not None:
             raise ConfigError("config.a_exponent: only the rvi baseline takes a step exponent")
-        out["N"] = _integer(f.take("N"), "config.N")
-        if out["N"] < 1:
-            raise ConfigError("config.N: must be >= 1")
+        out["N"] = _steps(f.take("N"), "config.N")
         ratio = f.sub("residual_ratio_check", required=False)
         if ratio is not None:
             early = _integer(ratio.take("early_n"), f"{ratio.path}.early_n")
@@ -459,9 +467,7 @@ def validate_config(doc) -> dict:
     if (n_spec is None) == (target_eps is None):
         raise ConfigError("config: provide exactly one of N or target_epsilon")
     if n_spec is not None:
-        out["N"] = _integer(n_spec, "config.N")
-        if out["N"] < 1:
-            raise ConfigError("config.N: must be >= 1")
+        out["N"] = _steps(n_spec, "config.N")
         out["target_epsilon"] = None
     else:
         out["target_epsilon"] = _real(target_eps, "config.target_epsilon")
@@ -470,6 +476,9 @@ def validate_config(doc) -> dict:
         out["N"] = mdp_mod.discounted_iteration_count(
             model, out["gamma"], out["target_epsilon"], q0_norm
         )
+        if out["N"] > _MAX_STEPS:
+            raise ConfigError(f"config.target_epsilon: {out['target_epsilon']!r} derives "
+                              f"N = {out['N']} steps, more than the {_MAX_STEPS} a run may take")
     if q0_norm > model.r_max / (1.0 - out["gamma"]):
         raise ConfigError("config.q0: sup norm must not exceed r_max / (1 - gamma)")
     f.done()

@@ -7,11 +7,17 @@ through _q_run, one seed at a time: a step only draws and updates the
 Q-table, and each block of steps is measured at once.
 
 Sampling order is fixed: each step of all five runners draws the next-state
-counts of every (s, a) pair in one multinomial call, in row-major (s, a)
-order. The count vector of k iid draws is the exact sufficient statistic for
-the batch mean of max_a' Q(s', a'), counts . max-vector / k; rvi and vanilla
-draw batches of one. Coupled replays (same seed and stream) therefore
-consume identical counts sample-for-sample.
+counts of every (s, a) pair as one Generator.multinomial(k, P) call on the
+step's fresh generator would, in row-major (s, a) order. The count vector of
+k iid draws is the exact sufficient statistic for the batch mean of
+max_a' Q(s', a'), counts . max-vector / k; rvi and vanilla draw batches of
+one. The counts do not depend on the iterate, so a batch of one (k = 1) is
+replayed from raw Philox words drawn for a block of upcoming steps at once
+(oracles._multinomial_one, numpy's sampler inverted on those words); only
+steps with k > 1, which numpy may sample by BTPE, and the rare inversion
+that restarts on a second word re-key a generator to the step's stream.
+Coupled replays (same seed and stream) therefore consume identical counts
+sample-for-sample.
 """
 
 from __future__ import annotations
@@ -23,8 +29,8 @@ from itertools import product
 
 import numpy as np
 
-from .engine import BatchSchedule, RunRecord, StepSchedule, _schedule
-from .oracles import RngStream, StepGenerator
+from .engine import BatchSchedule, RunRecord, StepSchedule, _schedule_columns
+from .oracles import RngStream, StepGenerator, _multinomial_one
 
 __all__ = [
     "MDPValidationError",
@@ -325,9 +331,10 @@ def greedy_policy(q: np.ndarray) -> np.ndarray:
 def _batch_mean_max(m: TabularMDP, maxv: np.ndarray, k: int, gen: np.random.Generator) -> np.ndarray:
     """(1/k) sum over k generative draws of max_a' Q(s',a'), per (s, a).
 
-    One multinomial call draws every pair's count vector in row-major order.
-    The row-wise vecdot keeps the bits of a per-pair counts @ maxv, which a
-    2-D matmul does not.
+    One multinomial call on gen draws every pair's count vector in
+    row-major order; _q_run takes this path only for steps with k > 1, and
+    replays batches of one from block Philox words. The row-wise vecdot
+    keeps the bits of a per-pair counts @ maxv, which a 2-D matmul does not.
     """
     return np.vecdot(gen.multinomial(k, m.transitions), maxv) / k
 
@@ -351,10 +358,14 @@ def _q_run(m, q0, N, rng, *, target, residual, weight, size, anchored,
            scale=1.0, q_star=None):
     """The loop of every synchronous Q-learning run; returns (final table, RunRecord).
 
-    Step n re-keys the run's StepGenerator to substream(n), draws est = the
-    k_n-sample batch mean of max_a' Q^{n-1} per pair (k_n = size(n)) and
-    sets Q^n = (1 - w_n) B + w_n target(Q^{n-1}, est) with w_n = weight(n)
-    and B = Q^0 (anchored) or Q^{n-1} (averaged). A block of up to _BLOCK
+    Step n draws est = the k_n-sample batch mean of max_a' Q^{n-1} per pair
+    (k_n = size(n)) from substream(n) of rng. A batch of one takes its
+    counts from a block of steps replayed at once from raw Philox words
+    (oracles._multinomial_one), so est is counts . max_a' Q^{n-1}; a step
+    with k_n > 1 re-keys the run's StepGenerator and draws through
+    _batch_mean_max. The step then sets Q^n = (1 - w_n) B + w_n
+    target(Q^{n-1}, est) with w_n = weight(n) and B = Q^0 (anchored) or
+    Q^{n-1} (averaged). A block of up to _BLOCK
     steps keeps its est and Q^n, and is then measured in a few array
     operations: the sup norms of scale * (est - E est), residual(P max Q^n)
     - Q^n and, with q_star, Q^n - q_star, where E est = P max Q^{n-1} is the
@@ -364,26 +375,34 @@ def _q_run(m, q0, N, rng, *, target, residual, weight, size, anchored,
     A non-finite Q^n, or a non-finite measured value, aborts the run at the
     first such step (the iterate check first at equal n) with the partial
     trace and Q^{n-1} as final table. cum_queries counts k_n per pair;
-    totals beyond 2^63 - 1 are rejected before step 1.
+    totals beyond 2^63 - 1 are rejected before step 1. The schedule
+    columns come from engine._schedule_columns, so a run that does not
+    abort shares them with every run on an equal schedule.
     """
-    weights, sizes, cum = _schedule(weight, size, N, m.num_states * m.num_actions)
+    schedule = _schedule_columns(weight, size, N, m.num_states * m.num_actions)
     flat, shape = _flat_transitions(m), (-1,) + q0.shape
     height = min(N, _BLOCK)
     tables, ests = np.empty((height,) + q0.shape), np.empty((height,) + q0.shape)
     traced = np.empty((2 if q_star is None else 3, N))  # noise, residual and dist of each step
-    keyed = StepGenerator([rng])
+    keyed = StepGenerator([rng], N)
+    first, counts = 1, ()  # the replayed batch-of-one counts of steps first, first + 1, ...
     q, maxv = q0, q0.max(axis=1)
     pm = (flat @ maxv).reshape(q0.shape)  # E est of the block's first step
     steps, reason = N, None
     for start in range(0, N, height):
         head = q  # Q^start
         rows = min(height, N - start)
+        weights = schedule[1][start:start + rows]
         if anchored:  # (1 - w_n) Q^0 of the block's steps
-            bases = (1.0 - np.array(weights[start:start + rows]))[:, None, None] * q0
-        for j in range(rows):
+            bases = (1.0 - weights)[:, None, None] * q0
+        for j, (w, k) in enumerate(zip(weights.tolist(), schedule[2][start:start + rows].tolist())):
             n = start + j + 1
-            w, k = weights[n - 1], sizes[n - 1]
-            est = _batch_mean_max(m, maxv, k, keyed.step(n).generator())
+            if k == 1:
+                if not n - first < len(counts):
+                    first, counts = _multinomial_one(keyed, n, m.transitions)
+                est = np.vecdot(counts[n - first], maxv)  # the batch mean, as x / 1 == x
+            else:
+                est = _batch_mean_max(m, maxv, k, keyed.step(n).generator())
             q_new = (bases[j] if anchored else (1.0 - w) * q) + w * target(q, est)
             if not np.isfinite(q_new).all():
                 steps, reason, rows = n - 1, f"non-finite iterate at step {n}", j
@@ -410,10 +429,7 @@ def _q_run(m, q0, N, rng, *, target, residual, weight, size, anchored,
         if reason is not None:
             break
     record = RunRecord(
-        n=np.arange(1, steps + 1, dtype=np.int64),
-        weight=np.array(weights[:steps]),
-        batch=np.array(sizes[:steps], dtype=np.int64),
-        cum_queries=np.array(cum[:steps], dtype=np.int64),
+        *(schedule if steps == N else (c[:steps] for c in schedule)),
         residual=traced[1, :steps],
         dist_to_fp=None if q_star is None else traced[2, :steps],
         noise_norm=traced[0, :steps],

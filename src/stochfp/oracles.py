@@ -20,8 +20,13 @@ would, at a fraction of the cost of building one.
 Resistant draws replay numpy's Generator.binomial on those words: while
 min(p, 1 - p) k <= 30 numpy inverts the CDF from one word, and _binomial
 does the same for every drawing row at once with numpy's operation order.
-Only numpy's BTPE regime (min(p, 1 - p) k > 30) and the rare inversion that
-runs past its bound and restarts on the next word re-key per row.
+Q-learning's batches of one replay numpy's Generator.multinomial(1, P) the
+same way: numpy draws it as one binomial(1, p) inversion per category and
+pair, one word each, and _multinomial_one inverts a whole block of steps'
+words at once, category by category. Both share _inversion_table and the
+stepping code (_invert). Only numpy's BTPE regime (min(p, 1 - p) k > 30),
+multinomial batches of k > 1, and the rare inversion that runs past its
+bound and restarts on the next word re-key per row or step.
 
 Gaussian draws use a fixed inverse-transform realization: u = (r + 0.5) * 2^-53
 for a 53-bit integer r, then z = ndtri(u). u lies in (0, 1) except for
@@ -87,6 +92,25 @@ def _splitmix64(z: int) -> int:
 def _child(stream: int, index: int) -> int:
     """The stream id of substream(index) of the given stream id."""
     return _splitmix64((stream ^ (int(index) & _MASK64)) & _MASK64)
+
+
+_SPLITMIX_ADD, _SPLITMIX_M1, _SPLITMIX_M2 = (
+    np.uint64(c) for c in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+
+def _children(stream: int, indices: np.ndarray) -> np.ndarray:
+    """_child(stream, i) for each i of indices (integers in 0..2^64 - 1), as a uint64 array.
+
+    numpy's uint64 array arithmetic wraps mod 2^64, as _splitmix64's masks do.
+    """
+    z = np.asarray(indices, dtype=np.uint64) ^ np.uint64(stream)
+    z += _SPLITMIX_ADD
+    z ^= z >> np.uint64(30)
+    z *= _SPLITMIX_M1
+    z ^= z >> np.uint64(27)
+    z *= _SPLITMIX_M2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _philox_key(seed: int, stream: int) -> tuple[int, int]:
@@ -201,10 +225,13 @@ class StepGenerator:
     pass stays within _PASS_WORDS words, and the later steps of that block
     are served from it. A change of seeds (a row that aborted) or of count
     drops the block; a step outside it starts a new one, and the run's own
-    stream (no step(n) yet) is drawn alone. numpy's warning for a key word
-    that rounds to 2^64 (see _keys) therefore comes when the block holding
-    the first step whose key uses that word is drawn, up to a block's
-    length before that step.
+    stream (no step(n) yet) is drawn alone. block(count) hands back the
+    whole block that holds the current step, (first step, (steps, rows,
+    count) words), for draws that replay several steps at once. The block's
+    stream ids come from one vectorised SplitMix64 (_children). numpy's
+    warning for a key word that rounds to 2^64 (see _keys) therefore comes
+    when the block holding the first step whose key uses that word is
+    drawn, up to a block's length before that step.
 
     generator(i) resets the shared Philox to RngStream(seeds[i],
     stream).generator()'s state (the same key, numpy's conversion of
@@ -252,22 +279,32 @@ class StepGenerator:
 
     def raw(self, count: int) -> np.ndarray:
         """(rows, count): each row's first count raw Philox words at the current stream."""
-        n, block = self._n, self._block
-        if n is None:  # the run's own stream, in no block
+        if self._n is None:  # the run's own stream, in no block
             return _philox_words(*self._keys([self.stream]), count)[0]
+        first, words = self.block(count)
+        return words[self._n - first]
+
+    def block(self, count: int) -> tuple[int, np.ndarray]:
+        """(first step, (steps, rows, count) raw words) of the block that holds the current step.
+
+        Row i of step first + j holds raw(count) at step first + j. A step
+        outside the cached block (or a change of count or seeds) draws a new
+        block that starts at the current step.
+        """
+        n, block = self._n, self._block
         if block is None or block[1].shape[2] != count or not 0 <= n - block[0] < len(block[1]):
             fit = _PASS_WORDS // max(1, len(self._seeds) * 4 * -(-count // 4))
-            later = range(n + 1, min(self._steps, n + fit - 1) + 1)
-            streams = [self.stream] + [_child(self._root, m) for m in later]
+            last = max(n, min(self._steps, n + fit - 1))
+            streams = _children(self._root, np.arange(n, last + 1))
             block = self._block = n, _philox_words(*self._keys(streams), count)
-        return block[1][n - block[0]]
+        return block
 
     def keys(self) -> tuple[np.ndarray, np.ndarray]:
         """Every row's key words (_philox_key of its seed and the stream) as two uint64 arrays."""
         k0, k1 = self._keys([self.stream])
         return k0[0], k1[0]
 
-    def _keys(self, streams: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    def _keys(self, streams) -> tuple[np.ndarray, np.ndarray]:
         """(steps, rows) key words, _philox_key of each row's seed and each of streams.
 
         A pair [seed, stream] mixes the halves of the range when one word is
@@ -280,7 +317,8 @@ class StepGenerator:
         if self._seed_words is None:
             self._seed_words = np.array(self._seeds, dtype=np.uint64)
             self._seed_low = self._seed_words < _TOP
-        s = np.array(streams, dtype=np.uint64)[:, None]
+        streams = np.asarray(streams, dtype=np.uint64)
+        s = streams[:, None]
         s_low = s < _TOP
         mixed = self._seed_low != s_low
         if not mixed.any():
@@ -288,10 +326,16 @@ class StepGenerator:
             k0[:], k1[:] = self._seed_words, s
             return k0, k1
         halves = {low: self._seed_key_words(low) for low in set(s_low[:, 0].tolist())}
-        rounded = [_philox_key(_TOP if v < _TOP else 0, v)[1] if r else v
-                   for v, r in zip(streams, mixed.any(axis=1).tolist())]
+        # a stream word keyed with a seed in the other half is rounded as _philox_key rounds it
+        rows = np.flatnonzero(mixed.any(axis=1))
+        rounded = streams.copy()
+        near = streams[rows].astype(np.float64)
+        fits = near < 2.0 ** 64
+        rounded[rows[fits]] = near[fits].astype(np.uint64)
+        for i in rows[~fits].tolist():
+            rounded[i] = _philox_key(0, int(streams[i]))[1]
         return (np.where(s_low, halves.get(True, 0), halves.get(False, 0)),
-                np.where(mixed, np.array(rounded, dtype=np.uint64)[:, None], s))
+                np.where(mixed, rounded[:, None], s))
 
     def _seed_key_words(self, low: bool) -> np.ndarray:
         """Every row's first key word with a stream below 2^63 (low) or not."""
@@ -421,36 +465,93 @@ def _inversion_count(u: float, table: tuple[float, ...]) -> int:
     return len(table)
 
 
-def _binomial(keyed: StepGenerator, rows: np.ndarray, k: int, p: float) -> np.ndarray:
-    """keyed.generator(i).binomial(k, p) for each i of rows, as numpy draws it.
+def _invert(words: np.ndarray, table: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray | None]:
+    """numpy's inversion count X at each of words, and the mask of those that restart.
 
-    numpy inverts at q = min(p, 1 - p) while q k <= 30 (a draw at p > 1/2
-    is k minus one at 1 - p). Inversion reads one word: U = (word >> 11)
-    2^-53, and the count X steps up while U > px_X, taking U -= px_X, so one
-    _inversion_table serves every row. Rounding is monotone, so no row
-    steps further than the one with the largest U, and the rows step
-    together that many times. The cases that read more words draw from the
-    row's own generator: numpy's BTPE (q k > 30) and a row whose X would
-    pass the table, where numpy restarts on the next word.
+    Inversion reads one word: U = (word >> 11) 2^-53, and X steps up while
+    U > px_X, taking U -= px_X, so one table serves every word. Rounding is
+    monotone, so no word steps further than the one with the largest U, and
+    all step together that many times. A word whose X would pass the table
+    restarts in numpy on the next word; the mask is None when none does.
     """
-    q = p if p <= 0.5 else 1.0 - p
-    if q * k > 30.0:
-        return np.array([keyed.generator(i).binomial(k, p) for i in rows.tolist()], dtype=np.int64)
-    u = (keyed.raw(1)[rows, 0] >> np.uint64(11)) * 2.0 ** -53
-    table = _inversion_table(k, q)
+    u = (words >> np.uint64(11)) * 2.0 ** -53
     top = _inversion_count(float(u.max()), table)
-    x = np.zeros(rows.size, dtype=np.int64)
-    more = np.ones(rows.size, dtype=bool)  # the rows still stepping
+    x = np.zeros(u.size, dtype=np.int64)
+    more = np.ones(u.size, dtype=bool)  # the words still stepping
     for px in table[:top]:
         np.greater(u, px, out=more, where=more)
         x += more
         np.subtract(u, px, out=u, where=more)
+    return x, (more if top == len(table) else None)
+
+
+def _binomial(keyed: StepGenerator, rows: np.ndarray, k: int, p: float) -> np.ndarray:
+    """keyed.generator(i).binomial(k, p) for each i of rows, as numpy draws it.
+
+    numpy inverts at q = min(p, 1 - p) while q k <= 30 (a draw at p > 1/2
+    is k minus one at 1 - p), from each row's first word (_invert). The
+    cases that read more words draw from the row's own generator: numpy's
+    BTPE (q k > 30) and a row whose inversion restarts.
+    """
+    q = p if p <= 0.5 else 1.0 - p
+    if q * k > 30.0:
+        return np.array([keyed.generator(i).binomial(k, p) for i in rows.tolist()], dtype=np.int64)
+    x, restart = _invert(keyed.raw(1)[rows, 0], _inversion_table(k, q))
     if q != p:
         x = k - x
-    if top == len(table):
-        for r in np.flatnonzero(more).tolist():
+    if restart is not None:
+        for r in np.flatnonzero(restart).tolist():
             x[r] = keyed.generator(int(rows[r])).binomial(k, p)
     return x
+
+
+def _multinomial_one(keyed: StepGenerator, n: int, p: np.ndarray) -> tuple[int, np.ndarray]:
+    """(first step, counts): keyed.step(m).generator().multinomial(1, p) of row 0 at
+    each step m of the block that holds step n, as numpy draws them.
+
+    p is (..., S), each row a distribution, read in row-major order, and
+    counts[j] is step first + j's int64 array of p's shape. numpy draws row
+    after row, category j < S - 1 by random_binomial(1, P_j / remaining),
+    remaining = 1 - P_0 - ... - P_{j-1} in doubles, until a count is 1 (the
+    last category takes the draw if none is); a zero probability reads no
+    word, any other one word, inverted at q = min(p, 1 - p) (_invert).
+    Every step that still draws in a row has the same remaining, so the
+    block's steps go together, each with its own word pointer, and a step
+    reads at most rows * (S - 1) words. A step whose inversion restarts
+    draws from its own generator. keyed is left at step n.
+    """
+    rows = p.reshape(-1, p.shape[-1])
+    first, words = keyed.step(n).block(rows.shape[0] * (rows.shape[1] - 1))
+    steps, count = words.shape[0], words.shape[2]
+    counts = np.zeros((steps,) + rows.shape, dtype=np.int64)
+    flat = words.ravel()  # row 0 is the only row
+    at = np.arange(steps) * count  # each step's next word in flat
+    restart = np.zeros(steps, dtype=bool)
+    for i, row in enumerate(rows.tolist()):
+        live = np.arange(steps)  # the steps with no count in row i yet
+        remaining = 1.0
+        for j, pj in enumerate(row[:-1]):
+            if not live.size:
+                break
+            # remaining > 0 here: a step stays live only past a p below 1
+            p_j = pj / remaining
+            if p_j != 0.0:
+                q = p_j if p_j <= 0.5 else 1.0 - p_j
+                x, restarts = _invert(flat[at[live]], _inversion_table(1, q))
+                if q != p_j:
+                    x = 1 - x
+                at[live] += 1
+                counts[live, i, j] = x
+                if restarts is not None:
+                    restart[live[restarts]] = True
+                live = live[x == 0]
+            remaining -= pj
+        counts[live, i, -1] = 1
+    counts = counts.reshape((steps,) + p.shape)
+    for j in np.flatnonzero(restart).tolist():
+        counts[j] = keyed.step(first + j).generator().multinomial(1, p)
+    keyed.step(n)
+    return first, counts
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,23 @@ class TestValidateConfig:
         assert cfg["x0"] == [0.5] * 6  # scalar broadcast to the operator dim
         assert cfg["batches"] == {"kind": "power", "a": 2}
 
+    @pytest.mark.parametrize("kind, extra", [
+        ("fixedpoint", {}),
+        ("mdp-avg", {"algorithm": "benchmark"}),
+        ("mdp-disc", {"algorithm": "halpern", "gamma": 0.9}),
+    ])
+    def test_n_is_capped_at_the_step_cap(self, kind, extra):
+        if kind == "fixedpoint":
+            doc = _fixedpoint_doc()
+        else:
+            model = json.loads((REPO / "configs" / "mdp_3x2.json").read_text())
+            doc = dict(extra, kind=kind, mdp=model, seeds=[1])
+        cap = experiments._MAX_STEPS
+        assert sf.validate_config(dict(doc, N=cap))["N"] == cap
+        with pytest.raises(sf.ConfigError, match=rf"^config\.N: {cap + 1} steps, more than "
+                                                 rf"the {cap} a run may take$"):
+            sf.validate_config(dict(doc, N=cap + 1))
+
     def test_unknown_top_level_field(self):
         with pytest.raises(sf.ConfigError, match=r"config\.typo: unknown field"):
             sf.validate_config(_fixedpoint_doc(typo=1))
@@ -796,6 +813,39 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"config error: seeds: range {spec!r} names {count} seeds, "
             f"more than the {_MAX_SEEDS} a range may name\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, shipped, field, value, message", [
+        ("mdp-disc", "mdp_disc_target.json", "target_epsilon", 1e-9,
+         "config.target_epsilon: 1e-09 derives N = 2973629156171 steps"),
+        ("fixedpoint", "fixedpoint_shift_bound.json", "N", 10**12,
+         "config.N: 1000000000000 steps"),
+    ])
+    def test_n_past_the_step_cap_exits_one_before_out_is_made(self, tmp_path, command, shipped,
+                                                              field, value, message):
+        # without the cap the first hangs in the schedule loop and the second
+        # dies of a MemoryError; the run gets 1.5 GB of address space and 60 s
+        import resource
+        import subprocess
+        import sys
+
+        doc = json.loads((REPO / "configs" / shipped).read_text())
+        doc[field] = value
+        if "mdp" in doc:
+            doc["mdp"] = str(REPO / "configs" / doc["mdp"].split("/")[-1])
+        path = self._write(tmp_path, doc)
+        out = tmp_path / "o"
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024,) * 2)
+
+        done = subprocess.run(
+            [sys.executable, "-m", "stochfp.cli", command, "--config", path, "--out", str(out)],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")))
+        assert done.returncode == 1
+        assert done.stderr == (f"config error: {message}, "
+                               f"more than the {experiments._MAX_STEPS} a run may take\n")
         assert not out.exists()
 
     def test_seed_override_outside_uint64_exits_one_before_out_is_made(self, tmp_path, capsys):

@@ -3,6 +3,7 @@ linter), and the package re-exports its submodules' public names."""
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -113,6 +114,23 @@ def test_vector_runs_never_import_numpy_random(tmp_path):
         f" '--out', {str(tmp_path / 'b')!r}, '--seeds', '0..3'])\n"
         "print(a, b, 'numpy.random' in sys.modules)\n"
     )[-3:] == ["0", "0", "False"]
+
+
+def test_batch_of_one_q_learning_never_imports_numpy_random(tmp_path):
+    # vanilla Q-learning draws a batch of one per pair at every step: numpy's
+    # multinomial replayed on the package's own Philox words, across block boundaries
+    config = tmp_path / "vanilla.json"
+    config.write_text(json.dumps({
+        "kind": "mdp-disc", "mdp": str(ROOT / "configs" / "mdp_3x2.json"),
+        "algorithm": "vanilla", "alpha": {"kind": "km-polynomial", "a": 0.7},
+        "gamma": 0.9, "N": 3000, "seeds": "0..1", "stream": 2**64 - 1,
+    }))
+    assert _fresh_interpreter(
+        "import sys\n"
+        "from stochfp.cli import main\n"
+        f"a = main(['mdp-disc', '--config', {str(config)!r}, '--out', {str(tmp_path / 'a')!r}])\n"
+        "print(a, 'numpy.random' in sys.modules)\n"
+    )[-2:] == ["0", "False"]
 
 
 def test_the_process_pool_is_imported_only_by_pooled_runs():

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stochfp import mdp as sf_mdp
 from stochfp import oracles
 from stochfp.linalg import L1, norm, norm_equivalence_mu
 from stochfp.operators import ConstantMap, PlaneRotation, ShiftProjection
@@ -274,6 +276,96 @@ def test_binomial_restart_draws_from_the_row_generator(k, p):
     assert got.tolist() == expected
     # only the restarted rows draw from their generator
     assert crafted.generated == restarted and restarted[:2] == [0, 3] and 1 not in restarted
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(stream=_WORD, indices=st.lists(st.integers(0, 50) | _WORD, min_size=1, max_size=20))
+def test_vectorised_splitmix_equals_child(stream, indices):
+    got = oracles._children(stream, np.array(indices, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [oracles._child(stream, i) for i in indices]
+
+
+@st.composite
+def _transition_models(draw):
+    """Row-stochastic (S, A, S) arrays, some with zero categories or a first one above 1/2."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s_count, a_count = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    p = gen.dirichlet(np.full(s_count, draw(st.sampled_from([0.1, 1.0, 10.0]))),
+                      size=(s_count, a_count))
+    if draw(st.booleans()):  # zero some categories, never a whole row
+        p[gen.uniform(size=p.shape) < 0.4] = 0.0
+        p[..., -1] += p.sum(axis=-1) == 0.0
+    if draw(st.booleans()):
+        p[..., 0] += 2.0 * p[..., 1:].sum(axis=-1)
+    return sf_mdp.TabularMDP(p / p.sum(axis=-1, keepdims=True), np.zeros(p.shape[:2])).transitions
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(p=_transition_models(), seed=_WORD, stream=_WORD, pass_words=st.sampled_from([48, 96, 400]),
+       length=st.sampled_from([None, -1, 0, 1]))
+@example(p=np.array([[[0.7, 0.0, 0.3]], [[0.0, 0.0, 1.0]], [[0.25, 0.25, 0.5]]]),
+         seed=3, stream=2**64 - 1, pass_words=48, length=1)
+@example(p=np.array([[[0.5, 0.5]], [[1.0, 0.0]]]), seed=2**63 - 1, stream=2**63,
+         pass_words=96, length=0)
+def test_replayed_counts_equal_numpy_multinomial(p, seed, stream, pass_words, length):
+    # a block is B steps, the most whose words fit a pass; the run's horizon N is 1, or B
+    # plus length
+    count = p.size // p.shape[-1] * (p.shape[-1] - 1)  # no words for a one-state model
+    block = max(1, pass_words // max(1, 4 * -(-count // 4)))
+    N = 1 if length is None else max(1, block + length)
+    rng = RngStream(seed, stream)
+    with warnings.catch_warnings(), mock.patch.object(oracles, "_PASS_WORDS", pass_words):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        keyed = StepGenerator([rng], N)
+        first, counts = 1, ()
+        for n in range(1, N + 1):
+            if not n - first < len(counts):
+                first, counts = oracles._multinomial_one(keyed, n, p)
+                assert first == n and keyed.stream == rng.substream(n).stream
+                assert len(counts) == min(block, N - n + 1)
+            expected = rng.substream(n).generator().multinomial(1, p)
+            assert counts.dtype == expected.dtype and counts[n - first].shape == p.shape
+            assert np.array_equal(counts[n - first], expected)
+
+
+class _CraftedBlock:
+    """Stands in for a one-row StepGenerator whose steps' first raw words are given."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+        self.n, self.generated = None, []
+
+    def step(self, n):
+        self.n = n
+        return self
+
+    def block(self, count):
+        return 1, self.words[:, None, :count]
+
+    def generator(self):
+        self.generated.append(self.n)
+        return _buffered_generator(self.words[self.n - 1])
+
+
+def test_multinomial_restart_draws_from_the_step_generator():
+    # pair (0, 0) at P_0 = 0.38...: word 2^64 - 1 passes numpy's whole inversion table,
+    # so numpy restarts on the next word; pair (1, 0) reads the step's second word
+    p = np.array([[[0.3809289644822412, 0.6190710355177588]], [[0.5, 0.5]]])
+    words = [[2**64 - 1, 0, 5, 6], [0, 2**64 - 1, 2, 3], [2**64 - 1, 2**64 - 1, 2**63, 7],
+             [2**63, 2**64 - 2**11, 0, 0], [2**64 - 1, 2**62, 9, 9]]
+    crafted = _CraftedBlock(words)
+    first, counts = oracles._multinomial_one(crafted, 1, p)
+    expected, restarted = [], []
+    for n, w in enumerate(words, start=1):
+        gen = _buffered_generator(w)
+        expected.append(gen.multinomial(1, p))
+        if gen.bit_generator.state["buffer_pos"] > 2:  # numpy read past the step's two words
+            restarted.append(n)
+    assert first == 1 and np.array_equal(counts, np.array(expected))
+    assert restarted == [1, 3, 5]
+    # only the restarted steps draw from their generator, and the replay leaves step 1 selected
+    assert crafted.generated == restarted and crafted.n == 1
 
 
 def _same_bits(a, b):

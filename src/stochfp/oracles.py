@@ -524,7 +524,7 @@ def _multinomial_one(keyed: StepGenerator, n: int, p: np.ndarray) -> tuple[int, 
     first, words = keyed.step(n).block(rows.shape[0] * (rows.shape[1] - 1))
     steps, count = words.shape[0], words.shape[2]
     counts = np.zeros((steps,) + rows.shape, dtype=np.int64)
-    flat = words.ravel()  # row 0 is the only row
+    flat = words[:, 0].ravel()
     at = np.arange(steps) * count  # each step's next word in flat
     restart = np.zeros(steps, dtype=bool)
     for i, row in enumerate(rows.tolist()):
@@ -533,12 +533,12 @@ def _multinomial_one(keyed: StepGenerator, n: int, p: np.ndarray) -> tuple[int, 
         for j, pj in enumerate(row[:-1]):
             if not live.size:
                 break
-            # remaining > 0 here: a step stays live only past a p below 1
-            p_j = pj / remaining
-            if p_j != 0.0:
-                q = p_j if p_j <= 0.5 else 1.0 - p_j
+            # remaining > 0 here: a step stays live only past a p_cond below 1
+            p_cond = pj / remaining
+            if p_cond != 0.0:
+                q = p_cond if p_cond <= 0.5 else 1.0 - p_cond
                 x, restarts = _invert(flat[at[live]], _inversion_table(1, q))
-                if q != p_j:
+                if q != p_cond:
                     x = 1 - x
                 at[live] += 1
                 counts[live, i, j] = x

@@ -5,22 +5,15 @@ with the anchor fixed at the initial point and beta_0 = 0. The averaged
 baseline is x^n = (1 - alpha_n) x^{n-1} + alpha_n * minibatch(x^{n-1}) with a
 batch of one, i.e. one oracle query per step, no variance reduction.
 
-Every seed of a vector run, and of an adversarial run in lower_bound, steps
-through iterate_stack(): the seeds of a run advance together as one (B, d)
-array, and halpern_run, km_run and run_adversarial are stacks of one. The
-Q-learning runs in mdp have their own loop, one seed at a time, on this
-module's schedule columns (_schedule_columns, shared by the runs of one
-schedule) and RunRecord. Residuals and distances in traces are
-measured with the exact operator, not estimated from oracle output.
-
-A stack owns one generator (oracles.StepGenerator), which knows the run's
-horizon. Each step computes its substream id once for the stack, and every
-row draws with the key RngStream(seed_i, stream).substream(n).generator()
-would use, so every (seed, step) draws what a fresh generator would. The raw
-words of Gaussian and resistant draws come a block of upcoming steps per
-pass; they do not depend on the iterate. The exact evaluation a step's
-residual needs, T(x^n), is carried into step n+1's draw, so a stack applies
-T once per step plus once for x^0.
+Every run steps through iterate_stack(): the seeds of a run advance together
+as one (B, d) array, and halpern_run, km_run, lower_bound.run_adversarial and
+the Q-learning runners of mdp (this iteration on a Bellman operator over
+flattened (s, a) tables, with a sampled oracle) are stacks of one. Residuals
+and distances are measured with the exact operator, a block of steps at a
+time. A stack owns one generator (oracles.StepGenerator), so every (seed,
+step) draws what RngStream(seed, stream).substream(n).generator() would.
+T(x^n), measured for the residual, is carried into step n+1's draw when the
+noise reads it; Q-learning's draws do not, and its runs apply T per block.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import NormKind, as_vector, last_nonzero_index, norm
-from .oracles import OracleDescriptor, ResistantBernoulli, RngStream, StepGenerator
+from .oracles import NoiseModel, OracleDescriptor, ResistantBernoulli, RngStream, StepGenerator
 
 __all__ = [
     "StepSchedule",
@@ -210,23 +203,42 @@ class StackTrace(NamedTuple):
 
 
 def _schedule(weight, size, N: int, per_query: int = 1, budget: int | None = None):
-    """(weights, sizes, cumulative queries) of steps 1..N.
+    """(n, weight, batch, cum_queries) of steps 0..steps as read-only arrays; step 0 is zeros.
 
-    With a budget the schedule ends before the first step whose cumulative
-    query count would pass it; without one, totals beyond 2^63 - 1 are a
-    ValueError.
+    Step n takes k_n = size(n) queries of per_query samples each. steps is N,
+    or with a budget the steps before the first whose cumulative count would
+    pass it; without one, a count past 2^63 - 1 is a ValueError as soon as
+    the next step's size is known. Runs whose weight and size are bound
+    methods of equal frozen dataclasses share (and writers format) one set
+    of arrays; other callables are not cached.
     """
-    sizes, cum, total = [], [], 0
-    for n in range(1, N + 1):
-        k = size(n)
-        if budget is not None and total + k * per_query > budget:
-            break
-        total += k * per_query
-        sizes.append(k)
-        cum.append(total)
-    if total > 2 ** 63 - 1:
-        raise ValueError(f"cumulative query count {total} exceeds 2^63 - 1 within N = {N} steps")
-    return [weight(n) for n in range(1, len(sizes) + 1)], sizes, cum
+    key = _by_value(weight), _by_value(size)
+    key = None if None in key else key + (N, per_query, budget)
+    columns = _SCHEDULES.get(key)
+    if columns is None:
+        sizes, cum, total = [0], [0], 0
+        for n in range(1, N + 1):
+            k = size(n)  # a size error of the step after the count passes comes first
+            if total > 2 ** 63 - 1:
+                break
+            total += k * per_query
+            if budget is not None and total > budget:
+                break
+            sizes.append(k)
+            cum.append(total)
+        if budget is None and total > 2 ** 63 - 1:
+            raise ValueError(f"cumulative query count {total} exceeds 2^63 - 1 at step "
+                             f"{len(sizes) - 1} of N = {N}")
+        weights = [0.0] + [weight(n) for n in range(1, len(sizes))]
+        columns = (np.arange(len(sizes), dtype=np.int64), np.array(weights, dtype=np.float64),
+                   np.array(sizes, dtype=np.int64), np.array(cum, dtype=np.int64))
+        for c in columns:
+            c.setflags(write=False)  # every row's record holds these
+        if key is not None:
+            if len(_SCHEDULES) >= _SCHEDULES_KEPT:
+                del _SCHEDULES[next(iter(_SCHEDULES))]
+            _SCHEDULES[key] = columns
+    return columns
 
 
 def _by_value(f):
@@ -237,32 +249,14 @@ def _by_value(f):
     return (f.__func__, owner) if params is not None and params.frozen else None
 
 
-# the schedule columns of the last few (weight, size, N, per_query) that _by_value keys
+# the schedule columns of the last few (weight, size, N, per_query, budget) that _by_value keys
 _SCHEDULES: dict = {}
 _SCHEDULES_KEPT = 4
 
-
-def _schedule_columns(weight, size, N: int, per_query: int):
-    """(n, weight, batch, cum_queries) of steps 1..N as read-only arrays, _schedule's values.
-
-    Runs whose weight and size are bound methods of equal frozen dataclasses
-    share one set of arrays, so each schedule is computed (and a writer that
-    keys on the arrays formats it) once; other callables are not cached.
-    """
-    key = _by_value(weight), _by_value(size)
-    key = None if None in key else key + (N, per_query)
-    columns = _SCHEDULES.get(key)
-    if columns is None:
-        weights, sizes, cum = _schedule(weight, size, N, per_query)
-        columns = (np.arange(1, len(sizes) + 1, dtype=np.int64), np.array(weights, dtype=np.float64),
-                   np.array(sizes, dtype=np.int64), np.array(cum, dtype=np.int64))
-        for c in columns:
-            c.setflags(write=False)
-        if key is not None:
-            if len(_SCHEDULES) >= _SCHEDULES_KEPT:
-                del _SCHEDULES[next(iter(_SCHEDULES))]
-            _SCHEDULES[key] = columns
-    return columns
+# A block holds at most _BLOCK steps, and more than one only while each of its
+# (steps, B, d) buffers stays within _BLOCK_COORDS coordinates.
+_BLOCK = 1024
+_BLOCK_COORDS = 1 << 14
 
 
 def iterate_stack(
@@ -278,28 +272,35 @@ def iterate_stack(
     budget: int | None = None,
     flush: float = 0.0,
 ) -> StackTrace:
-    """The per-step loop of every vector and adversarial run: the seeds of a stack step together.
+    """The per-step loop of every run: the seeds of a stack step together.
 
-    Row i runs rngs[i] (the rows share a stream), and every row starts at x0
-    and follows the schedule k_n = size(n), w_n = weight(n) of steps 1..N,
-    cut with a budget before the first step whose cumulative queries would
-    pass it. Step n draws each row's minibatch mean y of k_n queries at its
-    x^{n-1} from its seed's substream(n), sets x^n = (1 - w_n) b + w_n y with
-    b = x^0 (anchored) or x^{n-1} (averaged), and zeroes the coordinates of
-    x^n below flush in magnitude. It records the exact residual, distance to
-    the operator's known fixed point and noise norm under norm_kind, and,
-    when the noise reads it (resistant noise reveals the coordinate past
-    it), prog(x^n); otherwise prog is None. A row whose x^n, or one of whose
-    measured values, is not finite aborts at step n; the other rows carry
-    on. A step holds a few (B, d) arrays, so memory grows with the number of
-    rows.
+    Row i runs rngs[i] (the rows share a stream) from x0 on the schedule
+    k_n = size(n), w_n = weight(n) of steps 1..N, cut with a budget before
+    the first step whose cumulative queries would pass it. Step n draws each
+    row's minibatch mean y of k_n queries at x^{n-1} from substream(n), sets
+    x^n = (1 - w_n) b + w_n y with b = x^0 (anchored) or x^{n-1}, zeroes the
+    coordinates below flush in magnitude and checks that x^n is finite; it
+    applies T(x^n) only for a noise that reads it (every noise model of
+    oracles does). Each block of steps is then measured in one norm call:
+    noise, exact residual and distance to the operator's known fixed point.
+    prog(x^n) is recorded for resistant noise, which reads it; otherwise
+    prog is None. Q-learning's sampler (mdp) draws from the iterate alone:
+    draw(x, n, k, keyed) gives every row's y and estimate, measure(before,
+    xs, ests) a block's exact T and realized noise, and a query draws pairs
+    samples. A row aborts at its first step with a non-finite x^n or
+    measured value (the iterate check first at equal n); the others go on.
     """
-    weights, sizes, cum = _schedule(weight, size, N, budget=budget)
-    apply = o.base.apply
+    sampled = not isinstance(o.noise, NoiseModel)
+    schedule = _schedule(weight, size, N, o.noise.pairs if sampled else 1, budget)
+    weights, sizes = schedule[1].tolist(), schedule[2].tolist()
+    cols, rows, d = len(weights), len(rngs), x0.shape[0]
+    apply, draw = o.base.apply, o.noise.draw if sampled else o.noise.batch_mean
     target = o.base.fixed_point_info().point
-    seeds = [r.seed for r in rngs]
-    keyed = StepGenerator(rngs, len(sizes))
-    rows, cols = len(rngs), len(sizes) + 1
+    keyed = StepGenerator(rngs, cols - 1)
+    height = max(1, min(_BLOCK, cols - 1, _BLOCK_COORDS // (rows * d)))
+    # a block's iterates, the differences it measures (noise, residual, distance), estimates
+    xs, diffs = np.empty((height, rows, d)), np.empty((height, 2 if target is None else 3, rows, d))
+    ests = np.empty((height, rows, d)) if sampled else None
 
     def lengths(v):
         try:
@@ -310,13 +311,16 @@ def iterate_stack(
             out[ok] = norm(v[ok], norm_kind)
             return out
 
+    def bases(n):
+        """(1 - w_m) x^0 of an anchored block's steps m = n, n + 1, ..., each (1, d)."""
+        return (1.0 - schedule[1][n:n + height, None, None]) * x0 if anchored else None
+
     x = np.tile(x0, (rows, 1))
     tx = apply(x)
-    # column-major, so a step writes one contiguous column
+    # column-major, so a block writes contiguous rows of steps
     residual, noise = np.zeros((cols, rows)), np.zeros((cols, rows))
     dist = None if target is None else np.zeros((cols, rows))
-    reads_front = isinstance(o.noise, ResistantBernoulli)
-    prog = np.zeros((cols, rows), dtype=np.int64) if reads_front else None
+    prog = np.zeros((cols, rows), dtype=np.int64) if isinstance(o.noise, ResistantBernoulli) else None
     residual[0] = lengths(x - tx)
     if dist is not None:
         dist[0] = lengths(x - target)
@@ -327,48 +331,74 @@ def iterate_stack(
     steps, reasons = [cols - 1] * rows, [None] * rows
     live = np.arange(rows)  # the stack's rows that have not aborted, in seed order
 
-    def stop(bad, n, reason, x_prev):
-        """Abort the rows of the bad mask at step n; returns the mask of the others."""
-        for i, xi in zip(live[bad].tolist(), x_prev[bad]):
-            final_x[i], steps[i], reasons[i] = xi, n - 1, f"{reason} at step {n}"
-        keyed.seeds = [seeds[i] for i in live[~bad].tolist()]
-        return ~bad
+    def close(j, start, head, fail):
+        """Measure the block's steps start..start + j - 1 of the live rows, whose
+        x^{start-1} is head, and abort each row at its first non-finite measured value
+        or iterate (its block index in fail). Returns the mask of the rows kept."""
+        if sampled:
+            txs, diffs[:j, 0] = o.noise.measure(head, xs[:j], ests[:j])
+            np.subtract(xs[:j], txs, out=diffs[:j, 1])
+        if target is not None:
+            np.subtract(xs[:j], target, out=diffs[:j, 2])
+        m = lengths(diffs[:j].reshape(-1, d)).reshape(j, -1, live.size)
+        bad = ~(m.max(axis=1) < math.inf)  # norms are >= 0, never NaN
+        first = np.where(bad.any(axis=0), bad.argmax(axis=0), j)
+        cut = np.minimum(first, fail)
+        for r in np.flatnonzero(cut < j).tolist():
+            c, i = int(cut[r]), int(live[r])
+            m[c:, :, r] = 0.0
+            final_x[i], steps[i] = xs[c - 1, r] if c else head[r], start + c - 1
+            what = "iterate" if fail[r] <= first[r] else "measurement"
+            reasons[i] = f"non-finite {what} at step {start + c}"
+            if prog is not None:
+                prog[start + c:, i] = 0
+        span = slice(start, start + j)
+        noise[span, live], residual[span, live] = m[:, 0], m[:, 1]
+        if dist is not None:
+            dist[span, live] = m[:, 2]
+        return cut == j
 
+    # the block's first step, the iterate before it, and each row's first non-finite iterate
+    start, head, base, fail, all_failed = 1, x, bases(1), np.full(rows, height), False
     for n in range(1, cols):
-        w = weights[n - 1]
-        y = o.noise.batch_mean(tx, x, sizes[n - 1], keyed.step(n), front)
-        x_new = (1.0 - w) * (x0 if anchored else x) + w * y
-        ok = np.isfinite(x_new).all(axis=1)
-        if not ok.all():
-            keep = stop(~ok, n, "non-finite iterate", x)
-            live, x, tx, y, x_new = live[keep], x[keep], tx[keep], y[keep], x_new[keep]
+        j = n - start
+        if sampled:  # selects step n of keyed when it draws from it
+            y, est = draw(x, n, sizes[n], keyed)
+        else:
+            y = draw(tx, x, sizes[n], keyed.step(n), front)
+        w = weights[n]
+        x_new = (base[j] if anchored else (1.0 - w) * x) + w * y
+        if not np.isfinite(x_new).all():
+            bad = ~np.isfinite(x_new).all(axis=1)
+            fail[bad] = np.minimum(fail[bad], j)
+            x_new[bad] = x[bad]  # a row that failed steps on from finite values to the block's end
+            all_failed = (fail < height).all()  # then the block ends here
         if flush:
             x_new[np.abs(x_new) < flush] = 0.0
-        noisy = y - tx
-        tx = apply(x_new)
-        diffs = [noisy, x_new - tx] if dist is None else [noisy, x_new - tx, x_new - target]
-        # one norm call measures noise, residual and distance of every row
-        m = lengths(np.concatenate(diffs)).reshape(len(diffs), -1)
-        ok = m.max(axis=0) < math.inf  # norms are >= 0, never NaN
-        if not ok.all():
-            keep = stop(~ok, n, "non-finite measurement", x)
-            live, x_new, tx, m = live[keep], x_new[keep], tx[keep], m[:, keep]
-        noise[n][live] = m[0]
-        residual[n][live] = m[1]
-        if dist is not None:
-            dist[n][live] = m[2]
+        xs[j] = x_new
+        if sampled:
+            ests[j] = est
+        else:
+            np.subtract(y, tx, out=diffs[j, 0])
+            tx = apply(x_new)
+            np.subtract(x_new, tx, out=diffs[j, 1])
         if prog is not None:
             front = prog[n][live] = last_nonzero_index(x_new)
         x = x_new
-        if not live.size:
-            break
+        if j + 1 == height or n + 1 == cols or all_failed:
+            keep = close(j + 1, start, head, fail)
+            if not keep.all():
+                live, x, xs, diffs = live[keep], x[keep], xs[:, keep], diffs[:, :, keep]
+                tx, ests = (tx, ests[:, keep]) if sampled else (tx[keep], ests)
+                if front is not None:
+                    front = front[keep]
+                keyed.seeds = [s for s, kept in zip(keyed.seeds, keep.tolist()) if kept]
+                if not live.size:
+                    break
+            start, head, base, fail = n + 1, x, bases(n + 1), np.full(live.size, height)
     final_x[live] = x
-    shared = [np.arange(cols, dtype=np.int64), np.array([0.0] + weights),
-              np.array([0] + sizes, dtype=np.int64), np.array([0] + cum, dtype=np.int64)]
-    for column in shared:
-        column.setflags(write=False)  # every row's record holds these
     return StackTrace(
-        *shared,
+        *schedule,
         residual=residual.T,
         dist_to_fp=None if dist is None else dist.T,
         noise_norm=noise.T,
@@ -379,18 +409,13 @@ def iterate_stack(
     )
 
 
-def _vector_runs(o, x0, weight, size, N, norm_kind, rngs, anchored) -> list[RunRecord]:
-    """One RunRecord per seed of iterate_stack on minibatches of an oracle."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    start = as_vector(x0).copy()
-    if start.shape[0] != o.dim:
-        raise ValueError("x0 dimension does not match the operator")
-    t = iterate_stack(o, start, weight, size, N, norm_kind, rngs, anchored=anchored)
+def _records(t: StackTrace) -> list[RunRecord]:
+    """One RunRecord per row of a stack's trace; records of one length share their
+    schedule columns."""
     records, heads = [], {}
     for i, steps in enumerate(t.steps):
         cut = slice(1, steps + 1)
-        if steps not in heads:  # records of one length share their schedule columns
+        if steps not in heads:
             heads[steps] = t.n[cut], t.weight[cut], t.batch[cut], t.cum_queries[cut]
         records.append(RunRecord(
             *heads[steps],
@@ -402,6 +427,16 @@ def _vector_runs(o, x0, weight, size, N, norm_kind, rngs, anchored) -> list[RunR
             abort_reason=t.abort_reason[i],
         ))
     return records
+
+
+def _vector_runs(o, x0, weight, size, N, norm_kind, rngs, anchored) -> list[RunRecord]:
+    """One RunRecord per seed of iterate_stack on minibatches of an oracle."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    start = as_vector(x0).copy()
+    if start.shape[0] != o.dim:
+        raise ValueError("x0 dimension does not match the operator")
+    return _records(iterate_stack(o, start, weight, size, N, norm_kind, rngs, anchored=anchored))
 
 
 def halpern_runs(

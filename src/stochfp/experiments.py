@@ -30,6 +30,7 @@ from . import linalg, mdp as mdp_mod
 from .engine import (
     BatchSchedule,
     StepSchedule,
+    _schedule,
     bound_contractive,
     bound_nonexpansive,
     halpern_runs,
@@ -516,12 +517,6 @@ def load_config(path) -> dict:
 _COLUMNS = ("n", "batch", "cum_queries", "residual", "dist_to_fp", "noise_norm", "prog")
 
 
-def _one_by_one(run, rngs: list[RngStream]) -> list:
-    """The records of a Q-learning runner, which steps one seed at a time and
-    returns (final table, record)."""
-    return [run(rng)[1] for rng in rngs]
-
-
 # The seeds a runner steps together hold at most this many iterate
 # coordinates (2 MiB per array of a step), so wide runs go in shorter stacks.
 _STACK_COORDS = 1 << 18
@@ -531,9 +526,9 @@ _STACK_COORDS = 1 << 18
 class _Plan:
     """A validated config's run objects, shared by every seed.
 
-    runner(rngs) runs a stack of seeds (stepped together, except for
-    Q-learning) and returns one record per seed; width is the size of one
-    seed's iterate. instance (lowerbound), v_star (mdp-avg) and bounds
+    runner(rngs) steps a stack of seeds together and returns one record per
+    seed (for Q-learning, a (final table, record) pair); width is the size of
+    one seed's iterate. instance (lowerbound), v_star (mdp-avg) and bounds
     (fixedpoint with a bounds block) feed the summary.
     """
 
@@ -552,6 +547,8 @@ class _Plan:
         for i in range(0, len(seeds), height):
             stack = seeds[i:i + height]
             records = self.runner([RngStream(seed, self.stream) for seed in stack])
+            # a Q-learning record comes with its final table
+            records = [r[1] if isinstance(r, tuple) else r for r in records]
             _write_seed_csvs(out_dir, stack, records)
             results += [dict({c: getattr(r, c, None) for c in _COLUMNS},
                              abort_reason=getattr(r, "abort_reason", None)) for r in records]
@@ -561,56 +558,63 @@ class _Plan:
 def _plan(cfg: dict) -> _Plan:
     """Build the run objects of a validated config, solving an MDP exactly once.
 
-    Runner functions are looked up here, at run time, so that rebinding a
-    module attribute (as a call tracer does) reaches every seed.
+    The run's schedule columns are computed here too (engine._schedule keeps
+    them for the runs), so a schedule whose query count passes 2^63 - 1 is a
+    ConfigError before any output exists. Runner functions are looked up
+    here, at run time, so that rebinding a module attribute (as a call
+    tracer does) reaches every seed.
     """
     kind, stream = cfg["kind"], cfg["stream"]
+    per_query, budget = 1, None
     if kind == "fixedpoint":
         norm_kind = _build_norm(cfg["norm"], "config.norm")
         op = _build(cfg["operator"], "config.operator", _OPERATORS, norm_kind)
         oracle = OracleDescriptor(op, _build(cfg["noise"], "config.noise", _NOISES))
-        method = _build(cfg["method"], "config.method", _STEPS)
+        steps = _build(cfg["method"], "config.method", _STEPS)
+        batches = _build(cfg["batches"], "config.batches", _BATCHES)
         x0 = np.asarray(cfg["x0"], dtype=np.float64)
-        if method.is_halpern:
-            batches = _build(cfg["batches"], "config.batches", _BATCHES)
-            runner = partial(halpern_runs, oracle, x0, method, batches, cfg["N"], norm_kind)
+        if steps.is_halpern:
+            runner = partial(halpern_runs, oracle, x0, steps, batches, cfg["N"], norm_kind)
         else:
-            runner = partial(km_runs, oracle, x0, method, cfg["N"], norm_kind)
+            runner = partial(km_runs, oracle, x0, steps, cfg["N"], norm_kind)
         bounds = None if cfg["bounds"] is None else _bound_params(cfg["bounds"], op, norm_kind, x0)
-        return _Plan(runner, stream, op.dim, bounds=bounds)
-    if kind == "lowerbound":
+        plan, N = _Plan(runner, stream, op.dim, bounds=bounds), cfg["N"]
+    elif kind == "lowerbound":
         inst = build_instance(cfg["epsilon"], cfg["kappa_bar"], cfg["sigma"])
         steps = _build(cfg["algorithm"], "config.algorithm", _ALGORITHMS)
         batches = _build(cfg["batches"], "config.batches", _BATCHES)
         algo = SpanAlgorithm(steps.kind, batches, alpha=steps.alpha)
-        return _Plan(partial(adversarial_runs, inst, algo), stream, inst.d, instance=inst)
-    model = mdp_mod.mdp_from_dict(cfg["mdp"])
-    q0 = np.asarray(cfg["q0"], dtype=np.float64)
-    algorithm, N = cfg["algorithm"], cfg["N"]
-    if kind == "mdp-avg":
-        try:
-            v_star = mdp_mod.solve_average_exact(model, cfg["solver_tol"]).v_star
-        except RuntimeError as exc:  # relative value iteration fails on a multichain model
-            raise ConfigError(f"config.mdp: {exc}") from None
-        if algorithm == "benchmark":
-            runner = partial(mdp_mod.benchmark_q_average, model, v_star, q0, N)
-        else:
-            anchor = mdp_mod.AnchorFunction(**cfg["anchor"])
-            if algorithm == "halpern":
-                runner = partial(mdp_mod.halpern_q_average, model, anchor, q0, N, v_star=v_star)
-            else:
-                runner = partial(mdp_mod.rvi_q_learning, model, anchor, cfg["a_exponent"], q0, N,
-                                 v_star=v_star)
-        return _Plan(partial(_one_by_one, runner), stream, q0.size, v_star=v_star)
-    gamma = cfg["gamma"]
-    q_star = mdp_mod.solve_discounted_exact(model, gamma, cfg["solver_tol"])
-    if algorithm == "halpern":
-        runner = partial(mdp_mod.halpern_q_discounted, model, gamma, q0, N, q_star=q_star)
+        plan = _Plan(partial(adversarial_runs, inst, algo), stream, inst.d, instance=inst)
+        N = budget = inst.n_budget
     else:
-        steps = _build(cfg["alpha"], "config.alpha", _STEPS)
-        runner = partial(mdp_mod.vanilla_q_discounted, model, gamma, steps.weight, q0, N,
-                         q_star=q_star)
-    return _Plan(partial(_one_by_one, runner), stream, q0.size)
+        model = mdp_mod.mdp_from_dict(cfg["mdp"])
+        q0 = np.asarray(cfg["q0"], dtype=np.float64)
+        algorithm, N, v_star = cfg["algorithm"], cfg["N"], None
+        halpern = StepSchedule.halpern_classic()
+        if kind == "mdp-avg":
+            try:
+                v_star = mdp_mod.solve_average_exact(model, cfg["solver_tol"]).v_star
+            except RuntimeError as exc:  # relative value iteration fails on a multichain model
+                raise ConfigError(f"config.mdp: {exc}") from None
+            anchor = None if algorithm == "benchmark" else mdp_mod.AnchorFunction(**cfg["anchor"])
+            maps = mdp_mod._maps(model, v_star=v_star, anchor=anchor)
+            steps = StepSchedule.km_polynomial(cfg["a_exponent"]) if algorithm == "rvi" else halpern
+            batches = BatchSchedule.power_six()
+        else:
+            q_star = mdp_mod.solve_discounted_exact(model, cfg["gamma"], cfg["solver_tol"])
+            maps = mdp_mod._maps(model, gamma=cfg["gamma"], q_star=q_star)
+            steps = _build(cfg["alpha"], "config.alpha", _STEPS) if algorithm == "vanilla" else halpern
+            batches = BatchSchedule.contractive_geometric(cfg["gamma"], N)
+        # halpern and benchmark are anchored and batch; rvi and vanilla take one query a step
+        batches = batches if steps.is_halpern else BatchSchedule.constant(1)
+        runner = partial(mdp_mod._q_runs, model, q0, N, **maps, weight=steps.weight,
+                         size=batches.size, anchored=steps.is_halpern)
+        plan, per_query = _Plan(runner, stream, q0.size, v_star=v_star), q0.size
+    try:
+        _schedule(steps.weight, batches.size, N, per_query, budget)
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from None
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -825,9 +829,15 @@ def evaluate_bounds(cfg: dict, agg: dict) -> dict:
     ((1 - gamma)(n + 1)) per recorded n. That guarantee covers the final
     iterate of a run whose geometric-taper batches target horizon N; interior
     rows are informational only (their batches are still small), so the check
-    gates on final_within.
+    gates on final_within. Only the bound parameters are resolved; a config
+    without a bounds block is a ConfigError.
     """
-    return _overlay_bounds(_plan(cfg).bounds, agg)
+    if cfg.get("bounds") is None:
+        raise ConfigError("config.bounds: this config has no bounds block to evaluate")
+    norm_kind = _build_norm(cfg["norm"], "config.norm")
+    op = _build(cfg["operator"], "config.operator", _OPERATORS, norm_kind)
+    x0 = np.asarray(cfg["x0"], dtype=np.float64)
+    return _overlay_bounds(_bound_params(cfg["bounds"], op, norm_kind, x0), agg)
 
 
 def _overlay_bounds(params: dict, agg: dict) -> dict:
@@ -900,12 +910,12 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
+    plan = _plan(cfg)  # config errors found here leave no --out behind
     try:  # once, before any seed runs, since each seed's CSV is written where it ran
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # a file where the directory, or one of its parents, should be
         raise ConfigError(f"--out: {exc}") from None
     seeds = cfg["seeds"]
-    plan = _plan(cfg)
     chunks = _chunks(seeds, jobs)
     if len(chunks) == 1:
         results = plan.run(seeds, out_dir)

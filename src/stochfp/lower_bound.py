@@ -186,20 +186,10 @@ def adversarial_runs(
     for rng, reason in zip(rngs, t.abort_reason):
         if reason is not None:
             raise ValueError(f"seed {rng.seed}: {reason}")
-    return [
-        AdversarialTrace(
-            n=t.n,
-            prog=t.prog[i],
-            cum_queries=t.cum_queries,
-            residual=t.residual[i],
-            weight=t.weight,
-            batch=t.batch,
-            noise_norm=t.noise_norm[i],
-            dist_to_fp=t.dist_to_fp[i],
-            final_x=t.final_x[i],
-        )
-        for i in range(len(rngs))
-    ]
+    return [AdversarialTrace(n=t.n, prog=t.prog[i], cum_queries=t.cum_queries,
+                             residual=t.residual[i], weight=t.weight, batch=t.batch,
+                             noise_norm=t.noise_norm[i], dist_to_fp=t.dist_to_fp[i],
+                             final_x=t.final_x[i]) for i in range(len(rngs))]
 
 
 def run_adversarial(

@@ -2,22 +2,18 @@
 
 Average-reward fixed points solve Q = r + P max Q - v* (nonexpansive in the
 sup norm under the unichain assumption); discounted fixed points solve
-Q = r + gamma P max Q (a gamma-contraction). Every learning algorithm steps
-through _q_run, one seed at a time: a step only draws and updates the
-Q-table, and each block of steps is measured at once.
+Q = r + gamma P max Q (a gamma-contraction). Every learning algorithm is
+engine.iterate_stack on flattened (s, a) tables, its Bellman map an Operator
+and its sampler a noise model, so the seeds of a run step together.
 
-Sampling order is fixed: each step of all five runners draws the next-state
-counts of every (s, a) pair as one Generator.multinomial(k, P) call on the
-step's fresh generator would, in row-major (s, a) order. The count vector of
-k iid draws is the exact sufficient statistic for the batch mean of
-max_a' Q(s', a'), counts . max-vector / k; rvi and vanilla draw batches of
-one. The counts do not depend on the iterate, so a batch of one (k = 1) is
-replayed from raw Philox words drawn for a block of upcoming steps at once
-(oracles._multinomial_one, numpy's sampler inverted on those words); only
-steps with k > 1, which numpy may sample by BTPE, and the rare inversion
-that restarts on a second word re-key a generator to the step's stream.
-Coupled replays (same seed and stream) therefore consume identical counts
-sample-for-sample.
+Each step of all five runners draws the next-state counts of every (s, a)
+pair as one Generator.multinomial(k, P) call on the step's fresh generator
+would, in row-major (s, a) order: the exact sufficient statistic for the
+batch mean of max_a' Q(s', a'). A batch of one (rvi, vanilla, and the
+geometric taper's early steps) is replayed from raw Philox words drawn for
+a block of steps and every seed at once (oracles._multinomial_one); k > 1
+re-keys a generator per seed. Coupled replays (same seed and stream)
+consume identical counts sample-for-sample.
 """
 
 from __future__ import annotations
@@ -25,12 +21,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .engine import BatchSchedule, RunRecord, StepSchedule, _schedule_columns
-from .oracles import RngStream, StepGenerator, _multinomial_one
+from .engine import BatchSchedule, StepSchedule, _records, iterate_stack
+from .linalg import LINF
+from .operators import FixedPointInfo, Operator
+from .oracles import OracleDescriptor, RngStream, _multinomial_one
 
 __all__ = [
     "MDPValidationError",
@@ -193,13 +192,13 @@ class AnchorFunction:
             raise ValueError("coordinate anchor indices must be >= 0")
 
     def value(self, q: np.ndarray) -> float:
-        if self.kind == "max":
-            return float(q.max())
-        if self.kind == "min":
-            return float(q.min())
-        if self.kind == "mean":
-            return float(q.mean())
-        return float(q[self.s, self.a])
+        return float(self._of_rows(q.reshape(1, -1), q.shape[1])[0])
+
+    def _of_rows(self, x: np.ndarray, num_actions: int) -> np.ndarray:
+        """value() of each row of a (B, S * A) stack of flattened tables."""
+        if self.kind == "coordinate":
+            return x[:, self.s * num_actions + self.a]
+        return getattr(x, self.kind)(axis=1)  # x.max, x.min or x.mean
 
 
 @dataclass(frozen=True)
@@ -332,7 +331,7 @@ def _batch_mean_max(m: TabularMDP, maxv: np.ndarray, k: int, gen: np.random.Gene
     """(1/k) sum over k generative draws of max_a' Q(s',a'), per (s, a).
 
     One multinomial call on gen draws every pair's count vector in
-    row-major order; _q_run takes this path only for steps with k > 1, and
+    row-major order; _Sampled takes this path only for steps with k > 1, and
     replays batches of one from block Philox words. The row-wise vecdot
     keeps the bits of a per-pair counts @ maxv, which a 2-D matmul does not.
     """
@@ -350,104 +349,124 @@ def _check_discounted(m: TabularMDP, gamma: float, q0, N: int) -> np.ndarray:
     return q0
 
 
-# The steps of a Q-learning run are measured this many at a time.
-_BLOCK = 1024
+class _Bellman(Operator):
+    """T(Q) = residual(P max Q) of a vector or each row of a (B, S * A) stack of
+    flattened tables; gamma is the discounted factor (1 for average reward)."""
+
+    def __init__(self, m: TabularMDP, residual, gamma: float, q_star=None):
+        self.m, self.residual = m, residual
+        self.flat = _flat_transitions(m)
+        self.dim = m.num_states * m.num_actions
+        self.declared_norm = LINF
+        self.gamma = float(gamma)
+        self.q_star = None if q_star is None else np.asarray(q_star, dtype=np.float64).reshape(-1)
+
+    def lookahead(self, x: np.ndarray) -> np.ndarray:
+        """P max Q of each row: one gemv per row, with the bits of one table's product."""
+        maxv = x.reshape(len(x), self.m.num_states, -1).max(axis=2)
+        return (self.flat @ maxv[:, :, None])[:, :, 0]
+
+    def apply(self, x) -> np.ndarray:
+        x = self._points(x)
+        return self.residual(self.lookahead(x.reshape(-1, self.dim))).reshape(x.shape)
+
+    def fixed_point_info(self) -> FixedPointInfo:
+        return FixedPointInfo(self.q_star)
 
 
-def _q_run(m, q0, N, rng, *, target, residual, weight, size, anchored,
-           scale=1.0, q_star=None):
-    """The loop of every synchronous Q-learning run; returns (final table, RunRecord).
+class _Sampled:
+    """The sampled oracle of op, built per run: a noise model that reads no T(x).
 
-    Step n draws est = the k_n-sample batch mean of max_a' Q^{n-1} per pair
-    (k_n = size(n)) from substream(n) of rng. A batch of one takes its
-    counts from a block of steps replayed at once from raw Philox words
-    (oracles._multinomial_one), so est is counts . max_a' Q^{n-1}; a step
-    with k_n > 1 re-keys the run's StepGenerator and draws through
-    _batch_mean_max. The step then sets Q^n = (1 - w_n) B + w_n
-    target(Q^{n-1}, est) with w_n = weight(n) and B = Q^0 (anchored) or
-    Q^{n-1} (averaged). A block of up to _BLOCK
-    steps keeps its est and Q^n, and is then measured in a few array
-    operations: the sup norms of scale * (est - E est), residual(P max Q^n)
-    - Q^n and, with q_star, Q^n - q_star, where E est = P max Q^{n-1} is the
-    previous row's lookahead. The stacked product is one gemv per row, so
-    every traced value has the bits of a step-by-step measurement.
-
-    A non-finite Q^n, or a non-finite measured value, aborts the run at the
-    first such step (the iterate check first at equal n) with the partial
-    trace and Q^{n-1} as final table. cum_queries counts k_n per pair;
-    totals beyond 2^63 - 1 are rejected before step 1. The schedule
-    columns come from engine._schedule_columns, so a run that does not
-    abort shares them with every run on an equal schedule.
+    A query draws one next state s' of every pair, and est is the k-sample
+    batch mean of max_a' Q(s', a'); draw gives target(Q, est) (op.residual(est)
+    by default). The realized noise is op.gamma (est - E est) with E est =
+    P max Q, (r + gamma est) - (r + gamma E est) in exact arithmetic. A batch
+    of one reads counts replayed a block at a time (oracles._multinomial_one,
+    kept here); k > 1 re-keys the stack's generator per row (_batch_mean_max).
     """
-    schedule = _schedule_columns(weight, size, N, m.num_states * m.num_actions)
-    flat, shape = _flat_transitions(m), (-1,) + q0.shape
-    height = min(N, _BLOCK)
-    tables, ests = np.empty((height,) + q0.shape), np.empty((height,) + q0.shape)
-    traced = np.empty((2 if q_star is None else 3, N))  # noise, residual and dist of each step
-    keyed = StepGenerator([rng], N)
-    first, counts = 1, ()  # the replayed batch-of-one counts of steps first, first + 1, ...
-    q, maxv = q0, q0.max(axis=1)
-    pm = (flat @ maxv).reshape(q0.shape)  # E est of the block's first step
-    steps, reason = N, None
-    for start in range(0, N, height):
-        head = q  # Q^start
-        rows = min(height, N - start)
-        weights = schedule[1][start:start + rows]
-        if anchored:  # (1 - w_n) Q^0 of the block's steps
-            bases = (1.0 - weights)[:, None, None] * q0
-        for j, (w, k) in enumerate(zip(weights.tolist(), schedule[2][start:start + rows].tolist())):
-            n = start + j + 1
-            if k == 1:
-                if not n - first < len(counts):
-                    first, counts = _multinomial_one(keyed, n, m.transitions)
-                est = np.vecdot(counts[n - first], maxv)  # the batch mean, as x / 1 == x
-            else:
-                est = _batch_mean_max(m, maxv, k, keyed.step(n).generator())
-            q_new = (bases[j] if anchored else (1.0 - w) * q) + w * target(q, est)
-            if not np.isfinite(q_new).all():
-                steps, reason, rows = n - 1, f"non-finite iterate at step {n}", j
-                break
-            q = tables[j] = q_new
-            ests[j] = est
-            maxv = q.max(axis=1)
-        if rows:
-            block = tables[:rows]
-            pms = (flat @ block.max(axis=2)[:, :, None])[:, :, 0].reshape(shape)
-            before = np.concatenate((pm[None], pms[:-1]))
-            measured = [scale * np.abs(ests[:rows] - before).max(axis=(1, 2)),
-                        np.abs(residual(pms) - block).max(axis=(1, 2))]
-            if q_star is not None:
-                measured.append(np.abs(block - q_star).max(axis=(1, 2)))
-            measured = np.array(measured)
-            bad = np.flatnonzero(~np.isfinite(measured).all(axis=0))
-            cut = int(bad[0]) if bad.size else rows
-            traced[:, start:start + cut] = measured[:, :cut]
-            if bad.size:
-                q = block[cut - 1] if cut else head
-                steps, reason = start + cut, f"non-finite measurement at step {start + cut + 1}"
-            pm = pms[-1]
-        if reason is not None:
-            break
-    record = RunRecord(
-        *(schedule if steps == N else (c[:steps] for c in schedule)),
-        residual=traced[1, :steps],
-        dist_to_fp=None if q_star is None else traced[2, :steps],
-        noise_norm=traced[0, :steps],
-        final_x=q.reshape(-1).copy(),
-        aborted=reason is not None,
-        abort_reason=reason,
-    )
-    return q.copy(), record
+
+    def __init__(self, op: _Bellman, target=None):
+        self.op, self.target = op, target
+        self.pairs = op.dim
+        self._actions = op.m.num_actions
+        self._block = (0, 0, 0, None)  # first and end step, rows and float counts of a replay
+
+    def draw(self, x, n, k, keyed):
+        """(y, est) of every row of the (B, S * A) stack x at step n, from keyed's step n."""
+        # a 2-D reduction, which numpy runs faster than one over a row's table; the
+        # max vector of a stack of one broadcasts as it is
+        maxv = np.maximum.reduce(x.reshape(-1, self._actions), axis=1)
+        if len(x) > 1:
+            maxv = maxv.reshape(len(x), 1, -1)
+        if k == 1:
+            first, end, rows, counts = self._block
+            # a block for other steps or other rows (some aborted) is replayed anew
+            if not (first <= n < end and rows == len(x)):
+                first, counts = _multinomial_one(keyed, n, self.op.flat)
+                counts = counts.astype(np.float64)  # exact, and vecdot then casts nothing
+                self._block = first, first + len(counts), len(x), counts
+            est = np.vecdot(counts[n - first], maxv)  # the batch mean, as x / 1 == x
+        else:
+            keyed.step(n)
+            est = np.array([_batch_mean_max(self.op.m, v, k, keyed.generator(i)).reshape(-1)
+                            for i, v in enumerate(maxv.reshape(len(x), -1))])
+        return (self.op.residual(est) if self.target is None else self.target(x, est)), est
+
+    def measure(self, before, xs, ests):
+        """(T of each iterate, realized noise of each step) of a block: xs and ests are
+        (steps, B, S * A), before the iterate each row held before the block."""
+        steps, rows, d = xs.shape
+        pm = self.op.lookahead(np.concatenate((before[None], xs)).reshape(-1, d))
+        pm = pm.reshape(steps + 1, rows, d)
+        return self.op.residual(pm[1:]), self.op.gamma * (ests - pm[:-1])
 
 
-def halpern_q_average(
-    m: TabularMDP,
-    f: AnchorFunction,
-    q0,
-    N: int,
-    rng: RngStream,
-    v_star: float | None = None,
-):
+# the discounted and average-reward maps of a lookahead pm = P max Q, and the
+# anchored average-reward target; module functions, so a run plan pickles
+def _discounted(rewards, gamma, pm):
+    return rewards + gamma * pm
+
+
+def _average(rewards, v_star, pm):
+    return (rewards + pm) - v_star
+
+
+def _anchored(rewards, f, num_actions, x, est):
+    return (rewards + est) - f._of_rows(x, num_actions)[:, None]
+
+
+def _maps(m: TabularMDP, *, gamma=None, v_star=None, anchor=None, q_star=None) -> dict:
+    """_q_runs' maps: discounted with gamma and q_star, or average-reward with v*,
+    whose target subtracts the anchor f(Q) in place of v* when one is given."""
+    r = m.rewards.reshape(1, -1)  # a row's shape, so a stack of one does not broadcast
+    if gamma is not None:
+        return dict(residual=partial(_discounted, r, gamma), scale=gamma, q_star=q_star)
+    maps = dict(residual=partial(_average, r, float(v_star)))
+    if anchor is not None:
+        maps["target"] = partial(_anchored, r, anchor, m.num_actions)
+    return maps
+
+
+def _q_runs(m, q0, N, rngs, *, residual, weight, size, anchored, target=None, scale=1.0,
+            q_star=None):
+    """(final table, RunRecord) of synchronous Q-learning from Q^0 = q0 for each of
+    rngs (one stream), stepped together by engine.iterate_stack.
+
+    Step n sets Q^n = (1 - w_n) B + w_n target(Q^{n-1}, est), with est the
+    k_n-sample batch mean of max_a' Q^{n-1} per pair, w_n = weight(n), k_n =
+    size(n) and B = Q^0 (anchored) or Q^{n-1}. The trace holds the sup norms
+    of scale (est - P max Q^{n-1}), residual(P max Q^n) - Q^n and Q^n - q_star;
+    target and residual act on (..., S * A) arrays, and cum_queries counts
+    k_n per pair.
+    """
+    op = _Bellman(m, residual, scale, q_star)
+    t = iterate_stack(OracleDescriptor(op, _Sampled(op, target)), q0.reshape(-1), weight, size,
+                      N, LINF, rngs, anchored=anchored)
+    return [(r.final_x.reshape(q0.shape).copy(), r) for r in _records(t)]
+
+
+def halpern_q_average(m: TabularMDP, f: AnchorFunction, q0, N: int, rng: RngStream,
+                      v_star: float | None = None):
     """Anchored synchronous Q-learning for average reward (batch size n^6).
 
     Q^n = (1 - beta_n) Q^0 + beta_n (r + batch-mean max Q^{n-1} - f(Q^{n-1})),
@@ -462,21 +481,12 @@ def halpern_q_average(
         raise ValueError("N must be >= 1")
     if v_star is None:
         v_star = solve_average_exact(m).v_star
-    return _q_run(
-        m, q0, N, rng, target=lambda q, est: m.rewards + est - f.value(q),
-        residual=lambda pm: (m.rewards + pm) - float(v_star),
-        weight=StepSchedule.halpern_classic().weight, size=BatchSchedule.power_six().size,
-        anchored=True,
-    )
+    return _q_runs(m, q0, N, [rng], **_maps(m, v_star=v_star, anchor=f),
+                   weight=StepSchedule.halpern_classic().weight,
+                   size=BatchSchedule.power_six().size, anchored=True)[0]
 
 
-def benchmark_q_average(
-    m: TabularMDP,
-    v_star: float,
-    q0,
-    N: int,
-    rng: RngStream,
-):
+def benchmark_q_average(m: TabularMDP, v_star: float, q0, N: int, rng: RngStream):
     """Average-reward anchored Q-learning that subtracts the exact v* each step.
 
     Identical sampling layout to halpern_q_average, so running both on equal
@@ -486,23 +496,13 @@ def benchmark_q_average(
     q0 = _check_table(m, q0)
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _q_run(
-        m, q0, N, rng, target=lambda q, est: m.rewards + est - float(v_star),
-        residual=lambda pm: (m.rewards + pm) - float(v_star),
-        weight=StepSchedule.halpern_classic().weight, size=BatchSchedule.power_six().size,
-        anchored=True,
-    )
+    return _q_runs(m, q0, N, [rng], **_maps(m, v_star=v_star),
+                   weight=StepSchedule.halpern_classic().weight,
+                   size=BatchSchedule.power_six().size, anchored=True)[0]
 
 
-def halpern_q_discounted(
-    m: TabularMDP,
-    gamma: float,
-    q0,
-    N: int,
-    rng: RngStream,
-    q_star: np.ndarray | None = None,
-    solver_tol: float = 1e-10,
-):
+def halpern_q_discounted(m: TabularMDP, gamma: float, q0, N: int, rng: RngStream,
+                         q_star: np.ndarray | None = None, solver_tol: float = 1e-10):
     """Anchored synchronous Q-learning, discounted case (batch n^2 gamma^(N-n)).
 
     Requires ||Q^0||_inf <= r_max/(1-gamma); iterates then stay within that cap.
@@ -512,24 +512,13 @@ def halpern_q_discounted(
     q0 = _check_discounted(m, gamma, q0, N)
     if q_star is None:
         q_star = solve_discounted_exact(m, gamma, solver_tol)
-    return _q_run(
-        m, q0, N, rng, target=lambda q, est: m.rewards + gamma * est,
-        residual=lambda pm: m.rewards + gamma * pm,
-        weight=StepSchedule.halpern_classic().weight,
-        size=BatchSchedule.contractive_geometric(gamma, N).size,
-        anchored=True, scale=gamma, q_star=q_star,
-    )
+    return _q_runs(m, q0, N, [rng], **_maps(m, gamma=gamma, q_star=q_star),
+                   weight=StepSchedule.halpern_classic().weight,
+                   size=BatchSchedule.contractive_geometric(gamma, N).size, anchored=True)[0]
 
 
-def rvi_q_learning(
-    m: TabularMDP,
-    f: AnchorFunction,
-    a_exponent: float,
-    q0,
-    N: int,
-    rng: RngStream,
-    v_star: float | None = None,
-):
+def rvi_q_learning(m: TabularMDP, f: AnchorFunction, a_exponent: float, q0, N: int,
+                   rng: RngStream, v_star: float | None = None):
     """Relative-value-iteration Q-learning baseline (a batch of one per pair per step).
 
     Q^n(s,a) = (1 - alpha_n) Q^{n-1}(s,a)
@@ -545,24 +534,14 @@ def rvi_q_learning(
         raise ValueError("N must be >= 1")
     if v_star is None:
         v_star = solve_average_exact(m).v_star
-    return _q_run(
-        m, q0, N, rng, target=lambda q, est: m.rewards + est - f.value(q),
-        residual=lambda pm: (m.rewards + pm) - float(v_star),
-        weight=StepSchedule.km_polynomial(a_exponent).weight,
-        size=BatchSchedule.constant(1).size, anchored=False,
-    )
+    return _q_runs(m, q0, N, [rng], **_maps(m, v_star=v_star, anchor=f),
+                   weight=StepSchedule.km_polynomial(a_exponent).weight,
+                   size=BatchSchedule.constant(1).size, anchored=False)[0]
 
 
-def vanilla_q_discounted(
-    m: TabularMDP,
-    gamma: float,
-    alpha_schedule,
-    q0,
-    N: int,
-    rng: RngStream,
-    q_star: np.ndarray | None = None,
-    solver_tol: float = 1e-10,
-):
+def vanilla_q_discounted(m: TabularMDP, gamma: float, alpha_schedule, q0, N: int,
+                         rng: RngStream, q_star: np.ndarray | None = None,
+                         solver_tol: float = 1e-10):
     """Synchronous Q-learning baseline, a batch of one per pair per step.
 
     alpha_schedule is a callable n -> alpha in (0, 1]; alpha = 1 gives exact
@@ -578,12 +557,8 @@ def vanilla_q_discounted(
 
     if q_star is None:
         q_star = solve_discounted_exact(m, gamma, solver_tol)
-    return _q_run(
-        m, q0, N, rng, target=lambda q, est: m.rewards + gamma * est,
-        residual=lambda pm: m.rewards + gamma * pm,
-        weight=alpha, size=BatchSchedule.constant(1).size,
-        anchored=False, scale=gamma, q_star=q_star,
-    )
+    return _q_runs(m, q0, N, [rng], **_maps(m, gamma=gamma, q_star=q_star), weight=alpha,
+                   size=BatchSchedule.constant(1).size, anchored=False)[0]
 
 
 def discounted_iteration_count(

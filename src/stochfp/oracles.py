@@ -5,28 +5,21 @@ Randomness comes from counter-based Philox generators keyed by a
 with the SplitMix64 finalizer, so any (run, iteration) owns its own stream and
 replays are bit-identical across platforms.
 
-A stack of runs (one run per seed, every seed on the same stream) owns one
-generator (StepGenerator). At each step the stack computes the step's stream
-id once, as an int. Raw words for every row of a stack come at once from
-_philox_words, a numpy Philox4x64-10 over the rows' key words (Salmon et
-al., "Parallel random numbers: as easy as 1, 2, 3", SC'11), each row keyed
-as RngStream(seed_i, stream).substream(n).generator() would be. They do not
-depend on the iterate, so a run that knows its horizon draws them for a
-block of upcoming steps per pass. A draw that needs numpy's own sampler
-re-keys one shared Generator to that row's key, with a zero counter and an
-empty buffer. So each (seed, step) draws exactly what a fresh generator
-would, at a fraction of the cost of building one.
+A stack of runs (one per seed, all on one stream) owns one generator
+(StepGenerator). Raw words for every row come at once from _philox_words, a
+numpy Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
+2, 3", SC'11) keyed as RngStream(seed_i, stream).substream(n).generator()
+would be; they do not depend on the iterate, so a run that knows its horizon
+draws them a block of steps per pass. A draw that needs numpy's own sampler
+re-keys one shared Generator to the row's key, zero counter and empty buffer.
 
-Resistant draws replay numpy's Generator.binomial on those words: while
-min(p, 1 - p) k <= 30 numpy inverts the CDF from one word, and _binomial
-does the same for every drawing row at once with numpy's operation order.
-Q-learning's batches of one replay numpy's Generator.multinomial(1, P) the
-same way: numpy draws it as one binomial(1, p) inversion per category and
-pair, one word each, and _multinomial_one inverts a whole block of steps'
-words at once, category by category. Both share _inversion_table and the
-stepping code (_invert). Only numpy's BTPE regime (min(p, 1 - p) k > 30),
-multinomial batches of k > 1, and the rare inversion that runs past its
-bound and restarts on the next word re-key per row or step.
+Resistant draws replay numpy's Generator.binomial inversion (min(p, 1 - p) k
+<= 30) on one word per drawing row (_binomial), and Q-learning's batches of
+one replay Generator.multinomial(1, P), one binomial(1, p) inversion per
+category and pair, for a block of steps and rows at once
+(_multinomial_one); both step through _invert. Only numpy's BTPE regime,
+multinomial batches of k > 1 and an inversion that restarts on the next word
+re-key per row or step.
 
 Gaussian draws use a fixed inverse-transform realization: u = (r + 0.5) * 2^-53
 for a 53-bit integer r, then z = ndtri(u). u lies in (0, 1) except for
@@ -38,19 +31,16 @@ argument handling. ndtri is cephes' (the one scipy.special ships), ported to
 numpy with its coefficients and operation order (see _ndtri), so the package
 needs no scipy and draws the same bits as with it.
 
-Each noise model samples for itself: batch_mean(tx, x, k, keyed, front) is,
-row by row, the mean of k queries at each row of the (B, d) stack x given
-tx = T(x), drawn from keyed's generator for that row (a single query is the
-minibatch of one, a single point the stack of one; front, if not None, is
+Each noise model samples for itself: batch_mean(tx, x, k, keyed, front) is
+the mean of k queries at each row of the (B, d) stack x given tx = T(x),
+drawn from keyed's generator for that row (front, if not None, is
 last_nonzero_index(x)), and moments(tx, x, m, rng) is empirical_moments'
-(mean, second moment) at one point. Minibatch
-means come from exact sufficient statistics rather than per-sample loops,
-which keeps polynomially growing batch sizes runnable:
+(mean, second moment) at one point. Minibatch means come from exact
+sufficient statistics, which keeps polynomially growing batches runnable:
 
 * iid Gaussian: the mean of k perturbations is Gaussian with std e/sqrt(k);
 * the resistant coordinate: the mean of k iid (xi_i/p) * t values is
-  t * Binomial(k, p) / (k p); the unveiling event {Binomial > 0} keeps exactly
-  its probability 1 - (1-p)^k.
+  t * Binomial(k, p) / (k p), so {Binomial > 0} keeps probability 1 - (1-p)^k.
 
 Both collapses are equalities in distribution, not approximations.
 """
@@ -219,26 +209,20 @@ class StepGenerator:
     run's horizon, the last step it selects (0 if it is not known).
 
     raw(count) gives every row's first count raw words at the current
-    stream, what RngStream(seeds[i], stream).generator() would give. Raw
-    words do not depend on the iterate, so at a step n within the horizon
-    one _philox_words pass draws them for steps n, n + 1, ... as long as the
-    pass stays within _PASS_WORDS words, and the later steps of that block
-    are served from it. A change of seeds (a row that aborted) or of count
-    drops the block; a step outside it starts a new one, and the run's own
-    stream (no step(n) yet) is drawn alone. block(count) hands back the
-    whole block that holds the current step, (first step, (steps, rows,
-    count) words), for draws that replay several steps at once. The block's
-    stream ids come from one vectorised SplitMix64 (_children). numpy's
-    warning for a key word that rounds to 2^64 (see _keys) therefore comes
-    when the block holding the first step whose key uses that word is
-    drawn, up to a block's length before that step.
+    stream, as RngStream(seeds[i], stream).generator() would. Within the
+    horizon one _philox_words pass of at most _PASS_WORDS words draws them
+    for the current step and the next ones, whose stream ids come from one
+    vectorised SplitMix64 (_children); a change of seeds (a row that
+    aborted) or of count drops that block, and the run's own stream is drawn
+    alone. block(count) hands back the whole block, (first step, (steps,
+    rows, count) words). numpy's warning for a key word that rounds to 2^64
+    (see _keys) comes when the block holding the first step using it is
+    drawn.
 
     generator(i) resets the shared Philox to RngStream(seeds[i],
-    stream).generator()'s state (the same key, numpy's conversion of
-    [seed, stream] included, a zero counter and an empty buffer) and
-    returns the shared Generator. Each call resets it again, so a
-    StepGenerator must only reach code that draws from one row at a time.
-    The Generator is built on the first call.
+    stream).generator()'s state (numpy's conversion of [seed, stream], a
+    zero counter and an empty buffer) and returns the shared Generator, so
+    a StepGenerator must only reach code that draws one row at a time.
     """
 
     def __init__(self, rngs, steps: int = 0):
@@ -506,34 +490,33 @@ def _binomial(keyed: StepGenerator, rows: np.ndarray, k: int, p: float) -> np.nd
 
 
 def _multinomial_one(keyed: StepGenerator, n: int, p: np.ndarray) -> tuple[int, np.ndarray]:
-    """(first step, counts): keyed.step(m).generator().multinomial(1, p) of row 0 at
-    each step m of the block that holds step n, as numpy draws them.
+    """(first step, counts): keyed.step(m).generator(i).multinomial(1, p) of every row i
+    at each step m of the block that holds step n, as numpy draws them.
 
-    p is (..., S), each row a distribution, read in row-major order, and
-    counts[j] is step first + j's int64 array of p's shape. numpy draws row
-    after row, category j < S - 1 by random_binomial(1, P_j / remaining),
-    remaining = 1 - P_0 - ... - P_{j-1} in doubles, until a count is 1 (the
-    last category takes the draw if none is); a zero probability reads no
-    word, any other one word, inverted at q = min(p, 1 - p) (_invert).
-    Every step that still draws in a row has the same remaining, so the
-    block's steps go together, each with its own word pointer, and a step
-    reads at most rows * (S - 1) words. A step whose inversion restarts
-    draws from its own generator. keyed is left at step n.
+    p is (..., S), each row a distribution in row-major order; counts[j, i] is
+    row i's int64 array of p's shape at step first + j. numpy draws category
+    c < S - 1 of a distribution by binomial(1, P_c / remaining) (remaining in
+    doubles) until a count is 1, the last category taking the draw if none
+    is; a zero probability reads no word. Every draw of the block still live
+    in a distribution shares its remaining, so all go together, each with its
+    own word pointer; one that restarts comes from its own generator. keyed
+    is left at step n.
     """
-    rows = p.reshape(-1, p.shape[-1])
-    first, words = keyed.step(n).block(rows.shape[0] * (rows.shape[1] - 1))
-    steps, count = words.shape[0], words.shape[2]
-    counts = np.zeros((steps,) + rows.shape, dtype=np.int64)
-    flat = words[:, 0].ravel()
-    at = np.arange(steps) * count  # each step's next word in flat
-    restart = np.zeros(steps, dtype=bool)
-    for i, row in enumerate(rows.tolist()):
-        live = np.arange(steps)  # the steps with no count in row i yet
+    dists = p.reshape(-1, p.shape[-1])
+    first, words = keyed.step(n).block(dists.shape[0] * (dists.shape[1] - 1))
+    steps, rows, count = words.shape
+    draws = steps * rows
+    counts = np.zeros((draws,) + dists.shape, dtype=np.int64)
+    flat = words.ravel()
+    at = np.arange(draws) * count  # each draw's next word in flat
+    restart = np.zeros(draws, dtype=bool)
+    for i, dist in enumerate(dists.tolist()):
+        live = np.arange(draws)  # the draws with no count in row i yet
         remaining = 1.0
-        for j, pj in enumerate(row[:-1]):
+        for j, pj in enumerate(dist[:-1]):
             if not live.size:
                 break
-            # remaining > 0 here: a step stays live only past a p_cond below 1
+            # remaining > 0 here: a draw stays live only past a p_cond below 1
             p_cond = pj / remaining
             if p_cond != 0.0:
                 q = p_cond if p_cond <= 0.5 else 1.0 - p_cond
@@ -547,9 +530,9 @@ def _multinomial_one(keyed: StepGenerator, n: int, p: np.ndarray) -> tuple[int, 
                 live = live[x == 0]
             remaining -= pj
         counts[live, i, -1] = 1
-    counts = counts.reshape((steps,) + p.shape)
-    for j in np.flatnonzero(restart).tolist():
-        counts[j] = keyed.step(first + j).generator().multinomial(1, p)
+    counts = counts.reshape((steps, rows) + p.shape)
+    for j, i in zip(*np.divmod(np.flatnonzero(restart), rows)):
+        counts[j, i] = keyed.step(first + int(j)).generator(int(i)).multinomial(1, p)
     keyed.step(n)
     return first, counts
 

@@ -629,6 +629,23 @@ class TestEvaluateBounds:
         assert frag["final_within"]
 
 
+    def test_a_config_without_bounds_is_a_config_error(self, monkeypatch):
+        doc = json.loads((REPO / "configs" / "fixedpoint_halpern_rotation.json").read_text())
+        agg = {"n": [1], "k_n": [1], "residual_mean": [0.1], "dist_to_fp_mean": None}
+        with pytest.raises(sf.ConfigError, match="^config.bounds: "):
+            sf.evaluate_bounds(sf.validate_config(dict(doc, bounds=None)), agg)
+        # an mdp config has no bounds either, and its model is not solved to find that out
+        mdp_doc = json.loads((REPO / "configs" / "mdp_disc_target.json").read_text())
+        cfg = sf.validate_config(dict(mdp_doc, mdp=str(REPO / "configs" / "mdp_3x2.json")))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("evaluate_bounds solved the model")
+
+        monkeypatch.setattr(sf.mdp, "solve_discounted_exact", no_solve)
+        with pytest.raises(sf.ConfigError, match="^config.bounds: "):
+            sf.evaluate_bounds(cfg, agg)
+
+
 class TestCli:
     def _write(self, tmp_path, doc, name="cfg.json"):
         p = tmp_path / name
@@ -846,6 +863,26 @@ class TestCli:
         assert done.returncode == 1
         assert done.stderr == (f"config error: {message}, "
                                f"more than the {experiments._MAX_STEPS} a run may take\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, shipped, overrides, step", [
+        ("fixedpoint", "fixedpoint_shift_bound.json", {"batches": {"kind": "power-six"}, "N": 10**6},
+         676),
+        ("mdp-avg", "mdp_avg_halpern.json", {"N": 600}, 523),
+    ])
+    def test_query_count_past_int64_exits_one_before_out_is_made(self, tmp_path, capsys, command,
+                                                                 shipped, overrides, step):
+        # sum of n^6 first passes 2^63 - 1 at n = 676, and 6 sum of n^6 at n = 523; the
+        # schedule stops there, not at N
+        doc = dict(json.loads((REPO / "configs" / shipped).read_text()), **overrides)
+        if "mdp" in doc:
+            doc["mdp"] = str(REPO / "configs" / doc["mdp"].split("/")[-1])
+        out = tmp_path / "o"
+        code = cli_main([command, "--config", self._write(tmp_path, doc), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: cumulative query count ")
+        assert err.endswith(f" exceeds 2^63 - 1 at step {step} of N = {doc['N']}\n")
         assert not out.exists()
 
     def test_seed_override_outside_uint64_exits_one_before_out_is_made(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Import hygiene: every imported name is used (the project depends on no
-linter), and the package re-exports its submodules' public names."""
+"""Import hygiene: every imported name is used and every private name is read
+(the project depends on no linter), and the package re-exports its
+submodules' public names."""
 
 import ast
 import importlib
@@ -51,6 +52,33 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def unread_private_names(sources: list[str]) -> list[str]:
+    """Private top-level functions, classes and constants, and private methods, that
+    the given modules define and none of them reads (an import counts as a read)."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            names = []
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                    elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                    names += [t.id for t in elts if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+            defined.update(n for n in names if n.startswith("_") and not n.endswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return sorted(defined - read)
+
+
 def test_detector_on_a_snippet():
     source = (
         "from __future__ import annotations\n"
@@ -58,6 +86,24 @@ def test_detector_on_a_snippet():
         "__all__ = ['d']\nprint(np.pi, a)\n"
     )
     assert unused_imports(source) == ["c", "os"]
+
+
+def test_private_name_detector_on_a_snippet():
+    source = (
+        "_A, _B = 1, 2\n_C: int = 3\n__all__ = []\n"
+        "def _used(): return _A\ndef _unused(): pass\n"
+        "class _K:\n    def __init__(self): self._x = _used()\n"
+        "    def _m(self): pass\n    def _n(self): return self._m()\n"
+    )
+    assert unread_private_names([source, "from m import _C\nprint(_K()._n)\n"]) == [
+        "_B", "_unused"]
+
+
+def test_every_private_name_in_the_package_is_read_by_the_package():
+    # uses in tests do not count: a helper only tests call is dead code
+    sources = [path.read_text(encoding="utf-8") for path in ROOT.glob("src/stochfp/*.py")]
+    assert len(sources) == len(SUBMODULES) + 2  # __init__ and cli
+    assert unread_private_names(sources) == []
 
 
 def test_no_unused_imports_in_package_or_tests():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochfp as sf
-from stochfp import mdp
+from stochfp import engine, mdp
 from stochfp.mdp import _batch_mean_max
 
 
@@ -652,7 +652,7 @@ def _q_cases(draw):
     m = sf.TabularMDP(p, gen.uniform(size=(s_count, a_count)))
     name = draw(st.sampled_from(_Q_RUNNERS))
     # the n^6 batches of the average-reward anchored runs pass 2^63 queries near n = 500
-    blocks = [1, 2, 5, 16] + ([] if name.endswith("_average") else [mdp._BLOCK])
+    blocks = [1, 2, 5, 16] + ([] if name.endswith("_average") else [engine._BLOCK])
     block = draw(st.sampled_from(blocks))
     N = draw(st.sampled_from([n for n in (1, block - 1, block, block + 1, 2 * block + 3) if n]))
     gamma = draw(st.sampled_from([0.5, 0.9, 0.99]))
@@ -672,7 +672,7 @@ class TestQLoop:
     @given(_q_cases())
     def test_every_runner_matches_the_per_step_reference(self, case):
         name, m, q0, N, rng, block, kw = case
-        with mock.patch.object(mdp, "_BLOCK", block):
+        with mock.patch.object(engine, "_BLOCK", block):
             run, ref = _run_both(name, m, q0, N, rng, **kw)
         _assert_run_matches(run, ref)
 
@@ -684,20 +684,20 @@ class TestQLoop:
                     weight=lambda n: 1.0, size=lambda n: 1, anchored=False)
         rng = sf.RngStream(3, 4)
         with np.errstate(over="ignore", invalid="ignore"):
-            return mdp._q_run(m, q0, N, rng, **spec), _ref_q_run(m, q0, N, rng, **spec)
+            return mdp._q_runs(m, q0, N, [rng], **spec)[0], _ref_q_run(m, q0, N, rng, **spec)
 
-    @pytest.mark.parametrize("step", [mdp._BLOCK + 1, mdp._BLOCK + 476, 2 * mdp._BLOCK + 3])
+    @pytest.mark.parametrize("step", [engine._BLOCK + 1, engine._BLOCK + 476, 2 * engine._BLOCK + 3])
     def test_non_finite_iterate_past_the_first_block(self, step):
         # 2^n Q^0 first reaches 2^1024 at n = step; 0.5 Q^n - Q^n stays finite
-        run, ref = self._doubling(np.array([[2.0 ** (1024 - step)]]), 3 * mdp._BLOCK, 0.5)
+        run, ref = self._doubling(np.array([[2.0 ** (1024 - step)]]), 3 * engine._BLOCK, 0.5)
         assert run[1].abort_reason == f"non-finite iterate at step {step}"
         assert run[1].steps() == step - 1 and run[0][0, 0] == 2.0 ** 1023
         _assert_run_matches(run, ref)
 
-    @pytest.mark.parametrize("step", [mdp._BLOCK + 1, mdp._BLOCK + 476, 2 * mdp._BLOCK + 3])
+    @pytest.mark.parametrize("step", [engine._BLOCK + 1, engine._BLOCK + 476, 2 * engine._BLOCK + 3])
     def test_non_finite_measurement_past_the_first_block(self, step):
         # 4 P max Q^n first overflows at n = step, two steps before the iterate does
-        run, ref = self._doubling(np.array([[2.0 ** (1022 - step)]]), 3 * mdp._BLOCK, 4.0)
+        run, ref = self._doubling(np.array([[2.0 ** (1022 - step)]]), 3 * engine._BLOCK, 4.0)
         assert run[1].abort_reason == f"non-finite measurement at step {step}"
         assert run[1].steps() == step - 1 and run[0][0, 0] == 2.0 ** 1021
         _assert_run_matches(run, ref)
@@ -706,7 +706,7 @@ class TestQLoop:
     def test_runner_aborts_past_the_first_block(self, monkeypatch, mdp_3x2, block):
         # k_n max Q^{n-1} ~ n^5 1e300 overflows the batch sum at step 45: the
         # third block of 20 steps, or the first step after a block of 44
-        monkeypatch.setattr(mdp, "_BLOCK", block)
+        monkeypatch.setattr(engine, "_BLOCK", block)
         q0 = np.full((3, 2), 1e300)
         with np.errstate(over="ignore", invalid="ignore"):
             run, ref = _run_both("halpern_q_average", mdp_3x2, q0, 100, sf.RngStream(8),

@@ -325,8 +325,8 @@ def test_replayed_counts_equal_numpy_multinomial(p, seed, stream, pass_words, le
                 assert first == n and keyed.stream == rng.substream(n).stream
                 assert len(counts) == min(block, N - n + 1)
             expected = rng.substream(n).generator().multinomial(1, p)
-            assert counts.dtype == expected.dtype and counts[n - first].shape == p.shape
-            assert np.array_equal(counts[n - first], expected)
+            assert counts.dtype == expected.dtype and counts[n - first, 0].shape == p.shape
+            assert np.array_equal(counts[n - first, 0], expected)
 
 
 class _CraftedBlock:
@@ -343,7 +343,8 @@ class _CraftedBlock:
     def block(self, count):
         return 1, self.words[:, None, :count]
 
-    def generator(self):
+    def generator(self, row):
+        assert row == 0
         self.generated.append(self.n)
         return _buffered_generator(self.words[self.n - 1])
 
@@ -362,7 +363,7 @@ def test_multinomial_restart_draws_from_the_step_generator():
         expected.append(gen.multinomial(1, p))
         if gen.bit_generator.state["buffer_pos"] > 2:  # numpy read past the step's two words
             restarted.append(n)
-    assert first == 1 and np.array_equal(counts, np.array(expected))
+    assert first == 1 and np.array_equal(counts[:, 0], np.array(expected))
     assert restarted == [1, 3, 5]
     # only the restarted steps draw from their generator, and the replay leaves step 1 selected
     assert crafted.generated == restarted and crafted.n == 1

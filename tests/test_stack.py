@@ -1,20 +1,24 @@
 """Seed-stacked runs against a per-seed reference loop, bit for bit.
 
-halpern_run, km_run and run_adversarial are stacks of one of the code under
-test, so the reference here is written out separately: one seed at a time,
-1-D arithmetic, a fresh generator per step built from
-RngStream(seed, stream).substream(n), numpy's own norms, and
-Generator.integers for the Gaussian bits.
+halpern_run, km_run, run_adversarial and the Q-learning runners are stacks
+of one of the code under test, so the reference here is written out
+separately: one seed at a time, 1-D arithmetic, a fresh generator per step
+built from RngStream(seed, stream).substream(n), numpy's own norms, and
+Generator.integers for the Gaussian bits. Q-learning rows are held against
+test_mdp's _ref_q_run.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
+from test_mdp import _assert_run_matches, _ref_q_run
 
 import stochfp as sf
+from stochfp import engine, mdp
 
 _EDGE_SEEDS = [0, 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
 _SEEDS = st.lists(st.sampled_from(_EDGE_SEEDS) | st.integers(0, 2**64 - 1), min_size=1, max_size=6)
@@ -225,3 +229,94 @@ def test_an_aborting_seed_leaves_the_rest_of_its_stack_running():
     for rec, ref in zip(records, refs):
         _assert_record_matches(rec, ref)
 
+
+
+_Q_RUNNERS = ["halpern_q_discounted", "vanilla_q_discounted", "halpern_q_average",
+              "benchmark_q_average", "rvi_q_learning"]
+
+
+def _q_specs(name, m, N, gamma, f, a, v_star):
+    """(_q_runs' keywords, _ref_q_run's) of one of the five Q-learning runners: the
+    stack gets the maps the runner passes, the reference its own per-table ones."""
+    r = m.rewards
+    halpern = sf.StepSchedule.halpern_classic().weight
+    if name in ("halpern_q_discounted", "vanilla_q_discounted"):
+        q_star = sf.solve_discounted_exact(m, gamma)
+        stacked = mdp._maps(m, gamma=gamma, q_star=q_star)
+        ref = dict(target=lambda q, est: r + gamma * est, residual=lambda pm: r + gamma * pm,
+                   scale=gamma, q_star=q_star)
+        if name == "halpern_q_discounted":
+            steps = dict(weight=halpern, anchored=True,
+                         size=sf.BatchSchedule.contractive_geometric(gamma, N).size)
+        else:
+            steps = dict(weight=sf.StepSchedule.km_polynomial(0.7).weight, size=lambda n: 1,
+                         anchored=False)
+    else:
+        anchor = None if name == "benchmark_q_average" else f
+        stacked = mdp._maps(m, v_star=v_star, anchor=anchor)
+        ref = dict(residual=lambda pm: (r + pm) - v_star,
+                   target=lambda q, est: r + est - (v_star if anchor is None else f.value(q)))
+        if name == "rvi_q_learning":
+            steps = dict(weight=sf.StepSchedule.km_polynomial(a).weight, size=lambda n: 1,
+                         anchored=False)
+        else:
+            steps = dict(weight=halpern, size=lambda n: n ** 6, anchored=True)
+    return dict(stacked, **steps), dict(ref, **steps)
+
+
+@st.composite
+def _q_models(draw):
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s_count, a_count = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    p = gen.dirichlet(np.full(s_count, draw(st.sampled_from([0.1, 1.0, 10.0]))),
+                      size=(s_count, a_count))
+    m = sf.TabularMDP(p, gen.uniform(size=(s_count, a_count)))
+    gamma = draw(st.sampled_from([0.5, 0.9]))
+    kind = draw(st.sampled_from(["max", "min", "mean", "coordinate"]))
+    f = sf.AnchorFunction(kind, draw(st.integers(0, s_count - 1)), draw(st.integers(0, a_count - 1)))
+    q0 = gen.uniform(-1.0, 1.0, size=(s_count, a_count)) * (m.r_max / (1.0 - gamma))
+    return m, q0, dict(gamma=gamma, f=f, a=draw(st.sampled_from([0.81, 1.0])),
+                       v_star=float(gen.uniform(0.0, 1.0)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(model=_q_models(), name=st.sampled_from(_Q_RUNNERS), seeds=_SEEDS, stream=_STREAMS,
+       N=st.integers(1, 12), block=st.sampled_from([1, 2, 5, engine._BLOCK]))
+@example(model=(sf.TabularMDP(np.full((2, 1, 2), 0.5), np.ones((2, 1))), np.zeros((2, 1)),
+                dict(gamma=0.9, f=sf.AnchorFunction("mean"), a=1.0, v_star=0.5)),
+         name="rvi_q_learning", seeds=[2**64 - 1, 2**63 - 1, 2**63 + 1, 2**63, 0, 1],
+         stream=2**64 - 1, N=12, block=5)
+def test_stacked_q_rows_equal_per_seed_runs(model, name, seeds, stream, N, block):
+    m, q0, kw = model
+    stacked, ref = _q_specs(name, m, N, **kw)
+    rngs = [sf.RngStream(s, stream) for s in seeds]
+    with mock.patch.object(engine, "_BLOCK", block):
+        runs = mdp._q_runs(m, q0, N, rngs, **stacked)
+    assert len(runs) == len(rngs)
+    for run, rng in zip(runs, rngs):
+        _assert_run_matches(run, _ref_q_run(m, q0, N, rng, **ref))
+
+
+def test_q_rows_abort_at_their_first_failure_in_a_block():
+    # Q^n = 2 est - Q^{n-1} from (3e306, -3e306, 0), measured against T Q = 4 P max Q:
+    # seed 10 fails its measurement at step 9, seed 20 its iterate check at step 9, and
+    # seed 4 its measurement at step 9 and its iterate check at step 10; seeds 5, 9 and
+    # 13 run to N = 12, and all 12 steps are one block
+    p = np.array([[[0.5, 0.3, 0.2]], [[0.2, 0.5, 0.3]], [[0.3, 0.2, 0.5]]])
+    m = sf.TabularMDP(p, np.zeros((3, 1)))
+    q0 = np.array([[3e306], [-3e306], [0.0]])
+    spec = dict(target=lambda q, est: est, residual=lambda pm: 4.0 * pm, weight=lambda n: 2.0,
+                size=lambda n: 1, anchored=False)
+    rngs = [sf.RngStream(s, 7) for s in (5, 10, 9, 20, 4, 13)]
+    with np.errstate(all="ignore"):
+        runs = mdp._q_runs(m, q0, 12, rngs, **spec)
+        refs = [_ref_q_run(m, q0, 12, rng, **spec) for rng in rngs]
+        # seed 4 measured against a map that cannot overflow meets its iterate check at 10
+        alone = mdp._q_runs(m, q0, 12, [rngs[4]], **dict(spec, residual=lambda pm: 0.0 * pm))
+    assert alone[0][1].abort_reason == "non-finite iterate at step 10"
+    assert [rec.abort_reason for _, rec in runs] == [
+        None, "non-finite measurement at step 9", None, "non-finite iterate at step 9",
+        "non-finite measurement at step 9", None]
+    assert [rec.steps() for _, rec in runs] == [12, 8, 12, 8, 8, 12]
+    for run, ref in zip(runs, refs):
+        _assert_run_matches(run, ref)

@@ -2,8 +2,10 @@
 
 Subcommands: fixedpoint, lowerbound, mdp-avg, mdp-disc (seeded experiment
 matrices), fit (power-law fit of an aggregate CSV), validate-mdp (model file
-linting). Exit codes: 0 success, 1 config error, 2 runtime abort, 3 a
---check condition failed.
+linting). Exit codes: 0 success, 1 config error (a config, model or input
+file that is invalid or cannot be read), 2 runtime abort, 3 a --check
+condition failed, 4 internal error (a fault of the program, printed with its
+traceback).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ _EXIT_OK = 0
 _EXIT_CONFIG = 1
 _EXIT_ABORT = 2
 _EXIT_CHECK = 3
+_EXIT_INTERNAL = 4
 
 
 def _parse_cli_seeds(text: str):
@@ -165,12 +168,18 @@ def main(argv=None) -> int:
         if args.command == "validate-mdp":
             return _cmd_validate_mdp(args)
         return _cmd_run(args)
-    except (ValueError, FileNotFoundError) as exc:  # ConfigError, MDPValidationError too
+    except (ConfigError, mdp_mod.MDPValidationError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except RuntimeError as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return _EXIT_ABORT
+    except Exception as exc:  # a fault of the program, whatever its input
+        import traceback  # only a fault reads it
+
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return _EXIT_INTERNAL
 
 
 if __name__ == "__main__":

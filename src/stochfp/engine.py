@@ -285,10 +285,13 @@ def iterate_stack(
     noise, exact residual and distance to the operator's known fixed point.
     prog(x^n) is recorded for resistant noise, which reads it; otherwise
     prog is None. Q-learning's sampler (mdp) draws from the iterate alone:
-    draw(x, n, k, keyed) gives every row's y and estimate, measure(before,
-    xs, ests) a block's exact T and realized noise, and a query draws pairs
-    samples. A row aborts at its first step with a non-finite x^n or
-    measured value (the iterate check first at equal n); the others go on.
+    draw(x, n, k, keyed, est) gives every row's y and writes its estimate
+    into est, measure(xs, ests) gives a block's exact T and realized noise
+    from the iterate before the block and the block's iterates, and a query
+    draws pairs samples. Each step writes x^n (and the estimate) straight
+    into the block's buffers. A row aborts at its first step with a
+    non-finite x^n or measured value (the iterate check first at equal n);
+    the others go on.
     """
     sampled = not isinstance(o.noise, NoiseModel)
     schedule = _schedule(weight, size, N, o.noise.pairs if sampled else 1, budget)
@@ -298,9 +301,12 @@ def iterate_stack(
     target = o.base.fixed_point_info().point
     keyed = StepGenerator(rngs, cols - 1)
     height = max(1, min(_BLOCK, cols - 1, _BLOCK_COORDS // (rows * d)))
-    # a block's iterates, the differences it measures (noise, residual, distance), estimates
-    xs, diffs = np.empty((height, rows, d)), np.empty((height, 2 if target is None else 3, rows, d))
+    # the iterate before a block and its steps' iterates, the differences a block
+    # measures (noise, residual, distance) and its estimates; steps write into them
+    xs = np.empty((height + 1, rows, d))
+    diffs = np.empty((height, 2 if target is None else 3, rows, d))
     ests = np.empty((height, rows, d)) if sampled else None
+    finite = np.empty((rows, d), dtype=bool)  # which coordinates of x^n are finite
 
     def lengths(v):
         try:
@@ -315,7 +321,8 @@ def iterate_stack(
         """(1 - w_m) x^0 of an anchored block's steps m = n, n + 1, ..., each (1, d)."""
         return (1.0 - schedule[1][n:n + height, None, None]) * x0 if anchored else None
 
-    x = np.tile(x0, (rows, 1))
+    xs[0] = x0
+    x = xs[0]
     tx = apply(x)
     # column-major, so a block writes contiguous rows of steps
     residual, noise = np.zeros((cols, rows)), np.zeros((cols, rows))
@@ -327,19 +334,19 @@ def iterate_stack(
     front = None  # last_nonzero_index of the live rows of x, for the next draw
     if prog is not None:
         front = prog[0] = last_nonzero_index(x)
-    final_x = x.copy()
+    final_x = xs[0].copy()
     steps, reasons = [cols - 1] * rows, [None] * rows
     live = np.arange(rows)  # the stack's rows that have not aborted, in seed order
 
-    def close(j, start, head, fail):
-        """Measure the block's steps start..start + j - 1 of the live rows, whose
-        x^{start-1} is head, and abort each row at its first non-finite measured value
-        or iterate (its block index in fail). Returns the mask of the rows kept."""
+    def close(j, start, fail):
+        """Measure the block's steps start..start + j - 1 of the live rows, xs[1:j + 1]
+        after x^{start-1} in xs[0], and abort each row at its first non-finite measured
+        value or iterate (its block index in fail). Returns the mask of the rows kept."""
         if sampled:
-            txs, diffs[:j, 0] = o.noise.measure(head, xs[:j], ests[:j])
-            np.subtract(xs[:j], txs, out=diffs[:j, 1])
+            txs, diffs[:j, 0] = o.noise.measure(xs[:j + 1], ests[:j])
+            np.subtract(xs[1:j + 1], txs, out=diffs[:j, 1])
         if target is not None:
-            np.subtract(xs[:j], target, out=diffs[:j, 2])
+            np.subtract(xs[1:j + 1], target, out=diffs[:j, 2])
         m = lengths(diffs[:j].reshape(-1, d)).reshape(j, -1, live.size)
         bad = ~(m.max(axis=1) < math.inf)  # norms are >= 0, never NaN
         first = np.where(bad.any(axis=0), bad.argmax(axis=0), j)
@@ -347,7 +354,7 @@ def iterate_stack(
         for r in np.flatnonzero(cut < j).tolist():
             c, i = int(cut[r]), int(live[r])
             m[c:, :, r] = 0.0
-            final_x[i], steps[i] = xs[c - 1, r] if c else head[r], start + c - 1
+            final_x[i], steps[i] = xs[c, r], start + c - 1
             what = "iterate" if fail[r] <= first[r] else "measurement"
             reasons[i] = f"non-finite {what} at step {start + c}"
             if prog is not None:
@@ -358,45 +365,46 @@ def iterate_stack(
             dist[span, live] = m[:, 2]
         return cut == j
 
-    # the block's first step, the iterate before it, and each row's first non-finite iterate
-    start, head, base, fail, all_failed = 1, x, bases(1), np.full(rows, height), False
+    # the block's first step and each row's first non-finite iterate
+    start, base, fail, all_failed = 1, bases(1), np.full(rows, height), False
+    # the buffers' rows, indexed faster as lists
+    xrows, erows, brows = list(xs), list(ests) if sampled else None, list(base) if anchored else None
     for n in range(1, cols):
         j = n - start
+        x, x_new = xrows[j], xrows[j + 1]
         if sampled:  # selects step n of keyed when it draws from it
-            y, est = draw(x, n, sizes[n], keyed)
+            y = draw(x, n, sizes[n], keyed, erows[j])
         else:
             y = draw(tx, x, sizes[n], keyed.step(n), front)
         w = weights[n]
-        x_new = (base[j] if anchored else (1.0 - w) * x) + w * y
-        if not np.isfinite(x_new).all():
-            bad = ~np.isfinite(x_new).all(axis=1)
+        np.add(brows[j] if anchored else (1.0 - w) * x, w * y, x_new)
+        if not np.logical_and.reduce(np.isfinite(x_new, finite), None):
+            bad = ~finite.all(axis=1)
             fail[bad] = np.minimum(fail[bad], j)
             x_new[bad] = x[bad]  # a row that failed steps on from finite values to the block's end
             all_failed = (fail < height).all()  # then the block ends here
         if flush:
             x_new[np.abs(x_new) < flush] = 0.0
-        xs[j] = x_new
-        if sampled:
-            ests[j] = est
-        else:
+        if not sampled:
             np.subtract(y, tx, out=diffs[j, 0])
             tx = apply(x_new)
             np.subtract(x_new, tx, out=diffs[j, 1])
         if prog is not None:
             front = prog[n][live] = last_nonzero_index(x_new)
-        x = x_new
         if j + 1 == height or n + 1 == cols or all_failed:
-            keep = close(j + 1, start, head, fail)
+            keep = close(j + 1, start, fail)
+            xs[0] = x_new  # the next block's x^{start-1}
             if not keep.all():
-                live, x, xs, diffs = live[keep], x[keep], xs[:, keep], diffs[:, :, keep]
+                live, xs, diffs, finite = live[keep], xs[:, keep], diffs[:, :, keep], finite[keep]
                 tx, ests = (tx, ests[:, keep]) if sampled else (tx[keep], ests)
                 if front is not None:
                     front = front[keep]
                 keyed.seeds = [s for s, kept in zip(keyed.seeds, keep.tolist()) if kept]
                 if not live.size:
                     break
-            start, head, base, fail = n + 1, x, bases(n + 1), np.full(live.size, height)
-    final_x[live] = x
+            start, base, fail = n + 1, bases(n + 1), np.full(live.size, height)
+            xrows, erows, brows = list(xs), list(ests) if sampled else None, list(base) if anchored else None
+    final_x[live] = xs[0]
     return StackTrace(
         *schedule,
         residual=residual.T,

@@ -11,8 +11,11 @@ per experiment directory:
   progress.csv      lower-bound runs only: per-n progress statistics
   summary.json      config echo, rate fits, bound overlays, check results
 
-Floats in CSV are serialized with 17 significant digits so the files are
-byte-identical across reruns with the same config and seeds.
+Every float in a CSV is exactly Python's '%.17g' of the value: 17 significant
+digits, which read back as the same double, with trailing zeros dropped. The
+writers format floats in numpy a block of lines at a time (_g17) and write
+each block with one os.write, so the files are byte-identical across reruns
+with the same config and seeds, and no whole column is held as text.
 """
 
 from __future__ import annotations
@@ -502,11 +505,15 @@ def _validate_anchor(f: _Fields, model) -> dict:
 
 
 def load_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config: {exc}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     return validate_config(doc)
 
 
@@ -621,46 +628,177 @@ def _plan(cfg: dict) -> _Plan:
 # Output writers
 
 
-_SEED_HEADER = "n,beta_or_alpha,k_n,cum_queries,residual,dist_to_fp,noise_norm"
-# rows of a CSV formatted by one %-template and written by one write
+_SEED_HEADER = b"n,beta_or_alpha,k_n,cum_queries,residual,dist_to_fp,noise_norm\n"
+# lines formatted together: their floats in one _g17 call, their text by one %-template
 _BLOCK = 1024
+# floats _fixed17 formats at once
+_CHUNK = 1024
+
+# _g17's tables: 10^p, exact in float64 for p <= 22, split into Dekker halves
+_SPLITTER = 134217729.0  # 2^27 + 1
 
 
-def _write_csv(path: str, header: str, row: str, columns: list):
-    """Write header and one line per index of columns, equal-length arrays or lists.
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split: a = high + low exactly, each half with at most 26 significant bits."""
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
 
-    Each block of _BLOCK lines is formatted by one %-template, row repeated
-    ('%.17g' % x has the bits of f'{x:.17g}', '%d' % i of str(i)). Arrays
-    become Python numbers a block at a time, so no whole column is held as
-    objects.
+
+_TEN = np.cumprod(np.full(23, 10.0)) / 10.0
+_TEN_HIGH, _TEN_LOW = _halves(_TEN)
+# the ASCII digits of each x < 10^4, zero-padded to four, as a little-endian uint32
+_DIGITS4 = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+            % 10 + 48).astype(np.uint8).view(np.uint32).reshape(-1)
+# over a line's three output words, byte b of word k is byte 8k + b of the line:
+# _BELOW[k, m] keeps the bytes before byte m, _POINT[k, m] is "." at byte m
+_AT = np.arange(24, dtype=np.uint64).reshape(3, 8, 1)
+_BELOW = ((_AT < np.arange(25)) * np.uint64(0xFF) << _AT % 8 * 8).sum(axis=1, dtype=np.uint64)
+_POINT = ((_AT == np.arange(25)) * np.uint64(0x2E) << _AT % 8 * 8).sum(axis=1, dtype=np.uint64)
+
+
+def _g17(v: np.ndarray) -> list[bytes]:
+    """b'%.17g' % x of each x of the float64 array v, byte for byte.
+
+    Values 1e-4 <= x < 1e16 print in fixed notation, and _fixed17 formats them
+    _CHUNK at a time. Every other value goes through Python's %: zeros,
+    negatives, subnormals, very small and very large values, infinities and
+    nans.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for a in range(0, len(columns[0]), _BLOCK):
+    out = np.empty(v.shape, "S24")
+    fast = (v >= 1e-4) & (v < 1e16)
+    for a in range(0, len(v), _CHUNK):
+        chunk = out[a:a + _CHUNK]
+        chunk[fast[a:a + _CHUNK]] = _fixed17(v[a:a + _CHUNK][fast[a:a + _CHUNK]])
+    rest = np.flatnonzero(~fast)
+    if rest.size:
+        out[rest] = [b"%.17g" % x for x in v[rest].tolist()]
+    return out.tolist()
+
+
+def _fixed17(x: np.ndarray) -> np.ndarray:
+    """'%.17g' of each x, 1e-4 <= x < 1e16, as an S24 array.
+
+    The 17 significant digits of x are D = x * 10^p rounded half to even, p =
+    16 - e for x's decimal exponent e (log10's guess, corrected when D falls
+    outside [10^16, 10^17)). Dekker's two-product gives x * 10^p = hi + lo
+    exactly, hi an integer, so D = hi + rint(lo). "0000000", D's digits and
+    "00000000" fill four little-endian uint64 words per value, looked up four
+    digits at a time. The text starts at that string's byte a = 7 + min(e, 0)
+    ("0.000..." for e < 0), puts a point after its first 1 + max(e, 0) bytes
+    and ends at D's last nonzero digit or at the point; the S dtype drops the
+    zero bytes after it.
+    """
+    p = 16 - np.floor(np.log10(x)).astype(np.int64)
+    digits = _round_scaled(x, p)
+    off = (digits >= 10 ** 17).astype(np.int64) - (digits < 10 ** 16)
+    if off.any():
+        p -= off
+        digits = _round_scaled(x, p)
+    e = 16 - p
+    groups = np.zeros((x.size, 8), np.int64)  # of four digits, led by "0000" and "000d"
+    for k in range(5, 1, -1):
+        high = digits // 10000
+        groups[:, k] = digits - high * 10000
+        digits = high
+    groups[:, 1] = digits
+    text = _DIGITS4[groups]
+    last = 23 - (text.view(np.uint8)[:, 23:6:-1] != 48).argmax(axis=1)  # a nonzero digit
+    words = np.ascontiguousarray(text.view("<u8").T)
+    start = (56 + 8 * np.minimum(e, 0)).astype(np.uint64)  # 8 a
+    point = 1 + np.maximum(e, 0)
+    kept = last - 7 - e  # fraction digits through the last nonzero one
+    end = np.take(_BELOW, np.where(kept > 0, point + 1 + kept, point), axis=1)
+    before = (words[:3] >> start) | (words[1:] << (np.uint64(64) - start))
+    start -= np.uint64(8)
+    after = (words[:3] >> start) | (words[1:] << (np.uint64(64) - start))
+    line = (before & np.take(_BELOW, point, axis=1)
+            | after & ~np.take(_BELOW, point + 1, axis=1)
+            | np.take(_POINT, point, axis=1)) & end
+    return np.ascontiguousarray(line.T, dtype="<u8").view("S24").reshape(-1)
+
+
+def _round_scaled(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x * 10^p rounded half to even, as int64, for x * 10^p below 2^63."""
+    hi = x * _TEN[p]
+    xh, xl = _halves(x)
+    th, tl = _TEN_HIGH[p], _TEN_LOW[p]
+    lo = ((xh * th - hi) + xh * tl + xl * th) + xl * tl
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+
+
+def _write_csvs(files):
+    """Write each (path, header, row, columns) of files: header, then line i as the
+    bytes template row filled by item i of each column, an equal-length float64
+    array (%b of its _g17 text), integer array (%d) or list of bytes (%b).
+
+    Lines go in blocks of at most _BLOCK, of one long file or of several short
+    ones, whose floats are formatted by one _g17 call and whose lines are
+    joined by one %-template per file, so no whole column is held as text.
+    """
+    pending, lines = [], 0
+    for path, header, row, columns in files:
+        for a in range(0, max(len(columns[0]), 1), _BLOCK):
             block = [c[a:a + _BLOCK] for c in columns]
-            args = [None] * (len(block) * len(block[0]))  # the block's cells, row by row
-            for j, col in enumerate(block):
+            if lines + len(block[0]) > _BLOCK:
+                _write_blocks(pending)
+                pending, lines = [], 0
+            pending.append((path, header if a == 0 else b"", row, block))
+            lines += len(block[0])
+    _write_blocks(pending)
+
+
+def _write_blocks(pending: list):
+    """Format and write each (path, header, row, block) of pending: a nonempty header
+    starts the file, an empty one appends to it."""
+    floats = [c for *_, block in pending for c in block if _is_float(c)]
+    text = _g17(np.concatenate(floats)) if floats else []
+    at = 0
+    for path, header, row, block in pending:
+        args = [None] * (len(block) * len(block[0]))  # the block's cells, line by line
+        for j, col in enumerate(block):
+            if _is_float(col):
+                args[j::len(block)], at = text[at:at + len(col)], at + len(col)
+            else:
                 args[j::len(block)] = col.tolist() if isinstance(col, np.ndarray) else col
-            fh.write(row * len(block[0]) % tuple(args))
+        data = memoryview(header + row * len(block[0]) % tuple(args))
+        flags = os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if header else os.O_APPEND)
+        fd = os.open(path, flags, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+
+
+def _is_float(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype == np.float64
 
 
 def _write_seed_csvs(out_dir, seeds: list[int], records: list):
     """Write seed_<seed>.csv of each (seed, record) of a stack.
 
-    The prefix "n,weight,k_n,cum_queries," is formatted once per group of
-    records that share their schedule columns.
+    The prefix "n,weight,k_n,cum_queries," of each line is formatted once per
+    group of records that share their schedule columns.
     """
     prefixes = {}
-    for seed, rec in zip(seeds, records):
-        schedule = (rec.n, rec.weight, rec.batch, rec.cum_queries)
-        key = tuple(map(id, schedule))
-        if key not in prefixes:
-            prefixes[key] = list(map("%d,%.17g,%d,%d,".__mod__,
-                                     zip(*(c.tolist() for c in schedule))))
-        columns = [prefixes[key]] + [c for c in (rec.residual, rec.dist_to_fp, rec.noise_norm)
-                                     if c is not None]
-        row = "%s%.17g,,%.17g\n" if rec.dist_to_fp is None else "%s%.17g,%.17g,%.17g\n"
-        _write_csv(os.path.join(out_dir, f"seed_{seed}.csv"), _SEED_HEADER, row, columns)
+
+    def files():
+        for seed, rec in zip(seeds, records):
+            schedule = (rec.n, rec.weight, rec.batch, rec.cum_queries)
+            key = tuple(map(id, schedule))
+            if key not in prefixes:
+                prefixes[key] = prefix = []
+                for a in range(0, len(rec.n), _BLOCK):
+                    prefix += map(b"%d,%b,%d,%d,".__mod__, zip(*(
+                        _g17(c[a:a + _BLOCK]) if _is_float(c) else c[a:a + _BLOCK].tolist()
+                        for c in schedule)))
+            columns = [prefixes[key]] + [c for c in (rec.residual, rec.dist_to_fp, rec.noise_norm)
+                                         if c is not None]
+            row = b"%b%b,,%b\n" if rec.dist_to_fp is None else b"%b%b,%b,%b\n"
+            yield os.path.join(out_dir, f"seed_{seed}.csv"), _SEED_HEADER, row, columns
+
+    _write_csvs(files())
 
 
 def _mean_sem(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -697,36 +835,43 @@ def _aggregate(results: list[dict]) -> dict:
 
 def _write_aggregate_csv(path: str, agg: dict):
     names = _AGG_HEADER.split(",")
-    row = ",".join("" if agg[c] is None else "%d" if c in _AGG_INTS else "%.17g" for c in names)
-    _write_csv(path, _AGG_HEADER, row + "\n", [agg[c] for c in names if agg[c] is not None])
+    row = ",".join("" if agg[c] is None else "%d" if c in _AGG_INTS else "%b" for c in names)
+    _write_csvs([(path, f"{_AGG_HEADER}\n".encode(), f"{row}\n".encode(),
+                  [agg[c] for c in names if agg[c] is not None])])
 
 
 def read_aggregate_csv(path) -> dict:
     """Read an aggregate.csv back into column arrays (empty dist columns -> None)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != _AGG_HEADER:
-            raise ConfigError(f"{path}: unexpected aggregate header {header!r}")
-        cols = {name: [] for name in header.split(",")}
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 9:
-                raise ConfigError(f"{path}: malformed row {line!r}")
-            for name, val in zip(cols, parts):
-                cols[name].append(val)
-    return {
-        name: None if name.startswith("dist") and not any(vals)
-        else np.array(list(map(int if name in _AGG_INTS else float, vals)))
-        for name, vals in cols.items()
-    }
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if header != _AGG_HEADER:
+                raise ConfigError(f"{path}: unexpected aggregate header {header!r}")
+            cols = {name: [] for name in header.split(",")}
+            for line in fh:
+                parts = line.rstrip("\n").split(",")
+                if len(parts) != 9:
+                    raise ConfigError(f"{path}: malformed row {line!r}")
+                for name, val in zip(cols, parts):
+                    cols[name].append(val)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the aggregate: {exc}") from None
+    out = {}
+    for name, vals in cols.items():
+        try:
+            out[name] = (None if name.startswith("dist") and not any(vals)
+                         else np.array(list(map(int if name in _AGG_INTS else float, vals))))
+        except ValueError as exc:
+            raise ConfigError(f"{path}: column {name}: {exc}") from None
+    return out
 
 
 def _write_progress_csv(path: str, agg: dict, progs: np.ndarray, d: int):
     """Per-n progress statistics over the seeds (rows) of progs, whose integer sums are exact."""
     columns = [agg["n"], agg["cum_queries"], progs.mean(axis=0), progs.min(axis=0),
                progs.max(axis=0), (progs < d).mean(axis=0)]
-    _write_csv(path, "n,cum_queries,prog_mean,prog_min,prog_max,frac_prog_lt_d",
-               "%d,%d,%.17g,%d,%d,%.17g\n", columns)
+    _write_csvs([(path, b"n,cum_queries,prog_mean,prog_min,prog_max,frac_prog_lt_d\n",
+                  b"%d,%d,%b,%d,%d,%b\n", columns)])
 
 
 # ---------------------------------------------------------------------------

@@ -163,11 +163,15 @@ def mdp_from_dict(doc: dict) -> TabularMDP:
 
 def load_mdp(path) -> TabularMDP:
     """Load and validate an MDP JSON file (num_states, num_actions, transitions, rewards)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MDPValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MDPValidationError(f"{path}: cannot read the model: {exc}") from None
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MDPValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
     try:
         return mdp_from_dict(doc)
     except MDPValidationError as exc:
@@ -391,8 +395,9 @@ class _Sampled:
         self._actions = op.m.num_actions
         self._block = (0, 0, 0, None)  # first and end step, rows and float counts of a replay
 
-    def draw(self, x, n, k, keyed):
-        """(y, est) of every row of the (B, S * A) stack x at step n, from keyed's step n."""
+    def draw(self, x, n, k, keyed, est):
+        """y of every row of the (B, S * A) stack x at step n, from keyed's step n;
+        the rows' estimates are written into est."""
         # a 2-D reduction, which numpy runs faster than one over a row's table; the
         # max vector of a stack of one broadcasts as it is
         maxv = np.maximum.reduce(x.reshape(-1, self._actions), axis=1)
@@ -405,19 +410,19 @@ class _Sampled:
                 first, counts = _multinomial_one(keyed, n, self.op.flat)
                 counts = counts.astype(np.float64)  # exact, and vecdot then casts nothing
                 self._block = first, first + len(counts), len(x), counts
-            est = np.vecdot(counts[n - first], maxv)  # the batch mean, as x / 1 == x
+            np.vecdot(counts[n - first], maxv, est)  # the batch mean, as x / 1 == x
         else:
             keyed.step(n)
-            est = np.array([_batch_mean_max(self.op.m, v, k, keyed.generator(i)).reshape(-1)
-                            for i, v in enumerate(maxv.reshape(len(x), -1))])
-        return (self.op.residual(est) if self.target is None else self.target(x, est)), est
+            for i, v in enumerate(maxv.reshape(len(x), -1)):
+                est[i] = _batch_mean_max(self.op.m, v, k, keyed.generator(i)).reshape(-1)
+        return self.op.residual(est) if self.target is None else self.target(x, est)
 
-    def measure(self, before, xs, ests):
-        """(T of each iterate, realized noise of each step) of a block: xs and ests are
-        (steps, B, S * A), before the iterate each row held before the block."""
-        steps, rows, d = xs.shape
-        pm = self.op.lookahead(np.concatenate((before[None], xs)).reshape(-1, d))
-        pm = pm.reshape(steps + 1, rows, d)
+    def measure(self, xs, ests):
+        """(T of each iterate, realized noise of each step) of a block: xs is
+        (steps + 1, B, S * A), the iterate each row held before the block and then
+        the block's, and ests is (steps, B, S * A)."""
+        steps, rows, d = ests.shape
+        pm = self.op.lookahead(xs.reshape(-1, d)).reshape(steps + 1, rows, d)
         return self.op.residual(pm[1:]), self.op.gamma * (ests - pm[:-1])
 
 

@@ -5,7 +5,10 @@ import json
 import math
 import os
 import tempfile
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stochfp as sf
-from stochfp import experiments
+from stochfp import engine, experiments
 from stochfp.cli import main as cli_main
 from stochfp.experiments import _MAX_SEEDS, parse_seed_spec
 
@@ -581,6 +584,154 @@ class TestSeedCsvWriter:
                 assert got == _reference_seed_csv(rec).splitlines(keepends=True)
 
 
+def _bits(x: float) -> int:
+    return int(np.array(x).view(np.uint64))
+
+
+def _near(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+# The window _g17 formats in numpy is [1e-4, 1e16); positive doubles are ordered by
+# their bits, so st.integers over this range draws every double in the window.
+_WINDOW = (_bits(1e-4), _bits(1e16) - 1)
+# Values whose 17-digit rounding carries through trailing nines. No rounding at 17
+# digits carries into a new power of ten, since every double prints to a string that
+# reads back as itself; the doubles beside each power of ten, where log10's exponent
+# guess is off, are test_window_edges_and_powers_of_ten's.
+_CARRIES = [0.263243853932078, 0.000405917605451219, 4164132.78000616, 38046273670.8246,
+            9525671708619750.0, 1404786758974240.0]
+# dyadic ties: x = m 2^(e - 17) with m odd in the decade [10^e, 10^(e + 1)) has
+# x * 10^(16 - e) = m 5^(16 - e) / 2, an odd multiple of 1/2
+_TIES = [x for e in range(-4, 16) for c in (Fraction(3, 2), Fraction(33, 10), Fraction(19, 2))
+         for m in [int(c * Fraction(10) ** e * 2 ** (17 - e)) | 1] if m < 2 ** 53
+         for x in [m * 2.0 ** (e - 17)]]
+
+
+class TestG17:
+    """experiments._g17 against Python's b'%.17g' % x, byte for byte."""
+
+    @staticmethod
+    def _check(values):
+        v = np.array(values, dtype=np.float64)
+        assert experiments._g17(v) == [b"%.17g" % x for x in v.tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1) | st.integers(*_WINDOW), max_size=300))
+    def test_every_bit_pattern_formats_as_python_does(self, bits):
+        self._check(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    def test_window_edges_and_powers_of_ten(self):
+        edges = [x for e in range(-6, 18) for x in _near(float(f"1e{e}"))]
+        self._check(edges + _near(9999999999999998.0) + _near(5e-324) + [math.inf, -math.inf,
+                    math.nan, -0.0, 0.0] + _EDGE_FLOATS)
+
+    def test_carries_and_dyadic_ties(self):
+        assert all(1e-4 <= x < 1e16 for x in _CARRIES + _TIES)
+        self._check([y for x in _CARRIES + _TIES for y in _near(x)])
+        # every tie in [1, 2): x * 10^16 is an odd multiple of 1/2
+        self._check(1.0 + np.arange(1, 2 ** 17, 2) * 2.0 ** -17)
+
+    def test_nan_payloads_and_chunk_boundaries(self):
+        payloads = np.array([0x7FF0000000000001, 0xFFF8000000000000, 0x7FFFFFFFFFFFFFFF],
+                            dtype=np.uint64).view(np.float64)
+        rng = np.random.default_rng(15)
+        values = 10.0 ** rng.uniform(-6, 18, 2 * experiments._CHUNK + 3)
+        values[::7] *= -1
+        self._check(np.concatenate([values, payloads]))
+
+
+def _agg(rows: int, floats: list[float], ints: list[int], with_dist: bool) -> dict:
+    """An aggregate dict of rows rows, its columns cycled from floats and ints."""
+    pool, whole = np.array(floats), np.array(ints, dtype=np.int64)
+    names = experiments._AGG_HEADER.split(",")
+    agg = {}
+    for i, name in enumerate(names):
+        values = whole if name in experiments._AGG_INTS else pool
+        agg[name] = np.resize(np.roll(values, i), rows)
+    if not with_dist:
+        agg["dist_to_fp_mean"] = agg["dist_to_fp_sem"] = None
+    return agg
+
+
+class TestAggregateAndProgressWriters:
+    """The block writers of aggregate.csv and progress.csv against per-row writers."""
+
+    _LENGTHS = st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)])
+
+    @settings(max_examples=40, deadline=None)
+    @given(floats=st.lists(_FLOATS, min_size=1, max_size=8),
+           ints=st.lists(_INTS, min_size=1, max_size=4), length=_LENGTHS, with_dist=st.booleans())
+    @example(floats=_EDGE_FLOATS, ints=[0, 2**63 - 1], length=(1, 1), with_dist=True)
+    def test_aggregate_block_writer_matches_the_per_row_writer(self, floats, ints, length,
+                                                               with_dist):
+        # lengths 0, 1, B - 1, B and B + 1 for the block size B
+        agg = _agg(length[0] * experiments._BLOCK + length[1], floats, ints, with_dist)
+        names = experiments._AGG_HEADER.split(",")
+        lines = [experiments._AGG_HEADER + "\n"]
+        for i in range(len(agg["n"])):
+            lines.append(",".join("" if agg[c] is None else str(int(agg[c][i])) if c in
+                                  experiments._AGG_INTS else f"{float(agg[c][i]):.17g}"
+                                  for c in names) + "\n")
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "aggregate.csv")
+            experiments._write_aggregate_csv(path, agg)
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read().splitlines(keepends=True) == lines
+
+    @settings(max_examples=40, deadline=None)
+    @given(progs=st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+           ints=st.lists(_INTS, min_size=1, max_size=4), length=_LENGTHS,
+           seeds=st.integers(1, 4), d=st.integers(1, 2**40))
+    def test_progress_block_writer_matches_the_per_row_writer(self, progs, ints, length,
+                                                              seeds, d):
+        rows = length[0] * experiments._BLOCK + length[1]
+        agg = _agg(rows, [0.5], ints, False)
+        table = np.array([np.resize(np.roll(progs, i), rows) for i in range(seeds)],
+                         dtype=np.int64).reshape(seeds, rows)
+        lines = ["n,cum_queries,prog_mean,prog_min,prog_max,frac_prog_lt_d\n"]
+        for i in range(rows):
+            col = table[:, i].tolist()
+            lines.append(f"{int(agg['n'][i])},{int(agg['cum_queries'][i])},"
+                         f"{float(np.mean(table[:, i])):.17g},{min(col)},{max(col)},"
+                         f"{float(np.mean(table[:, i] < d)):.17g}\n")
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "progress.csv")
+            experiments._write_progress_csv(path, agg, table, d)
+            with open(path, encoding="utf-8", newline="") as fh:
+                assert fh.read().splitlines(keepends=True) == lines
+
+
+def test_writers_hold_no_whole_column_as_text(tmp_path):
+    """Peak traced memory of writing mdp_disc_target's two-seed stack of seed CSVs
+    (41 471 rows each) and its aggregate.csv: blocks, not whole columns, as text."""
+    N = 41471
+    schedule = [c[1:] for c in engine._schedule(sf.StepSchedule.halpern_classic().weight,
+                                                sf.BatchSchedule.contractive_geometric(0.9, N).size,
+                                                N, 6)]
+    rng = np.random.default_rng(41471)
+
+    def column():
+        return 10.0 ** rng.uniform(-4, 1, N)
+
+    records = [sf.RunRecord(*schedule, residual=column(), dist_to_fp=column(),
+                            noise_norm=column(), final_x=np.zeros(6)) for _ in range(2)]
+    agg = {"n": schedule[0], "k_n": schedule[2], "cum_queries": schedule[3]}
+    for name in experiments._AGG_HEADER.split(",")[3:]:
+        agg[name] = column()
+    peaks = []
+    for write in (lambda: experiments._write_seed_csvs(str(tmp_path), [1, 2], records),
+                  lambda: experiments._write_aggregate_csv(str(tmp_path / "aggregate.csv"), agg)):
+        tracemalloc.start()
+        try:
+            write()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (tmp_path / "seed_2.csv").read_text().count("\n") == N + 1
+    assert peaks[0] < 9e6 and peaks[1] < 1e6, peaks
+
+
 class TestEvaluateBounds:
     def test_nonexpansive_gates_on_all_rows(self):
         cfg = sf.validate_config(
@@ -960,6 +1111,37 @@ class TestCli:
         assert cli_main(["validate-mdp", path, "--unichain"]) == 0
         out = capsys.readouterr().out
         assert "unichain" in out
+
+    def test_internal_fault_exits_four_with_its_traceback(self, tmp_path, capsys):
+        path = self._write(tmp_path, _fixedpoint_doc(seeds=[1]))
+
+        def broken(*args):
+            raise ValueError("could not broadcast input array from shape (125,16)")
+
+        with mock.patch.object(experiments, "_write_seed_csvs", broken):
+            code = cli_main(["fixedpoint", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("internal error: ValueError: could not broadcast")
+        assert "Traceback (most recent call last)" in err and "config error" not in err
+
+    def test_unreadable_inputs_exit_one(self, tmp_path, capsys):
+        bad = tmp_path / "binary.json"
+        bad.write_bytes(b"\xff\xfe")
+        out = str(tmp_path / "o")
+        runs = [["fixedpoint", "--config", str(tmp_path / "missing.json"), "--out", out],
+                ["fixedpoint", "--config", str(bad), "--out", out],
+                ["validate-mdp", str(tmp_path)],  # a directory
+                ["fit", "--input", str(bad), "--window", "1", "3"]]
+        for argv in runs:
+            assert cli_main(argv) == 1, argv
+            assert capsys.readouterr().err.startswith("config error: "), argv
+
+    def test_malformed_aggregate_value_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "aggregate.csv"
+        p.write_text(experiments._AGG_HEADER + "\n1,1,1,x,0,,,0,0\n")
+        assert cli_main(["fit", "--input", str(p), "--window", "1", "3"]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {p}: column residual_mean")
 
     def test_validate_mdp_bad_file(self, tmp_path):
         p = tmp_path / "bad.json"

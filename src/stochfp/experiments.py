@@ -15,7 +15,7 @@ Every float in a CSV is exactly Python's '%.17g' of the value: 17 significant
 digits, which read back as the same double, with trailing zeros dropped. The
 writers format floats in numpy a block of lines at a time (_g17) and write
 each block with one os.write, so the files are byte-identical across reruns
-with the same config and seeds, and no whole column is held as text.
+with the same config and seeds, and no float column is held whole as text.
 """
 
 from __future__ import annotations
@@ -734,7 +734,7 @@ def _write_csvs(files):
 
     Lines go in blocks of at most _BLOCK, of one long file or of several short
     ones, whose floats are formatted by one _g17 call and whose lines are
-    joined by one %-template per file, so no whole column is held as text.
+    joined by one %-template per file, so no float column is held whole as text.
     """
     pending, lines = [], 0
     for path, header, row, columns in files:

@@ -5,7 +5,8 @@ matrices), fit (power-law fit of an aggregate CSV), validate-mdp (model file
 linting). Exit codes: 0 success, 1 config error (a config, model or input
 file that is invalid or cannot be read), 2 runtime abort, 3 a --check
 condition failed, 4 internal error (a fault of the program, printed with its
-traceback).
+traceback), 5 output error (an output file that cannot be written, such as
+a directory in its place or a full disk; printed as its path and reason).
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import sys
 from . import mdp as mdp_mod
 from .experiments import (
     ConfigError,
+    _OutputError,
+    _writing,
     fit_rate,
     load_config,
     parse_seed_spec,
@@ -29,6 +32,7 @@ _EXIT_CONFIG = 1
 _EXIT_ABORT = 2
 _EXIT_CHECK = 3
 _EXIT_INTERNAL = 4
+_EXIT_OUTPUT = 5
 
 
 def _parse_cli_seeds(text: str):
@@ -141,7 +145,7 @@ def _cmd_fit(args) -> int:
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with _writing(args.out), open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return _EXIT_OK
 
@@ -174,6 +178,9 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)
         return _EXIT_ABORT
+    except _OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return _EXIT_OUTPUT
     except Exception as exc:  # a fault of the program, whatever its input
         import traceback  # only a fault reads it
 

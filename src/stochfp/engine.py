@@ -8,10 +8,11 @@ batch of one, i.e. one oracle query per step, no variance reduction.
 Every run steps through iterate_stack(): the seeds of a run advance together
 as one (B, d) array, and halpern_run, km_run, lower_bound.run_adversarial and
 the Q-learning runners of mdp (this iteration on a Bellman operator over
-flattened (s, a) tables, with a sampled oracle) are stacks of one. Residuals
-and distances are measured with the exact operator, a block of steps at a
-time. A stack owns one generator (oracles.StepGenerator), so every (seed,
-step) draws what RngStream(seed, stream).substream(n).generator() would.
+flattened (s, a) tables, with a sampled oracle) are stacks of one. A block
+of steps at a time is checked for non-finite iterates, once, and measured
+with the exact operator (residuals and distances). A stack owns one
+generator (oracles.StepGenerator), so every (seed, step) draws what
+RngStream(seed, stream).substream(n).generator() would.
 T(x^n), measured for the residual, is carried into step n+1's draw when the
 noise reads it; Q-learning's draws do not, and its runs apply T per block.
 """
@@ -254,9 +255,12 @@ _SCHEDULES: dict = {}
 _SCHEDULES_KEPT = 4
 
 # A block holds at most _BLOCK steps, and more than one only while each of its
-# (steps, B, d) buffers stays within _BLOCK_COORDS coordinates.
+# (steps, B, d) buffers stays within _BLOCK_COORDS coordinates. A stack of at most
+# _TILED_COORDS coordinates tiles its step weights to its shape: numpy combines
+# equal shapes faster than it broadcasts, by more than the tiling costs.
 _BLOCK = 1024
 _BLOCK_COORDS = 1 << 14
+_TILED_COORDS = 1 << 8
 
 
 def iterate_stack(
@@ -278,35 +282,30 @@ def iterate_stack(
     k_n = size(n), w_n = weight(n) of steps 1..N, cut with a budget before
     the first step whose cumulative queries would pass it. Step n draws each
     row's minibatch mean y of k_n queries at x^{n-1} from substream(n), sets
-    x^n = (1 - w_n) b + w_n y with b = x^0 (anchored) or x^{n-1}, zeroes the
-    coordinates below flush in magnitude and checks that x^n is finite; it
-    applies T(x^n) only for a noise that reads it (every noise model of
-    oracles does). Each block of steps is then measured in one norm call:
-    noise, exact residual and distance to the operator's known fixed point.
-    prog(x^n) is recorded for resistant noise, which reads it; otherwise
-    prog is None. Q-learning's sampler (mdp) draws from the iterate alone:
-    draw(x, n, k, keyed, est) gives every row's y and writes its estimate
-    into est, measure(xs, ests) gives a block's exact T and realized noise
-    from the iterate before the block and the block's iterates, and a query
+    x^n = (1 - w_n) b + w_n y with b = x^0 (anchored) or x^{n-1} and zeroes
+    the coordinates below flush in magnitude; it applies T(x^n) only for a
+    noise that reads it (every noise model of oracles does). Each block of
+    steps is then checked by one isfinite over its iterates and measured in
+    one norm call: noise, exact residual and distance to the operator's
+    known fixed point. prog(x^n) is recorded for resistant noise, which
+    reads it; otherwise prog is None. Q-learning's sampler (mdp) draws from
+    the iterate alone: steps(xs, ests, keyed) gives step(j, n, k), every
+    row's y at step n from its iterate xs[j], writing its estimate into
+    ests[j]; measure(xs, ests) gives a block's exact T and realized noise
+    from the iterate before the block and the block's iterates; and a query
     draws pairs samples. Each step writes x^n (and the estimate) straight
     into the block's buffers. A row aborts at its first step with a
-    non-finite x^n or measured value (the iterate check first at equal n);
-    the others go on.
+    non-finite x^n or measured value (the iterate check first at equal n),
+    though it steps on to its block's end; the others go on.
     """
     sampled = not isinstance(o.noise, NoiseModel)
     schedule = _schedule(weight, size, N, o.noise.pairs if sampled else 1, budget)
-    weights, sizes = schedule[1].tolist(), schedule[2].tolist()
-    cols, rows, d = len(weights), len(rngs), x0.shape[0]
-    apply, draw = o.base.apply, o.noise.draw if sampled else o.noise.batch_mean
+    sizes = schedule[2].tolist()
+    cols, rows, d = len(sizes), len(rngs), x0.shape[0]
+    apply, draw = o.base.apply, None if sampled else o.noise.batch_mean
     target = o.base.fixed_point_info().point
     keyed = StepGenerator(rngs, cols - 1)
     height = max(1, min(_BLOCK, cols - 1, _BLOCK_COORDS // (rows * d)))
-    # the iterate before a block and its steps' iterates, the differences a block
-    # measures (noise, residual, distance) and its estimates; steps write into them
-    xs = np.empty((height + 1, rows, d))
-    diffs = np.empty((height, 2 if target is None else 3, rows, d))
-    ests = np.empty((height, rows, d)) if sampled else None
-    finite = np.empty((rows, d), dtype=bool)  # which coordinates of x^n are finite
 
     def lengths(v):
         try:
@@ -317,12 +316,7 @@ def iterate_stack(
             out[ok] = norm(v[ok], norm_kind)
             return out
 
-    def bases(n):
-        """(1 - w_m) x^0 of an anchored block's steps m = n, n + 1, ..., each (1, d)."""
-        return (1.0 - schedule[1][n:n + height, None, None]) * x0 if anchored else None
-
-    xs[0] = x0
-    x = xs[0]
+    x = np.tile(x0, (rows, 1))  # the live rows' iterate before a block
     tx = apply(x)
     # column-major, so a block writes contiguous rows of steps
     residual, noise = np.zeros((cols, rows)), np.zeros((cols, rows))
@@ -334,77 +328,91 @@ def iterate_stack(
     front = None  # last_nonzero_index of the live rows of x, for the next draw
     if prog is not None:
         front = prog[0] = last_nonzero_index(x)
-    final_x = xs[0].copy()
+    final_x = x.copy()
     steps, reasons = [cols - 1] * rows, [None] * rows
     live = np.arange(rows)  # the stack's rows that have not aborted, in seed order
 
-    def close(j, start, fail):
+    def close(j, start):
         """Measure the block's steps start..start + j - 1 of the live rows, xs[1:j + 1]
-        after x^{start-1} in xs[0], and abort each row at its first non-finite measured
-        value or iterate (its block index in fail). Returns the mask of the rows kept."""
+        after x^{start-1} in xs[0], and abort each row at its first non-finite iterate
+        or measured value (the iterate first). Returns the mask of the rows kept."""
+        finite, fail = np.isfinite(xs[1:j + 1]), np.full(live.size, j)
+        if not finite.all():
+            bad = ~finite.all(axis=2)
+            fail = np.where(bad.any(axis=0), bad.argmax(axis=0), j)
+            for r in np.flatnonzero(fail < j).tolist():
+                xs[fail[r] + 1:j + 1, r] = xs[fail[r], r]  # measured in place of the failed steps
         if sampled:
-            txs, diffs[:j, 0] = o.noise.measure(xs[:j + 1], ests[:j])
-            np.subtract(xs[1:j + 1], txs, out=diffs[:j, 1])
+            txs, diffs[0, :j] = o.noise.measure(xs[:j + 1], ests[:j])
+            np.subtract(xs[1:j + 1], txs, out=diffs[1, :j])
         if target is not None:
-            np.subtract(xs[1:j + 1], target, out=diffs[:j, 2])
-        m = lengths(diffs[:j].reshape(-1, d)).reshape(j, -1, live.size)
-        bad = ~(m.max(axis=1) < math.inf)  # norms are >= 0, never NaN
+            np.subtract(xs[1:j + 1], target, out=diffs[2, :j])
+        m = lengths(diffs[:, :j].reshape(-1, d)).reshape(len(diffs), j, live.size)
+        bad = ~(m.max(axis=0) < math.inf)  # norms are >= 0, never NaN
         first = np.where(bad.any(axis=0), bad.argmax(axis=0), j)
         cut = np.minimum(first, fail)
         for r in np.flatnonzero(cut < j).tolist():
             c, i = int(cut[r]), int(live[r])
-            m[c:, :, r] = 0.0
+            m[:, c:, r] = 0.0
             final_x[i], steps[i] = xs[c, r], start + c - 1
             what = "iterate" if fail[r] <= first[r] else "measurement"
             reasons[i] = f"non-finite {what} at step {start + c}"
             if prog is not None:
                 prog[start + c:, i] = 0
         span = slice(start, start + j)
-        noise[span, live], residual[span, live] = m[:, 0], m[:, 1]
+        noise[span, live], residual[span, live] = m[0], m[1]
         if dist is not None:
-            dist[span, live] = m[:, 2]
+            dist[span, live] = m[2]
         return cut == j
 
-    # the block's first step and each row's first non-finite iterate
-    start, base, fail, all_failed = 1, bases(1), np.full(rows, height), False
-    # the buffers' rows, indexed faster as lists
-    xrows, erows, brows = list(xs), list(ests) if sampled else None, list(base) if anchored else None
-    for n in range(1, cols):
-        j = n - start
-        x, x_new = xrows[j], xrows[j + 1]
-        if sampled:  # selects step n of keyed when it draws from it
-            y = draw(x, n, sizes[n], keyed, erows[j])
-        else:
-            y = draw(tx, x, sizes[n], keyed.step(n), front)
-        w = weights[n]
-        np.add(brows[j] if anchored else (1.0 - w) * x, w * y, x_new)
-        if not np.logical_and.reduce(np.isfinite(x_new, finite), None):
-            bad = ~finite.all(axis=1)
-            fail[bad] = np.minimum(fail[bad], j)
-            x_new[bad] = x[bad]  # a row that failed steps on from finite values to the block's end
-            all_failed = (fail < height).all()  # then the block ends here
-        if flush:
-            x_new[np.abs(x_new) < flush] = 0.0
-        if not sampled:
-            np.subtract(y, tx, out=diffs[j, 0])
-            tx = apply(x_new)
-            np.subtract(x_new, tx, out=diffs[j, 1])
-        if prog is not None:
-            front = prog[n][live] = last_nonzero_index(x_new)
-        if j + 1 == height or n + 1 == cols or all_failed:
-            keep = close(j + 1, start, fail)
-            xs[0] = x_new  # the next block's x^{start-1}
-            if not keep.all():
-                live, xs, diffs, finite = live[keep], xs[:, keep], diffs[:, :, keep], finite[keep]
-                tx, ests = (tx, ests[:, keep]) if sampled else (tx[keep], ests)
-                if front is not None:
-                    front = front[keep]
-                keyed.seeds = [s for s, kept in zip(keyed.seeds, keep.tolist()) if kept]
-                if not live.size:
-                    break
-            start, base, fail = n + 1, bases(n + 1), np.full(live.size, height)
-            xrows, erows, brows = list(xs), list(ests) if sampled else None, list(base) if anchored else None
-    final_x[live] = xs[0]
+    start, xs, multiply, add = 1, None, np.multiply, np.add  # xs: no buffers yet
+    while start < cols and live.size:
+        stop = min(start + height, cols)
+        if xs is None:
+            # the live rows' buffers, which steps write into: x^{start-1} and a block's
+            # iterates, its measured differences, estimates, w_m, (1 - w_m) x^0 or 1 - w_m,
+            # and a step's w_n y and (1 - w_n) x^{n-1}; block rows are listed, faster to index
+            xs = np.empty((height + 1, live.size, d))
+            diffs = np.empty((2 if target is None else 3, height, live.size, d))
+            ests = np.empty((height, live.size, d)) if sampled else None
+            ws, bs = np.empty((2, height, live.size if live.size * d <= _TILED_COORDS else 1, d))
+            wy, bx = np.empty((2, live.size, d))
+            xrows, wrows, brows = list(xs), list(ws), list(bs)
+            step = o.noise.steps(xs, ests, keyed) if sampled else None
+            xs[0] = x
+            x = xs[0]
+        ws[:stop - start] = schedule[1][start:stop, None, None]
+        np.multiply(np.subtract(1.0, ws, out=bs), x0 if anchored else 1.0, out=bs)
+        # a row steps on past a non-finite iterate, and its inf - inf warns of nothing
+        with np.errstate(invalid="ignore"):
+            for n in range(start, stop):
+                j = n - start
+                if sampled:  # selects step n of keyed when it draws from it
+                    y = step(j, n, sizes[n])
+                else:
+                    y = draw(tx, xrows[j], sizes[n], keyed.step(n), front)
+                multiply(y, wrows[j], wy)
+                add(brows[j] if anchored else multiply(xrows[j], brows[j], bx), wy, xrows[j + 1])
+                if not sampled:
+                    x_new = xrows[j + 1]
+                    if flush:
+                        x_new[np.abs(x_new) < flush] = 0.0
+                    np.subtract(y, tx, out=diffs[0, j])
+                    tx = apply(x_new)
+                    np.subtract(x_new, tx, out=diffs[1, j])
+                    if prog is not None:
+                        front = prog[n][live] = last_nonzero_index(x_new)
+        keep = close(stop - start, start)
+        x[:] = xs[stop - start]  # the next block's x^{start-1}
+        if not keep.all():
+            live, x, xs = live[keep], x[keep], None
+            if not sampled:
+                tx = tx[keep]
+            if front is not None:
+                front = front[keep]
+            keyed.seeds = [s for s, kept in zip(keyed.seeds, keep.tolist()) if kept]
+        start = stop
+    final_x[live] = x
     return StackTrace(
         *schedule,
         residual=residual.T,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import NamedTuple
@@ -68,6 +69,19 @@ _KINDS = ("fixedpoint", "lowerbound", "mdp-avg", "mdp-disc")
 
 class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field path."""
+
+
+class _OutputError(Exception):
+    """An output file that could not be written, as "<path>: <reason>"."""
+
+
+@contextmanager
+def _writing(path):
+    """Raise an OSError of the block as the _OutputError of path."""
+    try:
+        yield
+    except OSError as exc:
+        raise _OutputError(f"{path}: {exc.strerror or exc}") from None
 
 
 class _Fields:
@@ -763,12 +777,13 @@ def _write_blocks(pending: list):
                 args[j::len(block)] = col.tolist() if isinstance(col, np.ndarray) else col
         data = memoryview(header + row * len(block[0]) % tuple(args))
         flags = os.O_WRONLY | os.O_CREAT | (os.O_TRUNC if header else os.O_APPEND)
-        fd = os.open(path, flags, 0o666)
-        try:
-            while data:
-                data = data[os.write(fd, data):]
-        finally:
-            os.close(fd)
+        with _writing(path):
+            fd = os.open(path, flags, 0o666)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
 
 
 def _is_float(column) -> bool:
@@ -1169,7 +1184,8 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
     summary["checks"] = {"passed": all(c["passed"] for c in checks), "details": checks}
     files.append("summary.json")
     summary["files"] = sorted(files)
-    with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+    path = os.path.join(out_dir, "summary.json")
+    with _writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary

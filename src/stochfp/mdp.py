@@ -367,7 +367,8 @@ class _Bellman(Operator):
 
     def lookahead(self, x: np.ndarray) -> np.ndarray:
         """P max Q of each row: one gemv per row, with the bits of one table's product."""
-        maxv = x.reshape(len(x), self.m.num_states, -1).max(axis=2)
+        # the max over actions of an actions-first copy: numpy reduces short rows slowly
+        maxv = np.moveaxis(x.reshape(len(x), self.m.num_states, -1), 2, 0).copy().max(axis=0)
         return (self.flat @ maxv[:, :, None])[:, :, 0]
 
     def apply(self, x) -> np.ndarray:
@@ -382,7 +383,7 @@ class _Sampled:
     """The sampled oracle of op, built per run: a noise model that reads no T(x).
 
     A query draws one next state s' of every pair, and est is the k-sample
-    batch mean of max_a' Q(s', a'); draw gives target(Q, est) (op.residual(est)
+    batch mean of max_a' Q(s', a'); a step gives target(Q, est) (op.residual(est)
     by default). The realized noise is op.gamma (est - E est) with E est =
     P max Q, (r + gamma est) - (r + gamma E est) in exact arithmetic. A batch
     of one reads counts replayed a block at a time (oracles._multinomial_one,
@@ -392,30 +393,37 @@ class _Sampled:
     def __init__(self, op: _Bellman, target=None):
         self.op, self.target = op, target
         self.pairs = op.dim
-        self._actions = op.m.num_actions
-        self._block = (0, 0, 0, None)  # first and end step, rows and float counts of a replay
 
-    def draw(self, x, n, k, keyed, est):
-        """y of every row of the (B, S * A) stack x at step n, from keyed's step n;
-        the rows' estimates are written into est."""
-        # a 2-D reduction, which numpy runs faster than one over a row's table; the
-        # max vector of a stack of one broadcasts as it is
-        maxv = np.maximum.reduce(x.reshape(-1, self._actions), axis=1)
-        if len(x) > 1:
-            maxv = maxv.reshape(len(x), 1, -1)
-        if k == 1:
-            first, end, rows, counts = self._block
-            # a block for other steps or other rows (some aborted) is replayed anew
-            if not (first <= n < end and rows == len(x)):
-                first, counts = _multinomial_one(keyed, n, self.op.flat)
-                counts = counts.astype(np.float64)  # exact, and vecdot then casts nothing
-                self._block = first, first + len(counts), len(x), counts
-            np.vecdot(counts[n - first], maxv, est)  # the batch mean, as x / 1 == x
-        else:
-            keyed.step(n)
-            for i, v in enumerate(maxv.reshape(len(x), -1)):
-                est[i] = _batch_mean_max(self.op.m, v, k, keyed.generator(i)).reshape(-1)
-        return self.op.residual(est) if self.target is None else self.target(x, est)
+    def steps(self, xs, ests, keyed):
+        """step(j, n, k): y of every row of a block's step n from its iterate xs[j], a
+        (B, S * A) stack, and k_n = k samples drawn from keyed's step n; the rows'
+        estimates are written into ests[j]."""
+        m, op, target, rows = self.op.m, self.op, self.target, ests.shape[1]
+        maxv = np.empty((rows, 1, m.num_states))  # max_a' Q(s', a') of each row and state
+        maxs, reduce, vecdot = maxv.reshape(-1), np.maximum.reduce, np.vecdot
+        states = list(xs.reshape(len(xs), -1, m.num_actions))  # each step's (B * S, A) tables
+        erows, y = list(ests), np.empty(ests.shape[1:])
+        if target is None:  # a map of _maps, its rewards and factor tiled to y's shape
+            residual = op.residual.func
+            rewards, c = (np.broadcast_to(a, y.shape).copy() for a in op.residual.args)
+        first, end, counts = 0, 0, []  # steps first..end - 1 of a replay, a list of steps
+
+        def step(j, n, k):
+            nonlocal first, end, counts
+            e = erows[j]
+            reduce(states[j], 1, None, maxs)
+            if k > 1:
+                keyed.step(n)
+                for i, v in enumerate(maxv[:, 0]):
+                    e[i] = _batch_mean_max(m, v, k, keyed.generator(i)).reshape(-1)
+            else:
+                if n >= end:  # past the replay: the next block of steps
+                    first, counts = _multinomial_one(keyed, n, op.flat)
+                    counts = list(counts.astype(np.float64))  # exact, so vecdot casts nothing
+                    end = first + len(counts)
+                vecdot(counts[n - first], maxv, e)  # the batch mean, as x / 1 == x
+            return residual(rewards, c, e, y) if target is None else target(xs[j], e)
+        return step
 
     def measure(self, xs, ests):
         """(T of each iterate, realized noise of each step) of a block: xs is
@@ -426,14 +434,15 @@ class _Sampled:
         return self.op.residual(pm[1:]), self.op.gamma * (ests - pm[:-1])
 
 
-# the discounted and average-reward maps of a lookahead pm = P max Q, and the
-# anchored average-reward target; module functions, so a run plan pickles
-def _discounted(rewards, gamma, pm):
-    return rewards + gamma * pm
+# the discounted and average-reward maps of a lookahead pm = P max Q, written into
+# out when one is given, and the anchored average-reward target; module
+# functions, so a run plan pickles
+def _discounted(rewards, gamma, pm, out=None):
+    return np.add(rewards, np.multiply(pm, gamma, out), out)
 
 
-def _average(rewards, v_star, pm):
-    return (rewards + pm) - v_star
+def _average(rewards, v_star, pm, out=None):
+    return np.subtract(np.add(rewards, pm, out), v_star, out)
 
 
 def _anchored(rewards, f, num_actions, x, est):
@@ -461,8 +470,8 @@ def _q_runs(m, q0, N, rngs, *, residual, weight, size, anchored, target=None, sc
     k_n-sample batch mean of max_a' Q^{n-1} per pair, w_n = weight(n), k_n =
     size(n) and B = Q^0 (anchored) or Q^{n-1}. The trace holds the sup norms
     of scale (est - P max Q^{n-1}), residual(P max Q^n) - Q^n and Q^n - q_star;
-    target and residual act on (..., S * A) arrays, and cum_queries counts
-    k_n per pair.
+    target and residual act on (..., S * A) arrays (without a target,
+    residual is a map of _maps), and cum_queries counts k_n per pair.
     """
     op = _Bellman(m, residual, scale, q_star)
     t = iterate_stack(OracleDescriptor(op, _Sampled(op, target)), q0.reshape(-1), weight, size,

@@ -833,6 +833,30 @@ class TestCli:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_aborting_run_prints_no_new_warning(self, tmp_path):
+        # an averaged rotation under noise of std 1e308 overflows; a seed that failed
+        # steps on in inf and nan to the end of its block of steps, which prints no
+        # "invalid value" warning: the messages are those of a per-step check
+        import subprocess
+        import sys
+
+        doc = _fixedpoint_doc(norm="l2", operator={"kind": "plane-rotation", "theta": 1.0,
+                                                   "dim": 3},
+                              noise={"kind": "gaussian", "e": 1e308},
+                              method={"kind": "km-constant", "alpha": 0.5}, x0=0.0, N=20,
+                              batches={"kind": "constant", "k": 1}, seeds="1..20")
+        path = self._write(tmp_path, doc)
+        done = subprocess.run(
+            [sys.executable, "-m", "stochfp.cli", "fixedpoint", "--config", path, "--out",
+             str(tmp_path / "o")], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONWARNINGS="default"))
+        assert done.returncode == 2
+        warned = {line.split("RuntimeWarning: ")[1] for line in done.stderr.splitlines()
+                  if "RuntimeWarning: " in line}
+        assert "overflow encountered in add" in warned
+        assert warned <= {"overflow encountered in add", "overflow encountered in multiply",
+                          "overflow encountered in vecdot"}
+
     def test_overflowing_residual_aborts_with_exit_two(self, tmp_path, capsys):
         # the iterate stays finite, but its noise and residual norms overflow
         doc = _fixedpoint_doc(
@@ -1124,6 +1148,19 @@ class TestCli:
         assert code == 4
         assert err.startswith("internal error: ValueError: could not broadcast")
         assert "Traceback (most recent call last)" in err and "config error" not in err
+
+    @pytest.mark.parametrize("name, jobs", [("seed_2.csv", 1), ("seed_2.csv", 2),
+                                            ("aggregate.csv", 1), ("summary.json", 1)])
+    def test_unwritable_output_exits_five(self, tmp_path, monkeypatch, capfd, name, jobs):
+        # a directory where an output file goes; at --jobs 2, seed 2 runs in the worker
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        path = self._write(tmp_path, _fixedpoint_doc(seeds=[1, 2]))
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        code = cli_main(["fixedpoint", "--config", path, "--out", str(out), "--jobs", str(jobs)])
+        err = capfd.readouterr().err
+        assert code == 5
+        assert err == f"output error: {out / name}: Is a directory\n"
 
     def test_unreadable_inputs_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "binary.json"

@@ -12,6 +12,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
@@ -317,6 +318,86 @@ def test_q_rows_abort_at_their_first_failure_in_a_block():
     assert [rec.abort_reason for _, rec in runs] == [
         None, "non-finite measurement at step 9", None, "non-finite iterate at step 9",
         "non-finite measurement at step 9", None]
+    assert [rec.steps() for _, rec in runs] == [12, 8, 12, 8, 8, 12]
+    for run, ref in zip(runs, refs):
+        _assert_run_matches(run, ref)
+
+
+# Block edges: each stack's rows all fail between steps 6 and 11 of N = 20, row 0
+# at step 9: the first step of a block of 4, the last of a block of 3, and with
+# blocks of 16 every row fails inside the first block, which steps on to its end.
+_EDGE_BLOCKS = [3, 4, 16]
+_MAX = np.finfo(np.float64).max
+
+
+def _failing_stack(kind):
+    """(oracle, x0, anchored, weight, norm, seeds) of a stack whose rows all abort."""
+    halpern = sf.StepSchedule.halpern_classic().weight
+    if kind == "gaussian":  # T = 1e308 with noise of std 3e307
+        o = sf.OracleDescriptor(sf.ConstantMap([1e308, 1e308]), sf.AdditiveGaussianIID(3e307))
+        return o, np.array([-1e308, 1e308]), True, halpern, sf.L1, [26, 27, 9, 8]
+    if kind == "resistant":  # the first increment of coordinate 0, at least 10 lam, overflows
+        o = sf.OracleDescriptor(sf.ShiftProjection(1e308, 3), sf.ResistantBernoulli(0.1))
+        return o, np.zeros(3), True, halpern, sf.LINF, [5, 7, 9, 8]
+    # x^n = x^{n-1} + 5e306: T x^n = x^n + 1e307 overflows first, so the residual fails
+    o = sf.OracleDescriptor(sf.AffineContraction(np.eye(2), [1e307, 0.0], 1.0, sf.L1),
+                            sf.NoNoise())
+    return (o, np.array([_MAX - 10.5 * 0.5e307, 1.0]), False,
+            sf.StepSchedule.km_constant(0.5).weight, sf.L1, [1, 2])
+
+
+@pytest.mark.parametrize("block", _EDGE_BLOCKS)
+@pytest.mark.parametrize("kind", ["gaussian", "resistant", "none"])
+def test_vector_rows_abort_at_block_edges(kind, block):
+    o, x0, anchored, weight, norm, seeds = _failing_stack(kind)
+    size = sf.BatchSchedule.constant(1).size
+    rngs = [sf.RngStream(s, 0) for s in seeds]
+    with np.errstate(all="ignore"), mock.patch.object(engine, "_BLOCK", block):
+        runs = sf.halpern_runs if anchored else sf.km_runs
+        schedule = (sf.StepSchedule.halpern_classic(), sf.BatchSchedule.constant(1)) if anchored \
+            else (sf.StepSchedule.km_constant(0.5),)
+        records = runs(o, x0, *schedule, 20, norm, rngs)
+        refs = [_ref_vector_run(o, x0, weight, size, 20, norm, r, anchored) for r in rngs]
+    what = "measurement" if kind == "none" else "iterate"
+    assert records[0].abort_reason == f"non-finite {what} at step 9"
+    assert all(6 <= rec.steps() + 1 <= 11 for rec in records)
+    for rec, ref in zip(records, refs):
+        _assert_record_matches(rec, ref)
+
+
+@pytest.mark.parametrize("block", _EDGE_BLOCKS)
+@pytest.mark.parametrize("tail", [False, True])
+def test_q_rows_abort_at_block_edges(block, tail):
+    # Q^n = 2 Q^{n-1} on the one-state self-loop first reaches 2^1024 at step 9, from
+    # a batch of one or, in the geometric taper's tail, k_9 = ceil(81 * 0.75^11) = 4
+    m = sf.TabularMDP(np.ones((1, 1, 1)), np.ones((1, 1)))
+    size = sf.BatchSchedule.contractive_geometric(0.75, 20).size if tail else (lambda n: 1)
+    spec = dict(target=lambda q, est: 2.0 * est, residual=lambda pm: 0.5 * pm,
+                weight=lambda n: 1.0, size=size, anchored=False)
+    q0 = np.array([[2.0 ** 1015]])
+    rngs = [sf.RngStream(s, 5) for s in (3, 4)]
+    with np.errstate(all="ignore"), mock.patch.object(engine, "_BLOCK", block):
+        runs = mdp._q_runs(m, q0, 20, rngs, **spec)
+        refs = [_ref_q_run(m, q0, 20, rng, **spec) for rng in rngs]
+    assert (size(9) > 1) == tail
+    assert [rec.abort_reason for _, rec in runs] == ["non-finite iterate at step 9"] * 2
+    for run, ref in zip(runs, refs):
+        _assert_run_matches(run, ref)
+
+
+@pytest.mark.parametrize("block", [3, 4])
+def test_q_rows_abort_at_their_first_failure_at_block_edges(block):
+    # the stack of the test above, with step 9 the first step of a block of 4 and
+    # the last of a block of 3; seeds 5, 9 and 13 run to N = 12
+    p = np.array([[[0.5, 0.3, 0.2]], [[0.2, 0.5, 0.3]], [[0.3, 0.2, 0.5]]])
+    m = sf.TabularMDP(p, np.zeros((3, 1)))
+    q0 = np.array([[3e306], [-3e306], [0.0]])
+    spec = dict(target=lambda q, est: est, residual=lambda pm: 4.0 * pm, weight=lambda n: 2.0,
+                size=lambda n: 1, anchored=False)
+    rngs = [sf.RngStream(s, 7) for s in (5, 10, 9, 20, 4, 13)]
+    with np.errstate(all="ignore"), mock.patch.object(engine, "_BLOCK", block):
+        runs = mdp._q_runs(m, q0, 12, rngs, **spec)
+        refs = [_ref_q_run(m, q0, 12, rng, **spec) for rng in rngs]
     assert [rec.steps() for _, rec in runs] == [12, 8, 12, 8, 8, 12]
     for run, ref in zip(runs, refs):
         _assert_run_matches(run, ref)

@@ -256,8 +256,7 @@ _SCHEDULES_KEPT = 4
 
 # A block holds at most _BLOCK steps, and more than one only while each of its
 # (steps, B, d) buffers stays within _BLOCK_COORDS coordinates. A stack of at most
-# _TILED_COORDS coordinates tiles its step weights to its shape: numpy combines
-# equal shapes faster than it broadcasts, by more than the tiling costs.
+# _TILED_COORDS coordinates tiles its step weights to its shape (no broadcasting).
 _BLOCK = 1024
 _BLOCK_COORDS = 1 << 14
 _TILED_COORDS = 1 << 8

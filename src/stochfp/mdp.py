@@ -395,9 +395,8 @@ class _Sampled:
         self.pairs = op.dim
 
     def steps(self, xs, ests, keyed):
-        """step(j, n, k): y of every row of a block's step n from its iterate xs[j], a
-        (B, S * A) stack, and k_n = k samples drawn from keyed's step n; the rows'
-        estimates are written into ests[j]."""
+        """step(j, n, k): every row's y at a block's step n, from its (B, S * A) iterate
+        xs[j] and k samples of keyed's step n; it writes the estimates into ests[j]."""
         m, op, target, rows = self.op.m, self.op, self.target, ests.shape[1]
         maxv = np.empty((rows, 1, m.num_states))  # max_a' Q(s', a') of each row and state
         maxs, reduce, vecdot = maxv.reshape(-1), np.maximum.reduce, np.vecdot
@@ -434,9 +433,8 @@ class _Sampled:
         return self.op.residual(pm[1:]), self.op.gamma * (ests - pm[:-1])
 
 
-# the discounted and average-reward maps of a lookahead pm = P max Q, written into
-# out when one is given, and the anchored average-reward target; module
-# functions, so a run plan pickles
+# the discounted and average-reward maps of a lookahead pm = P max Q (into out, if
+# given) and the anchored average-reward target; module functions, so a plan pickles
 def _discounted(rewards, gamma, pm, out=None):
     return np.add(rewards, np.multiply(pm, gamma, out), out)
 

@@ -103,20 +103,22 @@ def _children(stream: int, indices: np.ndarray) -> np.ndarray:
     return z
 
 
-def _philox_key(seed: int, stream: int) -> tuple[int, int]:
+def _philox_key(seed: int, stream: int, err=None) -> tuple[int, int]:
     """The key words Philox(key=[seed, stream]) holds.
 
     numpy converts a list that mixes a word below 2^63 with one at or above
     it to float64, so both words are then rounded to 53 significant bits. A
     word that rounds to 2^64 has no defined conversion; it goes through
-    numpy's own cast, as it does for a fresh generator.
+    numpy's own cast, as it does for a fresh generator, under the numpy
+    error state err (np.geterr()'s dict) if one is given.
     """
     if (seed < _TOP) == (stream < _TOP):
         return seed, stream
     a, b = float(seed), float(stream)
     if a < 2.0 ** 64 and b < 2.0 ** 64:
         return int(a), int(b)
-    return tuple(np.asarray([seed, stream]).astype(np.uint64).tolist())
+    with np.errstate(**(err or {})):
+        return tuple(np.asarray([seed, stream]).astype(np.uint64).tolist())
 
 
 # Philox4x64-10's multipliers and key increments (Random123's PHILOX_M4x64_*, PHILOX_W64_*)
@@ -217,7 +219,7 @@ class StepGenerator:
     alone. block(count) hands back the whole block, (first step, (steps,
     rows, count) words). numpy's warning for a key word that rounds to 2^64
     (see _keys) comes when the block holding the first step using it is
-    drawn.
+    drawn, under the error state the StepGenerator was made in.
 
     generator(i) resets the shared Philox to RngStream(seeds[i],
     stream).generator()'s state (numpy's conversion of [seed, stream], a
@@ -233,6 +235,7 @@ class StepGenerator:
         self._root = self.stream = streams.pop()
         self._steps = steps
         self._n = None  # the step selected, None for the run's own stream
+        self._err = np.geterr()  # for key casts, whatever state a step runs in
         self._gen = None
         self._state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},
                        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -257,7 +260,7 @@ class StepGenerator:
     def generator(self, row: int = 0) -> np.random.Generator:
         if self._gen is None:
             self._gen = np.random.Generator(np.random.Philox(0))
-        self._state["state"]["key"] = _philox_key(self.seeds[row], self.stream)
+        self._state["state"]["key"] = _philox_key(self.seeds[row], self.stream, self._err)
         self._gen.bit_generator.state = self._state
         return self._gen
 
@@ -317,7 +320,7 @@ class StepGenerator:
         fits = near < 2.0 ** 64
         rounded[rows[fits]] = near[fits].astype(np.uint64)
         for i in rows[~fits].tolist():
-            rounded[i] = _philox_key(0, int(streams[i]))[1]
+            rounded[i] = _philox_key(0, int(streams[i]), self._err)[1]
         return (np.where(s_low, halves.get(True, 0), halves.get(False, 0)),
                 np.where(mixed, rounded[:, None], s))
 
@@ -327,7 +330,7 @@ class StepGenerator:
         if k0 is None:
             k0 = self._seed_words.copy()
             mixed = self._seed_low != low
-            k0[mixed] = np.array([_philox_key(self._seeds[i], 0 if low else _TOP)[0]
+            k0[mixed] = np.array([_philox_key(self._seeds[i], 0 if low else _TOP, self._err)[0]
                                   for i in np.flatnonzero(mixed).tolist()], dtype=np.uint64)
             self._mixed_words[low] = k0
         return k0

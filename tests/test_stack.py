@@ -327,37 +327,38 @@ def test_q_rows_abort_at_their_first_failure_in_a_block():
 # at step 9: the first step of a block of 4, the last of a block of 3, and with
 # blocks of 16 every row fails inside the first block, which steps on to its end.
 _EDGE_BLOCKS = [3, 4, 16]
-_MAX = np.finfo(np.float64).max
 
 
 def _failing_stack(kind):
-    """(oracle, x0, anchored, weight, norm, seeds) of a stack whose rows all abort."""
-    halpern = sf.StepSchedule.halpern_classic().weight
+    """(oracle, x0, step schedule, norm, seeds) of a stack whose rows all abort."""
+    halpern = sf.StepSchedule.halpern_classic()
     if kind == "gaussian":  # T = 1e308 with noise of std 3e307
         o = sf.OracleDescriptor(sf.ConstantMap([1e308, 1e308]), sf.AdditiveGaussianIID(3e307))
-        return o, np.array([-1e308, 1e308]), True, halpern, sf.L1, [26, 27, 9, 8]
+        return o, np.array([-1e308, 1e308]), halpern, sf.L1, [26, 27, 9, 8]
     if kind == "resistant":  # the first increment of coordinate 0, at least 10 lam, overflows
         o = sf.OracleDescriptor(sf.ShiftProjection(1e308, 3), sf.ResistantBernoulli(0.1))
-        return o, np.zeros(3), True, halpern, sf.LINF, [5, 7, 9, 8]
-    # x^n = x^{n-1} + 5e306: T x^n = x^n + 1e307 overflows first, so the residual fails
+        return o, np.zeros(3), halpern, sf.LINF, [5, 7, 9, 8]
+    # x^n = x^{n-1} + 5e306 and T x^n = x^n + 1e307: without noise T x^n overflows a
+    # step before x^{n+1} does, so the residual is what fails
     o = sf.OracleDescriptor(sf.AffineContraction(np.eye(2), [1e307, 0.0], 1.0, sf.L1),
                             sf.NoNoise())
-    return (o, np.array([_MAX - 10.5 * 0.5e307, 1.0]), False,
-            sf.StepSchedule.km_constant(0.5).weight, sf.L1, [1, 2])
+    x0 = np.array([np.finfo(np.float64).max - 10.5 * 0.5e307, 1.0])
+    return o, x0, sf.StepSchedule.km_constant(0.5), sf.L1, [1, 2]
 
 
 @pytest.mark.parametrize("block", _EDGE_BLOCKS)
 @pytest.mark.parametrize("kind", ["gaussian", "resistant", "none"])
 def test_vector_rows_abort_at_block_edges(kind, block):
-    o, x0, anchored, weight, norm, seeds = _failing_stack(kind)
-    size = sf.BatchSchedule.constant(1).size
+    o, x0, steps, norm, seeds = _failing_stack(kind)
+    one = sf.BatchSchedule.constant(1)
     rngs = [sf.RngStream(s, 0) for s in seeds]
     with np.errstate(all="ignore"), mock.patch.object(engine, "_BLOCK", block):
-        runs = sf.halpern_runs if anchored else sf.km_runs
-        schedule = (sf.StepSchedule.halpern_classic(), sf.BatchSchedule.constant(1)) if anchored \
-            else (sf.StepSchedule.km_constant(0.5),)
-        records = runs(o, x0, *schedule, 20, norm, rngs)
-        refs = [_ref_vector_run(o, x0, weight, size, 20, norm, r, anchored) for r in rngs]
+        if steps.is_halpern:
+            records = sf.halpern_runs(o, x0, steps, one, 20, norm, rngs)
+        else:
+            records = sf.km_runs(o, x0, steps, 20, norm, rngs)
+        refs = [_ref_vector_run(o, x0, steps.weight, one.size, 20, norm, r, steps.is_halpern)
+                for r in rngs]
     what = "measurement" if kind == "none" else "iterate"
     assert records[0].abort_reason == f"non-finite {what} at step 9"
     assert all(6 <= rec.steps() + 1 <= 11 for rec in records)
@@ -387,8 +388,8 @@ def test_q_rows_abort_at_block_edges(block, tail):
 
 @pytest.mark.parametrize("block", [3, 4])
 def test_q_rows_abort_at_their_first_failure_at_block_edges(block):
-    # the stack of the test above, with step 9 the first step of a block of 4 and
-    # the last of a block of 3; seeds 5, 9 and 13 run to N = 12
+    # test_q_rows_abort_at_their_first_failure_in_a_block's stack, with its failures
+    # at step 9 on the first step of a block of 4 and the last of a block of 3
     p = np.array([[[0.5, 0.3, 0.2]], [[0.2, 0.5, 0.3]], [[0.3, 0.2, 0.5]]])
     m = sf.TabularMDP(p, np.zeros((3, 1)))
     q0 = np.array([[3e306], [-3e306], [0.0]])
@@ -401,3 +402,16 @@ def test_q_rows_abort_at_their_first_failure_at_block_edges(block):
     assert [rec.steps() for _, rec in runs] == [12, 8, 12, 8, 8, 12]
     for run, ref in zip(runs, refs):
         _assert_run_matches(run, ref)
+
+
+def test_runs_warn_of_a_key_word_that_rounds_to_two_to_the_64():
+    # the seed 2^64 - 1 in a key with a stream below 2^63 rounds to 2^64, which
+    # numpy's cast warns of, as for a fresh generator; a run's steps hide nothing of it
+    m = sf.TabularMDP(np.full((2, 1, 2), 0.5), np.ones((2, 1)))
+    o = sf.OracleDescriptor(sf.ShiftProjection(0.2, 4), sf.AdditiveGaussianIID(0.3))
+    rng = sf.RngStream(2**64 - 1, 2**63)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
+        sf.vanilla_q_discounted(m, 0.9, lambda n: 0.5, np.zeros((2, 1)), 20, rng)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in cast"):
+        sf.halpern_run(o, np.zeros(4), sf.StepSchedule.halpern_classic(),
+                       sf.BatchSchedule.constant(1), 20, sf.L1, rng)

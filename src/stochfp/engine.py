@@ -210,8 +210,8 @@ def _schedule(weight, size, N: int, per_query: int = 1, budget: int | None = Non
     or with a budget the steps before the first whose cumulative count would
     pass it; without one, a count past 2^63 - 1 is a ValueError as soon as
     the next step's size is known. Runs whose weight and size are bound
-    methods of equal frozen dataclasses share (and writers format) one set
-    of arrays; other callables are not cached.
+    methods of equal frozen dataclasses share one set of arrays; other
+    callables are not cached.
     """
     key = _by_value(weight), _by_value(size)
     key = None if None in key else key + (N, per_query, budget)
@@ -425,15 +425,12 @@ def iterate_stack(
 
 
 def _records(t: StackTrace) -> list[RunRecord]:
-    """One RunRecord per row of a stack's trace; records of one length share their
-    schedule columns."""
-    records, heads = [], {}
+    """One RunRecord per row of a stack's trace: its columns 1..steps."""
+    records = []
     for i, steps in enumerate(t.steps):
         cut = slice(1, steps + 1)
-        if steps not in heads:
-            heads[steps] = t.n[cut], t.weight[cut], t.batch[cut], t.cum_queries[cut]
         records.append(RunRecord(
-            *heads[steps],
+            t.n[cut], t.weight[cut], t.batch[cut], t.cum_queries[cut],
             residual=t.residual[i, cut],
             dist_to_fp=None if t.dist_to_fp is None else t.dist_to_fp[i, cut],
             noise_norm=t.noise_norm[i, cut],

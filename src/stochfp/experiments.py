@@ -33,16 +33,16 @@ import numpy as np
 from . import linalg, mdp as mdp_mod
 from .engine import (
     BatchSchedule,
+    StackTrace,
     StepSchedule,
     _schedule,
     bound_contractive,
     bound_nonexpansive,
-    halpern_runs,
+    iterate_stack,
     kappa_bar_bounded_range,
-    km_runs,
 )
 from .linalg import NormKind, norm, norm_equivalence_mu
-from .lower_bound import AdversarialInstance, SpanAlgorithm, adversarial_runs, build_instance
+from .lower_bound import _FLUSH, AdversarialInstance, build_instance
 from .operators import AffineContraction, ConstantMap, PlaneRotation, ShiftProjection
 from .oracles import (
     AdditiveGaussianIID,
@@ -535,9 +535,6 @@ def load_config(path) -> dict:
 # The run plan: built once per experiment, pickled into the process pool
 
 
-_COLUMNS = ("n", "batch", "cum_queries", "residual", "dist_to_fp", "noise_norm", "prog")
-
-
 # The seeds a runner steps together hold at most this many iterate
 # coordinates (2 MiB per array of a step), so wide runs go in shorter stacks.
 _STACK_COORDS = 1 << 18
@@ -547,33 +544,34 @@ _STACK_COORDS = 1 << 18
 class _Plan:
     """A validated config's run objects, shared by every seed.
 
-    runner(rngs) steps a stack of seeds together and returns one record per
-    seed (for Q-learning, a (final table, record) pair); width is the size of
-    one seed's iterate. instance (lowerbound), v_star (mdp-avg) and bounds
+    runner(rngs) is engine.iterate_stack bound to all but the seeds: it steps
+    a stack of seeds together and returns their StackTrace, which the run
+    writes and aggregates as it is (halpern_runs, km_runs, adversarial_runs
+    and the Q-learning runners are per-seed views of the same trace). first
+    is the first column of a trace that a seed file holds: 0 for lowerbound,
+    whose files include n = 0, and 1 otherwise. width is the size of one
+    seed's iterate. instance (lowerbound), v_star (mdp-avg) and bounds
     (fixedpoint with a bounds block) feed the summary.
     """
 
     runner: partial
     stream: int
     width: int
+    first: int
     instance: AdversarialInstance | None = None
     v_star: float | None = None
     bounds: dict | None = None
 
-    def run(self, seeds: list[int], out_dir) -> list[dict]:
+    def run(self, seeds: list[int], out_dir) -> list[StackTrace]:
         """Run and write the seeds' CSVs in stacks of at most _STACK_COORDS // width;
-        returns each seed's _COLUMNS (arrays, or None) and abort_reason."""
+        returns each stack's trace, in seed order."""
         height = max(1, _STACK_COORDS // self.width)
-        results = []
+        traces = []
         for i in range(0, len(seeds), height):
             stack = seeds[i:i + height]
-            records = self.runner([RngStream(seed, self.stream) for seed in stack])
-            # a Q-learning record comes with its final table
-            records = [r[1] if isinstance(r, tuple) else r for r in records]
-            _write_seed_csvs(out_dir, stack, records)
-            results += [dict({c: getattr(r, c, None) for c in _COLUMNS},
-                             abort_reason=getattr(r, "abort_reason", None)) for r in records]
-        return results
+            traces.append(self.runner([RngStream(seed, self.stream) for seed in stack]))
+            _write_seed_csvs(out_dir, stack, traces[-1], self.first)
+        return traces
 
 
 def _plan(cfg: dict) -> _Plan:
@@ -581,36 +579,34 @@ def _plan(cfg: dict) -> _Plan:
 
     The run's schedule columns are computed here too (engine._schedule keeps
     them for the runs), so a schedule whose query count passes 2^63 - 1 is a
-    ConfigError before any output exists. Runner functions are looked up
-    here, at run time, so that rebinding a module attribute (as a call
-    tracer does) reaches every seed.
+    ConfigError before any output exists. iterate_stack is looked up here,
+    at run time, so that rebinding the module attribute (as a call tracer
+    does) reaches every seed.
     """
-    kind, stream = cfg["kind"], cfg["stream"]
-    per_query, budget = 1, None
+    kind = cfg["kind"]
+    per_query, budget, flush, first, extra = 1, None, 0.0, 1, {}
     if kind == "fixedpoint":
         norm_kind = _build_norm(cfg["norm"], "config.norm")
         op = _build(cfg["operator"], "config.operator", _OPERATORS, norm_kind)
         oracle = OracleDescriptor(op, _build(cfg["noise"], "config.noise", _NOISES))
         steps = _build(cfg["method"], "config.method", _STEPS)
+        # averaged methods take one query a step, as validate_config writes them
         batches = _build(cfg["batches"], "config.batches", _BATCHES)
-        x0 = np.asarray(cfg["x0"], dtype=np.float64)
-        if steps.is_halpern:
-            runner = partial(halpern_runs, oracle, x0, steps, batches, cfg["N"], norm_kind)
-        else:
-            runner = partial(km_runs, oracle, x0, steps, cfg["N"], norm_kind)
-        bounds = None if cfg["bounds"] is None else _bound_params(cfg["bounds"], op, norm_kind, x0)
-        plan, N = _Plan(runner, stream, op.dim, bounds=bounds), cfg["N"]
+        x0, N = np.asarray(cfg["x0"], dtype=np.float64), cfg["N"]
+        if cfg["bounds"] is not None:
+            extra["bounds"] = _bound_params(cfg["bounds"], op, norm_kind, x0)
     elif kind == "lowerbound":
         inst = build_instance(cfg["epsilon"], cfg["kappa_bar"], cfg["sigma"])
         steps = _build(cfg["algorithm"], "config.algorithm", _ALGORITHMS)
         batches = _build(cfg["batches"], "config.batches", _BATCHES)
-        algo = SpanAlgorithm(steps.kind, batches, alpha=steps.alpha)
-        plan = _Plan(partial(adversarial_runs, inst, algo), stream, inst.d, instance=inst)
+        oracle, x0, norm_kind = inst.oracle(), np.zeros(inst.d), linalg.L1
+        # every step spends at least one query, so the budget bounds the steps
         N = budget = inst.n_budget
+        flush, first, extra["instance"] = _FLUSH, 0, inst
     else:
         model = mdp_mod.mdp_from_dict(cfg["mdp"])
         q0 = np.asarray(cfg["q0"], dtype=np.float64)
-        algorithm, N, v_star = cfg["algorithm"], cfg["N"], None
+        algorithm, N = cfg["algorithm"], cfg["N"]
         halpern = StepSchedule.halpern_classic()
         if kind == "mdp-avg":
             try:
@@ -621,6 +617,7 @@ def _plan(cfg: dict) -> _Plan:
             maps = mdp_mod._maps(model, v_star=v_star, anchor=anchor)
             steps = StepSchedule.km_polynomial(cfg["a_exponent"]) if algorithm == "rvi" else halpern
             batches = BatchSchedule.power_six()
+            extra["v_star"] = v_star
         else:
             q_star = mdp_mod.solve_discounted_exact(model, cfg["gamma"], cfg["solver_tol"])
             maps = mdp_mod._maps(model, gamma=cfg["gamma"], q_star=q_star)
@@ -628,14 +625,15 @@ def _plan(cfg: dict) -> _Plan:
             batches = BatchSchedule.contractive_geometric(cfg["gamma"], N)
         # halpern and benchmark are anchored and batch; rvi and vanilla take one query a step
         batches = batches if steps.is_halpern else BatchSchedule.constant(1)
-        runner = partial(mdp_mod._q_runs, model, q0, N, **maps, weight=steps.weight,
-                         size=batches.size, anchored=steps.is_halpern)
-        plan, per_query = _Plan(runner, stream, q0.size, v_star=v_star), q0.size
+        oracle, x0, norm_kind = mdp_mod._q_oracle(model, **maps), q0.reshape(-1), linalg.LINF
+        per_query = q0.size
     try:
         _schedule(steps.weight, batches.size, N, per_query, budget)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from None
-    return plan
+    runner = partial(iterate_stack, oracle, x0, steps.weight, batches.size, N, norm_kind,
+                     anchored=steps.is_halpern, budget=budget, flush=flush)
+    return _Plan(runner, cfg["stream"], x0.size, first, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -790,30 +788,27 @@ def _is_float(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype == np.float64
 
 
-def _write_seed_csvs(out_dir, seeds: list[int], records: list):
-    """Write seed_<seed>.csv of each (seed, record) of a stack.
+def _write_seed_csvs(out_dir, seeds: list[int], t: StackTrace, first: int):
+    """Write seed_<seed>.csv of each seed of a stack: the columns first..steps of
+    its row of t. The prefix "n,weight,k_n,cum_queries," of each line is
+    formatted once for the stack and sliced per row."""
+    schedule = [c[first:max(t.steps) + 1] for c in (t.n, t.weight, t.batch, t.cum_queries)]
+    prefix = []
+    for a in range(0, len(schedule[0]), _BLOCK):
+        prefix += map(b"%d,%b,%d,%d,".__mod__, zip(*(
+            _g17(c[a:a + _BLOCK]) if _is_float(c) else c[a:a + _BLOCK].tolist() for c in schedule)))
+    measured = [c for c in (t.residual, t.dist_to_fp, t.noise_norm) if c is not None]
+    row = b"%b%b,,%b\n" if t.dist_to_fp is None else b"%b%b,%b,%b\n"
+    _write_csvs((os.path.join(out_dir, f"seed_{seed}.csv"), _SEED_HEADER, row,
+                 [prefix[:steps + 1 - first]] + [c[i, first:steps + 1] for c in measured])
+                for i, (seed, steps) in enumerate(zip(seeds, t.steps)))
 
-    The prefix "n,weight,k_n,cum_queries," of each line is formatted once per
-    group of records that share their schedule columns.
-    """
-    prefixes = {}
 
-    def files():
-        for seed, rec in zip(seeds, records):
-            schedule = (rec.n, rec.weight, rec.batch, rec.cum_queries)
-            key = tuple(map(id, schedule))
-            if key not in prefixes:
-                prefixes[key] = prefix = []
-                for a in range(0, len(rec.n), _BLOCK):
-                    prefix += map(b"%d,%b,%d,%d,".__mod__, zip(*(
-                        _g17(c[a:a + _BLOCK]) if _is_float(c) else c[a:a + _BLOCK].tolist()
-                        for c in schedule)))
-            columns = [prefixes[key]] + [c for c in (rec.residual, rec.dist_to_fp, rec.noise_norm)
-                                         if c is not None]
-            row = b"%b%b,,%b\n" if rec.dist_to_fp is None else b"%b%b,%b,%b\n"
-            yield os.path.join(out_dir, f"seed_{seed}.csv"), _SEED_HEADER, row, columns
-
-    _write_csvs(files())
+def _by_seed(stacks, first: int, end: int) -> np.ndarray:
+    """Columns first..end - 1 of every row of stacks, (B, steps + 1) arrays, as one
+    C-ordered (seeds, n) array, whose reductions over seeds add row by row."""
+    out = np.empty((sum(len(c) for c in stacks), end - first), stacks[0].dtype)
+    return np.concatenate([c[:, first:end] for c in stacks], out=out)
 
 
 def _mean_sem(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -832,19 +827,19 @@ _AGG_HEADER = (
 _AGG_INTS = ("n", "k_n", "cum_queries")
 
 
-def _aggregate(results: list[dict]) -> dict:
-    """Per-n mean and standard error over the rows all seeds share, keyed by
-    the aggregate.csv columns (dist_to_fp_* are None unless every seed has them)."""
-    n_rows = min(len(r["n"]) for r in results)
-    base = results[0]
-    agg = {"n": base["n"][:n_rows], "k_n": base["batch"][:n_rows],
-           "cum_queries": base["cum_queries"][:n_rows]}
-    for col in ("residual", "dist_to_fp", "noise_norm"):
-        if any(r[col] is None for r in results):
+def _aggregate(traces: list[StackTrace], first: int) -> dict:
+    """Per-n mean and standard error over the columns first.. that all seeds share,
+    keyed by the aggregate.csv columns (dist_to_fp_* are None without a known x*)."""
+    stacks = StackTrace(*zip(*traces))  # each field, one item per stack
+    end = min(min(steps) for steps in stacks.steps) + 1
+    t = traces[0]
+    agg = {"n": t.n[first:end], "k_n": t.batch[first:end], "cum_queries": t.cum_queries[first:end]}
+    for col, columns in zip(("residual", "dist_to_fp", "noise_norm"),
+                            (stacks.residual, stacks.dist_to_fp, stacks.noise_norm)):
+        if columns[0] is None:
             agg[f"{col}_mean"] = agg[f"{col}_sem"] = None
         else:
-            values = np.array([r[col][:n_rows] for r in results])
-            agg[f"{col}_mean"], agg[f"{col}_sem"] = _mean_sem(values)
+            agg[f"{col}_mean"], agg[f"{col}_sem"] = _mean_sem(_by_seed(columns, first, end))
     return agg
 
 
@@ -1078,7 +1073,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
     seeds = cfg["seeds"]
     chunks = _chunks(seeds, jobs)
     if len(chunks) == 1:
-        results = plan.run(seeds, out_dir)
+        traces = plan.run(seeds, out_dir)
     else:
         # imported here: multiprocessing is a sixth of the package's import time
         from concurrent.futures import ProcessPoolExecutor
@@ -1086,22 +1081,21 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
         with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
             # map submits every chunk at once, so the workers run beside this process
             rest = pool.map(plan.run, chunks[1:], [out_dir] * (len(chunks) - 1))
-            results = plan.run(chunks[0], out_dir) + [r for chunk in rest for r in chunk]
+            traces = plan.run(chunks[0], out_dir) + [t for chunk in rest for t in chunk]
 
     files = [f"seed_{seed}.csv" for seed in seeds]
-    agg = _aggregate(results)
+    agg = _aggregate(traces, plan.first)
     _write_aggregate_csv(os.path.join(out_dir, "aggregate.csv"), agg)
     files.append("aggregate.csv")
 
+    reasons = [r for t in traces for r in t.abort_reason]
     summary: dict = {
         "kind": cfg["kind"],
         "config": cfg,
         "n_seeds": len(seeds),
         "rows_aggregated": len(agg["n"]),
-        "aborted_seeds": [
-            {"seed": s, "reason": r["abort_reason"]} for s, r in zip(seeds, results)
-            if r["abort_reason"] is not None
-        ],
+        "aborted_seeds": [{"seed": s, "reason": r}
+                          for s, r in zip(seeds, reasons) if r is not None],
     }
     # pass/fail conditions the --check flag enforces via exit code 3
     checks = []
@@ -1114,7 +1108,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
 
     if cfg["kind"] == "lowerbound":
         inst = plan.instance
-        progs = np.array([r["prog"][:len(agg["n"])] for r in results])
+        progs = _by_seed([t.prog for t in traces], plan.first, plan.first + len(agg["n"]))
         _write_progress_csv(os.path.join(out_dir, "progress.csv"), agg, progs, inst.d)
         files.append("progress.csv")
         means = agg["residual_mean"]

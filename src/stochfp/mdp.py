@@ -223,29 +223,17 @@ def _check_table(m: TabularMDP, q) -> np.ndarray:
     return q
 
 
-def _flat_transitions(m: TabularMDP) -> np.ndarray:
-    return m.transitions.reshape(m.num_states * m.num_actions, m.num_states)
-
-
-def _lookahead(m: TabularMDP, q: np.ndarray) -> np.ndarray:
-    """r(s,a) + sum_s' p(s'|s,a) max_a' Q(s',a') as an (S, A) table."""
-    maxv = q.max(axis=1)
-    return m.rewards + (_flat_transitions(m) @ maxv).reshape(q.shape)
-
-
 def bellman_discounted(m: TabularMDP, q, gamma: float) -> np.ndarray:
     """(TQ)(s,a) = r(s,a) + gamma * E max_a' Q(s',a'); a gamma-contraction in sup norm."""
     q = _check_table(m, q)
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    maxv = q.max(axis=1)
-    return m.rewards + gamma * (_flat_transitions(m) @ maxv).reshape(q.shape)
+    return _tables(m, gamma=gamma)(q)
 
 
 def bellman_average(m: TabularMDP, q, v_star: float) -> np.ndarray:
     """(HQ)(s,a) = r(s,a) + E max_a' Q(s',a') - v*; nonexpansive in sup norm."""
-    q = _check_table(m, q)
-    return _lookahead(m, q) - float(v_star)
+    return _tables(m, v_star=v_star)(_check_table(m, q))
 
 
 def solve_discounted_exact(m: TabularMDP, gamma: float, tol: float = 1e-10) -> np.ndarray:
@@ -255,9 +243,9 @@ def solve_discounted_exact(m: TabularMDP, gamma: float, tol: float = 1e-10) -> n
     if not tol > 0:
         raise ValueError("tol must be positive")
     stop = tol * (1.0 - gamma) / (2.0 * gamma)
-    q = np.zeros((m.num_states, m.num_actions))
+    q, bellman = np.zeros((m.num_states, m.num_actions)), _tables(m, gamma=gamma)
     while True:
-        nxt = bellman_discounted(m, q, gamma)
+        nxt = bellman(q)
         if np.abs(nxt - q).max() <= stop:
             q = nxt
             break
@@ -281,9 +269,9 @@ def solve_average_exact(
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    q = np.zeros((m.num_states, m.num_actions))
+    q, lookahead = np.zeros((m.num_states, m.num_actions)), _tables(m, v_star=0.0)
     for it in range(max_iter):
-        lq = _lookahead(m, q)
+        lq = lookahead(q)  # r + P max Q, as x - 0.0 == x
         diff = lq - q
         span = float(diff.max() - diff.min())
         if span <= tol:
@@ -359,8 +347,8 @@ class _Bellman(Operator):
 
     def __init__(self, m: TabularMDP, residual, gamma: float, q_star=None):
         self.m, self.residual = m, residual
-        self.flat = _flat_transitions(m)
         self.dim = m.num_states * m.num_actions
+        self.flat = m.transitions.reshape(self.dim, m.num_states)
         self.declared_norm = LINF
         self.gamma = float(gamma)
         self.q_star = None if q_star is None else np.asarray(q_star, dtype=np.float64).reshape(-1)
@@ -448,7 +436,7 @@ def _anchored(rewards, f, num_actions, x, est):
 
 
 def _maps(m: TabularMDP, *, gamma=None, v_star=None, anchor=None, q_star=None) -> dict:
-    """_q_runs' maps: discounted with gamma and q_star, or average-reward with v*,
+    """_q_oracle's maps: discounted with gamma and q_star, or average-reward with v*,
     whose target subtracts the anchor f(Q) in place of v* when one is given."""
     r = m.rewards.reshape(1, -1)  # a row's shape, so a stack of one does not broadcast
     if gamma is not None:
@@ -459,21 +447,32 @@ def _maps(m: TabularMDP, *, gamma=None, v_star=None, anchor=None, q_star=None) -
     return maps
 
 
-def _q_runs(m, q0, N, rngs, *, residual, weight, size, anchored, target=None, scale=1.0,
-            q_star=None):
+def _tables(m: TabularMDP, **maps):
+    """Q -> residual(P max Q) on (S, A) tables, through one _Bellman of a _maps map."""
+    op = _Bellman(m, _maps(m, **maps)["residual"], 1.0)
+    return lambda q: op.apply(q.reshape(-1)).reshape(q.shape)
+
+
+def _q_oracle(m: TabularMDP, *, residual, target=None, scale=1.0, q_star=None):
+    """The Bellman operator and sampled oracle of Q-learning on m, for iterate_stack:
+    target and residual act on (..., S * A) arrays (without a target, residual is
+    a map of _maps), and the realized noise is scaled by scale."""
+    op = _Bellman(m, residual, scale, q_star)
+    return OracleDescriptor(op, _Sampled(op, target))
+
+
+def _q_runs(m, q0, N, rngs, *, weight, size, anchored, **maps):
     """(final table, RunRecord) of synchronous Q-learning from Q^0 = q0 for each of
-    rngs (one stream), stepped together by engine.iterate_stack.
+    rngs (one stream), stepped together by engine.iterate_stack on _q_oracle(m, **maps).
 
     Step n sets Q^n = (1 - w_n) B + w_n target(Q^{n-1}, est), with est the
     k_n-sample batch mean of max_a' Q^{n-1} per pair, w_n = weight(n), k_n =
     size(n) and B = Q^0 (anchored) or Q^{n-1}. The trace holds the sup norms
-    of scale (est - P max Q^{n-1}), residual(P max Q^n) - Q^n and Q^n - q_star;
-    target and residual act on (..., S * A) arrays (without a target,
-    residual is a map of _maps), and cum_queries counts k_n per pair.
+    of scale (est - P max Q^{n-1}), residual(P max Q^n) - Q^n and Q^n - q_star,
+    and cum_queries counts k_n per pair.
     """
-    op = _Bellman(m, residual, scale, q_star)
-    t = iterate_stack(OracleDescriptor(op, _Sampled(op, target)), q0.reshape(-1), weight, size,
-                      N, LINF, rngs, anchored=anchored)
+    t = iterate_stack(_q_oracle(m, **maps), q0.reshape(-1), weight, size, N, LINF, rngs,
+                      anchored=anchored)
     return [(r.final_x.reshape(q0.shape).copy(), r) for r in _records(t)]
 
 

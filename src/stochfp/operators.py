@@ -26,10 +26,6 @@ __all__ = [
     "shift_map",
 ]
 
-_POWER_ITER_TOL = 1e-8
-_POWER_ITER_CAP = 10_000
-
-
 @dataclass(frozen=True)
 class FixedPointInfo:
     """A known fixed point, when one is available in closed or solvable form."""
@@ -87,36 +83,13 @@ class Operator:
         return v
 
 
-def _operator_norm_l2_power_iteration(a: np.ndarray) -> float:
-    """Largest singular value of a via power iteration on a^T a.
-
-    Deterministic start; converges to tolerance 1e-8 or raises after the
-    iteration cap (failure to certify is a construction error).
-    """
-    d = a.shape[1]
-    ata = a.T @ a
-    w = np.ones(d) + 1e-3 * np.arange(d)
-    w /= np.linalg.norm(w)
-    est = 0.0
-    for _ in range(_POWER_ITER_CAP):
-        w2 = ata @ w
-        nw = np.linalg.norm(w2)
-        if nw == 0.0:
-            return 0.0  # a^T a annihilates w only if a = 0 on its span; zero map
-        w = w2 / nw
-        new_est = float(np.sqrt(w @ (ata @ w)))
-        if abs(new_est - est) <= _POWER_ITER_TOL * max(1.0, new_est):
-            return new_est
-        est = new_est
-    raise ValueError("power iteration failed to certify the L2 operator norm")
-
-
 class AffineContraction(Operator):
     """x -> A x + b with ||A|| <= gamma under the declared norm.
 
-    The operator norm is validated at construction: exactly for l1 (max
-    absolute column sum) and linf (max absolute row sum), via power iteration
-    for l2. Other norm kinds are not certifiable here and are rejected.
+    The operator norm is validated at construction, within 1e-12: the max
+    absolute column sum for l1, the max absolute row sum for linf and the
+    largest singular value for l2. Other norm kinds are not certifiable here
+    and are rejected.
     """
 
     def __init__(self, matrix, offset, gamma: float, declared_norm: NormKind = L2):
@@ -135,13 +108,12 @@ class AffineContraction(Operator):
         elif declared_norm.tag == "linf":
             opnorm = float(np.abs(a).sum(axis=1).max())
         elif declared_norm.tag == "l2":
-            opnorm = _operator_norm_l2_power_iteration(a)
+            opnorm = float(np.linalg.norm(a, 2))
         else:
             raise ValueError(
                 f"operator-norm certification unsupported for {declared_norm.label()}"
             )
-        slack = 1e-12 if declared_norm.tag in ("l1", "linf") else _POWER_ITER_TOL
-        if opnorm > gamma + slack:
+        if opnorm > gamma + 1e-12:
             raise ValueError(
                 f"matrix norm {opnorm:.12g} exceeds declared gamma {gamma:.12g}"
             )

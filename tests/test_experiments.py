@@ -390,20 +390,34 @@ class TestRunExperiment:
         cfg = sf.validate_config(dict(doc, seeds=list(range(1, 8))))
         sf.run_experiment(cfg, tmp_path / "one", jobs=1)
         calls = []
-        runner = experiments.halpern_runs if kind == "fixedpoint" else experiments.adversarial_runs
 
-        def recording(*args):
-            calls.append(len(args[-1]))
-            return runner(*args)
+        def recording(*args, **kwargs):
+            calls.append(len(args[-1]))  # the stack's rngs
+            return engine.iterate_stack(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "halpern_runs" if kind == "fixedpoint"
-                            else "adversarial_runs", recording)
+        monkeypatch.setattr(experiments, "iterate_stack", recording)
         monkeypatch.setattr(experiments, "_STACK_COORDS", 13)  # 2 rows of d = 6, 3 of d = 4
         sf.run_experiment(cfg, tmp_path / "short", jobs=1)
         assert calls == ([2, 2, 2, 1] if kind == "fixedpoint" else [3, 3, 1])
         for name in os.listdir(tmp_path / "one"):
             ref = (tmp_path / "one" / name).read_bytes()
             assert (tmp_path / "short" / name).read_bytes() == ref
+
+    def test_aggregate_adds_the_seeds_row_by_row(self, tmp_path, monkeypatch):
+        # 40 seeds in stacks of 3: the means and standard errors have the bits of a
+        # C-ordered (seeds, n) array of the seed files' rows, whose reductions add
+        # seed after seed (a transposed trace's pairwise sums differ in the last bits)
+        monkeypatch.setattr(experiments, "_STACK_COORDS", 18)
+        seeds = list(range(1, 41))
+        sf.run_experiment(sf.validate_config(_fixedpoint_doc(seeds=seeds)), tmp_path)
+        agg = sf.read_aggregate_csv(tmp_path / "aggregate.csv")
+        rows = np.array([[[float(v) for v in line.split(",")[4:]] for line in
+                          (tmp_path / f"seed_{s}.csv").read_text().splitlines()[1:]]
+                         for s in seeds])
+        for j, col in enumerate(("residual", "dist_to_fp", "noise_norm")):
+            mean, sem = experiments._mean_sem(np.ascontiguousarray(rows[:, :, j]))
+            assert np.array_equal(agg[f"{col}_mean"], mean)
+            assert np.array_equal(agg[f"{col}_sem"], sem)
 
     def test_pool_has_at_most_one_worker_per_usable_cpu_and_seed(self, tmp_path, monkeypatch):
         pools = []
@@ -524,19 +538,21 @@ class TestRunExperiment:
         )
 
 
-def _reference_seed_csv(rec) -> str:
-    """A seed CSV as the per-row f-string writer wrote it before block formatting."""
+def _reference_seed_csv(t, i: int, first: int) -> str:
+    """Row i of the stack trace t as the per-row f-string writer wrote a seed CSV
+    before block formatting: the row's columns first..steps."""
 
     def fmt(x):
         return f"{float(x):.17g}"
 
-    n, w, k, cum, res, noise = (getattr(rec, c).tolist() for c in (
-        "n", "weight", "batch", "cum_queries", "residual", "noise_norm"))
-    dist = None if rec.dist_to_fp is None else rec.dist_to_fp.tolist()
+    cut = slice(first, t.steps[i] + 1)
+    n, w, k, cum = (c[cut].tolist() for c in (t.n, t.weight, t.batch, t.cum_queries))
+    res, noise = t.residual[i, cut].tolist(), t.noise_norm[i, cut].tolist()
+    dist = None if t.dist_to_fp is None else t.dist_to_fp[i, cut].tolist()
     lines = ["n,beta_or_alpha,k_n,cum_queries,residual,dist_to_fp,noise_norm\n"]
-    for i in range(len(n)):
-        dist_s = "" if dist is None else fmt(dist[i])
-        lines.append(f"{n[i]},{fmt(w[i])},{k[i]},{cum[i]},{fmt(res[i])},{dist_s},{fmt(noise[i])}\n")
+    for j in range(len(n)):
+        dist_s = "" if dist is None else fmt(dist[j])
+        lines.append(f"{n[j]},{fmt(w[j])},{k[j]},{cum[j]},{fmt(res[j])},{dist_s},{fmt(noise[j])}\n")
     return "".join(lines)
 
 
@@ -553,35 +569,48 @@ class TestSeedCsvWriter:
     @settings(max_examples=60, deadline=None)
     @given(floats=st.lists(_FLOATS, min_size=1, max_size=8),
            ints=st.lists(_INTS, min_size=1, max_size=4),
-           length=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
-           first_n=st.sampled_from([0, 1]), with_dist=st.booleans(),
-           seeds=st.integers(1, 3), shared=st.booleans())
-    @example(floats=[0.1], ints=[2**63 - 1], length=(1, 0), first_n=0, with_dist=True, seeds=1,
-             shared=True)
-    def test_block_writer_matches_the_per_row_writer(self, floats, ints, length, first_n,
-                                                     with_dist, seeds, shared):
-        # lengths 0, 1, B - 1, B, B + 1 and 2B + 1 for the block size B
-        rows = length[0] * experiments._BLOCK + length[1]
+           length=st.sampled_from([(0, 0), (0, 1), (1, -2), (1, -1), (1, 0), (1, 1), (2, 1)]),
+           first=st.sampled_from([0, 1]), with_dist=st.booleans(), seeds=st.integers(1, 3),
+           shared=st.booleans(),
+           stops=st.none() | st.lists(st.integers(0, 2 * experiments._BLOCK + 1), min_size=3,
+                                      max_size=3))
+    @example(floats=[0.1], ints=[2**63 - 1], length=(1, 0), first=0, with_dist=True, seeds=1,
+             shared=True, stops=None)
+    @example(floats=[0.1, 1 / 3], ints=[7], length=(1, 1), first=1, with_dist=False, seeds=3,
+             shared=True, stops=[1025, 0, 1023])
+    def test_block_writer_matches_the_per_row_writer(self, floats, ints, length, first,
+                                                     with_dist, seeds, shared, stops):
+        # traces of steps 0, 1, B - 2, B - 1, B, B + 1 and 2B + 1 for the block size B,
+        # whose files hold the columns first..steps of a row; with stops, row i stops at
+        # step min(stops[i], steps), as a row that aborted at the step after does
+        steps = length[0] * experiments._BLOCK + length[1]
         pool, whole = np.array(floats), np.array(ints, dtype=np.int64)
 
         def col(shift, values=pool):  # the pool, cycled from a column's own offset
-            return np.resize(np.roll(values, shift), rows)
+            return np.resize(np.roll(values, shift), steps + 1)
 
-        def schedule(shift):
-            return (np.arange(first_n, first_n + rows, dtype=np.int64), col(shift),
-                    col(shift, whole), col(shift + 1, whole))
+        def stack(rows):  # seeds i in rows; measured columns transposed, as iterate_stack's
+            def measured(k):
+                return np.stack([col(3 * i + k) for i in rows], axis=1).T
 
-        head = schedule(0)
-        records = [sf.RunRecord(*(head if shared else schedule(i)),
-                                residual=col(3 * i + 1), dist_to_fp=col(3 * i + 2) if with_dist
-                                else None, noise_norm=col(3 * i + 3), final_x=np.zeros(1))
-                   for i in range(seeds)]
+            return sf.StackTrace(
+                np.arange(steps + 1, dtype=np.int64), col(rows.start), col(rows.start, whole),
+                col(rows.start + 1, whole), residual=measured(1),
+                dist_to_fp=measured(2) if with_dist else None, noise_norm=measured(3), prog=None,
+                final_x=np.zeros((len(rows), 1)),
+                steps=[steps if stops is None else min(stops[i], steps) for i in rows],
+                abort_reason=[None] * len(rows))
+
+        # one stack of every seed, or a stack of one per seed with its own schedule
+        traces = [stack(range(seeds))] if shared else [stack(range(i, i + 1)) for i in range(seeds)]
         with tempfile.TemporaryDirectory() as out:
-            experiments._write_seed_csvs(out, list(range(seeds)), records)
-            for i, rec in enumerate(records):
+            for i, t in enumerate(traces):
+                experiments._write_seed_csvs(out, list(range(seeds)) if shared else [i], t, first)
+            for i in range(seeds):
+                t, row = (traces[0], i) if shared else (traces[i], 0)
                 with open(os.path.join(out, f"seed_{i}.csv"), encoding="utf-8", newline="") as fh:
                     got = fh.read().splitlines(keepends=True)
-                assert got == _reference_seed_csv(rec).splitlines(keepends=True)
+                assert got == _reference_seed_csv(t, row, first).splitlines(keepends=True)
 
 
 def _bits(x: float) -> int:
@@ -706,21 +735,22 @@ def test_writers_hold_no_whole_column_as_text(tmp_path):
     """Peak traced memory of writing mdp_disc_target's two-seed stack of seed CSVs
     (41 471 rows each) and its aggregate.csv: blocks, not whole columns, as text."""
     N = 41471
-    schedule = [c[1:] for c in engine._schedule(sf.StepSchedule.halpern_classic().weight,
-                                                sf.BatchSchedule.contractive_geometric(0.9, N).size,
-                                                N, 6)]
+    schedule = engine._schedule(sf.StepSchedule.halpern_classic().weight,
+                                sf.BatchSchedule.contractive_geometric(0.9, N).size, N, 6)
     rng = np.random.default_rng(41471)
 
     def column():
-        return 10.0 ** rng.uniform(-4, 1, N)
+        return 10.0 ** rng.uniform(-4, 1, N + 1)
 
-    records = [sf.RunRecord(*schedule, residual=column(), dist_to_fp=column(),
-                            noise_norm=column(), final_x=np.zeros(6)) for _ in range(2)]
-    agg = {"n": schedule[0], "k_n": schedule[2], "cum_queries": schedule[3]}
+    trace = sf.StackTrace(*schedule, residual=np.array([column(), column()]),
+                          dist_to_fp=np.array([column(), column()]),
+                          noise_norm=np.array([column(), column()]), prog=None,
+                          final_x=np.zeros((2, 6)), steps=[N, N], abort_reason=[None, None])
+    agg = {"n": schedule[0][1:], "k_n": schedule[2][1:], "cum_queries": schedule[3][1:]}
     for name in experiments._AGG_HEADER.split(",")[3:]:
-        agg[name] = column()
+        agg[name] = column()[1:]
     peaks = []
-    for write in (lambda: experiments._write_seed_csvs(str(tmp_path), [1, 2], records),
+    for write in (lambda: experiments._write_seed_csvs(str(tmp_path), [1, 2], trace, 1),
                   lambda: experiments._write_aggregate_csv(str(tmp_path / "aggregate.csv"), agg)):
         tracemalloc.start()
         try:
@@ -879,6 +909,37 @@ class TestCli:
             {"seed": 4, "reason": "non-finite measurement at step 1"}
         ]
 
+    def test_lowerbound_seed_that_aborts_exits_two(self, tmp_path, monkeypatch, capsys):
+        # resistant noise whose draws for seed 3 go non-finite from step 5 on; the
+        # other seeds' files are written, and seed 3's holds its columns 0..4
+        draw, select, steps = sf.ResistantBernoulli.batch_mean, sf.StepGenerator.step, []
+
+        def stepping(self, n):
+            steps.append(n)
+            return select(self, n)
+
+        def poisoned(self, tx, x, k, keyed, front=None):
+            y = draw(self, tx, x, k, keyed, front)
+            if steps[-1] >= 5 and 3 in keyed.seeds:
+                y[keyed.seeds.index(3)] = np.nan
+            return y
+
+        monkeypatch.setattr(sf.StepGenerator, "step", stepping)
+        monkeypatch.setattr(sf.ResistantBernoulli, "batch_mean", poisoned)
+        out = tmp_path / "o"
+        code = cli_main(["lowerbound", "--config", str(REPO / "configs" / "lowerbound_km.json"),
+                         "--out", str(out), "--seeds", "1..4"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "aborted seed 3: non-finite iterate at step 5\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["aborted_seeds"] == [{"seed": 3, "reason": "non-finite iterate at step 5"}]
+        assert summary["rows_aggregated"] == 5  # n = 0..4, which every seed has
+        for seed in (1, 2, 4):
+            assert (out / f"seed_{seed}.csv").read_text().count("\n") == 1 + 125  # n = 0..124
+        lines = (out / "seed_3.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+
     def test_multichain_average_reward_model_exits_one(self, tmp_path, monkeypatch, capsys):
         # relative value iteration raises this after its sweep cap on a multichain model
         def no_gain(*args, **kwargs):
@@ -953,10 +1014,10 @@ class TestCli:
     @pytest.mark.parametrize("where", ["a file", "under a file"])
     def test_unusable_out_exits_one_before_any_seed_runs(self, tmp_path, capsys, monkeypatch,
                                                          where):
-        def no_runs(*args):
+        def no_runs(*args, **kwargs):
             raise AssertionError("a seed ran")
 
-        monkeypatch.setattr(experiments, "adversarial_runs", no_runs)
+        monkeypatch.setattr(experiments, "iterate_stack", no_runs)
         path = str(REPO / "configs" / "lowerbound_km.json")
         (tmp_path / "taken").write_text("")
         out = tmp_path / "taken" if where == "a file" else tmp_path / "taken" / "out"

@@ -6,9 +6,12 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import stochfp
 
@@ -184,3 +187,33 @@ def test_the_process_pool_is_imported_only_by_pooled_runs():
         "import sys, stochfp\n"
         "print('multiprocessing' in sys.modules)\n"
     ) == ["False"]
+
+
+def third_party_modules(directory: Path) -> set[str]:
+    """Top-level modules that the .py files of directory import, lazy imports
+    included, apart from the standard library, stochfp and directory's own modules."""
+    local = {path.stem for path in directory.glob("*.py")} | {"stochfp"}
+    found = set()
+    for path in directory.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - local - set(sys.stdlib_module_names)
+
+
+def test_dependencies_name_exactly_the_imported_modules():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+
+    def names(requirements):
+        return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower().replace("-", "_")
+                for r in requirements}
+
+    package = third_party_modules(ROOT / "src" / "stochfp")
+    assert "numpy" in package
+    assert names(project["dependencies"]) == package
+    tests = third_party_modules(ROOT / "tests")
+    assert {"pytest", "hypothesis", "scipy"} <= tests
+    assert tests - package <= names(project["optional-dependencies"]["test"])

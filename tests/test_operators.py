@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,19 @@ def test_affine_contraction_rejects_wrong_gamma():
     AffineContraction(a, [0.0, 0.0], 0.5, declared_norm=L1)  # max col sum 0.5
     with pytest.raises(ValueError):
         AffineContraction(a, [0.0, 0.0], 0.29, declared_norm=L1)
+
+
+def test_l2_certificate_is_the_exact_spectral_norm():
+    # power iteration accepted a norm within its 1e-8 tolerance of gamma; the
+    # exact largest singular value allows 1e-12, as the l1 and linf sums do
+    theta = 1.0
+    rotation = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    for a in (np.diag([0.8, 0.3]), 0.8 * rotation):
+        AffineContraction(a, [0.0, 0.0], 0.8)  # norm gamma, up to rounding
+    with pytest.raises(ValueError, match="exceeds declared gamma"):
+        AffineContraction(np.diag([0.8 + 1e-9, 0.3]), [0.0, 0.0], 0.8)
+    with pytest.raises(ValueError, match="exceeds declared gamma"):
+        AffineContraction((0.8 + 1e-9) * rotation, [0.0, 0.0], 0.8)
 
 
 def test_affine_gamma_one_singular_reports_absent_fixed_point():

@@ -562,15 +562,18 @@ class _Plan:
     v_star: float | None = None
     bounds: dict | None = None
 
-    def run(self, seeds: list[int], out_dir) -> list[StackTrace]:
+    def run(self, seeds: list[int], out_dir, schedule: bool = True) -> list[StackTrace]:
         """Run and write the seeds' CSVs in stacks of at most _STACK_COORDS // width;
-        returns each stack's trace, in seed order."""
+        returns each stack's trace, in seed order, without its schedule columns (None)
+        if not schedule, as a pool worker sends them back."""
         height = max(1, _STACK_COORDS // self.width)
         traces = []
         for i in range(0, len(seeds), height):
             stack = seeds[i:i + height]
-            traces.append(self.runner([RngStream(seed, self.stream) for seed in stack]))
-            _write_seed_csvs(out_dir, stack, traces[-1], self.first)
+            t = self.runner([RngStream(seed, self.stream) for seed in stack])
+            _write_seed_csvs(out_dir, stack, t, self.first)
+            traces.append(t if schedule else t._replace(n=None, weight=None, batch=None,
+                                                         cum_queries=None))
         return traces
 
 
@@ -611,7 +614,7 @@ def _plan(cfg: dict) -> _Plan:
         if kind == "mdp-avg":
             try:
                 v_star = mdp_mod.solve_average_exact(model, cfg["solver_tol"]).v_star
-            except RuntimeError as exc:  # relative value iteration fails on a multichain model
+            except RuntimeError as exc:  # relative value iteration missed solver_tol
                 raise ConfigError(f"config.mdp: {exc}") from None
             anchor = None if algorithm == "benchmark" else mdp_mod.AnchorFunction(**cfg["anchor"])
             maps = mdp_mod._maps(model, v_star=v_star, anchor=anchor)
@@ -643,8 +646,9 @@ def _plan(cfg: dict) -> _Plan:
 _SEED_HEADER = b"n,beta_or_alpha,k_n,cum_queries,residual,dist_to_fp,noise_norm\n"
 # lines formatted together: their floats in one _g17 call, their text by one %-template
 _BLOCK = 1024
-# floats _fixed17 formats at once
-_CHUNK = 1024
+# floats _fixed17 formats at once: a block of seed-file lines (three measured columns)
+# in one call, an aggregate block (six) in two
+_CHUNK = 3 * _BLOCK
 
 # _g17's tables: 10^p, exact in float64 for p <= 22, split into Dekker halves
 _SPLITTER = 134217729.0  # 2^27 + 1
@@ -699,7 +703,8 @@ def _fixed17(x: np.ndarray) -> np.ndarray:
     digits at a time. The text starts at that string's byte a = 7 + min(e, 0)
     ("0.000..." for e < 0), puts a point after its first 1 + max(e, 0) bytes
     and ends at D's last nonzero digit or at the point; the S dtype drops the
-    zero bytes after it.
+    zero bytes after it. Each temporary is dropped once read, so a value costs
+    about 180 bytes at the peak.
     """
     p = 16 - np.floor(np.log10(x)).astype(np.int64)
     digits = _round_scaled(x, p)
@@ -708,26 +713,41 @@ def _fixed17(x: np.ndarray) -> np.ndarray:
         p -= off
         digits = _round_scaled(x, p)
     e = 16 - p
-    groups = np.zeros((x.size, 8), np.int64)  # of four digits, led by "0000" and "000d"
+    del p, off
+    groups = np.zeros((x.size, 8), np.uint16)  # of four digits, led by "0000" and "000d"
     for k in range(5, 1, -1):
         high = digits // 10000
         groups[:, k] = digits - high * 10000
         digits = high
     groups[:, 1] = digits
     text = _DIGITS4[groups]
+    del groups, digits, high
     last = 23 - (text.view(np.uint8)[:, 23:6:-1] != 48).argmax(axis=1)  # a nonzero digit
     words = np.ascontiguousarray(text.view("<u8").T)
+    del text
     start = (56 + 8 * np.minimum(e, 0)).astype(np.uint64)  # 8 a
     point = 1 + np.maximum(e, 0)
-    kept = last - 7 - e  # fraction digits through the last nonzero one
-    end = np.take(_BELOW, np.where(kept > 0, point + 1 + kept, point), axis=1)
-    before = (words[:3] >> start) | (words[1:] << (np.uint64(64) - start))
+    last -= 7 + e  # fraction digits through the last nonzero one
+    end = np.take(_BELOW, np.where(last > 0, point + 1 + last, point), axis=1)
+    del e, last
+    line = _shifted(words, start)
+    line &= np.take(_BELOW, point, axis=1)
     start -= np.uint64(8)
-    after = (words[:3] >> start) | (words[1:] << (np.uint64(64) - start))
-    line = (before & np.take(_BELOW, point, axis=1)
-            | after & ~np.take(_BELOW, point + 1, axis=1)
-            | np.take(_POINT, point, axis=1)) & end
+    after = _shifted(words, start)
+    after &= ~np.take(_BELOW, point + 1, axis=1)
+    line |= after
+    del after, words
+    line |= np.take(_POINT, point, axis=1)
+    line &= end
     return np.ascontiguousarray(line.T, dtype="<u8").view("S24").reshape(-1)
+
+
+def _shifted(words: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """(3, n): the 24 bytes from bit start on of each value's 32-byte string, whose
+    little-endian words are the columns of words (4, n)."""
+    out = words[:3] >> start
+    out |= words[1:] << (np.uint64(64) - start)
+    return out
 
 
 def _round_scaled(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -1080,8 +1100,13 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
 
         with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
             # map submits every chunk at once, so the workers run beside this process
-            rest = pool.map(plan.run, chunks[1:], [out_dir] * (len(chunks) - 1))
-            traces = plan.run(chunks[0], out_dir) + [t for chunk in rest for t in chunk]
+            rest = pool.map(partial(plan.run, schedule=False), chunks[1:],
+                            [out_dir] * (len(chunks) - 1))
+            traces = plan.run(chunks[0], out_dir)
+            # every stack of a plan has the same schedule columns: this process's own
+            n, weight, batch, cum_queries = traces[0][:4]
+            traces += [t._replace(n=n, weight=weight, batch=batch, cum_queries=cum_queries)
+                       for chunk in rest for t in chunk]
 
     files = [f"seed_{seed}.csv" for seed in seeds]
     agg = _aggregate(traces, plan.first)

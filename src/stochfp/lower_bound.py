@@ -165,6 +165,8 @@ class AdversarialTrace:
     noise_norm: np.ndarray  # realized L1 noise (0 at n = 0)
     dist_to_fp: np.ndarray  # L1 distance to (lam/2, ..., lam/2)
     final_x: np.ndarray
+    aborted: bool = False
+    abort_reason: str | None = None
 
     def steps(self) -> int:
         return int(self.n.shape[0]) - 1
@@ -175,21 +177,24 @@ def adversarial_runs(
 ) -> list[AdversarialTrace]:
     """run_adversarial for each of rngs (one stream, any seeds), stepped together.
 
-    Trace i is what run_adversarial(inst, algo, rngs[i]) returns. The span
-    algorithms' iterates stay finite; a seed that does not raises ValueError.
+    Trace i is what run_adversarial(inst, algo, rngs[i]) returns. A seed whose
+    iterate or measurement goes non-finite keeps its trace up to the step
+    before, flagged as aborted, and the other seeds run on.
     """
     schedule = algo.steps()
     # every step spends at least one query, so the budget bounds the steps
     t = iterate_stack(inst.oracle(), np.zeros(inst.d), schedule.weight, algo.batches.size,
                       inst.n_budget, L1, rngs, anchored=schedule.is_halpern,
                       budget=inst.n_budget, flush=_FLUSH)
-    for rng, reason in zip(rngs, t.abort_reason):
-        if reason is not None:
-            raise ValueError(f"seed {rng.seed}: {reason}")
-    return [AdversarialTrace(n=t.n, prog=t.prog[i], cum_queries=t.cum_queries,
-                             residual=t.residual[i], weight=t.weight, batch=t.batch,
-                             noise_norm=t.noise_norm[i], dist_to_fp=t.dist_to_fp[i],
-                             final_x=t.final_x[i]) for i in range(len(rngs))]
+    traces = []
+    for i, (steps, reason) in enumerate(zip(t.steps, t.abort_reason)):
+        cut = slice(steps + 1)
+        traces.append(AdversarialTrace(
+            n=t.n[cut], prog=t.prog[i, cut], cum_queries=t.cum_queries[cut],
+            residual=t.residual[i, cut], weight=t.weight[cut], batch=t.batch[cut],
+            noise_norm=t.noise_norm[i, cut], dist_to_fp=t.dist_to_fp[i, cut],
+            final_x=t.final_x[i], aborted=reason is not None, abort_reason=reason))
+    return traces
 
 
 def run_adversarial(
@@ -201,6 +206,7 @@ def run_adversarial(
     taken; every recorded step is budget-feasible. Coordinates below _FLUSH
     in magnitude are set to 0 after each step, so prog stays well defined. T
     is applied steps + 1 times: T(x^n), measured for the residual, is reused
-    for step n+1's draw.
+    for step n+1's draw. On a non-finite iterate or measurement the run
+    aborts and returns the partial trace flagged as aborted.
     """
     return adversarial_runs(inst, algo, [rng])[0]

@@ -11,9 +11,10 @@ pair as one Generator.multinomial(k, P) call on the step's fresh generator
 would, in row-major (s, a) order: the exact sufficient statistic for the
 batch mean of max_a' Q(s', a'). A batch of one (rvi, vanilla, and the
 geometric taper's early steps) is replayed from raw Philox words drawn for
-a block of steps and every seed at once (oracles._multinomial_one); k > 1
-re-keys a generator per seed. Coupled replays (same seed and stream)
-consume identical counts sample-for-sample.
+a block of steps and every seed at once (oracles._multinomial_one), as each
+pair's next state, and its estimate is max Q gathered there; k > 1 re-keys
+a generator per seed. Coupled replays (same seed and stream) consume
+identical counts sample-for-sample.
 """
 
 from __future__ import annotations
@@ -282,8 +283,9 @@ def solve_average_exact(
         q = 0.5 * q + 0.5 * lq
         q -= q.max()
     raise RuntimeError(
-        f"relative value iteration did not reach span {tol:g} within {max_iter} sweeps; "
-        "the model likely violates the unichain assumption"
+        f"relative value iteration did not reach span {tol:g} within {max_iter} sweeps: "
+        "either the model is not unichain, so its optimal gain may differ between states, "
+        "or the tolerance is below what the sweeps reach in floating point"
     )
 
 
@@ -374,8 +376,11 @@ class _Sampled:
     batch mean of max_a' Q(s', a'); a step gives target(Q, est) (op.residual(est)
     by default). The realized noise is op.gamma (est - E est) with E est =
     P max Q, (r + gamma est) - (r + gamma E est) in exact arithmetic. A batch
-    of one reads counts replayed a block at a time (oracles._multinomial_one,
-    kept here); k > 1 re-keys the stack's generator per row (_batch_mean_max).
+    of one reads next states replayed a block at a time (oracles._multinomial_one,
+    kept here) and gathers max Q + 0.0 there: the bits of the counts-weighted
+    sum over states, which starts at +0.0, wherever max Q is finite, and a
+    row whose max Q is not has already aborted. k > 1 re-keys the stack's
+    generator per row (_batch_mean_max).
     """
 
     def __init__(self, op: _Bellman, target=None):
@@ -387,28 +392,38 @@ class _Sampled:
         xs[j] and k samples of keyed's step n; it writes the estimates into ests[j]."""
         m, op, target, rows = self.op.m, self.op, self.target, ests.shape[1]
         maxv = np.empty((rows, 1, m.num_states))  # max_a' Q(s', a') of each row and state
-        maxs, reduce, vecdot = maxv.reshape(-1), np.maximum.reduce, np.vecdot
+        maxs, reduce, maximum, add = maxv.reshape(-1), np.maximum.reduce, np.maximum, np.add
+        zero = np.zeros_like(maxs)  # an array: numpy adds a scalar more slowly
         states = list(xs.reshape(len(xs), -1, m.num_actions))  # each step's (B * S, A) tables
+        # and their action columns: the first, the second (None at A = 1) and the others
+        heads = [(t[:, 0], t[:, 1] if m.num_actions > 1 else None, list(t.T[2:])) for t in states]
         erows, y = list(ests), np.empty(ests.shape[1:])
         if target is None:  # a map of _maps, its rewards and factor tiled to y's shape
             residual = op.residual.func
             rewards, c = (np.broadcast_to(a, y.shape).copy() for a in op.residual.args)
-        first, end, counts = 0, 0, []  # steps first..end - 1 of a replay, a list of steps
+        first, end, picks = 0, 0, []  # steps first..end - 1 of a replay, a list of steps
 
         def step(j, n, k):
-            nonlocal first, end, counts
+            nonlocal first, end, picks
             e = erows[j]
-            reduce(states[j], 1, None, maxs)
             if k > 1:
+                reduce(states[j], 1, None, maxs)
                 keyed.step(n)
                 for i, v in enumerate(maxv[:, 0]):
                     e[i] = _batch_mean_max(m, v, k, keyed.generator(i)).reshape(-1)
             else:
                 if n >= end:  # past the replay: the next block of steps
-                    first, counts = _multinomial_one(keyed, n, op.flat)
-                    counts = list(counts.astype(np.float64))  # exact, so vecdot casts nothing
-                    end = first + len(counts)
-                vecdot(counts[n - first], maxv, e)  # the batch mean, as x / 1 == x
+                    first, picks = _multinomial_one(keyed, n, op.flat)
+                    picks = list(picks)
+                    end = first + len(picks)
+                # max Q by binary maxima over the actions, + 0.0, at each next state
+                a0, a1, others = heads[j]
+                if a1 is not None:
+                    a0 = maximum(a0, a1, out=maxs)
+                    for a in others:
+                        maximum(maxs, a, out=maxs)
+                add(a0, zero, maxs)
+                maxs.take(picks[n - first], None, e, "clip")
             return residual(rewards, c, e, y) if target is None else target(xs[j], e)
         return step
 

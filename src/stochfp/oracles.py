@@ -14,12 +14,13 @@ draws them a block of steps per pass. A draw that needs numpy's own sampler
 re-keys one shared Generator to the row's key, zero counter and empty buffer.
 
 Resistant draws replay numpy's Generator.binomial inversion (min(p, 1 - p) k
-<= 30) on one word per drawing row (_binomial), and Q-learning's batches of
-one replay Generator.multinomial(1, P), one binomial(1, p) inversion per
-category and pair, for a block of steps and rows at once
-(_multinomial_one); both step through _invert. Only numpy's BTPE regime,
-multinomial batches of k > 1 and an inversion that restarts on the next word
-re-key per row or step.
+<= 30) on one word per drawing row, stepping through _invert (_binomial).
+Q-learning's batches of one replay Generator.multinomial(1, P) for a block
+of steps and rows at once (_multinomial_one): each category and pair is a
+binomial of one trial, whose inversion is one comparison of a raw word with
+an integer threshold, and the result is each draw's next-state index. Only
+numpy's BTPE regime, multinomial batches of k > 1 and an inversion that
+restarts on the next word re-key per row or step.
 
 Gaussian draws use a fixed inverse-transform realization: u = (r + 0.5) * 2^-53
 for a 53-bit integer r, then z = ndtri(u). u lies in (0, 1) except for
@@ -493,51 +494,79 @@ def _binomial(keyed: StepGenerator, rows: np.ndarray, k: int, p: float) -> np.nd
 
 
 def _multinomial_one(keyed: StepGenerator, n: int, p: np.ndarray) -> tuple[int, np.ndarray]:
-    """(first step, counts): keyed.step(m).generator(i).multinomial(1, p) of every row i
-    at each step m of the block that holds step n, as numpy draws them.
+    """(first step, indices): the category that keyed.step(m).generator(i).multinomial(1, p)
+    draws in each distribution of p, for every row i at each step m of the block that
+    holds step n, as numpy draws it.
 
-    p is (..., S), each row a distribution in row-major order; counts[j, i] is
-    row i's int64 array of p's shape at step first + j. numpy draws category
-    c < S - 1 of a distribution by binomial(1, P_c / remaining) (remaining in
-    doubles) until a count is 1, the last category taking the draw if none
-    is; a zero probability reads no word. Every draw of the block still live
-    in a distribution shares its remaining, so all go together, each with its
-    own word pointer; one that restarts comes from its own generator. keyed
-    is left at step n.
+    p is (..., S), each row a distribution in row-major order; indices[j, i] is
+    an int64 array of p's shape without its last axis, holding i * S + s' for
+    the category s' of each distribution at step first + j (its flat index in a
+    (rows, S) array). numpy draws category c < S - 1 of a distribution by
+    binomial(1, P_c / remaining) (remaining in doubles) until a count is 1, the
+    last category taking the draw if none is; a zero probability reads no
+    word. A binomial of one trial inverts one word: X = [U > px_0], which is a
+    comparison of the raw word with an integer threshold (_above), flipped at
+    p > 1/2, and it restarts on the next word when U - px_0 > px_1. Every draw
+    of the block still live in a distribution goes at once, each with its own
+    word pointer; one that restarts comes from its own generator. keyed is
+    left at step n.
     """
     dists = p.reshape(-1, p.shape[-1])
-    first, words = keyed.step(n).block(dists.shape[0] * (dists.shape[1] - 1))
+    pairs, states = dists.shape
+    first, words = keyed.step(n).block(pairs * (states - 1))
     steps, rows, count = words.shape
     draws = steps * rows
-    counts = np.zeros((draws,) + dists.shape, dtype=np.int64)
-    flat = words.ravel()
-    at = np.arange(draws) * count  # each draw's next word in flat
+    flat = words.reshape(-1)
+    top = float(flat.max() >> np.uint64(11)) * 2.0 ** -53 if flat.size else 0.0  # the largest U
+    # at[i]: each draw's next word in flat before distribution i; live[i]: the draws
+    # that took no category below S - 1 in it; picked[i, v]: the category whose word
+    # distribution i reads v-th (S - 1 past the last)
+    at = np.empty((pairs + 1, draws), dtype=np.int64)
+    at[0] = np.arange(draws) * count
+    live = np.ones((pairs, draws), dtype=bool)
+    picked = np.full((pairs, states + 1), states - 1, dtype=np.int64)
+    w, stay = np.empty(draws, dtype=np.uint64), np.empty(draws, dtype=bool)
     restart = np.zeros(draws, dtype=bool)
     for i, dist in enumerate(dists.tolist()):
-        live = np.arange(draws)  # the draws with no count in row i yet
-        remaining = 1.0
-        for j, pj in enumerate(dist[:-1]):
-            if not live.size:
-                break
-            # remaining > 0 here: a draw stays live only past a p_cond below 1
-            p_cond = pj / remaining
+        pos, open_ = at[i + 1], live[i]
+        pos[:] = at[i]
+        visited, remaining = 0, 1.0
+        for c, pc in enumerate(dist[:-1]):
+            p_cond = pc / remaining
             if p_cond != 0.0:
                 q = p_cond if p_cond <= 0.5 else 1.0 - p_cond
-                x, restarts = _invert(flat[at[live]], _inversion_table(1, q))
-                if q != p_cond:
-                    x = 1 - x
-                at[live] += 1
-                counts[live, i, j] = x
-                if restarts is not None:
-                    restart[live[restarts]] = True
-                live = live[x == 0]
-            remaining -= pj
-        counts[live, i, -1] = 1
-    counts = counts.reshape((steps, rows) + p.shape)
+                px0, px1 = _inversion_table(1, q)
+                flat.take(pos, out=w, mode="clip")
+                # a count of 0 (the draw stays live) is X = 0, or X = 1 flipped
+                (np.less_equal if q == p_cond else np.greater)(w, _above(px0), out=stay)
+                if top - px0 > px1:
+                    u = (w >> np.uint64(11)) * 2.0 ** -53
+                    restart |= (u - px0 > px1) & open_
+                pos += open_
+                open_ &= stay
+                visited += 1
+                picked[i, visited] = c
+                if p_cond >= 1.0:  # every live draw takes c
+                    break
+            remaining -= pc
+    # a draw that read v words took picked[i, v], or S - 1 (picked[i, v + 1]) if still live
+    codes = at[1:] - at[:-1]
+    codes += live
+    codes += np.arange(0, pairs * (states + 1), states + 1)[:, None]
+    indices = np.empty((steps, rows, pairs), dtype=np.int64)
+    picked.take(codes, out=indices.reshape(draws, pairs).T, mode="clip")
+    indices += np.arange(0, rows * states, states)[:, None]
+    indices = indices.reshape((steps, rows) + p.shape[:-1])
     for j, i in zip(*np.divmod(np.flatnonzero(restart), rows)):
-        counts[j, i] = keyed.step(first + int(j)).generator(int(i)).multinomial(1, p)
+        counts = keyed.step(first + int(j)).generator(int(i)).multinomial(1, p)
+        indices[j, i] = counts.argmax(axis=-1) + i * states
     keyed.step(n)
-    return first, counts
+    return first, indices
+
+
+def _above(px: float) -> np.uint64:
+    """The largest raw word whose U = (word >> 11) 2^-53 is not above px (2^64 - 1 for px >= 1)."""
+    return np.uint64(min((math.floor(px * 2.0 ** 53) << 11) | 0x7FF, _MASK64))
 
 
 @dataclass(frozen=True)

@@ -45,3 +45,24 @@ def mdp_3x2() -> TabularMDP:
 def self_loop_mdp() -> TabularMDP:
     """One state, one action, reward 1."""
     return TabularMDP(np.ones((1, 1, 1)), np.ones((1, 1)))
+
+
+@pytest.fixture
+def poisoned_seed_3(monkeypatch):
+    """Resistant noise whose draws for seed 3 go non-finite from step 5 on."""
+    import stochfp as sf
+
+    draw, select, steps = sf.ResistantBernoulli.batch_mean, sf.StepGenerator.step, []
+
+    def stepping(self, n):
+        steps.append(n)
+        return select(self, n)
+
+    def poisoned(self, tx, x, k, keyed, front=None):
+        y = draw(self, tx, x, k, keyed, front)
+        if steps[-1] >= 5 and 3 in keyed.seeds:
+            y[keyed.seeds.index(3)] = np.nan
+        return y
+
+    monkeypatch.setattr(sf.StepGenerator, "step", stepping)
+    monkeypatch.setattr(sf.ResistantBernoulli, "batch_mean", poisoned)

@@ -7,6 +7,7 @@ import os
 import tempfile
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -909,23 +910,8 @@ class TestCli:
             {"seed": 4, "reason": "non-finite measurement at step 1"}
         ]
 
-    def test_lowerbound_seed_that_aborts_exits_two(self, tmp_path, monkeypatch, capsys):
-        # resistant noise whose draws for seed 3 go non-finite from step 5 on; the
-        # other seeds' files are written, and seed 3's holds its columns 0..4
-        draw, select, steps = sf.ResistantBernoulli.batch_mean, sf.StepGenerator.step, []
-
-        def stepping(self, n):
-            steps.append(n)
-            return select(self, n)
-
-        def poisoned(self, tx, x, k, keyed, front=None):
-            y = draw(self, tx, x, k, keyed, front)
-            if steps[-1] >= 5 and 3 in keyed.seeds:
-                y[keyed.seeds.index(3)] = np.nan
-            return y
-
-        monkeypatch.setattr(sf.StepGenerator, "step", stepping)
-        monkeypatch.setattr(sf.ResistantBernoulli, "batch_mean", poisoned)
+    def test_lowerbound_seed_that_aborts_exits_two(self, tmp_path, poisoned_seed_3, capsys):
+        # the other seeds' files are written, and seed 3's holds its columns 0..4
         out = tmp_path / "o"
         code = cli_main(["lowerbound", "--config", str(REPO / "configs" / "lowerbound_km.json"),
                          "--out", str(out), "--seeds", "1..4"])
@@ -961,6 +947,23 @@ class TestCli:
         code = cli_main(["mdp-avg", "--config", path, "--out", str(tmp_path / "o")])
         assert code == 1
         assert capsys.readouterr().err.startswith("config error: config.mdp: relative value")
+
+    def test_relative_value_iteration_names_both_causes(self, tmp_path, monkeypatch, capsys):
+        # two recurrent classes of gains 1 and 0: the solver itself, at a cap of 200 sweeps
+        monkeypatch.setattr(sf.mdp, "solve_average_exact",
+                            partial(sf.mdp.solve_average_exact, max_iter=200))
+        doc = {"kind": "mdp-avg", "algorithm": "halpern", "anchor": {"kind": "max"}, "N": 4,
+               "seeds": [1], "mdp": {"num_states": 2, "num_actions": 1,
+                                     "transitions": [[[1, 0]], [[0, 1]]], "rewards": [[1], [0]]}}
+        path = self._write(tmp_path, doc)
+        code = cli_main(["mdp-avg", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: config.mdp: relative value iteration did not reach span 1e-10 "
+            "within 200 sweeps: either the model is not unichain, so its optimal gain may "
+            "differ between states, or the tolerance is below what the sweeps reach in "
+            "floating point\n")
+        assert not (tmp_path / "o").exists()
 
     def test_query_count_beyond_int64_exits_one(self, tmp_path, mdp_3x2, capsys):
         # 6 * sum of n^6 over n <= 600 is about 2.4e19 > 2^63 - 1

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stochfp as sf
-from stochfp import engine, mdp
+from stochfp import engine, mdp, oracles
 from stochfp.mdp import _batch_mean_max
 
 
@@ -662,7 +662,48 @@ def _q_cases(draw):
     rng = sf.RngStream(draw(_EDGE_KEYS), draw(_EDGE_KEYS))
     kw = dict(gamma=gamma, f=f, a=draw(st.sampled_from([0.81, 0.9, 1.0])),
               v_star=float(gen.uniform(0.0, 1.0)))
+    if draw(st.booleans()):  # rewards (all but a largest) and Q^0 entries of +0.0 and -0.0
+        r = m.rewards.copy()
+        for a in (r, q0):
+            zero = (gen.uniform(size=a.shape) < 0.5) & (a < r.max())
+            a[zero] = np.where(gen.uniform(size=a.shape) < 0.5, 0.0, -0.0)[zero]
+        m = sf.TabularMDP(p, r)
     return name, m, q0, N, rng, block, kw
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.25, 5e-324, -1e308])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(a_count=st.sampled_from([1, 2, 3, 5]), s_count=st.integers(1, 4), rows=st.integers(1, 3),
+       data=st.data())
+def test_batch_of_one_estimate_is_max_q_plus_zero_at_the_replayed_state(a_count, s_count, rows,
+                                                                        data):
+    # a batch-of-one step folds max_a' Q(s', a') with binary maxima, adds 0.0 and gathers it
+    # at each pair's replayed next state: maximum.reduce plus 0.0 at every value, and where
+    # max Q is finite the vecdot of the one-hot counts, whose sum starts at +0.0
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m = sf.TabularMDP(gen.dirichlet(np.ones(s_count), size=(s_count, a_count)),
+                      np.zeros((s_count, a_count)))
+    d = s_count * a_count
+    x = np.array(data.draw(st.lists(_SPECIAL, min_size=rows * d, max_size=rows * d)))
+    x = x.reshape(rows, d)
+    oracle = mdp._q_oracle(m, **mdp._maps(m, gamma=0.9))
+    rngs = [sf.RngStream(seed, 5) for seed in range(rows)]
+    xs, ests = np.empty((2, rows, d)), np.empty((1, rows, d))
+    xs[0] = x
+    with np.errstate(all="ignore"):
+        oracle.noise.steps(xs, ests, sf.StepGenerator(rngs, 1))(0, 1, 1)
+    _, picks = oracles._multinomial_one(sf.StepGenerator(rngs, 1), 1, oracle.base.flat)
+    maxv = np.maximum.reduce(x.reshape(rows, s_count, a_count), axis=2)
+    expected = (maxv + 0.0).reshape(-1)[picks[0]]
+    assert np.array_equal(np.isnan(ests[0]), np.isnan(expected))
+    kept = ~np.isnan(expected)
+    assert _bits(ests[0][kept]) == _bits(expected[kept])
+    with np.errstate(invalid="ignore"):
+        dot = np.vecdot(np.eye(s_count)[picks[0] % s_count], maxv[:, None, :])
+    finite = np.isfinite(maxv).all(axis=1)
+    assert _bits(ests[0][finite]) == _bits(dot[finite])
 
 
 class TestQLoop:

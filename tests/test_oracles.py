@@ -318,22 +318,26 @@ def test_replayed_counts_equal_numpy_multinomial(p, seed, stream, pass_words, le
     with warnings.catch_warnings(), mock.patch.object(oracles, "_PASS_WORDS", pass_words):
         warnings.simplefilter("ignore", RuntimeWarning)
         keyed = StepGenerator([rng], N)
-        first, counts = 1, ()
+        first, indices = 1, ()
         for n in range(1, N + 1):
-            if not n - first < len(counts):
-                first, counts = oracles._multinomial_one(keyed, n, p)
+            if not n - first < len(indices):
+                first, indices = oracles._multinomial_one(keyed, n, p)
                 assert first == n and keyed.stream == rng.substream(n).stream
-                assert len(counts) == min(block, N - n + 1)
+                assert len(indices) == min(block, N - n + 1)
             expected = rng.substream(n).generator().multinomial(1, p)
-            assert counts.dtype == expected.dtype and counts[n - first, 0].shape == p.shape
-            assert np.array_equal(counts[n - first, 0], expected)
+            counts = np.eye(p.shape[-1], dtype=np.int64)[indices[n - first, 0]]
+            assert counts.dtype == expected.dtype and counts.shape == p.shape
+            assert np.array_equal(counts, expected)
 
 
 class _CraftedBlock:
-    """Stands in for a one-row StepGenerator whose steps' first raw words are given."""
+    """Stands in for a StepGenerator whose steps' first raw words are given, as
+    (steps, words) for one row or (steps, rows, words)."""
 
     def __init__(self, words):
         self.words = np.array(words, dtype=np.uint64)
+        if self.words.ndim == 2:
+            self.words = self.words[:, None]
         self.n, self.generated = None, []
 
     def step(self, n):
@@ -341,12 +345,11 @@ class _CraftedBlock:
         return self
 
     def block(self, count):
-        return 1, self.words[:, None, :count]
+        return 1, self.words[..., :count]
 
     def generator(self, row):
-        assert row == 0
-        self.generated.append(self.n)
-        return _buffered_generator(self.words[self.n - 1])
+        self.generated.append((self.n, row))
+        return _buffered_generator(self.words[self.n - 1, row])
 
 
 def test_multinomial_restart_draws_from_the_step_generator():
@@ -356,17 +359,67 @@ def test_multinomial_restart_draws_from_the_step_generator():
     words = [[2**64 - 1, 0, 5, 6], [0, 2**64 - 1, 2, 3], [2**64 - 1, 2**64 - 1, 2**63, 7],
              [2**63, 2**64 - 2**11, 0, 0], [2**64 - 1, 2**62, 9, 9]]
     crafted = _CraftedBlock(words)
-    first, counts = oracles._multinomial_one(crafted, 1, p)
+    first, indices = oracles._multinomial_one(crafted, 1, p)
     expected, restarted = [], []
     for n, w in enumerate(words, start=1):
         gen = _buffered_generator(w)
         expected.append(gen.multinomial(1, p))
         if gen.bit_generator.state["buffer_pos"] > 2:  # numpy read past the step's two words
             restarted.append(n)
-    assert first == 1 and np.array_equal(counts[:, 0], np.array(expected))
+    counts = np.eye(2, dtype=np.int64)[indices[:, 0]]
+    assert first == 1 and np.array_equal(counts, np.array(expected))
     assert restarted == [1, 3, 5]
     # only the restarted steps draw from their generator, and the replay leaves step 1 selected
-    assert crafted.generated == restarted and crafted.n == 1
+    assert crafted.generated == [(n, 0) for n in restarted] and crafted.n == 1
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(p=_transition_models(), seeds=st.lists(_WORD, min_size=1, max_size=3, unique=True),
+       stream=_WORD, pass_words=st.sampled_from([48, 400]))
+def test_replayed_indices_are_numpy_argmax_at_every_row(p, seeds, stream, pass_words):
+    # indices[j, i] is row i's flat index i * S + s' of each pair's next state at step
+    # first + j, over a block of several rows and steps
+    rngs = [RngStream(seed, stream) for seed in seeds]
+    with warnings.catch_warnings(), mock.patch.object(oracles, "_PASS_WORDS", pass_words):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        first, indices = oracles._multinomial_one(StepGenerator(rngs, 40), 1, p)
+        assert first == 1 and indices.shape[1:] == (len(seeds),) + p.shape[:-1]
+        for j, row in enumerate(indices):
+            for i, rng in enumerate(rngs):
+                drawn = rng.substream(1 + j).generator().multinomial(1, p)
+                assert np.array_equal(row[i], drawn.argmax(axis=-1) + i * p.shape[-1])
+
+
+# P_0 at which a word of 2^64 - 1 (U = 1 - 2^-53) passes numpy's whole inversion table
+_RESTARTING = [0.3809289644822412, 0.4870930966296277, 0.447724119707063]
+_CRAFTED_WORDS = st.sampled_from([0, 2**63, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1]) | _U64
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(first_p=st.sampled_from(_RESTARTING + [0.0, 0.5, 1.0]), flip=st.booleans(),
+       states=st.sampled_from([2, 3]), rows=st.integers(1, 3), steps=st.integers(1, 4),
+       data=st.data())
+def test_replayed_indices_at_crafted_words(first_p, flip, states, rows, steps, data):
+    # words chosen to restart numpy's inversion, zero and one categories included
+    p0 = 1.0 - first_p if flip else first_p
+    rest = (1.0 - p0) / (states - 1)
+    p = np.array([[p0] + [rest] * (states - 1), [rest] * (states - 1) + [p0]])
+    p = p[: 4 // (states - 1)]  # at most four words a step, as _buffered_generator holds
+    words = data.draw(st.lists(st.lists(st.lists(_CRAFTED_WORDS, min_size=4, max_size=4),
+                                        min_size=rows, max_size=rows),
+                               min_size=steps, max_size=steps))
+    crafted = _CraftedBlock(words)
+    first, indices = oracles._multinomial_one(crafted, 1, p)
+    for n, step_words in enumerate(words, start=1):
+        for i, w in enumerate(step_words):
+            drawn = _buffered_generator(w).multinomial(1, p)
+            assert np.array_equal(indices[n - 1, i], drawn.argmax(axis=-1) + i * states)
+    # only a draw holding a word within a few ulps of U = 1 can restart
+    near_one = {(n, i) for n, step_words in enumerate(words, start=1)
+                for i, w in enumerate(step_words) if max(w) >= 2**64 - 2**14}
+    assert first == 1 and crafted.n == 1
+    assert len(set(crafted.generated)) == len(crafted.generated)
+    assert set(crafted.generated) <= near_one
 
 
 def _same_bits(a, b):

@@ -252,3 +252,23 @@ class TestRunAdversarial:
         tr = sf.run_adversarial(self.inst, algo, sf.RngStream(9))
         assert tr.steps() == self.inst.n_budget // 2
         assert np.all(tr.weight[1:] == 0.5)
+
+    def test_a_seed_that_aborts_keeps_its_trace_and_the_others_run(self, poisoned_seed_3,
+                                                                    monkeypatch):
+        # seed 3's draws go non-finite from step 5 on: it keeps columns 0..4, flagged
+        algo = sf.SpanAlgorithm("km-constant", sf.BatchSchedule.constant(1), alpha=0.5)
+        rngs = [sf.RngStream(seed) for seed in (1, 2, 3, 4)]
+        traces = sf.adversarial_runs(self.inst, algo, rngs)
+        monkeypatch.undo()
+        assert [t.abort_reason for t in traces] == [None, None, "non-finite iterate at step 5", None]
+        assert [t.aborted for t in traces] == [False, False, True, False]
+        cut = traces[2]
+        assert cut.steps() == 4 and cut.n.tolist() == [0, 1, 2, 3, 4]
+        for t, rng in zip(traces, rngs):
+            alone = sf.run_adversarial(self.inst, algo, rng)
+            assert not alone.aborted and alone.steps() == self.inst.n_budget
+            for field in ("n", "prog", "cum_queries", "residual", "weight", "batch",
+                          "noise_norm", "dist_to_fp"):
+                assert np.array_equal(getattr(t, field), getattr(alone, field)[:t.steps() + 1])
+        # the last finite iterate, x^4
+        assert np.isfinite(cut.final_x).all() and cut.final_x.shape == (self.inst.d,)

@@ -98,6 +98,14 @@ class StepSchedule:
             return self.alpha
         return (n + 1.0) ** (-self.a)
 
+    def _weights(self, steps: int) -> np.ndarray:
+        """0.0 and weight(n) of n = 1..steps, float64; numpy divides an anchored
+        schedule's n / (n + c) with Python's rounding."""
+        if not self.is_halpern:
+            return np.array([0.0] + [self.weight(n) for n in range(1, steps + 1)])
+        n = np.arange(steps + 1, dtype=np.float64)
+        return n / (n + (1.0 if self.kind == "halpern-classic" else 2.0))
+
 
 @dataclass(frozen=True)
 class BatchSchedule:
@@ -160,6 +168,19 @@ class BatchSchedule:
         except OverflowError:
             raise ValueError(f"batch size k_n at n = {n} exceeds 2^63 - 1") from None
 
+    def _ones(self, N: int) -> int:
+        """A count of leading steps of 1..N whose k_n is 1, known without size(): all
+        of a constant 1, and a geometric taper's steps before the first whose float
+        n^2 gamma^(horizon - n) passes 1/2, where the exact value is below 1."""
+        if self.kind == "constant":
+            return N if self.k == 1 else 0
+        if self.kind != "contractive-geometric":
+            return 0
+        n = np.arange(1.0, N + 1.0)
+        with np.errstate(over="ignore", under="ignore"):
+            big = n * n * self.gamma ** (self.horizon - n) > 0.5
+        return int(big.argmax()) if big.any() else N
+
 
 @dataclass
 class RunRecord:
@@ -211,14 +232,19 @@ def _schedule(weight, size, N: int, per_query: int = 1, budget: int | None = Non
     pass it; without one, a count past 2^63 - 1 is a ValueError as soon as
     the next step's size is known. Runs whose weight and size are bound
     methods of equal frozen dataclasses share one set of arrays; other
-    callables are not cached.
+    callables are not cached. A BatchSchedule's leading steps of one query
+    (BatchSchedule._ones) and a StepSchedule's weights (_weights) come from
+    numpy at once; every other size is size(n), one step at a time.
     """
     key = _by_value(weight), _by_value(size)
     key = None if None in key else key + (N, per_query, budget)
     columns = _SCHEDULES.get(key)
     if columns is None:
-        sizes, cum, total = [0], [0], 0
-        for n in range(1, N + 1):
+        ones = size.__self__._ones(N) if getattr(size, "__func__", None) is BatchSchedule.size else 0
+        # steps 1..head take one query each and pass no bound, so only the others loop
+        head = min(ones, max(2 ** 63 - 1 if budget is None else budget, 0) // per_query)
+        sizes, cum, total = [], [], head * per_query
+        for n in range(head + 1, N + 1):
             k = size(n)  # a size error of the step after the count passes comes first
             if total > 2 ** 63 - 1:
                 break
@@ -227,12 +253,17 @@ def _schedule(weight, size, N: int, per_query: int = 1, budget: int | None = Non
                 break
             sizes.append(k)
             cum.append(total)
+        steps = head + len(sizes)
         if budget is None and total > 2 ** 63 - 1:
             raise ValueError(f"cumulative query count {total} exceeds 2^63 - 1 at step "
-                             f"{len(sizes) - 1} of N = {N}")
-        weights = [0.0] + [weight(n) for n in range(1, len(sizes))]
-        columns = (np.arange(len(sizes), dtype=np.int64), np.array(weights, dtype=np.float64),
-                   np.array(sizes, dtype=np.int64), np.array(cum, dtype=np.int64))
+                             f"{steps} of N = {N}")
+        if getattr(weight, "__func__", None) is StepSchedule.weight:
+            weights = weight.__self__._weights(steps)
+        else:
+            weights = np.array([0.0] + [weight(n) for n in range(1, steps + 1)], dtype=np.float64)
+        columns = (np.arange(steps + 1, dtype=np.int64), weights,
+                   np.concatenate(([0], np.ones(head, np.int64), np.array(sizes, np.int64))),
+                   np.concatenate((np.arange(head + 1) * per_query, np.array(cum, np.int64))))
         for c in columns:
             c.setflags(write=False)  # every row's record holds these
         if key is not None:

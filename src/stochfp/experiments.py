@@ -663,13 +663,19 @@ def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _TEN = np.cumprod(np.full(23, 10.0)) / 10.0
 _TEN_HIGH, _TEN_LOW = _halves(_TEN)
-# the ASCII digits of each x < 10^4, zero-padded to four, as a little-endian uint32
+# the ASCII digits of each x < 10^4, zero-padded to four, as the low half of a
+# little-endian uint64; _ZEROS4[x] counts the trailing zeros among them
 _DIGITS4 = (np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
-            % 10 + 48).astype(np.uint8).view(np.uint32).reshape(-1)
+            % 10 + 48).astype(np.uint8).view(np.uint32).reshape(-1).astype(np.uint64)
+_ZEROS4 = (np.arange(10000)[:, None] % np.array([10, 100, 1000, 10000]) == 0).sum(axis=1)
+# "0000000d" of a leading digit d, as a little-endian uint64
+_LEAD = _DIGITS4[:10] << np.uint64(32) | _DIGITS4[0]
 # over a line's three output words, byte b of word k is byte 8k + b of the line:
-# _BELOW[k, m] keeps the bytes before byte m, _POINT[k, m] is "." at byte m
+# _BELOW[k, m] keeps the bytes before byte m, _FROM[k, m] those from byte m on, and
+# _POINT[k, m] is "." at byte m
 _AT = np.arange(24, dtype=np.uint64).reshape(3, 8, 1)
 _BELOW = ((_AT < np.arange(25)) * np.uint64(0xFF) << _AT % 8 * 8).sum(axis=1, dtype=np.uint64)
+_FROM = ~_BELOW
 _POINT = ((_AT == np.arange(25)) * np.uint64(0x2E) << _AT % 8 * 8).sum(axis=1, dtype=np.uint64)
 
 
@@ -714,27 +720,31 @@ def _fixed17(x: np.ndarray) -> np.ndarray:
         digits = _round_scaled(x, p)
     e = 16 - p
     del p, off
-    groups = np.zeros((x.size, 8), np.uint16)  # of four digits, led by "0000" and "000d"
-    for k in range(5, 1, -1):
+    words = np.empty((4, x.size), np.uint64)  # the string, eight bytes a row
+    words[3] = _DIGITS4[0] * np.uint64(0x100000001)
+    zeros = 0  # trailing zero digits of D
+    for i in range(4):  # D's four-digit groups, the last first: words 2 and 1, high half first
         high = digits // 10000
-        groups[:, k] = digits - high * 10000
+        group = digits - high * 10000
         digits = high
-    groups[:, 1] = digits
-    text = _DIGITS4[groups]
-    del groups, digits, high
-    last = 23 - (text.view(np.uint8)[:, 23:6:-1] != 48).argmax(axis=1)  # a nonzero digit
-    words = np.ascontiguousarray(text.view("<u8").T)
-    del text
+        zeros = zeros + (zeros == 4 * i) * _ZEROS4[group]
+        if i % 2:
+            words[2 - i // 2] |= _DIGITS4[group]
+        else:
+            words[2 - i // 2] = _DIGITS4[group] << np.uint64(32)
+    words[0] = _LEAD[digits]
+    del group, high, digits
+    last = 23 - zeros  # the byte of D's last nonzero digit
     start = (56 + 8 * np.minimum(e, 0)).astype(np.uint64)  # 8 a
     point = 1 + np.maximum(e, 0)
     last -= 7 + e  # fraction digits through the last nonzero one
     end = np.take(_BELOW, np.where(last > 0, point + 1 + last, point), axis=1)
-    del e, last
+    del e, last, zeros
     line = _shifted(words, start)
     line &= np.take(_BELOW, point, axis=1)
     start -= np.uint64(8)
     after = _shifted(words, start)
-    after &= ~np.take(_BELOW, point + 1, axis=1)
+    after &= np.take(_FROM, point + 1, axis=1)
     line |= after
     del after, words
     line |= np.take(_POINT, point, axis=1)

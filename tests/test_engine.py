@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import stochfp as sf
+from stochfp import engine
 
 
 class TestStepSchedule:
@@ -117,6 +120,35 @@ class TestBatchSchedule:
             sf.BatchSchedule.contractive_geometric(0.5, 0)
         with pytest.raises(ValueError):
             sf.BatchSchedule.power(2).size(0)
+
+
+def _columns_or_error(weight, size, N, per_query, budget):
+    try:
+        return [(c.dtype, c.tolist()) for c in engine._schedule(weight, size, N, per_query, budget)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(N=st.integers(1, 3000), gamma=st.sampled_from([0.3, 0.5, 0.9, 0.99, 1 - 1e-9]),
+       horizon=st.sampled_from([1, 7, 1000, 3000, 10 ** 6]), geometric=st.booleans(),
+       steps=st.sampled_from([sf.StepSchedule.halpern_classic(), sf.StepSchedule.halpern_shifted(),
+                              sf.StepSchedule.km_constant(0.3), sf.StepSchedule.km_polynomial(0.7)]),
+       per_query=st.sampled_from([1, 6, 2 ** 40, 2 ** 62]),
+       budget=st.none() | st.integers(0, 10 ** 6) | st.integers(0, 2 ** 64))
+@example(N=41471, gamma=0.9, horizon=41471, geometric=True,
+         steps=sf.StepSchedule.halpern_classic(), per_query=6, budget=None)
+def test_schedule_columns_equal_the_per_step_loop(N, gamma, horizon, geometric, steps, per_query,
+                                                  budget):
+    # a schedule's own methods take the vectorised unit-batch prefix and anchored weights;
+    # plain callables step through size(n) and weight(n) one n at a time
+    batches = (sf.BatchSchedule.contractive_geometric(gamma, horizon) if geometric
+               else sf.BatchSchedule.constant(1))
+    engine._SCHEDULES.clear()
+    fast = _columns_or_error(steps.weight, batches.size, N, per_query, budget)
+    slow = _columns_or_error(lambda n: steps.weight(n), lambda n: batches.size(n), N, per_query,
+                             budget)
+    assert fast == slow
 
 
 class TestBounds:

@@ -170,16 +170,21 @@ class BatchSchedule:
 
     def _ones(self, N: int) -> int:
         """A count of leading steps of 1..N whose k_n is 1, known without size(): all
-        of a constant 1, and a geometric taper's steps before the first whose float
-        n^2 gamma^(horizon - n) passes 1/2, where the exact value is below 1."""
+        of a constant 1, and of a geometric taper the steps up to the last n whose
+        n^2 gamma^(horizon - n), which grows with n, has a log of at most log(1/2),
+        found by bisection; size() rounds no such value up to 2."""
         if self.kind == "constant":
             return N if self.k == 1 else 0
         if self.kind != "contractive-geometric":
             return 0
-        n = np.arange(1.0, N + 1.0)
-        with np.errstate(over="ignore", under="ignore"):
-            big = n * n * self.gamma ** (self.horizon - n) > 0.5
-        return int(big.argmax()) if big.any() else N
+        lo, hi = 0, N
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if 2.0 * math.log(mid) + (self.horizon - mid) * math.log(self.gamma) <= -math.log(2.0):
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
 
 @dataclass

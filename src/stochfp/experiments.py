@@ -710,7 +710,7 @@ def _fixed17(x: np.ndarray) -> np.ndarray:
     ("0.000..." for e < 0), puts a point after its first 1 + max(e, 0) bytes
     and ends at D's last nonzero digit or at the point; the S dtype drops the
     zero bytes after it. Each temporary is dropped once read, so a value costs
-    about 180 bytes at the peak.
+    about 170 bytes at the peak.
     """
     p = 16 - np.floor(np.log10(x)).astype(np.int64)
     digits = _round_scaled(x, p)

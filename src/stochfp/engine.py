@@ -246,8 +246,10 @@ def _schedule(weight, size, N: int, per_query: int = 1, budget: int | None = Non
     columns = _SCHEDULES.get(key)
     if columns is None:
         ones = size.__self__._ones(N) if getattr(size, "__func__", None) is BatchSchedule.size else 0
-        # steps 1..head take one query each and pass no bound, so only the others loop
-        head = min(ones, max(2 ** 63 - 1 if budget is None else budget, 0) // per_query)
+        # steps 1..head take one query each and pass neither the budget nor 2^63 - 1,
+        # so only the others loop
+        bound = 2 ** 63 - 1 if budget is None else min(budget, 2 ** 63 - 1)
+        head = min(ones, max(bound, 0) // per_query)
         sizes, cum, total = [], [], head * per_query
         for n in range(head + 1, N + 1):
             k = size(n)  # a size error of the step after the count passes comes first

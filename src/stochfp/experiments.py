@@ -859,7 +859,8 @@ _AGG_INTS = ("n", "k_n", "cum_queries")
 
 def _aggregate(traces: list[StackTrace], first: int) -> dict:
     """Per-n mean and standard error over the columns first.. that all seeds share,
-    keyed by the aggregate.csv columns (dist_to_fp_* are None without a known x*)."""
+    keyed by the aggregate.csv columns (dist_to_fp_* are None without a known x*).
+    The schedule columns come from traces[0], which a pool run keeps them on."""
     stacks = StackTrace(*zip(*traces))  # each field, one item per stack
     end = min(min(steps) for steps in stacks.steps) + 1
     t = traces[0]
@@ -1112,11 +1113,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
             # map submits every chunk at once, so the workers run beside this process
             rest = pool.map(partial(plan.run, schedule=False), chunks[1:],
                             [out_dir] * (len(chunks) - 1))
-            traces = plan.run(chunks[0], out_dir)
-            # every stack of a plan has the same schedule columns: this process's own
-            n, weight, batch, cum_queries = traces[0][:4]
-            traces += [t._replace(n=n, weight=weight, batch=batch, cum_queries=cum_queries)
-                       for chunk in rest for t in chunk]
+            traces = plan.run(chunks[0], out_dir) + [t for chunk in rest for t in chunk]
 
     files = [f"seed_{seed}.csv" for seed in seeds]
     agg = _aggregate(traces, plan.first)

@@ -377,12 +377,10 @@ class _Sampled:
     by default). The realized noise is op.gamma (est - E est) with E est =
     P max Q, (r + gamma est) - (r + gamma E est) in exact arithmetic. A batch
     of one reads next states replayed a block at a time (oracles._multinomial_one,
-    kept here) and gathers max Q there. Its y has the bits of the
-    counts-weighted sum over states, which starts at +0.0, wherever max Q is
-    finite, and a row whose max Q is not has already aborted: the step adds
-    0.0 to max Q when a target is given or a reward is -0.0, and otherwise
-    r + c est reads -0.0 and +0.0 alike. k > 1 re-keys the stack's generator
-    per row (_batch_mean_max).
+    kept here) and gathers max Q + 0.0 there: the bits of the counts-weighted
+    sum over states, which starts at +0.0, wherever max Q is finite, and a
+    row whose max Q is not has already aborted. k > 1 re-keys the stack's
+    generator per row (_batch_mean_max).
     """
 
     def __init__(self, op: _Bellman, target=None):
@@ -395,6 +393,7 @@ class _Sampled:
         m, op, target, rows = self.op.m, self.op, self.target, ests.shape[1]
         maxv = np.empty((rows, 1, m.num_states))  # max_a' Q(s', a') of each row and state
         maxs, reduce, maximum, add = maxv.reshape(-1), np.maximum.reduce, np.maximum, np.add
+        zero = np.zeros_like(maxs)  # an array: numpy adds a scalar more slowly
         states = list(xs.reshape(len(xs), -1, m.num_actions))  # each step's (B * S, A) tables
         # and their action columns: the first, the second (None at A = 1) and the others
         heads = [(t[:, 0], t[:, 1] if m.num_actions > 1 else None, list(t.T[2:])) for t in states]
@@ -402,10 +401,6 @@ class _Sampled:
         if target is None:  # a map of _maps, its rewards and factor tiled to y's shape
             residual = op.residual.func
             rewards, c = (np.broadcast_to(a, y.shape).copy() for a in op.residual.args)
-        # max Q + 0.0 turns -0.0 into +0.0, which r + c est (or r + est - c) does too
-        # for every reward but -0.0; an array, since numpy adds a scalar more slowly
-        skip = target is None and not np.signbit(rewards[rewards == 0.0]).any()
-        zero = None if skip else np.zeros_like(maxs)
         first, end, picks = 0, 0, []  # steps first..end - 1 of a replay, a list of steps
 
         def step(j, n, k):
@@ -421,15 +416,14 @@ class _Sampled:
                     first, picks = _multinomial_one(keyed, n, op.flat)
                     picks = list(picks)
                     end = first + len(picks)
-                # max Q by binary maxima over the actions (+ 0.0) at each next state
+                # max Q by binary maxima over the actions, + 0.0, at each next state
                 a0, a1, others = heads[j]
                 if a1 is not None:
                     a0 = maximum(a0, a1, out=maxs)
                     for a in others:
                         maximum(maxs, a, out=maxs)
-                if zero is not None:
-                    a0 = add(a0, zero, maxs)
-                a0.take(picks[n - first], None, e, "clip")
+                add(a0, zero, maxs)
+                maxs.take(picks[n - first], None, e, "clip")
             return residual(rewards, c, e, y) if target is None else target(xs[j], e)
         return step
 

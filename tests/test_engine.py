@@ -125,8 +125,8 @@ class TestBatchSchedule:
 def _columns_or_error(weight, size, N, per_query, budget):
     try:
         return [(c.dtype, c.tolist()) for c in engine._schedule(weight, size, N, per_query, budget)]
-    except ValueError as exc:
-        return str(exc)
+    except (ValueError, OverflowError) as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -138,6 +138,8 @@ def _columns_or_error(weight, size, N, per_query, budget):
        budget=st.none() | st.integers(0, 10 ** 6) | st.integers(0, 2 ** 64))
 @example(N=41471, gamma=0.9, horizon=41471, geometric=True,
          steps=sf.StepSchedule.halpern_classic(), per_query=6, budget=None)
+@example(N=5, gamma=0.9, horizon=1, geometric=False, steps=sf.StepSchedule.halpern_classic(),
+         per_query=2 ** 62, budget=2 ** 64)  # a count of 2^63 under the budget: OverflowError
 def test_schedule_columns_equal_the_per_step_loop(N, gamma, horizon, geometric, steps, per_query,
                                                   budget):
     # a schedule's own methods take the vectorised unit-batch prefix and anchored weights;

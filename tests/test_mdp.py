@@ -679,10 +679,10 @@ _SPECIAL = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.5, -2.25
        data=st.data())
 def test_batch_of_one_estimate_is_max_q_plus_zero_at_the_replayed_state(a_count, s_count, rows,
                                                                         data):
-    # a batch-of-one step folds max_a' Q(s', a') with binary maxima and gathers it at each
-    # pair's replayed next state, adding 0.0 only if a reward is -0.0: the step's y is
-    # r + gamma (maximum.reduce + 0.0) at every value, and where max Q is finite it is
-    # the y of the one-hot counts' vecdot, whose sum starts at +0.0
+    # a batch-of-one step folds max_a' Q(s', a') with binary maxima, adds 0.0 and gathers it
+    # at each pair's replayed next state: maximum.reduce plus 0.0 at every value, and where
+    # max Q is finite the vecdot of the one-hot counts, whose sum starts at +0.0; so is
+    # the step's y, with rewards of +0.0 and -0.0
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     d = s_count * a_count
     r = np.array(data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0]), min_size=d,
@@ -699,10 +699,9 @@ def test_batch_of_one_estimate_is_max_q_plus_zero_at_the_replayed_state(a_count,
     _, picks = oracles._multinomial_one(sf.StepGenerator(rngs, 1), 1, oracle.base.flat)
     maxv = np.maximum.reduce(x.reshape(rows, s_count, a_count), axis=2)
     expected = (maxv + 0.0).reshape(-1)[picks[0]]
-    assert np.array_equal(ests[0], expected, equal_nan=True)
-    if np.signbit(r[r == 0.0]).any():
-        kept = ~np.isnan(expected)
-        assert _bits(ests[0][kept]) == _bits(expected[kept])
+    assert np.array_equal(np.isnan(ests[0]), np.isnan(expected))
+    kept = ~np.isnan(expected)
+    assert _bits(ests[0][kept]) == _bits(expected[kept])
     with np.errstate(invalid="ignore"):
         want = mdp._discounted(r.reshape(1, -1), 0.9, expected)
         dot = np.vecdot(np.eye(s_count)[picks[0] % s_count], maxv[:, None, :])
@@ -711,6 +710,7 @@ def test_batch_of_one_estimate_is_max_q_plus_zero_at_the_replayed_state(a_count,
     kept = ~np.isnan(want)
     assert _bits(y[kept]) == _bits(want[kept])
     finite = np.isfinite(maxv).all(axis=1)
+    assert _bits(ests[0][finite]) == _bits(dot[finite])
     assert _bits(y[finite]) == _bits(from_dot[finite])
 
 

@@ -491,9 +491,14 @@ def validate_config(doc) -> dict:
         out["target_epsilon"] = _real(target_eps, "config.target_epsilon")
         if out["target_epsilon"] <= 0:
             raise ConfigError("config.target_epsilon: must be positive")
-        out["N"] = mdp_mod.discounted_iteration_count(
-            model, out["gamma"], out["target_epsilon"], q0_norm
-        )
+        try:
+            out["N"] = mdp_mod.discounted_iteration_count(
+                model, out["gamma"], out["target_epsilon"], q0_norm
+            )
+        except OverflowError:
+            raise ConfigError(f"config.target_epsilon: {out['target_epsilon']!r} derives N "
+                              f"beyond the float range, more than the {_MAX_STEPS} steps "
+                              "a run may take") from None
         if out["N"] > _MAX_STEPS:
             raise ConfigError(f"config.target_epsilon: {out['target_epsilon']!r} derives "
                               f"N = {out['N']} steps, more than the {_MAX_STEPS} a run may take")
@@ -820,25 +825,47 @@ def _is_float(column) -> bool:
 
 def _write_seed_csvs(out_dir, seeds: list[int], t: StackTrace, first: int):
     """Write seed_<seed>.csv of each seed of a stack: the columns first..steps of
-    its row of t. The prefix "n,weight,k_n,cum_queries," of each line is
-    formatted once for the stack and sliced per row."""
-    schedule = [c[first:max(t.steps) + 1] for c in (t.n, t.weight, t.batch, t.cum_queries)]
-    prefix = []
-    for a in range(0, len(schedule[0]), _BLOCK):
-        prefix += map(b"%d,%b,%d,%d,".__mod__, zip(*(
-            _g17(c[a:a + _BLOCK]) if _is_float(c) else c[a:a + _BLOCK].tolist() for c in schedule)))
+    its row of t, block-major. The prefix "n,weight,k_n,cum_queries," of a
+    _BLOCK of lines is formatted once for the stack, and that block of every
+    file that reaches it is written before the next is formatted, so no
+    column is held whole as text. Block 0 starts every file, header-only for
+    a seed without rows."""
+    ends = [steps + 1 for steps in t.steps]  # past each seed's last column
     measured = [c for c in (t.residual, t.dist_to_fp, t.noise_norm) if c is not None]
     row = b"%b%b,,%b\n" if t.dist_to_fp is None else b"%b%b,%b,%b\n"
-    _write_csvs((os.path.join(out_dir, f"seed_{seed}.csv"), _SEED_HEADER, row,
-                 [prefix[:steps + 1 - first]] + [c[i, first:steps + 1] for c in measured])
-                for i, (seed, steps) in enumerate(zip(seeds, t.steps)))
+    paths = [os.path.join(out_dir, f"seed_{seed}.csv") for seed in seeds]
+    for a in range(first, max(max(ends), first + 1), _BLOCK):
+        b = min(a + _BLOCK, max(ends))
+        prefix = list(map(b"%d,%b,%d,%d,".__mod__, zip(*(
+            _g17(c[a:b]) if _is_float(c) else c[a:b].tolist()
+            for c in (t.n, t.weight, t.batch, t.cum_queries)))))
+        _write_csvs((path, _SEED_HEADER if a == first else b"", row,
+                     [prefix[:stop - a]] + [c[i, a:stop] for c in measured])
+                    for i, (path, stop) in enumerate(zip(paths, (min(e, b) for e in ends)))
+                    if a == first or stop > a)
 
 
 def _by_seed(stacks, first: int, end: int) -> np.ndarray:
     """Columns first..end - 1 of every row of stacks, (B, steps + 1) arrays, as one
-    C-ordered (seeds, n) array, whose reductions over seeds add row by row."""
+    C-ordered (seeds, n) array. Its reductions over seeds add row by row, each
+    column alone, whenever n >= 2; a single column is one contiguous run, which
+    numpy sums pairwise."""
     out = np.empty((sum(len(c) for c in stacks), end - first), stacks[0].dtype)
     return np.concatenate([c[:, first:end] for c in stacks], out=out)
+
+
+def _over_seeds(stacks, first: int, end: int, reduce) -> list[np.ndarray]:
+    """reduce's columns of the _by_seed array of columns first..end - 1 of stacks,
+    computed a block of columns at a time and joined.
+
+    The blocks are _BLOCK columns wide and the last takes the rest, so it
+    holds 2 to _BLOCK + 1 columns unless all of them are fewer: no block is a
+    lone column of a wider run, and each column's reduction has the bits of
+    the whole array's. An empty range gives empty columns.
+    """
+    starts = range(first, max(end - 1, first + 1), _BLOCK)
+    parts = [reduce(_by_seed(stacks, a, b)) for a, b in zip(starts, [*starts[1:], end])]
+    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _mean_sem(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -860,7 +887,9 @@ _AGG_INTS = ("n", "k_n", "cum_queries")
 def _aggregate(traces: list[StackTrace], first: int) -> dict:
     """Per-n mean and standard error over the columns first.. that all seeds share,
     keyed by the aggregate.csv columns (dist_to_fp_* are None without a known x*).
-    The schedule columns come from traces[0], which a pool run keeps them on."""
+    The schedule columns are views of traces[0], which a pool run keeps them on;
+    each measured column is reduced over seeds a block of columns at a time
+    (_over_seeds), so the work arrays beside the result hold one block."""
     stacks = StackTrace(*zip(*traces))  # each field, one item per stack
     end = min(min(steps) for steps in stacks.steps) + 1
     t = traces[0]
@@ -870,7 +899,7 @@ def _aggregate(traces: list[StackTrace], first: int) -> dict:
         if columns[0] is None:
             agg[f"{col}_mean"] = agg[f"{col}_sem"] = None
         else:
-            agg[f"{col}_mean"], agg[f"{col}_sem"] = _mean_sem(_by_seed(columns, first, end))
+            agg[f"{col}_mean"], agg[f"{col}_sem"] = _over_seeds(columns, first, end, _mean_sem)
     return agg
 
 
@@ -907,12 +936,16 @@ def read_aggregate_csv(path) -> dict:
     return out
 
 
-def _write_progress_csv(path: str, agg: dict, progs: np.ndarray, d: int):
-    """Per-n progress statistics over the seeds (rows) of progs, whose integer sums are exact."""
-    columns = [agg["n"], agg["cum_queries"], progs.mean(axis=0), progs.min(axis=0),
-               progs.max(axis=0), (progs < d).mean(axis=0)]
+def _prog_stats(progs: np.ndarray, d: int) -> tuple:
+    """Per-n mean, min, max and fraction below d over the seeds (rows) of progs,
+    whose integer sums are exact."""
+    return progs.mean(axis=0), progs.min(axis=0), progs.max(axis=0), (progs < d).mean(axis=0)
+
+
+def _write_progress_csv(path: str, agg: dict, stats):
+    """progress.csv of the aggregate's schedule and the _prog_stats columns stats."""
     _write_csvs([(path, b"n,cum_queries,prog_mean,prog_min,prog_max,frac_prog_lt_d\n",
-                  b"%d,%d,%b,%d,%d,%b\n", columns)])
+                  b"%d,%d,%b,%d,%d,%b\n", [agg["n"], agg["cum_queries"], *stats])])
 
 
 # ---------------------------------------------------------------------------
@@ -1140,13 +1173,14 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
 
     if cfg["kind"] == "lowerbound":
         inst = plan.instance
-        progs = _by_seed([t.prog for t in traces], plan.first, plan.first + len(agg["n"]))
-        _write_progress_csv(os.path.join(out_dir, "progress.csv"), agg, progs, inst.d)
+        stats = _over_seeds([t.prog for t in traces], plan.first, plan.first + len(agg["n"]),
+                            partial(_prog_stats, d=inst.d))
+        _write_progress_csv(os.path.join(out_dir, "progress.csv"), agg, stats)
         files.append("progress.csv")
         means = agg["residual_mean"]
         summary["instance"] = asdict(inst)
         summary["barrier_held"] = bool((means > cfg["epsilon"]).all())
-        summary["final_frac_prog_lt_d"] = float((progs[:, -1] < inst.d).mean())
+        summary["final_frac_prog_lt_d"] = float(stats[3][-1])
         summary["final_mean_residual"] = float(means[-1])
         check("barrier_held", summary["barrier_held"])
         check("final_frac_prog_lt_d_gt_half", summary["final_frac_prog_lt_d"] > 0.5)

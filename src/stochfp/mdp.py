@@ -97,7 +97,7 @@ class TabularMDP:
         if (r < 0).any() or (r > 1).any():
             s_bad, a_bad = np.where((r < 0) | (r > 1))
             raise MDPValidationError(
-                f"rewards[{s_bad[0]}][{a_bad[0]}] = {r[s_bad[0], a_bad[0]]!r} lies outside [0, 1]"
+                f"rewards[{s_bad[0]}][{a_bad[0]}] = {float(r[s_bad[0], a_bad[0]])!r} lies outside [0, 1]"
             )
         p = p.copy()
         r = r.copy()
@@ -599,6 +599,8 @@ def discounted_iteration_count(
     the largest batch of the n^2 gamma^(N-n) schedule (about N^2 at n = N):
 
       sigma_eff(N) = gamma r_max (sqrt(8 log(2 S A sqrt(N^2 + 1))) + 2) / (1 - gamma).
+
+    An epsilon so small that N passes the float range raises OverflowError.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -611,14 +613,19 @@ def discounted_iteration_count(
     dist0 = q0_norm + rmax / (1.0 - gamma)
 
     def sigma_eff(n_val: int) -> float:
-        k_max = math.sqrt(float(n_val) ** 2 + 1.0)
+        n = float(n_val)  # sqrt(N^2 + 1) rounds to N long before N^2 overflows
+        k_max = math.sqrt(n ** 2 + 1.0) if n < 1e150 else n
         return (
             gamma * rmax * (math.sqrt(8.0 * math.log(2.0 * sa * k_max)) + 2.0) / (1.0 - gamma)
         )
 
+    scale = epsilon * (1.0 - gamma)
     n_iter = 1
     for _ in range(64):
-        target = (dist0 + 2.0 * sigma_eff(n_iter)) / (epsilon * (1.0 - gamma))
+        target = (dist0 + 2.0 * sigma_eff(n_iter)) / scale if scale else math.inf
+        if target == math.inf:
+            raise OverflowError(f"epsilon = {epsilon!r} derives an iteration count "
+                                "beyond the float range")
         new_n = max(1, math.ceil(target))
         if new_n == n_iter:
             break

@@ -216,11 +216,13 @@ class StepGenerator:
     horizon one _philox_words pass of at most _PASS_WORDS words draws them
     for the current step and the next ones, whose stream ids come from one
     vectorised SplitMix64 (_children); a change of seeds (a row that
-    aborted) or of count drops that block, and the run's own stream is drawn
-    alone. block(count) hands back the whole block, (first step, (steps,
-    rows, count) words). numpy's warning for a key word that rounds to 2^64
-    (see _keys) comes when the block holding the first step using it is
-    drawn, under the error state the StepGenerator was made in.
+    aborted) or of count drops that block. The run's own stream, which only
+    a one-row oracles.minibatch reads, is drawn row by row through
+    generator(i), whose random_raw gives the same words. block(count) hands
+    back the whole block, (first step, (steps, rows, count) words). numpy's
+    warning for a key word that rounds to 2^64 (see _keys) comes when the
+    block holding the first step using it is drawn, under the error state
+    the StepGenerator was made in.
 
     generator(i) resets the shared Philox to RngStream(seeds[i],
     stream).generator()'s state (numpy's conversion of [seed, stream], a
@@ -267,8 +269,9 @@ class StepGenerator:
 
     def raw(self, count: int) -> np.ndarray:
         """(rows, count): each row's first count raw Philox words at the current stream."""
-        if self._n is None:  # the run's own stream, in no block
-            return _philox_words(*self._keys([self.stream]), count)[0]
+        if self._n is None:  # the run's own stream, in no block: each row's own generator
+            return np.array([self.generator(i).bit_generator.random_raw(count)
+                             for i in range(len(self._seeds))], dtype=np.uint64)
         first, words = self.block(count)
         return words[self._n - first]
 

@@ -727,7 +727,7 @@ class TestAggregateAndProgressWriters:
                          f"{float(np.mean(table[:, i] < d)):.17g}\n")
         with tempfile.TemporaryDirectory() as out:
             path = os.path.join(out, "progress.csv")
-            experiments._write_progress_csv(path, agg, table, d)
+            experiments._write_progress_csv(path, agg, experiments._prog_stats(table, d))
             with open(path, encoding="utf-8", newline="") as fh:
                 assert fh.read().splitlines(keepends=True) == lines
 
@@ -760,7 +760,73 @@ def test_writers_hold_no_whole_column_as_text(tmp_path):
         finally:
             tracemalloc.stop()
     assert (tmp_path / "seed_2.csv").read_text().count("\n") == N + 1
-    assert peaks[0] < 9e6 and peaks[1] < 1e6, peaks
+    assert peaks[0] < 1e6 and peaks[1] < 1e6, peaks
+
+
+def test_aggregate_holds_one_block_beside_its_columns():
+    """Peak traced memory of aggregating 40 seeds of mdp_disc_target (41 471 rows each):
+    at most 3 times the aggregate's own six measured columns, so no (seeds, n) copy."""
+    N, seeds = 41471, 40
+    schedule = engine._schedule(sf.StepSchedule.halpern_classic().weight,
+                                sf.BatchSchedule.contractive_geometric(0.9, N).size, N, 6)
+    rng = np.random.default_rng(41471)
+    trace = sf.StackTrace(*schedule, *(10.0 ** rng.uniform(-4, 1, (3, seeds, N + 1))), prog=None,
+                          final_x=np.zeros((seeds, 6)), steps=[N] * seeds,
+                          abort_reason=[None] * seeds)
+    tracemalloc.start()
+    try:
+        agg = experiments._aggregate([trace], 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(agg["residual_mean"]) == N
+    assert peak < 3 * 6 * 8 * N, peak
+
+
+class TestBlockedAggregate:
+    """Seed statistics reduced a block of columns at a time against the whole array."""
+
+    _B = experiments._BLOCK
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=st.sampled_from([1, 2, 40]), N=st.sampled_from([_B - 1, _B, _B + 1, 2 * _B + 3]),
+           first=st.sampled_from([0, 1]), height=st.integers(1, 40),
+           stops=st.none() | st.lists(st.integers(0, 2 * _B + 4), min_size=40, max_size=40),
+           seed=st.integers(0, 2**32 - 1))
+    @example(seeds=40, N=_B + 1, first=1, height=40, stops=None, seed=0)
+    @example(seeds=40, N=2 * _B + 3, first=1, height=7, stops=[_B + 1] + [2 * _B + 4] * 39, seed=1)
+    @example(seeds=2, N=_B, first=1, height=1, stops=[_B, 0] + [0] * 38, seed=2)
+    @example(seeds=40, N=_B - 1, first=0, height=3, stops=[0] * 40, seed=3)
+    def test_blocked_aggregate_has_the_whole_arrays_bits(self, seeds, N, first, height, stops,
+                                                          seed):
+        # seed i stops at step min(stops[i], N), as a seed that aborted at the step after
+        # does; a stop at 0 with first = 1 leaves no common column
+        rng = np.random.default_rng(seed)
+        schedule = engine._schedule(sf.StepSchedule.halpern_classic().weight,
+                                    sf.BatchSchedule.constant(1).size, N)
+        steps = [N if stops is None else min(stops[i], N) for i in range(seeds)]
+        traces = []
+        for a in range(0, seeds, height):
+            rows = len(steps[a:a + height])
+            measured = 10.0 ** rng.uniform(-8, 8, (3, rows, N + 1))
+            measured[:, :, ::5] *= -1
+            traces.append(sf.StackTrace(
+                *schedule, *measured, prog=rng.integers(0, 5, (rows, N + 1)),
+                final_x=np.zeros((rows, 1)), steps=steps[a:a + height],
+                abort_reason=[None] * rows))
+        end = min(steps) + 1
+        agg = experiments._aggregate(traces, first)
+        assert len(agg["n"]) == end - first
+        for k, col in enumerate(("residual", "dist_to_fp", "noise_norm")):
+            mean, sem = experiments._mean_sem(
+                experiments._by_seed([t[4 + k] for t in traces], first, end))
+            assert agg[f"{col}_mean"].tobytes() == mean.tobytes()
+            assert agg[f"{col}_sem"].tobytes() == sem.tobytes()
+        progs = experiments._by_seed([t.prog for t in traces], first, end)
+        blocked = experiments._over_seeds([t.prog for t in traces], first, end,
+                                          partial(experiments._prog_stats, d=3))
+        for got, want in zip(blocked, experiments._prog_stats(progs, 3)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestEvaluateBounds:
@@ -1102,6 +1168,36 @@ class TestCli:
         assert done.returncode == 1
         assert done.stderr == (f"config error: {message}, "
                                f"more than the {experiments._MAX_STEPS} a run may take\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", [1e-200, 1e-300, 5e-324])
+    def test_target_epsilon_near_the_float_floor_exits_one_before_out_is_made(
+            self, tmp_path, capsys, epsilon):
+        # N^2 passes the float range at 1e-200 and 1e-300, and the target itself is
+        # inf at 5e-324; each was an OverflowError, exit 4 with a traceback
+        doc = json.loads((REPO / "configs" / "mdp_disc_target.json").read_text())
+        doc.update({"mdp": str(REPO / "configs" / "mdp_3x2.json"), "target_epsilon": epsilon})
+        out = tmp_path / "o"
+        code = cli_main(["mdp-disc", "--config", self._write(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: config.target_epsilon: {epsilon!r} derives N ")
+        assert err.endswith(f"more than the {experiments._MAX_STEPS} steps a run may take\n"
+                            if epsilon == 5e-324 else
+                            f"more than the {experiments._MAX_STEPS} a run may take\n")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_reward_out_of_range_prints_the_float(self, tmp_path, capsys):
+        doc = json.loads((REPO / "configs" / "mdp_disc_target.json").read_text())
+        model = json.loads((REPO / "configs" / "mdp_3x2.json").read_text())
+        model["rewards"][0][0] = 1.7e308
+        doc["mdp"] = model
+        out = tmp_path / "o"
+        code = cli_main(["mdp-disc", "--config", self._write(tmp_path, doc), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: config.mdp: rewards[0][0] = 1.7e+308 lies outside [0, 1]\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command, shipped, overrides, step", [

@@ -834,8 +834,9 @@ def _write_seed_csvs(out_dir, seeds: list[int], t: StackTrace, first: int):
     measured = [c for c in (t.residual, t.dist_to_fp, t.noise_norm) if c is not None]
     row = b"%b%b,,%b\n" if t.dist_to_fp is None else b"%b%b,%b,%b\n"
     paths = [os.path.join(out_dir, f"seed_{seed}.csv") for seed in seeds]
-    for a in range(first, max(max(ends), first + 1), _BLOCK):
-        b = min(a + _BLOCK, max(ends))
+    last = max(ends)
+    for a in range(first, max(last, first + 1), _BLOCK):
+        b = min(a + _BLOCK, last)
         prefix = list(map(b"%d,%b,%d,%d,".__mod__, zip(*(
             _g17(c[a:b]) if _is_float(c) else c[a:b].tolist()
             for c in (t.n, t.weight, t.batch, t.cum_queries)))))

@@ -8,11 +8,12 @@ batch of one, i.e. one oracle query per step, no variance reduction.
 Every run steps through iterate_stack(): the seeds of a run advance together
 as one (B, d) array, and halpern_run, km_run, lower_bound.run_adversarial and
 the Q-learning runners of mdp (this iteration on a Bellman operator over
-flattened (s, a) tables, with a sampled oracle) are stacks of one. A block
-of steps at a time is checked for non-finite iterates, once, and measured
-with the exact operator (residuals and distances). A stack owns one
-generator (oracles.StepGenerator), so every (seed, step) draws what
-RngStream(seed, stream).substream(n).generator() would.
+flattened (s, a) tables, with a sampled oracle) are stacks of one. Each run
+kind's helper builds the loop's inputs and schedule once (_Loop), and the
+loop returns measured columns only. A block of steps at a time is checked
+for non-finite iterates, once, and measured with the exact operator
+(residuals and distances). A stack owns one generator (oracles.StepGenerator),
+so every (seed, step) draws what RngStream(seed, stream).substream(n).generator() would.
 T(x^n), measured for the residual, is carried into step n+1's draw when the
 noise reads it; Q-learning's draws do not, and its runs apply T per block.
 """
@@ -20,7 +21,6 @@ noise reads it; Q-learning's draws do not, and its runs apply T per block.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -97,14 +97,6 @@ class StepSchedule:
         if self.kind == "km-constant":
             return self.alpha
         return (n + 1.0) ** (-self.a)
-
-    def _weights(self, steps: int) -> np.ndarray:
-        """0.0 and weight(n) of n = 1..steps, float64; numpy divides an anchored
-        schedule's n / (n + c) with Python's rounding."""
-        if not self.is_halpern:
-            return np.array([0.0] + [self.weight(n) for n in range(1, steps + 1)])
-        n = np.arange(steps + 1, dtype=np.float64)
-        return n / (n + (1.0 if self.kind == "halpern-classic" else 2.0))
 
 
 @dataclass(frozen=True)
@@ -207,19 +199,13 @@ class RunRecord:
 
 
 class StackTrace(NamedTuple):
-    """Columns n = 0..steps of a stack of runs that share a schedule; row i is seed i.
+    """Measured columns n = 0..steps of a stack of runs on one schedule; row i is seed i.
 
-    Column 0 measures x^0 (weight, batch, cumulative queries and noise 0).
-    Row i holds steps[i] steps: a seed that aborted at step n keeps columns
-    0..n-1, its abort_reason, and x^{n-1} as final_x. The schedule columns
-    n, weight, batch and cum_queries are read-only, since the record of
-    every row shares them.
+    Column 0 measures x^0 (noise 0). Row i holds steps[i] steps: a seed that
+    aborted at step n keeps columns 0..n-1, its abort_reason, and x^{n-1} as
+    final_x.
     """
 
-    n: np.ndarray
-    weight: np.ndarray
-    batch: np.ndarray
-    cum_queries: np.ndarray
     residual: np.ndarray  # (B, steps + 1)
     dist_to_fp: np.ndarray | None  # (B, steps + 1), absent without a known x*
     noise_norm: np.ndarray  # (B, steps + 1)
@@ -235,62 +221,42 @@ def _schedule(weight, size, N: int, per_query: int = 1, budget: int | None = Non
     Step n takes k_n = size(n) queries of per_query samples each. steps is N,
     or with a budget the steps before the first whose cumulative count would
     pass it; without one, a count past 2^63 - 1 is a ValueError as soon as
-    the next step's size is known. Runs whose weight and size are bound
-    methods of equal frozen dataclasses share one set of arrays; other
-    callables are not cached. A BatchSchedule's leading steps of one query
-    (BatchSchedule._ones) and a StepSchedule's weights (_weights) come from
-    numpy at once; every other size is size(n), one step at a time.
+    the next step's size is known. A BatchSchedule's leading steps of one
+    query (BatchSchedule._ones) and an anchored StepSchedule's weights come
+    from numpy at once; every other size and weight is size(n) and
+    weight(n), one step at a time.
     """
-    key = _by_value(weight), _by_value(size)
-    key = None if None in key else key + (N, per_query, budget)
-    columns = _SCHEDULES.get(key)
-    if columns is None:
-        ones = size.__self__._ones(N) if getattr(size, "__func__", None) is BatchSchedule.size else 0
-        # steps 1..head take one query each and pass neither the budget nor 2^63 - 1,
-        # so only the others loop
-        bound = 2 ** 63 - 1 if budget is None else min(budget, 2 ** 63 - 1)
-        head = min(ones, max(bound, 0) // per_query)
-        sizes, cum, total = [], [], head * per_query
-        for n in range(head + 1, N + 1):
-            k = size(n)  # a size error of the step after the count passes comes first
-            if total > 2 ** 63 - 1:
-                break
-            total += k * per_query
-            if budget is not None and total > budget:
-                break
-            sizes.append(k)
-            cum.append(total)
-        steps = head + len(sizes)
-        if budget is None and total > 2 ** 63 - 1:
-            raise ValueError(f"cumulative query count {total} exceeds 2^63 - 1 at step "
-                             f"{steps} of N = {N}")
-        if getattr(weight, "__func__", None) is StepSchedule.weight:
-            weights = weight.__self__._weights(steps)
-        else:
-            weights = np.array([0.0] + [weight(n) for n in range(1, steps + 1)], dtype=np.float64)
-        columns = (np.arange(steps + 1, dtype=np.int64), weights,
-                   np.concatenate(([0], np.ones(head, np.int64), np.array(sizes, np.int64))),
-                   np.concatenate((np.arange(head + 1) * per_query, np.array(cum, np.int64))))
-        for c in columns:
-            c.setflags(write=False)  # every row's record holds these
-        if key is not None:
-            if len(_SCHEDULES) >= _SCHEDULES_KEPT:
-                del _SCHEDULES[next(iter(_SCHEDULES))]
-            _SCHEDULES[key] = columns
+    ones = size.__self__._ones(N) if getattr(size, "__func__", None) is BatchSchedule.size else 0
+    # steps 1..head take one query each and pass neither the budget nor 2^63 - 1,
+    # so only the others loop
+    bound = 2 ** 63 - 1 if budget is None else min(budget, 2 ** 63 - 1)
+    head = min(ones, max(bound, 0) // per_query)
+    sizes, cum, total = [], [], head * per_query
+    for n in range(head + 1, N + 1):
+        k = size(n)  # a size error of the step after the count passes comes first
+        if total > 2 ** 63 - 1:
+            break
+        total += k * per_query
+        if budget is not None and total > budget:
+            break
+        sizes.append(k)
+        cum.append(total)
+    steps = head + len(sizes)
+    if budget is None and total > 2 ** 63 - 1:
+        raise ValueError(f"cumulative query count {total} exceeds 2^63 - 1 at step "
+                         f"{steps} of N = {N}")
+    if getattr(weight, "__func__", None) is StepSchedule.weight and weight.__self__.is_halpern:
+        n = np.arange(steps + 1, dtype=np.float64)  # n / (n + c) with Python's rounding
+        weights = n / (n + (1.0 if weight.__self__.kind == "halpern-classic" else 2.0))
+    else:
+        weights = np.array([0.0] + [weight(n) for n in range(1, steps + 1)], dtype=np.float64)
+    columns = (np.arange(steps + 1, dtype=np.int64), weights,
+               np.concatenate(([0], np.ones(head, np.int64), np.array(sizes, np.int64))),
+               np.concatenate((np.arange(head + 1) * per_query, np.array(cum, np.int64))))
+    for c in columns:
+        c.setflags(write=False)  # every row's record holds these
     return columns
 
-
-def _by_value(f):
-    """f's cache key if f is a bound method of a frozen dataclass, which gives equal
-    schedules for equal instances; None for any other callable."""
-    owner = getattr(f, "__self__", None)
-    params = getattr(owner, "__dataclass_params__", None)
-    return (f.__func__, owner) if params is not None and params.frozen else None
-
-
-# the schedule columns of the last few (weight, size, N, per_query, budget) that _by_value keys
-_SCHEDULES: dict = {}
-_SCHEDULES_KEPT = 4
 
 # A block holds at most _BLOCK steps, and more than one only while each of its
 # (steps, B, d) buffers stays within _BLOCK_COORDS coordinates. A stack of at most
@@ -303,40 +269,35 @@ _TILED_COORDS = 1 << 8
 def iterate_stack(
     o: OracleDescriptor,
     x0: np.ndarray,
-    weight: Callable[[int], float],
-    size: Callable[[int], int],
-    N: int,
+    schedule: tuple,
     norm_kind: NormKind,
     rngs: list[RngStream],
     *,
     anchored: bool,
-    budget: int | None = None,
     flush: float = 0.0,
 ) -> StackTrace:
     """The per-step loop of every run: the seeds of a stack step together.
 
-    Row i runs rngs[i] (the rows share a stream) from x0 on the schedule
-    k_n = size(n), w_n = weight(n) of steps 1..N, cut with a budget before
-    the first step whose cumulative queries would pass it. Step n draws each
-    row's minibatch mean y of k_n queries at x^{n-1} from substream(n), sets
-    x^n = (1 - w_n) b + w_n y with b = x^0 (anchored) or x^{n-1} and zeroes
-    the coordinates below flush in magnitude; it applies T(x^n) only for a
-    noise that reads it (every noise model of oracles does). Each block of
-    steps is then checked by one isfinite over its iterates and measured in
-    one norm call: noise, exact residual and distance to the operator's
-    known fixed point. prog(x^n) is recorded for resistant noise, which
-    reads it; otherwise prog is None. Q-learning's sampler (mdp) draws from
-    the iterate alone: steps(xs, ests, keyed) gives step(j, n, k), every
-    row's y at step n from its iterate xs[j], writing its estimate into
-    ests[j]; measure(xs, ests) gives a block's exact T and realized noise
-    from the iterate before the block and the block's iterates; and a query
-    draws pairs samples. Each step writes x^n (and the estimate) straight
+    Row i runs rngs[i] (the rows share a stream) from x0 on the steps of
+    schedule, _schedule's (n, weight, batch, cum_queries) columns. Step n
+    draws each row's minibatch mean y of k_n = batch[n] queries at x^{n-1}
+    from substream(n), sets x^n = (1 - w_n) b + w_n y with w_n = weight[n]
+    and b = x^0 (anchored) or x^{n-1} and zeroes the coordinates below flush
+    in magnitude; it applies T(x^n) only for a noise that reads it (every
+    noise model of oracles does). Each block of steps is then checked by one
+    isfinite over its iterates and measured in one norm call: noise, exact
+    residual and distance to the operator's known fixed point. prog(x^n) is
+    recorded for resistant noise, which reads it; otherwise prog is None.
+    Q-learning's sampler (mdp) draws from the iterate alone: steps(xs, ests,
+    keyed) gives step(j, n, k), every row's y at step n from its iterate
+    xs[j], writing its estimate into ests[j]; measure(xs, ests) gives a
+    block's exact T and realized noise from the iterate before the block and
+    the block's iterates. Each step writes x^n (and the estimate) straight
     into the block's buffers. A row aborts at its first step with a
     non-finite x^n or measured value (the iterate check first at equal n),
     though it steps on to its block's end; the others go on.
     """
     sampled = not isinstance(o.noise, NoiseModel)
-    schedule = _schedule(weight, size, N, o.noise.pairs if sampled else 1, budget)
     sizes = schedule[2].tolist()
     cols, rows, d = len(sizes), len(rngs), x0.shape[0]
     apply, draw = o.base.apply, None if sampled else o.noise.batch_mean
@@ -450,43 +411,46 @@ def iterate_stack(
             keyed.seeds = [s for s, kept in zip(keyed.seeds, keep.tolist()) if kept]
         start = stop
     final_x[live] = x
-    return StackTrace(
-        *schedule,
-        residual=residual.T,
-        dist_to_fp=None if dist is None else dist.T,
-        noise_norm=noise.T,
-        prog=None if prog is None else prog.T,
-        final_x=final_x,
-        steps=steps,
-        abort_reason=reasons,
-    )
+    return StackTrace(*(None if c is None else c.T for c in (residual, dist, noise, prog)),
+                      final_x, steps, reasons)
 
 
-def _records(t: StackTrace) -> list[RunRecord]:
-    """One RunRecord per row of a stack's trace: its columns 1..steps."""
-    records = []
-    for i, steps in enumerate(t.steps):
-        cut = slice(1, steps + 1)
-        records.append(RunRecord(
-            t.n[cut], t.weight[cut], t.batch[cut], t.cum_queries[cut],
-            residual=t.residual[i, cut],
-            dist_to_fp=None if t.dist_to_fp is None else t.dist_to_fp[i, cut],
-            noise_norm=t.noise_norm[i, cut],
-            final_x=t.final_x[i],
-            aborted=t.abort_reason[i] is not None,
-            abort_reason=t.abort_reason[i],
-        ))
-    return records
+class _Loop(NamedTuple):
+    """A run's iterate_stack inputs but its seeds, as its kind's helper builds them
+    once (_vector_loop, lower_bound._adversarial_loop, mdp._q_loop)."""
+
+    oracle: OracleDescriptor
+    x0: np.ndarray
+    schedule: tuple  # _schedule's columns
+    norm_kind: NormKind
+    anchored: bool
+    flush: float = 0.0
+
+    def run(self, rngs: list[RngStream], stack=None) -> StackTrace:
+        """The trace of rngs through iterate_stack, or through a stand-in stack."""
+        return (stack or iterate_stack)(*self[:4], rngs, anchored=self.anchored, flush=self.flush)
+
+    def records(self, rngs: list[RngStream], record=RunRecord, first: int = 1) -> list:
+        """record(...) of each row of the trace of rngs: views of its columns first..steps
+        of the schedule and of the measured columns record has, final_x and abort_reason."""
+        t = self.run(rngs)
+        shared = dict(zip(("n", "weight", "batch", "cum_queries"), self.schedule))
+        own = {k: getattr(t, k) for k in StackTrace._fields[:4] if k in record.__dataclass_fields__}
+        return [record(**{k: c[first:steps + 1] for k, c in shared.items()},
+                       **{k: None if c is None else c[i, first:steps + 1] for k, c in own.items()},
+                       final_x=t.final_x[i], aborted=reason is not None, abort_reason=reason)
+                for i, (steps, reason) in enumerate(zip(t.steps, t.abort_reason))]
 
 
-def _vector_runs(o, x0, weight, size, N, norm_kind, rngs, anchored) -> list[RunRecord]:
-    """One RunRecord per seed of iterate_stack on minibatches of an oracle."""
+def _vector_loop(o: OracleDescriptor, x0, steps: StepSchedule, batches: BatchSchedule, N: int,
+                 norm_kind: NormKind) -> _Loop:
+    """A halpern or km run's loop: x0 as a vector of the operator's dimension, N steps."""
     if N < 1:
         raise ValueError("N must be >= 1")
     start = as_vector(x0).copy()
     if start.shape[0] != o.dim:
         raise ValueError("x0 dimension does not match the operator")
-    return _records(iterate_stack(o, start, weight, size, N, norm_kind, rngs, anchored=anchored))
+    return _Loop(o, start, _schedule(steps.weight, batches.size, N), norm_kind, steps.is_halpern)
 
 
 def halpern_runs(
@@ -504,7 +468,7 @@ def halpern_runs(
     """
     if not steps.is_halpern:
         raise ValueError("halpern_run needs an anchored (halpern) step schedule")
-    return _vector_runs(o, x0, steps.weight, batches.size, N, norm_kind, rngs, anchored=True)
+    return _vector_loop(o, x0, steps, batches, N, norm_kind).records(rngs)
 
 
 def halpern_run(
@@ -539,8 +503,7 @@ def km_runs(
     """
     if steps.is_halpern:
         raise ValueError("km_run needs an averaged (km) step schedule")
-    return _vector_runs(o, x0, steps.weight, BatchSchedule.constant(1).size, N, norm_kind, rngs,
-                        anchored=False)
+    return _vector_loop(o, x0, steps, BatchSchedule.constant(1), N, norm_kind).records(rngs)
 
 
 def km_run(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -35,14 +36,16 @@ from .engine import (
     BatchSchedule,
     StackTrace,
     StepSchedule,
-    _schedule,
+    _Loop,
+    _vector_loop,
     bound_contractive,
     bound_nonexpansive,
     iterate_stack,
     kappa_bar_bounded_range,
 )
 from .linalg import NormKind, norm, norm_equivalence_mu
-from .lower_bound import _FLUSH, AdversarialInstance, build_instance
+from .lower_bound import (MAX_DIM, AdversarialInstance, SpanAlgorithm, _adversarial_loop,
+                          build_instance)
 from .operators import AffineContraction, ConstantMap, PlaneRotation, ShiftProjection
 from .oracles import (
     AdditiveGaussianIID,
@@ -132,6 +135,13 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _dim(value, path: str) -> int:
+    """An operator's dimension, at most lower_bound.MAX_DIM coordinates."""
+    if _integer(value, path) > MAX_DIM:
+        raise ConfigError(f"{path}: {value} coordinates, more than the cap of {MAX_DIM}")
+    return value
+
+
 def _uint64(value, path: str) -> int:
     """An integer a Philox key word holds: 0 <= value <= 2^64 - 1."""
     if not 0 <= _integer(value, path) < 2 ** 64:
@@ -202,10 +212,10 @@ class _Family(NamedTuple):
 _NORMS = _Family({"lp": ((("p", _real),), linalg.lp)},
                  "only 'lp' norm objects are supported, got %r", ".p")
 _OPERATORS = _Family({
-    "plane-rotation": ((("theta", _real), ("dim", _integer, 2)), PlaneRotation),
+    "plane-rotation": ((("theta", _real), ("dim", _dim, 2)), PlaneRotation),
     "affine-contraction": ((("matrix", None), ("offset", None), ("gamma", _real)),
                            AffineContraction),
-    "shift-projection": ((("lam", _real), ("dim", _integer)),
+    "shift-projection": ((("lam", _real), ("dim", _dim)),
                          lambda lam, dim, _: ShiftProjection(lam, dim)),
     "constant": ((("target", None),), lambda target, nk: ConstantMap(target, declared_norm=nk)),
 }, "unknown operator kind %r")
@@ -300,6 +310,8 @@ def _validate_fit_block(f: _Fields | None) -> dict | None:
     lo, hi = window
     if not 1 <= lo < hi:
         raise ConfigError(f"{f.path}.window: need 1 <= lo < hi, got {window}")
+    if hi > sys.float_info.max:
+        raise ConfigError(f"{f.path}.window: hi lies beyond the float range")
     out = {"window": [lo, hi]}
     floor = f.take("noise_floor", required=False)
     if floor is not None:
@@ -549,71 +561,61 @@ _STACK_COORDS = 1 << 18
 class _Plan:
     """A validated config's run objects, shared by every seed.
 
-    runner(rngs) is engine.iterate_stack bound to all but the seeds: it steps
-    a stack of seeds together and returns their StackTrace, which the run
-    writes and aggregates as it is (halpern_runs, km_runs, adversarial_runs
-    and the Q-learning runners are per-seed views of the same trace). first
-    is the first column of a trace that a seed file holds: 0 for lowerbound,
-    whose files include n = 0, and 1 otherwise. width is the size of one
-    seed's iterate. instance (lowerbound), v_star (mdp-avg) and bounds
-    (fixedpoint with a bounds block) feed the summary.
+    loop holds iterate_stack's inputs but the seeds, its schedule among them,
+    which the writers and the aggregate read beside each stack's trace of
+    measured columns. first is the first column that a seed file holds: 0
+    for lowerbound, whose files include n = 0, and 1 otherwise. instance
+    (lowerbound), v_star (mdp-avg) and bounds (fixedpoint with a bounds
+    block) feed the summary.
     """
 
-    runner: partial
+    loop: _Loop
     stream: int
-    width: int
     first: int
     instance: AdversarialInstance | None = None
     v_star: float | None = None
     bounds: dict | None = None
 
-    def run(self, seeds: list[int], out_dir, schedule: bool = True) -> list[StackTrace]:
-        """Run and write the seeds' CSVs in stacks of at most _STACK_COORDS // width;
-        returns each stack's trace, in seed order, without its schedule columns (None)
-        if not schedule, as a pool worker sends them back."""
-        height = max(1, _STACK_COORDS // self.width)
+    def run(self, seeds: list[int], out_dir) -> list[StackTrace]:
+        """Run and write the seeds' CSVs in stacks of at most _STACK_COORDS coordinates;
+        returns each stack's trace, in seed order. iterate_stack is looked up here,
+        so that rebinding it (as a call tracer does) reaches every seed."""
+        height = max(1, _STACK_COORDS // self.loop.x0.size)
         traces = []
         for i in range(0, len(seeds), height):
             stack = seeds[i:i + height]
-            t = self.runner([RngStream(seed, self.stream) for seed in stack])
-            _write_seed_csvs(out_dir, stack, t, self.first)
-            traces.append(t if schedule else t._replace(n=None, weight=None, batch=None,
-                                                         cum_queries=None))
+            traces.append(self.loop.run([RngStream(seed, self.stream) for seed in stack],
+                                        iterate_stack))
+            _write_seed_csvs(out_dir, stack, self.loop.schedule, traces[-1], self.first)
         return traces
 
 
 def _plan(cfg: dict) -> _Plan:
     """Build the run objects of a validated config, solving an MDP exactly once.
 
-    The run's schedule columns are computed here too (engine._schedule keeps
-    them for the runs), so a schedule whose query count passes 2^63 - 1 is a
-    ConfigError before any output exists. iterate_stack is looked up here,
-    at run time, so that rebinding the module attribute (as a call tracer
-    does) reaches every seed.
+    The loop's inputs and schedule come from the helper of the config's kind
+    that the library runs call too (engine._vector_loop,
+    lower_bound._adversarial_loop, mdp._q_loop), so a schedule whose query
+    count passes 2^63 - 1 is a ConfigError before any output exists.
     """
-    kind = cfg["kind"]
-    per_query, budget, flush, first, extra = 1, None, 0.0, 1, {}
+    kind, first, extra = cfg["kind"], 1, {}
     if kind == "fixedpoint":
         norm_kind = _build_norm(cfg["norm"], "config.norm")
         op = _build(cfg["operator"], "config.operator", _OPERATORS, norm_kind)
         oracle = OracleDescriptor(op, _build(cfg["noise"], "config.noise", _NOISES))
-        steps = _build(cfg["method"], "config.method", _STEPS)
-        # averaged methods take one query a step, as validate_config writes them
-        batches = _build(cfg["batches"], "config.batches", _BATCHES)
-        x0, N = np.asarray(cfg["x0"], dtype=np.float64), cfg["N"]
+        x0 = np.asarray(cfg["x0"], dtype=np.float64)
         if cfg["bounds"] is not None:
             extra["bounds"] = _bound_params(cfg["bounds"], op, norm_kind, x0)
+        # averaged methods take one query a step, as validate_config writes their batches
+        loop = partial(_vector_loop, oracle, x0, _build(cfg["method"], "config.method", _STEPS),
+                       _build(cfg["batches"], "config.batches", _BATCHES), cfg["N"], norm_kind)
     elif kind == "lowerbound":
-        inst = build_instance(cfg["epsilon"], cfg["kappa_bar"], cfg["sigma"])
-        steps = _build(cfg["algorithm"], "config.algorithm", _ALGORITHMS)
-        batches = _build(cfg["batches"], "config.batches", _BATCHES)
-        oracle, x0, norm_kind = inst.oracle(), np.zeros(inst.d), linalg.L1
-        # every step spends at least one query, so the budget bounds the steps
-        N = budget = inst.n_budget
-        flush, first, extra["instance"] = _FLUSH, 0, inst
+        inst = extra["instance"] = build_instance(cfg["epsilon"], cfg["kappa_bar"], cfg["sigma"])
+        algo = SpanAlgorithm(batches=_build(cfg["batches"], "config.batches", _BATCHES),
+                             **cfg["algorithm"])
+        loop, first = partial(_adversarial_loop, inst, algo), 0
     else:
         model = mdp_mod.mdp_from_dict(cfg["mdp"])
-        q0 = np.asarray(cfg["q0"], dtype=np.float64)
         algorithm, N = cfg["algorithm"], cfg["N"]
         halpern = StepSchedule.halpern_classic()
         if kind == "mdp-avg":
@@ -633,15 +635,12 @@ def _plan(cfg: dict) -> _Plan:
             batches = BatchSchedule.contractive_geometric(cfg["gamma"], N)
         # halpern and benchmark are anchored and batch; rvi and vanilla take one query a step
         batches = batches if steps.is_halpern else BatchSchedule.constant(1)
-        oracle, x0, norm_kind = mdp_mod._q_oracle(model, **maps), q0.reshape(-1), linalg.LINF
-        per_query = q0.size
+        loop = partial(mdp_mod._q_loop, model, np.asarray(cfg["q0"], dtype=np.float64), N,
+                       steps.weight, batches.size, steps.is_halpern, **maps)
     try:
-        _schedule(steps.weight, batches.size, N, per_query, budget)
+        return _Plan(loop(), cfg["stream"], first, **extra)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from None
-    runner = partial(iterate_stack, oracle, x0, steps.weight, batches.size, N, norm_kind,
-                     anchored=steps.is_halpern, budget=budget, flush=flush)
-    return _Plan(runner, cfg["stream"], x0.size, first, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -823,13 +822,13 @@ def _is_float(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype == np.float64
 
 
-def _write_seed_csvs(out_dir, seeds: list[int], t: StackTrace, first: int):
+def _write_seed_csvs(out_dir, seeds: list[int], schedule: tuple, t: StackTrace, first: int):
     """Write seed_<seed>.csv of each seed of a stack: the columns first..steps of
-    its row of t, block-major. The prefix "n,weight,k_n,cum_queries," of a
-    _BLOCK of lines is formatted once for the stack, and that block of every
-    file that reaches it is written before the next is formatted, so no
-    column is held whole as text. Block 0 starts every file, header-only for
-    a seed without rows."""
+    the run's schedule and of the seed's row of t, block-major. The prefix
+    "n,weight,k_n,cum_queries," of a _BLOCK of lines is formatted once for the
+    stack, and that block of every file that reaches it is written before the
+    next is formatted, so no column is held whole as text. Block 0 starts
+    every file, header-only for a seed without rows."""
     ends = [steps + 1 for steps in t.steps]  # past each seed's last column
     measured = [c for c in (t.residual, t.dist_to_fp, t.noise_norm) if c is not None]
     row = b"%b%b,,%b\n" if t.dist_to_fp is None else b"%b%b,%b,%b\n"
@@ -837,9 +836,9 @@ def _write_seed_csvs(out_dir, seeds: list[int], t: StackTrace, first: int):
     last = max(ends)
     for a in range(first, max(last, first + 1), _BLOCK):
         b = min(a + _BLOCK, last)
-        prefix = list(map(b"%d,%b,%d,%d,".__mod__, zip(*(
-            _g17(c[a:b]) if _is_float(c) else c[a:b].tolist()
-            for c in (t.n, t.weight, t.batch, t.cum_queries)))))
+        n, weight, batch, cum = (c[a:b] for c in schedule)
+        prefix = list(map(b"%d,%b,%d,%d,".__mod__,
+                          zip(n.tolist(), _g17(weight), batch.tolist(), cum.tolist())))
         _write_csvs((path, _SEED_HEADER if a == first else b"", row,
                      [prefix[:stop - a]] + [c[i, a:stop] for c in measured])
                     for i, (path, stop) in enumerate(zip(paths, (min(e, b) for e in ends)))
@@ -885,16 +884,16 @@ _AGG_HEADER = (
 _AGG_INTS = ("n", "k_n", "cum_queries")
 
 
-def _aggregate(traces: list[StackTrace], first: int) -> dict:
+def _aggregate(schedule: tuple, traces: list[StackTrace], first: int) -> dict:
     """Per-n mean and standard error over the columns first.. that all seeds share,
     keyed by the aggregate.csv columns (dist_to_fp_* are None without a known x*).
-    The schedule columns are views of traces[0], which a pool run keeps them on;
-    each measured column is reduced over seeds a block of columns at a time
-    (_over_seeds), so the work arrays beside the result hold one block."""
+    n, k_n and cum_queries are views of the run's schedule; each measured
+    column is reduced over seeds a block of columns at a time (_over_seeds), so
+    the work arrays beside the result hold one block."""
     stacks = StackTrace(*zip(*traces))  # each field, one item per stack
     end = min(min(steps) for steps in stacks.steps) + 1
-    t = traces[0]
-    agg = {"n": t.n[first:end], "k_n": t.batch[first:end], "cum_queries": t.cum_queries[first:end]}
+    n, _, batch, cum = (c[first:end] for c in schedule)
+    agg = {"n": n, "k_n": batch, "cum_queries": cum}
     for col, columns in zip(("residual", "dist_to_fp", "noise_norm"),
                             (stacks.residual, stacks.dist_to_fp, stacks.noise_norm)):
         if columns[0] is None:
@@ -978,6 +977,8 @@ def fit_rate(ns, means, window, noise_floor: float | None = 1e-12) -> RateFit:
     lo, hi = int(window[0]), int(window[1])
     if not 1 <= lo < hi:
         raise ValueError(f"fit window must satisfy 1 <= lo < hi, got {(lo, hi)}")
+    if hi > sys.float_info.max:
+        raise ValueError("fit window hi lies beyond the float range")
     mask = (ns >= lo) & (ns <= hi)
     if not mask.any():
         raise ValueError(f"no trace rows fall in the fit window [{lo}, {hi}]")
@@ -1145,12 +1146,11 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
 
         with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
             # map submits every chunk at once, so the workers run beside this process
-            rest = pool.map(partial(plan.run, schedule=False), chunks[1:],
-                            [out_dir] * (len(chunks) - 1))
+            rest = pool.map(plan.run, chunks[1:], [out_dir] * (len(chunks) - 1))
             traces = plan.run(chunks[0], out_dir) + [t for chunk in rest for t in chunk]
 
     files = [f"seed_{seed}.csv" for seed in seeds]
-    agg = _aggregate(traces, plan.first)
+    agg = _aggregate(plan.loop.schedule, traces, plan.first)
     _write_aggregate_csv(os.path.join(out_dir, "aggregate.csv"), agg)
     files.append("aggregate.csv")
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import BatchSchedule, StepSchedule, iterate_stack
+from .engine import BatchSchedule, StepSchedule, _Loop, _schedule
 from .linalg import L1, as_vector, last_nonzero_index
 from .operators import ShiftProjection
 from .oracles import OracleDescriptor, ResistantBernoulli, RngStream
@@ -172,6 +172,14 @@ class AdversarialTrace:
         return int(self.n.shape[0]) - 1
 
 
+def _adversarial_loop(inst: AdversarialInstance, algo: SpanAlgorithm) -> _Loop:
+    """A lower-bound run's loop from x^0 = 0 in L1, flushed at _FLUSH, cut at the query
+    budget, which bounds the steps too, as every step spends at least one query."""
+    steps = algo.steps()
+    schedule = _schedule(steps.weight, algo.batches.size, inst.n_budget, budget=inst.n_budget)
+    return _Loop(inst.oracle(), np.zeros(inst.d), schedule, L1, steps.is_halpern, _FLUSH)
+
+
 def adversarial_runs(
     inst: AdversarialInstance, algo: SpanAlgorithm, rngs: list[RngStream]
 ) -> list[AdversarialTrace]:
@@ -181,20 +189,7 @@ def adversarial_runs(
     iterate or measurement goes non-finite keeps its trace up to the step
     before, flagged as aborted, and the other seeds run on.
     """
-    schedule = algo.steps()
-    # every step spends at least one query, so the budget bounds the steps
-    t = iterate_stack(inst.oracle(), np.zeros(inst.d), schedule.weight, algo.batches.size,
-                      inst.n_budget, L1, rngs, anchored=schedule.is_halpern,
-                      budget=inst.n_budget, flush=_FLUSH)
-    traces = []
-    for i, (steps, reason) in enumerate(zip(t.steps, t.abort_reason)):
-        cut = slice(steps + 1)
-        traces.append(AdversarialTrace(
-            n=t.n[cut], prog=t.prog[i, cut], cum_queries=t.cum_queries[cut],
-            residual=t.residual[i, cut], weight=t.weight[cut], batch=t.batch[cut],
-            noise_norm=t.noise_norm[i, cut], dist_to_fp=t.dist_to_fp[i, cut],
-            final_x=t.final_x[i], aborted=reason is not None, abort_reason=reason))
-    return traces
+    return _adversarial_loop(inst, algo).records(rngs, AdversarialTrace, 0)
 
 
 def run_adversarial(

@@ -27,7 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .engine import BatchSchedule, StepSchedule, _records, iterate_stack
+from .engine import BatchSchedule, StepSchedule, _Loop, _schedule
 from .linalg import LINF
 from .operators import FixedPointInfo, Operator
 from .oracles import OracleDescriptor, RngStream, _multinomial_one
@@ -385,7 +385,6 @@ class _Sampled:
 
     def __init__(self, op: _Bellman, target=None):
         self.op, self.target = op, target
-        self.pairs = op.dim
 
     def steps(self, xs, ests, keyed):
         """step(j, n, k): every row's y at a block's step n, from its (B, S * A) iterate
@@ -476,9 +475,18 @@ def _q_oracle(m: TabularMDP, *, residual, target=None, scale=1.0, q_star=None):
     return OracleDescriptor(op, _Sampled(op, target))
 
 
+def _q_loop(m, q0, N, weight, size, anchored, **maps) -> _Loop:
+    """Synchronous Q-learning's loop on m from Q^0 = q0: flattened tables in the sup
+    norm, and N >= 1 steps whose queries draw a sample of every (s, a) pair."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    return _Loop(_q_oracle(m, **maps), q0.reshape(-1), _schedule(weight, size, N, q0.size), LINF,
+                 anchored)
+
+
 def _q_runs(m, q0, N, rngs, *, weight, size, anchored, **maps):
     """(final table, RunRecord) of synchronous Q-learning from Q^0 = q0 for each of
-    rngs (one stream), stepped together by engine.iterate_stack on _q_oracle(m, **maps).
+    rngs (one stream), stepped together by engine.iterate_stack on _q_loop.
 
     Step n sets Q^n = (1 - w_n) B + w_n target(Q^{n-1}, est), with est the
     k_n-sample batch mean of max_a' Q^{n-1} per pair, w_n = weight(n), k_n =
@@ -486,9 +494,8 @@ def _q_runs(m, q0, N, rngs, *, weight, size, anchored, **maps):
     of scale (est - P max Q^{n-1}), residual(P max Q^n) - Q^n and Q^n - q_star,
     and cum_queries counts k_n per pair.
     """
-    t = iterate_stack(_q_oracle(m, **maps), q0.reshape(-1), weight, size, N, LINF, rngs,
-                      anchored=anchored)
-    return [(r.final_x.reshape(q0.shape).copy(), r) for r in _records(t)]
+    loop = _q_loop(m, q0, N, weight, size, anchored, **maps)
+    return [(r.final_x.reshape(q0.shape).copy(), r) for r in loop.records(rngs)]
 
 
 def halpern_q_average(m: TabularMDP, f: AnchorFunction, q0, N: int, rng: RngStream,
@@ -503,8 +510,6 @@ def halpern_q_average(m: TabularMDP, f: AnchorFunction, q0, N: int, rng: RngStre
     q0 = _check_table(m, q0)
     if f.kind == "coordinate" and (f.s >= m.num_states or f.a >= m.num_actions):
         raise ValueError("coordinate anchor out of range for this model")
-    if N < 1:
-        raise ValueError("N must be >= 1")
     if v_star is None:
         v_star = solve_average_exact(m).v_star
     return _q_runs(m, q0, N, [rng], **_maps(m, v_star=v_star, anchor=f),
@@ -520,8 +525,6 @@ def benchmark_q_average(m: TabularMDP, v_star: float, q0, N: int, rng: RngStream
     a constant table at every step.
     """
     q0 = _check_table(m, q0)
-    if N < 1:
-        raise ValueError("N must be >= 1")
     return _q_runs(m, q0, N, [rng], **_maps(m, v_star=v_star),
                    weight=StepSchedule.halpern_classic().weight,
                    size=BatchSchedule.power_six().size, anchored=True)[0]
@@ -556,8 +559,6 @@ def rvi_q_learning(m: TabularMDP, f: AnchorFunction, a_exponent: float, q0, N: i
         raise ValueError("step exponent must lie in (4/5, 1]")
     if f.kind == "coordinate" and (f.s >= m.num_states or f.a >= m.num_actions):
         raise ValueError("coordinate anchor out of range for this model")
-    if N < 1:
-        raise ValueError("N must be >= 1")
     if v_star is None:
         v_star = solve_average_exact(m).v_star
     return _q_runs(m, q0, N, [rng], **_maps(m, v_star=v_star, anchor=f),

@@ -146,7 +146,6 @@ def test_schedule_columns_equal_the_per_step_loop(N, gamma, horizon, geometric, 
     # plain callables step through size(n) and weight(n) one n at a time
     batches = (sf.BatchSchedule.contractive_geometric(gamma, horizon) if geometric
                else sf.BatchSchedule.constant(1))
-    engine._SCHEDULES.clear()
     fast = _columns_or_error(steps.weight, batches.size, N, per_query, budget)
     slow = _columns_or_error(lambda n: steps.weight(n), lambda n: batches.size(n), N, per_query,
                              budget)
@@ -469,8 +468,9 @@ class TestExactEvaluations:
         for module in (sf.engine, sf.oracles):
             monkeypatch.setattr(module, "last_nonzero_index", counting)
         o = sf.OracleDescriptor(sf.ShiftProjection(0.2, 6), noise)
-        t = sf.iterate_stack(o, np.zeros(6), sf.StepSchedule.halpern_classic().weight,
-                             sf.BatchSchedule.power(2).size, 8, sf.L1,
+        schedule = engine._schedule(sf.StepSchedule.halpern_classic().weight,
+                                    sf.BatchSchedule.power(2).size, 8)
+        t = sf.iterate_stack(o, np.zeros(6), schedule, sf.L1,
                              [sf.RngStream(seed, 3) for seed in range(4)], anchored=True)
         assert t.prog is None and t.steps == [8] * 4
         assert calls == []

@@ -4,6 +4,7 @@ import concurrent.futures
 import json
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -20,6 +21,7 @@ import stochfp as sf
 from stochfp import engine, experiments
 from stochfp.cli import main as cli_main
 from stochfp.experiments import _MAX_SEEDS, parse_seed_spec
+from stochfp.lower_bound import MAX_DIM
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -275,6 +277,108 @@ class TestValidateConfig:
             sf.validate_config(doc)
 
 
+# seeds and streams around the int64 and uint64 ends, some outside 0..2^64 - 1, and
+# seed ranges up to one past the longest; N near its cap or at most 50, for a run;
+# operator dimensions, a third of them past the cap
+_NEAR_TOPS = st.sampled_from([0, 1, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1])
+_BAD_WORDS = st.sampled_from([2**64, -1])
+_SEED_SPECS = st.one_of(
+    st.lists(_NEAR_TOPS, min_size=1, max_size=4, unique=True),
+    st.lists(_NEAR_TOPS, min_size=1, max_size=3, unique=True),
+    st.builds(lambda a, k: f"{a}..{a + k}", _NEAR_TOPS,
+              st.sampled_from([0, 1, 2, _MAX_SEEDS - 1, _MAX_SEEDS])),
+    st.builds(lambda a, b: [a, b], _NEAR_TOPS, _BAD_WORDS))
+_NEAR_CAPS = st.integers(1, 50) | st.sampled_from([0, 51, 10**7, 10**7 + 1])
+_DIMS = st.sampled_from([2, 3, 6, 1, MAX_DIM + 1, 10**11])
+
+
+@st.composite
+def _config_docs(draw):
+    """Config documents of every kind, valid or not, with fields near their caps."""
+    kind = draw(st.sampled_from(experiments._KINDS))
+    doc = {"kind": kind, "seeds": draw(_SEED_SPECS)}
+    if draw(st.booleans()):
+        doc["stream"] = draw(st.one_of(_NEAR_TOPS, _NEAR_TOPS, _NEAR_TOPS, _BAD_WORDS))
+    batches = draw(st.sampled_from([
+        {"kind": "constant", "k": k} for k in (1, 2, 2**62, 2**63 - 1, 2**63)] + [
+        {"kind": "power", "a": a} for a in (0, 2, 4, 39, 64, 1e18)] + [
+        {"kind": "power-six"}] + [
+        {"kind": "contractive-geometric", "gamma": g, "horizon": h}
+        for g in (0.5, 1 - 1e-9) for h in (1, 50, 10**7, 2**63)]))
+    if kind == "fixedpoint":
+        norm = draw(st.sampled_from(["l1", "l2"]))
+        operator = draw(st.sampled_from([
+            {"kind": "plane-rotation", "theta": 0.5},
+            {"kind": "plane-rotation", "theta": 0.5, "dim": draw(_DIMS)},
+            {"kind": "shift-projection", "lam": 0.2, "dim": draw(_DIMS)}]))
+        noise = draw(st.sampled_from([{"kind": "none"}, {"kind": "gaussian", "e": 0.3},
+                                      {"kind": "resistant", "p": 0.5}]))
+        method = draw(st.sampled_from([{"kind": "halpern-classic"},
+                                       {"kind": "km-constant", "alpha": 0.5}]))
+        doc.update(norm=norm, operator=operator, noise=noise, method=method, x0=0.5,
+                   N=draw(_NEAR_CAPS))
+        if method["kind"] == "halpern-classic" or draw(st.booleans()):
+            doc["batches"] = batches
+        if draw(st.booleans()):
+            doc["fit"] = {"window": [1, draw(st.sampled_from(
+                [10, 2**63, int(sys.float_info.max), 2**1024, 10**400]))]}
+        if draw(st.booleans()):
+            doc["bounds"] = {"family": "nonexpansive", "sigma": 1.0, "range_bound": 2.0}
+    elif kind == "lowerbound":
+        eps, kappa_bar = draw(st.sampled_from([(0.25, 2.0), (0.2, 1.0), (0.1, 2.0), (0.5, 2.0)]))
+        doc.update(epsilon=eps, kappa_bar=kappa_bar, sigma=1.0, batches=batches,
+                   algorithm=draw(st.sampled_from([{"kind": "halpern-classic"},
+                                                   {"kind": "km-constant", "alpha": 0.5}])))
+    else:
+        doc.update(mdp=json.loads((REPO / "configs" / "mdp_3x2.json").read_text()))
+        if kind == "mdp-avg":
+            algorithm = draw(st.sampled_from(["halpern", "benchmark", "rvi"]))
+            doc.update(algorithm=algorithm, N=draw(_NEAR_CAPS))
+            if algorithm != "benchmark":
+                doc["anchor"] = {"kind": "max"}
+            if algorithm == "rvi":
+                doc["a_exponent"] = 0.9
+        else:
+            algorithm = draw(st.sampled_from(["halpern", "vanilla"]))
+            doc.update(algorithm=algorithm, gamma=0.9)
+            if algorithm == "vanilla":
+                doc["alpha"] = {"kind": "km-polynomial", "a": 0.7}
+            if draw(st.booleans()):
+                doc["N"] = draw(_NEAR_CAPS)
+            else:
+                doc["target_epsilon"] = draw(st.sampled_from([10.0, 0.05, 1e-200, 5e-324]))
+    return doc
+
+
+# seeds near 2^63 reproduce the rounded-key bug (ROADMAP item 1), whose float keys numpy warns of
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(doc=_config_docs())
+@example(doc=_fixedpoint_doc(norm="l2", operator={"kind": "plane-rotation", "theta": 0.5,
+                                                  "dim": 100000000000}))
+@example(doc=_fixedpoint_doc(fit={"window": [1, 10**400]}))
+def test_every_config_validates_or_is_a_config_error_and_runs(doc):
+    # every document raises ConfigError or validates, and a validated one of N <= 50
+    # steps and at most 3 seeds runs to a summary or a ConfigError, nothing else
+    try:
+        cfg = sf.validate_config(doc)
+    except sf.ConfigError:
+        return
+    N = cfg.get("N")
+    if cfg["kind"] == "lowerbound":
+        N = sf.build_instance(cfg["epsilon"], cfg["kappa_bar"], cfg["sigma"]).n_budget
+    if N > 50 or len(cfg["seeds"]) > 3:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            summary = sf.run_experiment(cfg, out)
+        except sf.ConfigError:
+            assert not os.listdir(out)
+        else:
+            assert summary["n_seeds"] == len(cfg["seeds"])
+            assert os.path.exists(os.path.join(out, "summary.json"))
+
+
 class TestFitRate:
     def test_exact_inverse_law(self):
         ns = np.arange(10, 101)
@@ -320,6 +424,14 @@ class TestFitRate:
     def test_window_validation(self):
         with pytest.raises(ValueError, match="window"):
             sf.fit_rate([1, 2, 3], [1, 1, 1], (5, 5))
+
+    @pytest.mark.parametrize("hi", [2 ** 1024, 10 ** 400], ids=["2^1024", "10^400"])
+    def test_window_past_the_float_range(self, hi):
+        # n <= hi compares in float64, which 10^400 does not fit: an OverflowError
+        with pytest.raises(ValueError, match="fit window hi lies beyond the float range"):
+            sf.fit_rate(np.arange(1, 11), 1.0 / np.arange(1, 11), (1, hi))
+        assert sf.fit_rate(np.arange(1, 11), 1.0 / np.arange(1, 11),
+                           (1, int(sys.float_info.max))).n_points == 10
 
 
 class TestRunExperiment:
@@ -539,15 +651,15 @@ class TestRunExperiment:
         )
 
 
-def _reference_seed_csv(t, i: int, first: int) -> str:
-    """Row i of the stack trace t as the per-row f-string writer wrote a seed CSV
-    before block formatting: the row's columns first..steps."""
+def _reference_seed_csv(schedule, t, i: int, first: int) -> str:
+    """Row i of the stack trace t on schedule as the per-row f-string writer wrote a
+    seed CSV before block formatting: the row's columns first..steps."""
 
     def fmt(x):
         return f"{float(x):.17g}"
 
     cut = slice(first, t.steps[i] + 1)
-    n, w, k, cum = (c[cut].tolist() for c in (t.n, t.weight, t.batch, t.cum_queries))
+    n, w, k, cum = (c[cut].tolist() for c in schedule)
     res, noise = t.residual[i, cut].tolist(), t.noise_norm[i, cut].tolist()
     dist = None if t.dist_to_fp is None else t.dist_to_fp[i, cut].tolist()
     lines = ["n,beta_or_alpha,k_n,cum_queries,residual,dist_to_fp,noise_norm\n"]
@@ -594,10 +706,11 @@ class TestSeedCsvWriter:
             def measured(k):
                 return np.stack([col(3 * i + k) for i in rows], axis=1).T
 
-            return sf.StackTrace(
-                np.arange(steps + 1, dtype=np.int64), col(rows.start), col(rows.start, whole),
-                col(rows.start + 1, whole), residual=measured(1),
-                dist_to_fp=measured(2) if with_dist else None, noise_norm=measured(3), prog=None,
+            schedule = (np.arange(steps + 1, dtype=np.int64), col(rows.start),
+                        col(rows.start, whole), col(rows.start + 1, whole))
+            return schedule, sf.StackTrace(  # beside its schedule, as a plan keeps them
+                residual=measured(1), dist_to_fp=measured(2) if with_dist else None,
+                noise_norm=measured(3), prog=None,
                 final_x=np.zeros((len(rows), 1)),
                 steps=[steps if stops is None else min(stops[i], steps) for i in rows],
                 abort_reason=[None] * len(rows))
@@ -605,13 +718,15 @@ class TestSeedCsvWriter:
         # one stack of every seed, or a stack of one per seed with its own schedule
         traces = [stack(range(seeds))] if shared else [stack(range(i, i + 1)) for i in range(seeds)]
         with tempfile.TemporaryDirectory() as out:
-            for i, t in enumerate(traces):
-                experiments._write_seed_csvs(out, list(range(seeds)) if shared else [i], t, first)
+            for i, (schedule, t) in enumerate(traces):
+                experiments._write_seed_csvs(out, list(range(seeds)) if shared else [i], schedule,
+                                             t, first)
             for i in range(seeds):
-                t, row = (traces[0], i) if shared else (traces[i], 0)
+                (schedule, t), row = (traces[0], i) if shared else (traces[i], 0)
                 with open(os.path.join(out, f"seed_{i}.csv"), encoding="utf-8", newline="") as fh:
                     got = fh.read().splitlines(keepends=True)
-                assert got == _reference_seed_csv(t, row, first).splitlines(keepends=True)
+                want = _reference_seed_csv(schedule, t, row, first)
+                assert got == want.splitlines(keepends=True)
 
 
 def _bits(x: float) -> int:
@@ -732,6 +847,80 @@ class TestAggregateAndProgressWriters:
                 assert fh.read().splitlines(keepends=True) == lines
 
 
+_SEED_COLUMNS = ("n", "weight", "batch", "cum_queries", "residual", "dist_to_fp", "noise_norm")
+
+
+def _read_seed_csv(path) -> list:
+    """A seed CSV's columns in _SEED_COLUMNS order: int64 n, k_n and cum_queries,
+    float64 others, None for an empty dist_to_fp."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == experiments._SEED_HEADER.decode().rstrip("\n")
+    cells = list(zip(*(line.split(",") for line in lines[1:])))
+    return [None if not any(c) else np.array([int(v) for v in c]) if i in (0, 2, 3)
+            else np.array([float(v) for v in c]) for i, c in enumerate(cells)]
+
+
+def _library_records(cfg: dict, seeds: list[int]) -> list:
+    """The records the library function that cfg names gives for seeds on its stream."""
+    rngs = [sf.RngStream(seed, cfg["stream"]) for seed in seeds]
+
+    def build(name, family, *context):
+        return experiments._build(cfg[name], f"config.{name}", family, *context)
+
+    if cfg["kind"] == "fixedpoint":
+        norm_kind = experiments._build_norm(cfg["norm"], "config.norm")
+        o = sf.OracleDescriptor(build("operator", experiments._OPERATORS, norm_kind),
+                                build("noise", experiments._NOISES))
+        steps = build("method", experiments._STEPS)
+        if steps.is_halpern:
+            return sf.halpern_runs(o, cfg["x0"], steps, build("batches", experiments._BATCHES),
+                                   cfg["N"], norm_kind, rngs)
+        return sf.km_runs(o, cfg["x0"], steps, cfg["N"], norm_kind, rngs)
+    if cfg["kind"] == "lowerbound":
+        inst = sf.build_instance(cfg["epsilon"], cfg["kappa_bar"], cfg["sigma"])
+        algo = sf.SpanAlgorithm(batches=build("batches", experiments._BATCHES), **cfg["algorithm"])
+        return sf.adversarial_runs(inst, algo, rngs)
+    m, q0, N = sf.mdp_from_dict(cfg["mdp"]), np.array(cfg["q0"]), cfg["N"]
+    if cfg["kind"] == "mdp-avg":
+        v_star = sf.solve_average_exact(m, cfg["solver_tol"]).v_star
+        f = None if cfg["anchor"] is None else sf.AnchorFunction(**cfg["anchor"])
+        run = {"halpern": lambda rng: sf.halpern_q_average(m, f, q0, N, rng, v_star),
+               "benchmark": lambda rng: sf.benchmark_q_average(m, v_star, q0, N, rng),
+               "rvi": lambda rng: sf.rvi_q_learning(m, f, cfg.get("a_exponent"), q0, N, rng,
+                                                    v_star)}[cfg["algorithm"]]
+    else:
+        q_star, gamma = sf.solve_discounted_exact(m, cfg["gamma"], cfg["solver_tol"]), cfg["gamma"]
+        if cfg["algorithm"] == "halpern":
+            def run(rng):
+                return sf.halpern_q_discounted(m, gamma, q0, N, rng, q_star)
+        else:
+            def run(rng):
+                alpha = build("alpha", experiments._STEPS).weight
+                return sf.vanilla_q_discounted(m, gamma, alpha, q0, N, rng, q_star)
+    return [run(rng)[1] for rng in rngs]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "configs").glob("*.json")
+                                        if p.name != "mdp_3x2.json"))
+def test_cli_seed_files_hold_the_library_columns(tmp_path, name):
+    # each shipped run config's seed CSVs, through the CLI, against the library function it
+    # names at the same seeds and stream, bit for bit (lowerbound files start at n = 0)
+    doc = json.loads((REPO / "configs" / name).read_text())
+    if "mdp" in doc:
+        doc["mdp"] = str(REPO / "configs" / "mdp_3x2.json")
+    seeds = parse_seed_spec(doc["seeds"])[:2 if doc["kind"] == "mdp-disc" else 3]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(doc, seeds=seeds)))
+    cfg = sf.load_config(path)
+    assert cli_main([cfg["kind"], "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    for seed, record in zip(seeds, _library_records(cfg, seeds), strict=True):
+        got = _read_seed_csv(tmp_path / "o" / f"seed_{seed}.csv")
+        for column, want in zip(got, (getattr(record, c) for c in _SEED_COLUMNS)):
+            assert (column is None) == (want is None)
+            if want is not None:
+                assert column.dtype == want.dtype and column.tobytes() == want.tobytes()
+
+
 def test_writers_hold_no_whole_column_as_text(tmp_path):
     """Peak traced memory of writing mdp_disc_target's two-seed stack of seed CSVs
     (41 471 rows each) and its aggregate.csv: blocks, not whole columns, as text."""
@@ -743,7 +932,7 @@ def test_writers_hold_no_whole_column_as_text(tmp_path):
     def column():
         return 10.0 ** rng.uniform(-4, 1, N + 1)
 
-    trace = sf.StackTrace(*schedule, residual=np.array([column(), column()]),
+    trace = sf.StackTrace(residual=np.array([column(), column()]),
                           dist_to_fp=np.array([column(), column()]),
                           noise_norm=np.array([column(), column()]), prog=None,
                           final_x=np.zeros((2, 6)), steps=[N, N], abort_reason=[None, None])
@@ -751,7 +940,7 @@ def test_writers_hold_no_whole_column_as_text(tmp_path):
     for name in experiments._AGG_HEADER.split(",")[3:]:
         agg[name] = column()[1:]
     peaks = []
-    for write in (lambda: experiments._write_seed_csvs(str(tmp_path), [1, 2], trace, 1),
+    for write in (lambda: experiments._write_seed_csvs(str(tmp_path), [1, 2], schedule, trace, 1),
                   lambda: experiments._write_aggregate_csv(str(tmp_path / "aggregate.csv"), agg)):
         tracemalloc.start()
         try:
@@ -770,12 +959,12 @@ def test_aggregate_holds_one_block_beside_its_columns():
     schedule = engine._schedule(sf.StepSchedule.halpern_classic().weight,
                                 sf.BatchSchedule.contractive_geometric(0.9, N).size, N, 6)
     rng = np.random.default_rng(41471)
-    trace = sf.StackTrace(*schedule, *(10.0 ** rng.uniform(-4, 1, (3, seeds, N + 1))), prog=None,
+    trace = sf.StackTrace(*(10.0 ** rng.uniform(-4, 1, (3, seeds, N + 1))), prog=None,
                           final_x=np.zeros((seeds, 6)), steps=[N] * seeds,
                           abort_reason=[None] * seeds)
     tracemalloc.start()
     try:
-        agg = experiments._aggregate([trace], 1)
+        agg = experiments._aggregate(schedule, [trace], 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -811,15 +1000,15 @@ class TestBlockedAggregate:
             measured = 10.0 ** rng.uniform(-8, 8, (3, rows, N + 1))
             measured[:, :, ::5] *= -1
             traces.append(sf.StackTrace(
-                *schedule, *measured, prog=rng.integers(0, 5, (rows, N + 1)),
+                *measured, prog=rng.integers(0, 5, (rows, N + 1)),
                 final_x=np.zeros((rows, 1)), steps=steps[a:a + height],
                 abort_reason=[None] * rows))
         end = min(steps) + 1
-        agg = experiments._aggregate(traces, first)
+        agg = experiments._aggregate(schedule, traces, first)
         assert len(agg["n"]) == end - first
         for k, col in enumerate(("residual", "dist_to_fp", "noise_norm")):
             mean, sem = experiments._mean_sem(
-                experiments._by_seed([t[4 + k] for t in traces], first, end))
+                experiments._by_seed([t[k] for t in traces], first, end))
             assert agg[f"{col}_mean"].tobytes() == mean.tobytes()
             assert agg[f"{col}_sem"].tobytes() == sem.tobytes()
         progs = experiments._by_seed([t.prog for t in traces], first, end)
@@ -1289,6 +1478,42 @@ class TestCli:
         code = cli_main(["fit", "--input", str(out / "aggregate.csv"),
                          "--window", "9", "3"])
         assert code == 1
+
+    def test_fit_window_past_the_float_range_exits_one(self, tmp_path, capsys):
+        path = self._write(tmp_path, _fixedpoint_doc(seeds=[1]))
+        out = tmp_path / "o"
+        assert cli_main(["fixedpoint", "--config", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = cli_main(["fit", "--input", str(out / "aggregate.csv"),
+                         "--window", "1", str(10 ** 400)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: fit window hi lies beyond the float range\n")
+
+    def test_config_fit_window_past_the_float_range_exits_one_before_out_is_made(
+            self, tmp_path, capsys):
+        # was an OverflowError after the seed CSVs and aggregate.csv: exit 4, no summary.json
+        path = self._write(tmp_path, _fixedpoint_doc(fit={"window": [1, 10 ** 400]}))
+        out = tmp_path / "o"
+        assert cli_main(["fixedpoint", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config.fit.window: hi lies beyond the float range\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("operator", [
+        {"kind": "plane-rotation", "theta": 0.5, "dim": 100000000000},
+        {"kind": "shift-projection", "lam": 0.2, "dim": MAX_DIM + 1},
+    ])
+    def test_operator_dim_past_the_cap_exits_one_before_out_is_made(self, tmp_path, capsys,
+                                                                     operator):
+        # [x0] * dim was a MemoryError: exit 4 with a traceback
+        path = self._write(tmp_path, _fixedpoint_doc(norm="l2", operator=operator))
+        out = tmp_path / "o"
+        assert cli_main(["fixedpoint", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: config.operator.dim: {operator['dim']} coordinates, more than "
+            f"the cap of {MAX_DIM}\n")
+        assert not out.exists()
 
     def test_validate_mdp(self, tmp_path, mdp_3x2, capsys):
         path = _write_mdp(tmp_path, mdp_3x2)

@@ -717,6 +717,8 @@ def test_batch_of_one_estimate_is_max_q_plus_zero_at_the_replayed_state(a_count,
 class TestQLoop:
     """The block-measured Q-learning loop against _ref_q_run, bit for bit."""
 
+    # reproduces the rounded-key bug (ROADMAP item 1), whose float keys numpy warns of
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(_q_cases())
     def test_every_runner_matches_the_per_step_reference(self, case):

@@ -190,6 +190,8 @@ def test_stacked_vector_rows_equal_per_seed_runs(oracle, norm, seeds, stream, N,
         _assert_record_matches(rec, ref)
 
 
+# reproduces the rounded-key bug (ROADMAP item 1), whose float keys numpy warns of
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(eps_kappa=st.sampled_from([(0.1, 2.0), (0.2, 1.0), (0.15, 0.9), (0.1, 0.6)]),
        algo=st.sampled_from([
@@ -280,6 +282,8 @@ def _q_models(draw):
                        v_star=float(gen.uniform(0.0, 1.0)))
 
 
+# reproduces the rounded-key bug (ROADMAP item 1), whose float keys numpy warns of
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(model=_q_models(), name=st.sampled_from(_Q_RUNNERS), seeds=_SEEDS, stream=_STREAMS,
        N=st.integers(1, 12), block=st.sampled_from([1, 2, 5, engine._BLOCK]))

@@ -5,15 +5,18 @@ with the anchor fixed at the initial point and beta_0 = 0. The averaged
 baseline is x^n = (1 - alpha_n) x^{n-1} + alpha_n * minibatch(x^{n-1}) with a
 batch of one, i.e. one oracle query per step, no variance reduction.
 
-Every run steps through iterate_stack(): the seeds of a run advance together
-as one (B, d) array, and halpern_run, km_run, lower_bound.run_adversarial and
-the Q-learning runners of mdp (this iteration on a Bellman operator over
-flattened (s, a) tables, with a sampled oracle) are stacks of one. Each run
-kind's helper builds the loop's inputs and schedule once (_Loop), and the
-loop returns measured columns only. A block of steps at a time is checked
-for non-finite iterates, once, and measured with the exact operator
-(residuals and distances). A stack owns one generator (oracles.StepGenerator),
-so every (seed, step) draws what RngStream(seed, stream).substream(n).generator() would.
+Every run steps through one loop, _Stack.blocks(): the seeds of a run advance
+together as one (B, d) array, and halpern_run, km_run,
+lower_bound.run_adversarial and the Q-learning runners of mdp (this iteration
+on a Bellman operator over flattened (s, a) tables, with a sampled oracle) are
+stacks of one. Each run kind's helper builds the loop's inputs and schedule
+once (_Loop), and the loop yields measured columns only, a closed block of
+steps at a time: iterate_stack() collects them into a StackTrace, and the
+CLI (experiments) writes and reduces them as they come. A block of steps at a
+time is checked for non-finite iterates, once, and measured with the exact
+operator (residuals and distances). A stack owns one generator
+(oracles.StepGenerator), so every (seed, step) draws what
+RngStream(seed, stream).substream(n).generator() would.
 T(x^n), measured for the residual, is carried into step n+1's draw when the
 noise reads it; Q-learning's draws do not, and its runs apply T per block.
 """
@@ -296,123 +299,181 @@ def iterate_stack(
     into the block's buffers. A row aborts at its first step with a
     non-finite x^n or measured value (the iterate check first at equal n),
     though it steps on to its block's end; the others go on.
+
+    The loop is _Stack.blocks(), which yields each block's columns once it is
+    closed; this collects them. The CLI reads the blocks as they close.
     """
-    sampled = not isinstance(o.noise, NoiseModel)
-    sizes = schedule[2].tolist()
-    cols, rows, d = len(sizes), len(rngs), x0.shape[0]
-    apply, draw = o.base.apply, None if sampled else o.noise.batch_mean
-    target = o.base.fixed_point_info().point
-    keyed = StepGenerator(rngs, cols - 1)
-    height = max(1, min(_BLOCK, cols - 1, _BLOCK_COORDS // (rows * d)))
+    stack = _Stack(_Loop(o, x0, schedule, norm_kind, anchored, flush), rngs)
+    trace = None
+    for start, columns in stack.blocks():
+        if trace is None:  # column-major, as the blocks are
+            trace = [None if c is None else np.empty((len(schedule[0]), len(rngs)), c.dtype)
+                     for c in columns]
+        for whole, c in zip(trace, columns):
+            if c is not None:
+                whole[start:start + len(c)] = c
+    return StackTrace(*(None if c is None else c.T for c in trace), stack.final_x, stack.steps,
+                      stack.abort_reason)
 
-    def lengths(v):
-        try:
-            return norm(v, norm_kind)
-        except ValueError:  # rows that overflowed measure inf, so they abort
-            ok = np.isfinite(v).all(axis=1)
-            out = np.full(v.shape[0], math.inf)
-            out[ok] = norm(v[ok], norm_kind)
-            return out
 
-    x = np.tile(x0, (rows, 1))  # the live rows' iterate before a block
-    tx = apply(x)
-    # column-major, so a block writes contiguous rows of steps
-    residual, noise = np.zeros((cols, rows)), np.zeros((cols, rows))
-    dist = None if target is None else np.zeros((cols, rows))
-    prog = np.zeros((cols, rows), dtype=np.int64) if isinstance(o.noise, ResistantBernoulli) else None
-    residual[0] = lengths(x - tx)
-    if dist is not None:
-        dist[0] = lengths(x - target)
-    front = None  # last_nonzero_index of the live rows of x, for the next draw
-    if prog is not None:
-        front = prog[0] = last_nonzero_index(x)
-    final_x = x.copy()
-    steps, reasons = [cols - 1] * rows, [None] * rows
-    live = np.arange(rows)  # the stack's rows that have not aborted, in seed order
+class _Stack:
+    """The rows of one iterate_stack call, stepped a closed block at a time.
 
-    def close(j, start):
-        """Measure the block's steps start..start + j - 1 of the live rows, xs[1:j + 1]
-        after x^{start-1} in xs[0], and abort each row at its first non-finite iterate
-        or measured value (the iterate first). Returns the mask of the rows kept."""
-        finite, fail = np.isfinite(xs[1:j + 1]), np.full(live.size, j)
-        if not finite.all():
-            bad = ~finite.all(axis=2)
-            fail = np.where(bad.any(axis=0), bad.argmax(axis=0), j)
-            for r in np.flatnonzero(fail < j).tolist():
-                xs[fail[r] + 1:j + 1, r] = xs[fail[r], r]  # measured in place of the failed steps
-        if sampled:
-            txs, diffs[0, :j] = o.noise.measure(xs[:j + 1], ests[:j])
-            np.subtract(xs[1:j + 1], txs, out=diffs[1, :j])
-        if target is not None:
-            np.subtract(xs[1:j + 1], target, out=diffs[2, :j])
-        m = lengths(diffs[:, :j].reshape(-1, d)).reshape(len(diffs), j, live.size)
-        bad = ~(m.max(axis=0) < math.inf)  # norms are >= 0, never NaN
-        first = np.where(bad.any(axis=0), bad.argmax(axis=0), j)
-        cut = np.minimum(first, fail)
-        for r in np.flatnonzero(cut < j).tolist():
-            c, i = int(cut[r]), int(live[r])
-            m[:, c:, r] = 0.0
-            final_x[i], steps[i] = xs[c, r], start + c - 1
-            what = "iterate" if fail[r] <= first[r] else "measurement"
-            reasons[i] = f"non-finite {what} at step {start + c}"
-            if prog is not None:
-                prog[start + c:, i] = 0
-        span = slice(start, start + j)
-        noise[span, live], residual[span, live] = m[0], m[1]
+    blocks() yields (start, columns) for the trace's columns start..start + j
+    - 1, in order and each once: column 0 (x^0) alone, then each block of
+    steps once it is closed, and blocks of zeros once every row has aborted.
+    columns holds the residual, dist_to_fp, noise_norm and prog columns as
+    (j, B) arrays, None for a column the trace lacks, with iterate_stack's
+    values and zeros past each row's last step; the next block reuses their
+    memory, so a reader copies what it keeps. When blocks() is exhausted,
+    steps, abort_reason and final_x are iterate_stack's. Before that, a row
+    that has aborted has its final steps and reason, and every other row
+    reads the schedule's last step: a row that aborts later keeps every
+    column yielded so far, so min(steps[i] + 1, stop) is row i's final count
+    of columns below stop for any stop up to the last block's end.
+    """
+
+    def __init__(self, loop: "_Loop", rngs: list[RngStream]):
+        self.loop, self.rngs = loop, rngs
+        self.steps = [len(loop.schedule[0]) - 1] * len(rngs)
+        self.abort_reason: list[str | None] = [None] * len(rngs)
+        self.final_x = None
+
+    def blocks(self):
+        o, x0, schedule, norm_kind, anchored, flush = self.loop
+        rngs, steps, reasons = self.rngs, self.steps, self.abort_reason
+        sampled = not isinstance(o.noise, NoiseModel)
+        sizes = schedule[2].tolist()
+        cols, rows, d = len(sizes), len(rngs), x0.shape[0]
+        apply, draw = o.base.apply, None if sampled else o.noise.batch_mean
+        target = o.base.fixed_point_info().point
+        resistant = isinstance(o.noise, ResistantBernoulli)
+        keyed = StepGenerator(rngs, cols - 1)
+        height = max(1, min(_BLOCK, cols - 1, _BLOCK_COORDS // (rows * d)))
+
+        def lengths(v):
+            try:
+                return norm(v, norm_kind)
+            except ValueError:  # rows that overflowed measure inf, so they abort
+                ok = np.isfinite(v).all(axis=1)
+                out = np.full(v.shape[0], math.inf)
+                out[ok] = norm(v[ok], norm_kind)
+                return out
+
+        def block(j):
+            """The columns of j steps, zero until measured; column-major, so a block
+            writes contiguous rows of steps."""
+            return (np.zeros((j, rows)), None if target is None else np.zeros((j, rows)),
+                    np.zeros((j, rows)), np.zeros((j, rows), np.int64) if resistant else None)
+
+        x = np.tile(x0, (rows, 1))  # the live rows' iterate before a block
+        tx = apply(x)
+        columns = residual, dist, noise, prog = block(1)
+        residual[0] = lengths(x - tx)
         if dist is not None:
-            dist[span, live] = m[2]
-        return cut == j
+            dist[0] = lengths(x - target)
+        front = None  # last_nonzero_index of the live rows of x, for the next draw
+        if prog is not None:
+            front = prog[0] = last_nonzero_index(x)
+        final_x = x.copy()
+        live = np.arange(rows)  # the stack's rows that have not aborted, in seed order
+        yield 0, columns
 
-    start, xs, multiply, add = 1, None, np.multiply, np.add  # xs: no buffers yet
-    while start < cols and live.size:
-        stop = min(start + height, cols)
-        if xs is None:
-            # the live rows' buffers, which steps write into: x^{start-1} and a block's
-            # iterates, its measured differences, estimates, w_m, (1 - w_m) x^0 or 1 - w_m,
-            # and a step's w_n y and (1 - w_n) x^{n-1}; block rows are listed, faster to index
-            xs = np.empty((height + 1, live.size, d))
-            diffs = np.empty((2 if target is None else 3, height, live.size, d))
-            ests = np.empty((height, live.size, d)) if sampled else None
-            ws, bs = np.empty((2, height, live.size if live.size * d <= _TILED_COORDS else 1, d))
-            wy, bx = np.empty((2, live.size, d))
-            xrows, wrows, brows = list(xs), list(ws), list(bs)
-            step = o.noise.steps(xs, ests, keyed) if sampled else None
-            xs[0] = x
-            x = xs[0]
-        ws[:stop - start] = schedule[1][start:stop, None, None]
-        np.multiply(np.subtract(1.0, ws, out=bs), x0 if anchored else 1.0, out=bs)
-        # a row steps on past a non-finite iterate, and its inf - inf warns of nothing
-        with np.errstate(invalid="ignore"):
-            for n in range(start, stop):
-                j = n - start
-                if sampled:  # selects step n of keyed when it draws from it
-                    y = step(j, n, sizes[n])
-                else:
-                    y = draw(tx, xrows[j], sizes[n], keyed.step(n), front)
-                multiply(y, wrows[j], wy)
-                add(brows[j] if anchored else multiply(xrows[j], brows[j], bx), wy, xrows[j + 1])
+        def close(j, start):
+            """Measure the block's steps start..start + j - 1 of the live rows, xs[1:j + 1]
+            after x^{start-1} in xs[0], into the block's columns, and abort each row at its
+            first non-finite iterate or measured value (the iterate first). Returns the
+            mask of the rows kept."""
+            finite, fail = np.isfinite(xs[1:j + 1]), np.full(live.size, j)
+            if not finite.all():
+                bad = ~finite.all(axis=2)
+                fail = np.where(bad.any(axis=0), bad.argmax(axis=0), j)
+                for r in np.flatnonzero(fail < j).tolist():  # measured in place of the failed steps
+                    xs[fail[r] + 1:j + 1, r] = xs[fail[r], r]
+            if sampled:
+                txs, diffs[0, :j] = o.noise.measure(xs[:j + 1], ests[:j])
+                np.subtract(xs[1:j + 1], txs, out=diffs[1, :j])
+            if target is not None:
+                np.subtract(xs[1:j + 1], target, out=diffs[2, :j])
+            m = lengths(diffs[:, :j].reshape(-1, d)).reshape(len(diffs), j, live.size)
+            bad = ~(m.max(axis=0) < math.inf)  # norms are >= 0, never NaN
+            first = np.where(bad.any(axis=0), bad.argmax(axis=0), j)
+            cut = np.minimum(first, fail)
+            for r in np.flatnonzero(cut < j).tolist():
+                c, i = int(cut[r]), int(live[r])
+                m[:, c:, r] = 0.0
+                final_x[i], steps[i] = xs[c, r], start + c - 1
+                what = "iterate" if fail[r] <= first[r] else "measurement"
+                reasons[i] = f"non-finite {what} at step {start + c}"
+                if prog is not None:
+                    prog[c:, i] = 0
+            noise[:, live], residual[:, live] = m[0], m[1]
+            if dist is not None:
+                dist[:, live] = m[2]
+            return cut == j
+
+        start, xs, multiply, add = 1, None, np.multiply, np.add  # xs: no buffers yet
+        buffers = block(height)
+        while start < cols:
+            stop = min(start + height, cols)
+            columns = residual, dist, noise, prog = [None if c is None else c[:stop - start]
+                                                     for c in buffers]
+            for c in columns:
+                if c is not None:
+                    c.fill(0)
+            if not live.size:  # every row has aborted: zeros to the schedule's end
+                yield start, columns
+                start = stop
+                continue
+            if xs is None:
+                # the live rows' buffers, which steps write into: x^{start-1} and a block's
+                # iterates, its measured differences, estimates, w_m, (1 - w_m) x^0 or 1 - w_m,
+                # and a step's w_n y and (1 - w_n) x^{n-1}; block rows are listed, faster to index
+                xs = np.empty((height + 1, live.size, d))
+                diffs = np.empty((2 if target is None else 3, height, live.size, d))
+                ests = np.empty((height, live.size, d)) if sampled else None
+                tiled = live.size if live.size * d <= _TILED_COORDS else 1
+                ws, bs = np.empty((2, height, tiled, d))
+                wy, bx = np.empty((2, live.size, d))
+                xrows, wrows, brows = list(xs), list(ws), list(bs)
+                step = o.noise.steps(xs, ests, keyed) if sampled else None
+                xs[0] = x
+                x = xs[0]
+            ws[:stop - start] = schedule[1][start:stop, None, None]
+            np.multiply(np.subtract(1.0, ws, out=bs), x0 if anchored else 1.0, out=bs)
+            # a row steps on past a non-finite iterate, and its inf - inf warns of nothing
+            with np.errstate(invalid="ignore"):
+                for n in range(start, stop):
+                    j = n - start
+                    if sampled:  # selects step n of keyed when it draws from it
+                        y = step(j, n, sizes[n])
+                    else:
+                        y = draw(tx, xrows[j], sizes[n], keyed.step(n), front)
+                    multiply(y, wrows[j], wy)
+                    base = brows[j] if anchored else multiply(xrows[j], brows[j], bx)
+                    add(base, wy, xrows[j + 1])
+                    if not sampled:
+                        x_new = xrows[j + 1]
+                        if flush:
+                            x_new[np.abs(x_new) < flush] = 0.0
+                        np.subtract(y, tx, out=diffs[0, j])
+                        tx = apply(x_new)
+                        np.subtract(x_new, tx, out=diffs[1, j])
+                        if prog is not None:
+                            front = prog[j][live] = last_nonzero_index(x_new)
+            keep = close(stop - start, start)
+            x[:] = xs[stop - start]  # the next block's x^{start-1}
+            if not keep.all():
+                live, x, xs = live[keep], x[keep], None
                 if not sampled:
-                    x_new = xrows[j + 1]
-                    if flush:
-                        x_new[np.abs(x_new) < flush] = 0.0
-                    np.subtract(y, tx, out=diffs[0, j])
-                    tx = apply(x_new)
-                    np.subtract(x_new, tx, out=diffs[1, j])
-                    if prog is not None:
-                        front = prog[n][live] = last_nonzero_index(x_new)
-        keep = close(stop - start, start)
-        x[:] = xs[stop - start]  # the next block's x^{start-1}
-        if not keep.all():
-            live, x, xs = live[keep], x[keep], None
-            if not sampled:
-                tx = tx[keep]
-            if front is not None:
-                front = front[keep]
-            keyed.seeds = [s for s, kept in zip(keyed.seeds, keep.tolist()) if kept]
-        start = stop
-    final_x[live] = x
-    return StackTrace(*(None if c is None else c.T for c in (residual, dist, noise, prog)),
-                      final_x, steps, reasons)
+                    tx = tx[keep]
+                if front is not None:
+                    front = front[keep]
+                keyed.seeds = [s for s, kept in zip(keyed.seeds, keep.tolist()) if kept]
+            yield start, columns
+            start = stop
+        final_x[live] = x
+        self.final_x = final_x
 
 
 class _Loop(NamedTuple):
@@ -426,14 +487,10 @@ class _Loop(NamedTuple):
     anchored: bool
     flush: float = 0.0
 
-    def run(self, rngs: list[RngStream], stack=None) -> StackTrace:
-        """The trace of rngs through iterate_stack, or through a stand-in stack."""
-        return (stack or iterate_stack)(*self[:4], rngs, anchored=self.anchored, flush=self.flush)
-
     def records(self, rngs: list[RngStream], record=RunRecord, first: int = 1) -> list:
         """record(...) of each row of the trace of rngs: views of its columns first..steps
         of the schedule and of the measured columns record has, final_x and abort_reason."""
-        t = self.run(rngs)
+        t = iterate_stack(*self[:4], rngs, anchored=self.anchored, flush=self.flush)
         shared = dict(zip(("n", "weight", "batch", "cum_queries"), self.schedule))
         own = {k: getattr(t, k) for k in StackTrace._fields[:4] if k in record.__dataclass_fields__}
         return [record(**{k: c[first:steps + 1] for k, c in shared.items()},

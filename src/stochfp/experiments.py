@@ -16,6 +16,11 @@ digits, which read back as the same double, with trailing zeros dropped. The
 writers format floats in numpy a block of lines at a time (_g17) and write
 each block with one os.write, so the files are byte-identical across reruns
 with the same config and seeds, and no float column is held whole as text.
+
+A run streams: each process steps its seeds' stacks a window of _BLOCK
+columns at a time (_Plan.windows), writes that window of their CSVs, and
+drops it once it is reduced over the seeds (_Aggregate) or sent to the CLI
+process (_work), so no process holds a whole trace.
 """
 
 from __future__ import annotations
@@ -34,13 +39,12 @@ import numpy as np
 from . import linalg, mdp as mdp_mod
 from .engine import (
     BatchSchedule,
-    StackTrace,
     StepSchedule,
     _Loop,
+    _Stack,
     _vector_loop,
     bound_contractive,
     bound_nonexpansive,
-    iterate_stack,
     kappa_bar_bounded_range,
 )
 from .linalg import NormKind, norm, norm_equivalence_mu
@@ -545,11 +549,13 @@ def load_config(path) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return validate_config(doc)
 
 
 # ---------------------------------------------------------------------------
-# The run plan: built once per experiment, pickled into the process pool
+# The run plan: built once from the validated config by each process that runs seeds
 
 
 # The seeds a runner steps together hold at most this many iterate
@@ -559,12 +565,12 @@ _STACK_COORDS = 1 << 18
 
 @dataclass(frozen=True)
 class _Plan:
-    """A validated config's run objects, shared by every seed.
+    """A validated config's run objects, shared by every seed of a process.
 
     loop holds iterate_stack's inputs but the seeds, its schedule among them,
-    which the writers and the aggregate read beside each stack's trace of
-    measured columns. first is the first column that a seed file holds: 0
-    for lowerbound, whose files include n = 0, and 1 otherwise. instance
+    which the writers and the aggregate read beside the stacks' measured
+    columns. first is the first column that a seed file holds: 0 for
+    lowerbound, whose files include n = 0, and 1 otherwise. instance
     (lowerbound), v_star (mdp-avg) and bounds (fixedpoint with a bounds
     block) feed the summary.
     """
@@ -576,18 +582,25 @@ class _Plan:
     v_star: float | None = None
     bounds: dict | None = None
 
-    def run(self, seeds: list[int], out_dir) -> list[StackTrace]:
-        """Run and write the seeds' CSVs in stacks of at most _STACK_COORDS coordinates;
-        returns each stack's trace, in seed order. iterate_stack is looked up here,
-        so that rebinding it (as a call tracer does) reaches every seed."""
+    def stacks(self, seeds: list[int]) -> list[_Stack]:
+        """The seeds in stacks of at most _STACK_COORDS iterate coordinates, in seed order."""
         height = max(1, _STACK_COORDS // self.loop.x0.size)
-        traces = []
-        for i in range(0, len(seeds), height):
-            stack = seeds[i:i + height]
-            traces.append(self.loop.run([RngStream(seed, self.stream) for seed in stack],
-                                        iterate_stack))
-            _write_seed_csvs(out_dir, stack, self.loop.schedule, traces[-1], self.first)
-        return traces
+        return [_Stack(self.loop, [RngStream(seed, self.stream) for seed in seeds[i:i + height]])
+                for i in range(0, len(seeds), height)]
+
+    def windows(self, stacks: list[_Stack], out_dir):
+        """Step the stacks round-robin a window at a time, writing each window's lines of
+        their seeds' CSVs. Yields (a, b, parts) for each window [a, b) of _windows: parts
+        holds (end, columns) per stack, its measured columns a..b - 1 as (rows, b - a)
+        arrays and end, the first column below b that one of its seeds lacks (b if none)."""
+        paths = [[os.path.join(out_dir, f"seed_{r.seed}.csv") for r in stack.rngs]
+                 for stack in stacks]
+        for windows in zip(*(_windows(stack, self.first) for stack in stacks)):
+            parts = []
+            for files, (a, b, ends, columns) in zip(paths, windows):
+                _write_seed_csvs(files, self.loop.schedule, a, columns, ends, self.first)
+                parts.append((min(ends), columns))
+            yield a, b, parts
 
 
 def _plan(cfg: dict) -> _Plan:
@@ -822,50 +835,66 @@ def _is_float(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype == np.float64
 
 
-def _write_seed_csvs(out_dir, seeds: list[int], schedule: tuple, t: StackTrace, first: int):
-    """Write seed_<seed>.csv of each seed of a stack: the columns first..steps of
-    the run's schedule and of the seed's row of t, block-major. The prefix
-    "n,weight,k_n,cum_queries," of a _BLOCK of lines is formatted once for the
-    stack, and that block of every file that reaches it is written before the
-    next is formatted, so no column is held whole as text. Block 0 starts
-    every file, header-only for a seed without rows."""
-    ends = [steps + 1 for steps in t.steps]  # past each seed's last column
-    measured = [c for c in (t.residual, t.dist_to_fp, t.noise_norm) if c is not None]
-    row = b"%b%b,,%b\n" if t.dist_to_fp is None else b"%b%b,%b,%b\n"
-    paths = [os.path.join(out_dir, f"seed_{seed}.csv") for seed in seeds]
-    last = max(ends)
-    for a in range(first, max(last, first + 1), _BLOCK):
-        b = min(a + _BLOCK, last)
-        n, weight, batch, cum = (c[a:b] for c in schedule)
-        prefix = list(map(b"%d,%b,%d,%d,".__mod__,
-                          zip(n.tolist(), _g17(weight), batch.tolist(), cum.tolist())))
-        _write_csvs((path, _SEED_HEADER if a == first else b"", row,
-                     [prefix[:stop - a]] + [c[i, a:stop] for c in measured])
-                    for i, (path, stop) in enumerate(zip(paths, (min(e, b) for e in ends)))
-                    if a == first or stop > a)
+def _write_seed_csvs(paths: list, schedule: tuple, a: int, columns: list, ends: list[int],
+                     first: int):
+    """Write the lines a..b - 1 of the CSVs of a stack's seeds, seed_<seed>.csv at
+    paths[i]: the columns a..ends[i] - 1 of the run's schedule and of row i of
+    the window's measured columns (a window [a, b) of _windows). The prefix
+    "n,weight,k_n,cum_queries," of the lines is formatted once for the stack,
+    and a window of every file is written before the next is formatted, so no
+    column is held whole as text. The window at first starts every file,
+    header-only for a seed without rows."""
+    measured = [c for c in columns[:3] if c is not None]
+    row = b"%b%b,,%b\n" if columns[1] is None else b"%b%b,%b,%b\n"
+    stops = [min(end, a + measured[0].shape[1]) for end in ends]
+    n, weight, batch, cum = (c[a:max(stops)] for c in schedule)
+    prefix = list(map(b"%d,%b,%d,%d,".__mod__,
+                      zip(n.tolist(), _g17(weight), batch.tolist(), cum.tolist())))
+    _write_csvs((path, _SEED_HEADER if a == first else b"", row,
+                 [prefix[:stop - a]] + [c[i, :stop - a] for c in measured])
+                for i, (path, stop) in enumerate(zip(paths, stops)) if a == first or stop > a)
 
 
-def _by_seed(stacks, first: int, end: int) -> np.ndarray:
+def _windows(stack: _Stack, first: int):
+    """(a, b, ends, columns) for each window [a, b) of a stack's trace: _BLOCK
+    columns from first on, the last up to the schedule's end. The stack's
+    blocks are read only as far as a window needs, and to their end with the
+    last window, so the stack's buffers are freed before it is yielded. Each
+    block is copied into the window's (b - a, rows) buffers, whose (rows, b -
+    a) transposes are the columns yielded, None where the blocks' are;
+    ends[i] is min(steps + 1, b) of row i, the end of its columns in the
+    window."""
+    cols = len(stack.loop.schedule[0])
+    blocks, pending = stack.blocks(), None  # pending: a block that reaches past the last window
+    for a in range(first, max(cols, first + 1), _BLOCK):
+        b, window = min(a + _BLOCK, cols), None
+        while True:
+            start, columns = pending or next(blocks)
+            stop, pending = start + len(columns[0]), None
+            if window is None:
+                window = [None if c is None else np.empty((b - a, c.shape[1]), c.dtype)
+                          for c in columns]
+            lo, hi = max(start, a), min(stop, b)
+            for w, c in zip(window, columns):
+                if c is not None:
+                    w[lo - a:hi - a] = c[lo - start:hi - start]
+            if stop >= b:
+                pending = (start, columns) if stop > b else None
+                break
+        if b == cols:
+            next(blocks, None)
+        yield a, b, [min(steps + 1, b) for steps in stack.steps], [None if w is None else w.T
+                                                                   for w in window]
+
+
+def _by_seed(stacks, first: int, end: int, out=None) -> np.ndarray:
     """Columns first..end - 1 of every row of stacks, (B, steps + 1) arrays, as one
-    C-ordered (seeds, n) array. Its reductions over seeds add row by row, each
-    column alone, whenever n >= 2; a single column is one contiguous run, which
-    numpy sums pairwise."""
-    out = np.empty((sum(len(c) for c in stacks), end - first), stacks[0].dtype)
+    C-ordered (seeds, n) array, or into out. Its reductions over seeds add row by
+    row, each column alone, whenever n >= 2; a single column is one contiguous
+    run, which numpy sums pairwise."""
+    if out is None:
+        out = np.empty((sum(len(c) for c in stacks), end - first), stacks[0].dtype)
     return np.concatenate([c[:, first:end] for c in stacks], out=out)
-
-
-def _over_seeds(stacks, first: int, end: int, reduce) -> list[np.ndarray]:
-    """reduce's columns of the _by_seed array of columns first..end - 1 of stacks,
-    computed a block of columns at a time and joined.
-
-    The blocks are _BLOCK columns wide and the last takes the rest, so it
-    holds 2 to _BLOCK + 1 columns unless all of them are fewer: no block is a
-    lone column of a wider run, and each column's reduction has the bits of
-    the whole array's. An empty range gives empty columns.
-    """
-    starts = range(first, max(end - 1, first + 1), _BLOCK)
-    parts = [reduce(_by_seed(stacks, a, b)) for a, b in zip(starts, [*starts[1:], end])]
-    return [np.concatenate(column) for column in zip(*parts)]
 
 
 def _mean_sem(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -884,29 +913,11 @@ _AGG_HEADER = (
 _AGG_INTS = ("n", "k_n", "cum_queries")
 
 
-def _aggregate(schedule: tuple, traces: list[StackTrace], first: int) -> dict:
-    """Per-n mean and standard error over the columns first.. that all seeds share,
-    keyed by the aggregate.csv columns (dist_to_fp_* are None without a known x*).
-    n, k_n and cum_queries are views of the run's schedule; each measured
-    column is reduced over seeds a block of columns at a time (_over_seeds), so
-    the work arrays beside the result hold one block."""
-    stacks = StackTrace(*zip(*traces))  # each field, one item per stack
-    end = min(min(steps) for steps in stacks.steps) + 1
-    n, _, batch, cum = (c[first:end] for c in schedule)
-    agg = {"n": n, "k_n": batch, "cum_queries": cum}
-    for col, columns in zip(("residual", "dist_to_fp", "noise_norm"),
-                            (stacks.residual, stacks.dist_to_fp, stacks.noise_norm)):
-        if columns[0] is None:
-            agg[f"{col}_mean"] = agg[f"{col}_sem"] = None
-        else:
-            agg[f"{col}_mean"], agg[f"{col}_sem"] = _over_seeds(columns, first, end, _mean_sem)
-    return agg
-
-
-def _write_aggregate_csv(path: str, agg: dict):
+def _write_aggregate_csv(path: str, agg: dict, header: bool = True):
+    """Write agg's rows to aggregate.csv: after its header, or after the rows already there."""
     names = _AGG_HEADER.split(",")
     row = ",".join("" if agg[c] is None else "%d" if c in _AGG_INTS else "%b" for c in names)
-    _write_csvs([(path, f"{_AGG_HEADER}\n".encode(), f"{row}\n".encode(),
+    _write_csvs([(path, f"{_AGG_HEADER}\n".encode() if header else b"", f"{row}\n".encode(),
                   [agg[c] for c in names if agg[c] is not None])])
 
 
@@ -936,16 +947,107 @@ def read_aggregate_csv(path) -> dict:
     return out
 
 
+_PROG_HEADER = "n,cum_queries,prog_mean,prog_min,prog_max,frac_prog_lt_d"
+
+
 def _prog_stats(progs: np.ndarray, d: int) -> tuple:
     """Per-n mean, min, max and fraction below d over the seeds (rows) of progs,
     whose integer sums are exact."""
     return progs.mean(axis=0), progs.min(axis=0), progs.max(axis=0), (progs < d).mean(axis=0)
 
 
-def _write_progress_csv(path: str, agg: dict, stats):
-    """progress.csv of the aggregate's schedule and the _prog_stats columns stats."""
-    _write_csvs([(path, b"n,cum_queries,prog_mean,prog_min,prog_max,frac_prog_lt_d\n",
+def _write_progress_csv(path: str, agg: dict, stats, header: bool = True):
+    """progress.csv rows of the aggregate's schedule and the _prog_stats columns stats:
+    after its header, or after the rows already there."""
+    _write_csvs([(path, f"{_PROG_HEADER}\n".encode() if header else b"",
                   b"%d,%d,%b,%d,%d,%b\n", [agg["n"], agg["cum_queries"], *stats])])
+
+
+# the aggregate columns whose every row a kind's summary reads; of the others it
+# reads the last row
+_SUMMARY_COLUMNS = {"fixedpoint": ("residual_mean", "dist_to_fp_mean"),
+                    "lowerbound": ("residual_mean",), "mdp-avg": ("residual_mean",),
+                    "mdp-disc": ()}
+
+
+class _Aggregate:
+    """aggregate.csv, and lowerbound's progress.csv, written as a run's windows close.
+
+    add() takes each window's measured columns of every seed, in seed order,
+    and reduces them over the seeds up to the first column that some seed
+    lacks, the aggregate's end. It reduces a block of columns at a time and
+    holds back the last two it has until the end is known, so the last
+    block, which takes the rest, is never a lone column of a longer run:
+    every column's reduction adds the seeds row by row and has the bits of
+    the whole (seeds, n) array's (_by_seed). Of the statistics it keeps every
+    row of those named in keep and the last block of the others.
+    """
+
+    def __init__(self, plan: _Plan, out_dir, keep):
+        self.schedule, self.first, self.keep = plan.loop.schedule, plan.first, keep
+        self.d = None if plan.instance is None else plan.instance.d  # progress.csv's
+        self.paths = [os.path.join(out_dir, name) for name in ("aggregate.csv", "progress.csv")]
+        # next: the first column not reduced; held: the columns next.. of every seed
+        self.next, self.final, self.held = plan.first, False, None
+        self.kept, self.last = {}, {}
+
+    def add(self, a: int, b: int, parts):
+        """Take the window [a, b): parts holds (end, columns) per stack of seeds, in
+        seed order, as _Plan.windows gives them; a worker's chunk is one part, its
+        columns cut at its end. Each column list is emptied as it is read. Windows
+        after the aggregate's end are ignored."""
+        if self.final:
+            return
+        end = min(e for e, _ in parts)
+        self.final = end < b or b == len(self.schedule[0])
+        width = end - self.next
+        cut = width if self.final else width - 2 if width >= 4 else 0
+        stats, held = {}, []
+        for k, name in enumerate(("residual", "dist_to_fp", "noise_norm", "prog")):
+            if parts[0][1][k] is None or k == 3 and self.d is None:
+                held.append(None)
+                if k < 3:
+                    stats[f"{name}_mean"] = stats[f"{name}_sem"] = None
+                continue
+            # the held columns and the window's as one C-ordered (seeds, width) array
+            c = np.empty((sum(len(p[k]) for _, p in parts), width), parts[0][1][k].dtype)
+            h = width - (end - a)
+            if h:
+                c[:, :h] = self.held[k]
+            _by_seed([p[k] for _, p in parts], 0, end - a, c[:, h:])
+            for _, p in parts:
+                p[k] = None  # read, so freed before the next column is
+            held.append(c[:, cut:].copy())
+            if k < 3:
+                stats[f"{name}_mean"], stats[f"{name}_sem"] = _mean_sem(c[:, :cut])
+            else:
+                stats.update(zip(_PROG_HEADER.split(",")[2:], _prog_stats(c[:, :cut], self.d)))
+        self.held = held
+        if cut or self.final and self.next == self.first:  # an empty aggregate has a header
+            self._write(cut, stats)
+
+    def _write(self, width: int, stats: dict):
+        """Write the rows self.next.. of stats, width of them, and keep their statistics."""
+        a = self.next
+        self.next = b = a + width
+        n, _, batch, cum = (c[a:b] for c in self.schedule)
+        rows = {"n": n, "k_n": batch, "cum_queries": cum}
+        _write_aggregate_csv(self.paths[0], {**rows, **stats}, a == self.first)
+        if self.d is not None:
+            _write_progress_csv(self.paths[1], rows, [stats[name] for name in
+                                                      _PROG_HEADER.split(",")[2:]], a == self.first)
+        for name, c in stats.items():
+            if name in self.keep and c is not None:
+                self.kept.setdefault(name, []).append(c)
+            else:
+                self.last[name] = c
+
+    def columns(self) -> dict:
+        """The aggregate's n, k_n and cum_queries, every row of the columns kept and the
+        last block of the others (None for a column the run lacks)."""
+        n, _, batch, cum = (c[self.first:self.next] for c in self.schedule)
+        return {"n": n, "k_n": batch, "cum_queries": cum, **self.last,
+                **{name: np.concatenate(blocks) for name, blocks in self.kept.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -1119,42 +1221,139 @@ def _chunks(seeds: list[int], jobs: int) -> list[list[int]]:
     return [seeds[i * len(seeds) // count:(i + 1) * len(seeds) // count] for i in range(count)]
 
 
-def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
-    """Run all seeds of a validated config and write the output files.
-
-    Returns the summary dict (also written to summary.json). The run objects
-    and any exact MDP solution are built once and shared by every seed. The
-    seeds run in contiguous chunks, at most one per seed and per usable CPU:
-    this process runs the first, a worker process each other. A seed's CSV is
-    written where it ran, the other outputs here in seed order, so the bytes
-    do not depend on jobs.
-    """
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
+def _prepare(cfg: dict, out_dir) -> _Plan:
+    """The plan of a validated config, with out_dir made (or found) to write into."""
     plan = _plan(cfg)  # config errors found here leave no --out behind
-    try:  # once, before any seed runs, since each seed's CSV is written where it ran
+    try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:  # a file where the directory, or one of its parents, should be
         raise ConfigError(f"--out: {exc}") from None
+    return plan
+
+
+def _sends_more(plan: _Plan, end: int, b: int) -> bool:
+    """Whether a worker whose seeds all reach end in the window [a, b) sends the next
+    window: the aggregate needs no column past a seed's last, or past the run's."""
+    return end == b and b < len(plan.loop.schedule[0])
+
+
+def _work(cfg: dict, seeds: list[int], out_dir, conn):
+    """Run a chunk of seeds in a worker process, from a plan of its own.
+
+    It writes the seeds' CSVs and sends on conn, for each window [a, b) that
+    the aggregate may still need (_sends_more), the chunk's end in it (see
+    _Plan.windows) and then each measured column from a to that end, as the
+    raw buffer of a C-ordered (seeds, end - a) array. Then it sends ("done",
+    abort reasons), or ("error", exception, traceback) in place of whatever
+    was left.
+    """
+    with conn:
+        try:
+            plan = _prepare(cfg, out_dir)
+            stacks = plan.stacks(seeds)
+            sending = True
+            for a, b, parts in plan.windows(stacks, out_dir):
+                if sending:
+                    end, data = min(e for e, _ in parts), []
+                    for k in range(4):
+                        if parts[0][1][k] is not None:
+                            column = _by_seed([p[k] for _, p in parts], 0, end - a)
+                            data.append(column.reshape(-1).view(np.uint8))  # bytes, if empty too
+                            for _, p in parts:
+                                p[k] = None  # read, so freed before the next column is
+                    conn.send(end)
+                    for buffer in data:
+                        conn.send_bytes(buffer)
+                    sending = _sends_more(plan, end, b)
+            conn.send(("done", [r for stack in stacks for r in stack.abort_reason]))
+        except Exception as exc:  # the CLI process reports it
+            import traceback
+
+            conn.send(("error", exc, traceback.format_exc()))
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an exception that a worker process sent, as its cause."""
+
+
+def _message(conn):
+    """A worker's next message other than raw columns; an exception it sent is raised."""
+    msg = conn.recv()
+    if isinstance(msg, tuple) and msg[0] == "error":
+        raise msg[1] from _WorkerTraceback(msg[2])
+    return msg
+
+
+@contextmanager
+def _workers(cfg: dict, chunks: list[list[int]], out_dir):
+    """Start a worker process (_work) for each chunk of seeds and yield the read end of
+    each one's pipe. Each is started before this process builds its plan, so it
+    holds only what it builds itself. On leaving, every worker is reaped, and
+    stopped first when an exception leaves."""
+    if not chunks:
+        yield []
+        return
+    import multiprocessing  # only pooled runs pay its import
+
+    procs, conns = [], []
+    try:
+        for chunk in chunks:
+            conn, sender = multiprocessing.Pipe(duplex=False)
+            conns.append(conn)
+            with sender:
+                proc = multiprocessing.Process(target=_work, args=(cfg, chunk, out_dir, sender),
+                                               daemon=True)
+                proc.start()
+            procs.append(proc)
+        yield conns
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+
+
+def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
+    """Run all seeds of a validated config and write the output files.
+
+    Returns the summary dict (also written to summary.json). The seeds run in
+    contiguous chunks, at most one per seed and per usable CPU: this process
+    runs the first, a worker process each other (_work). Each process builds
+    the run objects, and any exact MDP solution, once from the config for all
+    of its seeds, steps them in stacks a window of columns at a time and
+    writes each window of their CSVs. This process reduces each window over
+    every seed, in seed order, into aggregate.csv and progress.csv
+    (_Aggregate), so no process holds a whole trace and no output byte
+    depends on jobs.
+    """
+    if jobs < 1:
+        raise ConfigError("jobs must be >= 1")
     seeds = cfg["seeds"]
     chunks = _chunks(seeds, jobs)
-    if len(chunks) == 1:
-        traces = plan.run(seeds, out_dir)
-    else:
-        # imported here: multiprocessing is a sixth of the package's import time
-        from concurrent.futures import ProcessPoolExecutor
+    with _workers(cfg, chunks[1:], out_dir) as conns:
+        plan = _prepare(cfg, out_dir)
+        stacks = plan.stacks(chunks[0])
+        aggregate = _Aggregate(plan, out_dir, _SUMMARY_COLUMNS[cfg["kind"]])
+        sending = list(zip(conns, map(len, chunks[1:])))  # the workers with windows to send
+        for a, b, parts in plan.windows(stacks, out_dir):
+            dtypes = [None if c is None else c.dtype for c in parts[0][1]]
+            for conn, rows in sending:
+                end = _message(conn)
+                parts.append((end, [None if t is None else
+                                    np.frombuffer(conn.recv_bytes(), t).reshape(rows, end - a)
+                                    for t in dtypes]))
+            aggregate.add(a, b, parts)
+            sending = [worker for worker, (end, _) in zip(sending, parts[len(stacks):])
+                       if _sends_more(plan, end, b)]
+        reasons = [r for stack in stacks for r in stack.abort_reason]
+        reasons += [r for conn in conns for r in _message(conn)[1]]
 
-        with ProcessPoolExecutor(max_workers=len(chunks) - 1) as pool:
-            # map submits every chunk at once, so the workers run beside this process
-            rest = pool.map(plan.run, chunks[1:], [out_dir] * (len(chunks) - 1))
-            traces = plan.run(chunks[0], out_dir) + [t for chunk in rest for t in chunk]
-
-    files = [f"seed_{seed}.csv" for seed in seeds]
-    agg = _aggregate(plan.loop.schedule, traces, plan.first)
-    _write_aggregate_csv(os.path.join(out_dir, "aggregate.csv"), agg)
-    files.append("aggregate.csv")
-
-    reasons = [r for t in traces for r in t.abort_reason]
+    files = [f"seed_{seed}.csv" for seed in seeds] + ["aggregate.csv"]
+    agg = aggregate.columns()
     summary: dict = {
         "kind": cfg["kind"],
         "config": cfg,
@@ -1173,15 +1372,11 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
         check("no_aborts", False)
 
     if cfg["kind"] == "lowerbound":
-        inst = plan.instance
-        stats = _over_seeds([t.prog for t in traces], plan.first, plan.first + len(agg["n"]),
-                            partial(_prog_stats, d=inst.d))
-        _write_progress_csv(os.path.join(out_dir, "progress.csv"), agg, stats)
         files.append("progress.csv")
         means = agg["residual_mean"]
-        summary["instance"] = asdict(inst)
+        summary["instance"] = asdict(plan.instance)
         summary["barrier_held"] = bool((means > cfg["epsilon"]).all())
-        summary["final_frac_prog_lt_d"] = float(stats[3][-1])
+        summary["final_frac_prog_lt_d"] = float(agg["frac_prog_lt_d"][-1])
         summary["final_mean_residual"] = float(means[-1])
         check("barrier_held", summary["barrier_held"])
         check("final_frac_prog_lt_d_gt_half", summary["final_frac_prog_lt_d"] > 0.5)

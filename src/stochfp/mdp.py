@@ -173,6 +173,8 @@ def load_mdp(path) -> TabularMDP:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MDPValidationError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
+    except ValueError as exc:  # an integer of more digits than int() converts
+        raise MDPValidationError(f"{path}: invalid JSON: {exc}") from None
     try:
         return mdp_from_dict(doc)
     except MDPValidationError as exc:
@@ -436,7 +438,7 @@ class _Sampled:
 
 
 # the discounted and average-reward maps of a lookahead pm = P max Q (into out, if
-# given) and the anchored average-reward target; module functions, so a plan pickles
+# given) and the anchored average-reward target
 def _discounted(rewards, gamma, pm, out=None):
     return np.add(rewards, np.multiply(pm, gamma, out), out)
 

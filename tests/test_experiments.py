@@ -1,15 +1,17 @@
 """Experiment harness: config validation, rate fits, runs, CSV outputs, CLI."""
 
-import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import sys
 import tempfile
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -504,11 +506,12 @@ class TestRunExperiment:
         sf.run_experiment(cfg, tmp_path / "one", jobs=1)
         calls = []
 
-        def recording(*args, **kwargs):
-            calls.append(len(args[-1]))  # the stack's rngs
-            return engine.iterate_stack(*args, **kwargs)
+        class Recording(engine._Stack):
+            def __init__(self, loop, rngs):
+                calls.append(len(rngs))
+                super().__init__(loop, rngs)
 
-        monkeypatch.setattr(experiments, "iterate_stack", recording)
+        monkeypatch.setattr(experiments, "_Stack", Recording)
         monkeypatch.setattr(experiments, "_STACK_COORDS", 13)  # 2 rows of d = 6, 3 of d = 4
         sf.run_experiment(cfg, tmp_path / "short", jobs=1)
         assert calls == ([2, 2, 2, 1] if kind == "fixedpoint" else [3, 3, 1])
@@ -533,41 +536,33 @@ class TestRunExperiment:
             assert np.array_equal(agg[f"{col}_sem"], sem)
 
     def test_pool_has_at_most_one_worker_per_usable_cpu_and_seed(self, tmp_path, monkeypatch):
-        pools = []
+        runs = []  # per run, the seed count of each worker process it started
 
-        class RecordingPool:
-            """Runs the workers' chunks in this process and records the pool it was asked for."""
+        class RecordingProcess(multiprocessing.Process):
+            def __init__(self, *args, **kwargs):
+                runs[-1].append(len(kwargs["args"][1]))  # _work's seeds
+                super().__init__(*args, **kwargs)
 
-            def __init__(self, max_workers):
-                self.max_workers = max_workers
+        def run(cfg, out, jobs):
+            runs.append([])
+            sf.run_experiment(cfg, out, jobs=jobs)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks, *rest):
-                chunks = list(chunks)
-                pools.append((self.max_workers, [len(c) for c in chunks]))
-                return map(fn, chunks, *rest)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
         cfg = sf.validate_config(_fixedpoint_doc(seeds=list(range(1, 8)), N=3))
-        sf.run_experiment(cfg, tmp_path / "ref", jobs=1)
+        run(cfg, tmp_path / "ref", 1)
         for jobs in (2, 500):
-            sf.run_experiment(cfg, tmp_path / f"jobs{jobs}", jobs=jobs)
+            run(cfg, tmp_path / f"jobs{jobs}", jobs)
             for name in os.listdir(tmp_path / "ref"):
                 ref = (tmp_path / "ref" / name).read_bytes()
                 assert (tmp_path / f"jobs{jobs}" / name).read_bytes() == ref
         two_seeds = sf.validate_config(_fixedpoint_doc(seeds=[5, 6], N=3))
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 64)
-        sf.run_experiment(two_seeds, tmp_path / "two", jobs=500)
+        run(two_seeds, tmp_path / "two", 500)
         # jobs 1 runs in this process; otherwise this process runs the first chunk
-        # (3 seeds of 7, 1 of 2) and the pool one worker per other chunk, so the
-        # processes never outnumber the CPUs (2, then 64) or the seeds (7, then 2)
-        assert pools == [(1, [4]), (1, [4]), (1, [1])]
+        # (3 seeds of 7, 1 of 2) and one worker each other chunk, so the processes
+        # never outnumber the CPUs (2, then 64) or the seeds (7, then 2)
+        assert runs == [[], [4], [4], [1]]
 
     def test_csv_headers_and_roundtrip(self, tmp_path):
         cfg = sf.validate_config(_fixedpoint_doc(seeds=[1, 2]))
@@ -651,6 +646,18 @@ class TestRunExperiment:
         )
 
 
+def _stack_of(schedule, t):
+    """A stand-in _Stack on schedule whose blocks are the stack trace t's columns as one."""
+    return SimpleNamespace(blocks=lambda: iter([(0, [None if c is None else c.T for c in t[:4]])]),
+                           steps=t.steps, loop=SimpleNamespace(schedule=schedule))
+
+
+def _write_trace(paths, schedule, t, first: int):
+    """Write the seed CSVs of the stack trace t window by window, as the CLI writes a stack's."""
+    for a, b, ends, window in experiments._windows(_stack_of(schedule, t), first):
+        experiments._write_seed_csvs(paths, schedule, a, window, ends, first)
+
+
 def _reference_seed_csv(schedule, t, i: int, first: int) -> str:
     """Row i of the stack trace t on schedule as the per-row f-string writer wrote a
     seed CSV before block formatting: the row's columns first..steps."""
@@ -719,8 +726,9 @@ class TestSeedCsvWriter:
         traces = [stack(range(seeds))] if shared else [stack(range(i, i + 1)) for i in range(seeds)]
         with tempfile.TemporaryDirectory() as out:
             for i, (schedule, t) in enumerate(traces):
-                experiments._write_seed_csvs(out, list(range(seeds)) if shared else [i], schedule,
-                                             t, first)
+                names = range(seeds) if shared else [i]
+                _write_trace([os.path.join(out, f"seed_{s}.csv") for s in names], schedule, t,
+                             first)
             for i in range(seeds):
                 (schedule, t), row = (traces[0], i) if shared else (traces[i], 0)
                 with open(os.path.join(out, f"seed_{i}.csv"), encoding="utf-8", newline="") as fh:
@@ -921,9 +929,108 @@ def test_cli_seed_files_hold_the_library_columns(tmp_path, name):
                 assert column.dtype == want.dtype and column.tobytes() == want.tobytes()
 
 
+def _abort_doc(seeds):
+    """T = 1.7e308 under Gaussian noise of std 4e306 from x0 = T, so x^n passes the float
+    range only where beta_n z_n 4e306 > 9.7e306, and seeds with finite iterates have
+    means that do not overflow: of seeds 1..27, seed 26 overflows at step 9, seed 27 at
+    step 6, and seeds 1..5, 7, 10 and 11 do not within 12 steps. The measured values
+    are multiples of one ulp of T, so their sums are exact in any order;
+    TestBlockedAggregate checks the order of the sums at a window's edge."""
+    return _fixedpoint_doc(operator={"kind": "constant", "target": [1.7e308, 1.7e308]},
+                           noise={"kind": "gaussian", "e": 4e306},
+                           batches={"kind": "constant", "k": 1}, x0=[1.7e308, 1.7e308], N=12,
+                           seeds=seeds)
+
+
+class TestWindowEdges:
+    """Runs whose common length end - first falls at the edges of the windows the CLI
+    streams, with windows of _B columns and engine blocks of 3 steps, which straddle
+    them: every output is the same at --jobs 1, 2 and 3, the seed files hold the
+    library functions' columns, and the statistics have the bits of the whole-column
+    reduction (_mean_sem and _prog_stats of the _by_seed array). The runs have 9 seeds,
+    as numpy sums a lone column of 8 or more pairwise, not row by row."""
+
+    _B = 4
+
+    def _check(self, tmp_path, monkeypatch, doc, block=_B):
+        monkeypatch.setattr(experiments, "_BLOCK", block)
+        monkeypatch.setattr(engine, "_BLOCK", 3)
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
+        cfg = sf.validate_config(doc)
+        with np.errstate(over="ignore"):
+            summaries = [sf.run_experiment(cfg, tmp_path / f"jobs{jobs}", jobs=jobs)
+                         for jobs in (1, 2, 3)]
+            records = _library_records(cfg, cfg["seeds"])
+        names = sorted(os.listdir(tmp_path / "jobs1"))
+        for jobs in (2, 3):
+            assert sorted(os.listdir(tmp_path / f"jobs{jobs}")) == names
+            for name in names:
+                assert ((tmp_path / f"jobs{jobs}" / name).read_bytes()
+                        == (tmp_path / "jobs1" / name).read_bytes()), (jobs, name)
+        first = 0 if cfg["kind"] == "lowerbound" else 1
+        for seed, record in zip(cfg["seeds"], records, strict=True):
+            got = _read_seed_csv(tmp_path / "jobs1" / f"seed_{seed}.csv")
+            for column, want in zip(got, (getattr(record, c) for c in _SEED_COLUMNS)):
+                assert (column is None) == (want is None)
+                if want is not None:
+                    assert column.dtype == want.dtype and column.tobytes() == want.tobytes()
+        common = min(len(r.n) for r in records)
+        agg = sf.read_aggregate_csv(tmp_path / "jobs1" / "aggregate.csv")
+        assert summaries[0]["rows_aggregated"] == len(agg["n"]) == common
+        for col in ("residual", "dist_to_fp", "noise_norm"):
+            if getattr(records[0], col) is None:
+                assert agg[f"{col}_mean"] is None
+                continue
+            rows = np.array([getattr(r, col)[:common] for r in records])
+            with np.errstate(over="ignore"):  # the abort runs' values near 1e308
+                mean, sem = experiments._mean_sem(experiments._by_seed([rows], 0, common))
+            assert agg[f"{col}_mean"].tobytes() == mean.tobytes()
+            assert agg[f"{col}_sem"].tobytes() == sem.tobytes()
+        if cfg["kind"] == "lowerbound":
+            progs = experiments._by_seed([np.array([r.prog[:common] for r in records])], 0,
+                                         common)
+            lines = (tmp_path / "jobs1" / "progress.csv").read_text().splitlines()[1:]
+            cells = list(zip(*(line.split(",") for line in lines)))
+            d = summaries[0]["instance"]["d"]
+            for got, want in zip(cells[2:], experiments._prog_stats(progs, d)):
+                assert [float(v) for v in got] == want.tolist()
+        return summaries[0]
+
+    @pytest.mark.parametrize("N", [1, 2, _B, _B + 1, _B + 2, 2 * _B + 1, 2 * _B + 2])
+    def test_fixedpoint_lengths(self, tmp_path, monkeypatch, N):
+        self._check(tmp_path, monkeypatch, _fixedpoint_doc(N=N, seeds=list(range(1, 10))))
+
+    @pytest.mark.parametrize("seeds, step", [([1, 2, 3, 4, 5, 7, 10, 11, 27], 6),
+                                             ([1, 2, 3, 4, 5, 7, 10, 11, 26], 9)])
+    def test_abort_in_the_second_window_or_at_the_third(self, tmp_path, monkeypatch, seeds,
+                                                         step):
+        # windows [1, 5), [5, 9), [9, 13): the aggregate ends inside the second, or at the
+        # first column of the third
+        summary = self._check(tmp_path, monkeypatch, _abort_doc(seeds))
+        assert [item["reason"] for item in summary["aborted_seeds"]] == [
+            f"non-finite iterate at step {step}"]
+        assert summary["rows_aggregated"] == step - 1
+
+    @pytest.mark.parametrize("block", [1, 2, 41, 62, 123, 124, 125])
+    def test_lowerbound_lengths(self, tmp_path, monkeypatch, block):
+        # lowerbound files start at n = 0, so the common length of the shipped instance
+        # (a budget of 124 queries, one a step) is 125 columns: 125 B, 62 B + 1, 3 B + 2,
+        # 2 B + 1, B + 2, B + 1 and B for these window sizes B
+        doc = dict(json.loads((REPO / "configs" / "lowerbound_km.json").read_text()),
+                   seeds=list(range(1, 10)))
+        assert sf.build_instance(doc["epsilon"], doc["kappa_bar"], doc["sigma"]).n_budget == 124
+        self._check(tmp_path, monkeypatch, doc, block)
+
+    def test_mdp_disc_length(self, tmp_path, monkeypatch, mdp_3x2):
+        doc = {"kind": "mdp-disc", "mdp": _write_mdp(tmp_path, mdp_3x2), "algorithm": "halpern",
+               "gamma": 0.9, "N": 2 * self._B + 1, "seeds": list(range(1, 10))}
+        self._check(tmp_path, monkeypatch, doc)
+
+
 def test_writers_hold_no_whole_column_as_text(tmp_path):
     """Peak traced memory of writing mdp_disc_target's two-seed stack of seed CSVs
-    (41 471 rows each) and its aggregate.csv: blocks, not whole columns, as text."""
+    (41 471 rows each) window by window and its aggregate.csv: blocks, not whole
+    columns, as text."""
     N = 41471
     schedule = engine._schedule(sf.StepSchedule.halpern_classic().weight,
                                 sf.BatchSchedule.contractive_geometric(0.9, N).size, N, 6)
@@ -940,7 +1047,8 @@ def test_writers_hold_no_whole_column_as_text(tmp_path):
     for name in experiments._AGG_HEADER.split(",")[3:]:
         agg[name] = column()[1:]
     peaks = []
-    for write in (lambda: experiments._write_seed_csvs(str(tmp_path), [1, 2], schedule, trace, 1),
+    paths = [str(tmp_path / "seed_1.csv"), str(tmp_path / "seed_2.csv")]
+    for write in (lambda: _write_trace(paths, schedule, trace, 1),
                   lambda: experiments._write_aggregate_csv(str(tmp_path / "aggregate.csv"), agg)):
         tracemalloc.start()
         try:
@@ -952,48 +1060,102 @@ def test_writers_hold_no_whole_column_as_text(tmp_path):
     assert peaks[0] < 1e6 and peaks[1] < 1e6, peaks
 
 
-def test_aggregate_holds_one_block_beside_its_columns():
-    """Peak traced memory of aggregating 40 seeds of mdp_disc_target (41 471 rows each):
-    at most 3 times the aggregate's own six measured columns, so no (seeds, n) copy."""
-    N, seeds = 41471, 40
+_STATISTICS = (experiments._AGG_HEADER.split(",")[3:]
+               + experiments._PROG_HEADER.split(",")[2:])
+
+
+def _aggregate_of(schedule, traces, first: int, out, d=None) -> dict:
+    """The aggregate of stacks whose traces are traces, reduced window by window as
+    the CLI process reduces its own stacks', with every statistic kept whole."""
+    plan = SimpleNamespace(loop=SimpleNamespace(schedule=schedule), first=first,
+                           instance=None if d is None else SimpleNamespace(d=d))
+    agg = experiments._Aggregate(plan, out, _STATISTICS)
+    for windows in zip(*(experiments._windows(_stack_of(schedule, t), first) for t in traces)):
+        a, b = windows[0][:2]
+        agg.add(a, b, [(min(ends), columns) for _, _, ends, columns in windows])
+    return agg.columns()
+
+
+def test_aggregate_holds_a_window_not_the_run(tmp_path):
+    """Peak traced memory of aggregating 40 seeds of mdp_disc_target (41 471 rows each)
+    window by window for mdp-disc's summary: below three windows of the seeds' measured
+    columns, where the whole columns take 40 MB."""
+    N, seeds, B = 41471, 40, experiments._BLOCK
     schedule = engine._schedule(sf.StepSchedule.halpern_classic().weight,
                                 sf.BatchSchedule.contractive_geometric(0.9, N).size, N, 6)
+    plan = SimpleNamespace(loop=SimpleNamespace(schedule=schedule), first=1, instance=None)
     rng = np.random.default_rng(41471)
-    trace = sf.StackTrace(*(10.0 ** rng.uniform(-4, 1, (3, seeds, N + 1))), prog=None,
-                          final_x=np.zeros((seeds, 6)), steps=[N] * seeds,
-                          abort_reason=[None] * seeds)
     tracemalloc.start()
     try:
-        agg = experiments._aggregate(schedule, [trace], 1)
+        agg = experiments._Aggregate(plan, str(tmp_path), experiments._SUMMARY_COLUMNS["mdp-disc"])
+        for a in range(1, N + 1, B):
+            b = min(a + B, N + 1)
+            window = [10.0 ** rng.uniform(-4, 1, (seeds, b - a)) for _ in range(3)] + [None]
+            agg.add(a, b, [(b, window)])
+        columns = agg.columns()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(agg["residual_mean"]) == N
-    assert peak < 3 * 6 * 8 * N, peak
+    assert (tmp_path / "aggregate.csv").read_text().count("\n") == N + 1
+    assert len(columns["n"]) == N and columns["dist_to_fp_mean"].size <= B + 2
+    assert peak < 3 * 3 * seeds * B * 8, peak
+
+
+def test_peak_memory_does_not_grow_with_the_horizon(tmp_path):
+    """The wait4 peak of an mdp-disc run of 24 seeds through the CLI, at horizons N and
+    4N and at --jobs 1 and 2: whole traces of the longer run would take 8.6 MB more
+    (three float64 a seed and step), and the peaks differ by less than 2 MB. The runs
+    have a budget of 60 s in all."""
+    import subprocess
+
+    budget_s, started = 60.0, time.perf_counter()
+    N, peaks = 5000, {}
+    for jobs in (1, 2):
+        for horizon in (N, 4 * N):
+            path = tmp_path / f"N{horizon}.json"
+            path.write_text(json.dumps({"kind": "mdp-disc", "algorithm": "halpern",
+                                        "mdp": str(REPO / "configs" / "mdp_3x2.json"),
+                                        "gamma": 0.9, "N": horizon, "seeds": "1..24"}))
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "stochfp.cli", "mdp-disc", "--config", str(path),
+                 "--out", str(tmp_path / f"out{horizon}-{jobs}"), "--jobs", str(jobs)],
+                env=dict(os.environ, PYTHONPATH=str(REPO / "src")), stdout=subprocess.DEVNULL)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == 0
+            peaks[jobs, horizon] = usage.ru_maxrss / 1024  # MB, of the process or a worker
+    assert time.perf_counter() - started < budget_s
+    for jobs in (1, 2):
+        assert abs(peaks[jobs, 4 * N] - peaks[jobs, N]) < 2.0, peaks
 
 
 class TestBlockedAggregate:
-    """Seed statistics reduced a block of columns at a time against the whole array."""
+    """Seed statistics reduced window by window against the whole array."""
 
-    _B = experiments._BLOCK
-
-    @settings(max_examples=40, deadline=None)
-    @given(seeds=st.sampled_from([1, 2, 40]), N=st.sampled_from([_B - 1, _B, _B + 1, 2 * _B + 3]),
+    @settings(max_examples=60, deadline=None)
+    @given(block=st.sampled_from([1, 2, 3, 5, 1024]), seeds=st.sampled_from([1, 2, 40]),
+           length=st.sampled_from([(0, 0), (1, -1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 3)]),
            first=st.sampled_from([0, 1]), height=st.integers(1, 40),
-           stops=st.none() | st.lists(st.integers(0, 2 * _B + 4), min_size=40, max_size=40),
+           stops=st.none() | st.lists(st.integers(0, 100), min_size=40, max_size=40),
            seed=st.integers(0, 2**32 - 1))
-    @example(seeds=40, N=_B + 1, first=1, height=40, stops=None, seed=0)
-    @example(seeds=40, N=2 * _B + 3, first=1, height=7, stops=[_B + 1] + [2 * _B + 4] * 39, seed=1)
-    @example(seeds=2, N=_B, first=1, height=1, stops=[_B, 0] + [0] * 38, seed=2)
-    @example(seeds=40, N=_B - 1, first=0, height=3, stops=[0] * 40, seed=3)
-    def test_blocked_aggregate_has_the_whole_arrays_bits(self, seeds, N, first, height, stops,
-                                                          seed):
-        # seed i stops at step min(stops[i], N), as a seed that aborted at the step after
-        # does; a stop at 0 with first = 1 leaves no common column
+    @example(block=1024, seeds=40, length=(1, 1), first=1, height=40, stops=None, seed=0)
+    @example(block=1024, seeds=40, length=(2, 3), first=1, height=7, stops=[50] + [100] * 39,
+             seed=1)
+    @example(block=1024, seeds=2, length=(1, 0), first=1, height=1, stops=[100] + [0] * 39, seed=2)
+    @example(block=1024, seeds=40, length=(1, -1), first=0, height=3, stops=[0] * 40, seed=3)
+    # the aggregate ends at the first column of the second window: steps 58 * 7 // 100 = 4
+    @example(block=4, seeds=40, length=(1, 1), first=1, height=40, stops=[100] * 39 + [58], seed=4)
+    def test_blocked_aggregate_has_the_whole_arrays_bits(self, block, seeds, length, first,
+                                                          height, stops, seed):
+        # windows of block columns; N = length[0] * block + length[1] steps, and seed i
+        # stops at step stops[i] (N + 2) // 100 or N, as a seed that aborted at the step
+        # after does, which may leave no common column or end the aggregate at a window's
+        # first column
+        N = max(length[0] * block + length[1], 0)
         rng = np.random.default_rng(seed)
         schedule = engine._schedule(sf.StepSchedule.halpern_classic().weight,
                                     sf.BatchSchedule.constant(1).size, N)
-        steps = [N if stops is None else min(stops[i], N) for i in range(seeds)]
+        steps = [N if stops is None else min(stops[i] * (N + 2) // 100, N) for i in range(seeds)]
         traces = []
         for a in range(0, seeds, height):
             rows = len(steps[a:a + height])
@@ -1004,18 +1166,17 @@ class TestBlockedAggregate:
                 final_x=np.zeros((rows, 1)), steps=steps[a:a + height],
                 abort_reason=[None] * rows))
         end = min(steps) + 1
-        agg = experiments._aggregate(schedule, traces, first)
-        assert len(agg["n"]) == end - first
+        with tempfile.TemporaryDirectory() as out, mock.patch.object(experiments, "_BLOCK", block):
+            agg = _aggregate_of(schedule, traces, first, out, d=3)
+        assert len(agg["n"]) == max(end - first, 0)
         for k, col in enumerate(("residual", "dist_to_fp", "noise_norm")):
             mean, sem = experiments._mean_sem(
-                experiments._by_seed([t[k] for t in traces], first, end))
+                experiments._by_seed([t[k] for t in traces], first, max(end, first)))
             assert agg[f"{col}_mean"].tobytes() == mean.tobytes()
             assert agg[f"{col}_sem"].tobytes() == sem.tobytes()
-        progs = experiments._by_seed([t.prog for t in traces], first, end)
-        blocked = experiments._over_seeds([t.prog for t in traces], first, end,
-                                          partial(experiments._prog_stats, d=3))
-        for got, want in zip(blocked, experiments._prog_stats(progs, 3)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        progs = experiments._by_seed([t.prog for t in traces], first, max(end, first))
+        for name, want in zip(_STATISTICS[6:], experiments._prog_stats(progs, 3)):
+            assert agg[name].dtype == want.dtype and agg[name].tobytes() == want.tobytes()
 
 
 class TestEvaluateBounds:
@@ -1275,7 +1436,7 @@ class TestCli:
         def no_runs(*args, **kwargs):
             raise AssertionError("a seed ran")
 
-        monkeypatch.setattr(experiments, "iterate_stack", no_runs)
+        monkeypatch.setattr(experiments, "_Stack", no_runs)
         path = str(REPO / "configs" / "lowerbound_km.json")
         (tmp_path / "taken").write_text("")
         out = tmp_path / "taken" if where == "a file" else tmp_path / "taken" / "out"
@@ -1546,6 +1707,55 @@ class TestCli:
         err = capfd.readouterr().err
         assert code == 5
         assert err == f"output error: {out / name}: Is a directory\n"
+
+    @pytest.mark.parametrize("case, code", [("ok", 0), ("abort", 2), ("seed_1.csv", 5),
+                                            ("seed_2.csv", 5), ("aggregate.csv", 5),
+                                            ("summary.json", 5)])
+    def test_no_worker_outlives_the_cli(self, tmp_path, monkeypatch, capfd, case, code):
+        # --jobs 2 on two CPUs: the CLI process runs the first half of the seeds and one
+        # worker the rest, which holds the aborting seed 27 and seed_2.csv; a directory
+        # where an output file goes is an output error in whichever process writes it
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+        doc = _abort_doc([1, 2, 3, 27]) if case == "abort" else _fixedpoint_doc(seeds=[1, 2])
+        path = self._write(tmp_path, doc)
+        out = tmp_path / "o"
+        if code == 5:
+            (out / case).mkdir(parents=True)
+        with np.errstate(over="ignore"):
+            got = cli_main(["fixedpoint", "--config", path, "--out", str(out), "--jobs", "2"])
+        assert multiprocessing.active_children() == []
+        err = capfd.readouterr().err
+        assert got == code, err
+        if code == 5:
+            assert err == f"output error: {out / case}: Is a directory\n"
+        if code == 2:
+            assert err == "aborted seed 27: non-finite iterate at step 6\n"
+
+    @pytest.mark.parametrize("where", ["config", "mdp file", "validate-mdp"])
+    def test_json_integer_past_the_digit_limit_exits_one(self, tmp_path, capsys, where):
+        # json.loads raises a plain ValueError for an integer of more than 4300 digits,
+        # which was an internal error (exit 4) before --out was made
+        huge = "7" * 5001
+        if where == "config":
+            doc = json.loads((REPO / "configs" / "fixedpoint_shift_bound.json").read_text())
+            bad = tmp_path / "cfg.json"
+            bad.write_text(json.dumps(dict(doc, N="HUGE")).replace('"HUGE"', huge))
+            argv, blame = ["fixedpoint", "--config", str(bad)], f"{bad}: "
+        else:
+            model = json.loads((REPO / "configs" / "mdp_3x2.json").read_text())
+            bad = tmp_path / "mdp.json"
+            bad.write_text(json.dumps(dict(model, num_states="HUGE")).replace('"HUGE"', huge))
+            doc = json.loads((REPO / "configs" / "mdp_disc_target.json").read_text())
+            path = self._write(tmp_path, dict(doc, mdp=str(bad)))
+            argv, blame = (["mdp-disc", "--config", path], f"config.mdp: {bad}: ")
+            if where == "validate-mdp":
+                argv, blame = ["validate-mdp", str(bad)], f"{bad}: "
+        out = tmp_path / "o"
+        code = cli_main(argv + (["--out", str(out)] if argv[0] != "validate-mdp" else []))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {blame}invalid JSON: Exceeds the limit (4300 digits)")
+        assert "Traceback" not in err and not out.exists()
 
     def test_unreadable_inputs_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "binary.json"

@@ -182,11 +182,17 @@ def test_batch_of_one_q_learning_never_imports_numpy_random(tmp_path):
     )[-2:] == ["0", "False"]
 
 
-def test_the_process_pool_is_imported_only_by_pooled_runs():
-    assert _fresh_interpreter(
+def test_the_process_pool_is_imported_only_by_pooled_runs(tmp_path):
+    config = ROOT / "configs" / "lowerbound_km.json"
+    printed = _fresh_interpreter(
         "import sys, stochfp\n"
         "print('multiprocessing' in sys.modules)\n"
-    ) == ["False"]
+        "from stochfp.cli import main\n"
+        f"code = main(['lowerbound', '--config', {str(config)!r}, '--out', {str(tmp_path / 'o')!r},"
+        " '--jobs', '1'])\n"
+        "print(code, 'multiprocessing' in sys.modules)\n"
+    )
+    assert printed[0] == "False" and printed[-2:] == ["0", "False"]
 
 
 def third_party_modules(directory: Path) -> set[str]:

@@ -331,6 +331,14 @@ class _Stack:
     reads the schedule's last step: a row that aborts later keeps every
     column yielded so far, so min(steps[i] + 1, stop) is row i's final count
     of columns below stop for any stop up to the last block's end.
+
+    With a window, the stack frees its step buffers, (height, B, d) arrays
+    of the block's iterates, measured differences and weights, before it
+    yields a block that reaches an edge first + k * window (k >= 1), and
+    rebuilds them when it resumes: a reader that steps other stacks while
+    this one waits at an edge holds one stack's step buffers, and of each
+    other stack its (B, d) iterate and T of it (and the final iterates of
+    its rows that have aborted).
     """
 
     def __init__(self, loop: "_Loop", rngs: list[RngStream]):
@@ -339,7 +347,7 @@ class _Stack:
         self.abort_reason: list[str | None] = [None] * len(rngs)
         self.final_x = None
 
-    def blocks(self):
+    def blocks(self, window: int | None = None, first: int = 0):
         o, x0, schedule, norm_kind, anchored, flush = self.loop
         rngs, steps, reasons = self.rngs, self.steps, self.abort_reason
         sampled = not isinstance(o.noise, NoiseModel)
@@ -375,7 +383,7 @@ class _Stack:
         front = None  # last_nonzero_index of the live rows of x, for the next draw
         if prog is not None:
             front = prog[0] = last_nonzero_index(x)
-        final_x = x.copy()
+        ended = {}  # the final iterate of each row that has aborted
         live = np.arange(rows)  # the stack's rows that have not aborted, in seed order
         yield 0, columns
 
@@ -402,7 +410,7 @@ class _Stack:
             for r in np.flatnonzero(cut < j).tolist():
                 c, i = int(cut[r]), int(live[r])
                 m[:, c:, r] = 0.0
-                final_x[i], steps[i] = xs[c, r], start + c - 1
+                ended[i], steps[i] = xs[c, r].copy(), start + c - 1
                 what = "iterate" if fail[r] <= first[r] else "measurement"
                 reasons[i] = f"non-finite {what} at step {start + c}"
                 if prog is not None:
@@ -470,10 +478,18 @@ class _Stack:
                 if front is not None:
                     front = front[keep]
                 keyed.seeds = [s for s, kept in zip(keyed.seeds, keep.tolist()) if kept]
+            elif window is not None and (stop - first) // window > (start - first) // window:
+                x, xs = x.copy(), None  # it waits at a window's edge
+                keyed._block = None  # and drops its cached raw words, drawn again if needed
+            if xs is None:  # rebuilt for the next block, with a fresh step
+                diffs = ests = ws = bs = wy = bx = xrows = wrows = brows = step = None
+                y = base = x_new = None  # the last step's views of them
             yield start, columns
             start = stop
-        final_x[live] = x
-        self.final_x = final_x
+        self.final_x = np.empty((rows, d))
+        self.final_x[live] = x
+        for i, xi in ended.items():
+            self.final_x[i] = xi
 
 
 class _Loop(NamedTuple):

@@ -592,14 +592,16 @@ class _Plan:
         """Step the stacks round-robin a window at a time, writing each window's lines of
         their seeds' CSVs. Yields (a, b, parts) for each window [a, b) of _windows: parts
         holds (end, columns) per stack, its measured columns a..b - 1 as (rows, b - a)
-        arrays and end, the first column below b that one of its seeds lacks (b if none)."""
+        arrays and end, the first column below b that one of its seeds lacks (b if none),
+        or a if that is below a."""
         paths = [[os.path.join(out_dir, f"seed_{r.seed}.csv") for r in stack.rngs]
                  for stack in stacks]
-        for windows in zip(*(_windows(stack, self.first) for stack in stacks)):
+        park = len(stacks) > 1  # a stack waiting for the others frees its step buffers
+        for windows in zip(*(_windows(stack, self.first, park) for stack in stacks)):
             parts = []
             for files, (a, b, ends, columns) in zip(paths, windows):
                 _write_seed_csvs(files, self.loop.schedule, a, columns, ends, self.first)
-                parts.append((min(ends), columns))
+                parts.append((max(min(ends), a), columns))
             yield a, b, parts
 
 
@@ -855,17 +857,19 @@ def _write_seed_csvs(paths: list, schedule: tuple, a: int, columns: list, ends: 
                 for i, (path, stop) in enumerate(zip(paths, stops)) if a == first or stop > a)
 
 
-def _windows(stack: _Stack, first: int):
+def _windows(stack: _Stack, first: int, park: bool = False):
     """(a, b, ends, columns) for each window [a, b) of a stack's trace: _BLOCK
     columns from first on, the last up to the schedule's end. The stack's
     blocks are read only as far as a window needs, and to their end with the
-    last window, so the stack's buffers are freed before it is yielded. Each
-    block is copied into the window's (b - a, rows) buffers, whose (rows, b -
-    a) transposes are the columns yielded, None where the blocks' are;
-    ends[i] is min(steps + 1, b) of row i, the end of its columns in the
-    window."""
+    last window, so the stack's buffers are freed before it is yielded; with
+    park, its step buffers are freed before each window is (_Stack.blocks with
+    a window). Each block is copied into the window's (b - a, rows) buffers,
+    whose (rows, b - a) transposes are the columns yielded, None where the
+    blocks' are; ends[i] is min(steps + 1, b) of row i, the end of its columns
+    in the window."""
     cols = len(stack.loop.schedule[0])
-    blocks, pending = stack.blocks(), None  # pending: a block that reaches past the last window
+    blocks = stack.blocks(_BLOCK if park else None, first)
+    pending = None  # a block that reaches past the last window
     for a in range(first, max(cols, first + 1), _BLOCK):
         b, window = min(a + _BLOCK, cols), None
         while True:
@@ -963,13 +967,6 @@ def _write_progress_csv(path: str, agg: dict, stats, header: bool = True):
                   b"%d,%d,%b,%d,%d,%b\n", [agg["n"], agg["cum_queries"], *stats])])
 
 
-# the aggregate columns whose every row a kind's summary reads; of the others it
-# reads the last row
-_SUMMARY_COLUMNS = {"fixedpoint": ("residual_mean", "dist_to_fp_mean"),
-                    "lowerbound": ("residual_mean",), "mdp-avg": ("residual_mean",),
-                    "mdp-disc": ()}
-
-
 class _Aggregate:
     """aggregate.csv, and lowerbound's progress.csv, written as a run's windows close.
 
@@ -980,11 +977,14 @@ class _Aggregate:
     block, which takes the rest, is never a lone column of a longer run:
     every column's reduction adds the seeds row by row and has the bits of
     the whole (seeds, n) array's (_by_seed). Of the statistics it keeps every
-    row of those named in keep and the last block of the others.
+    row of residual_mean and dist_to_fp_mean (_WHOLE), which summaries read
+    whole, and the last row of the others in last.
     """
 
-    def __init__(self, plan: _Plan, out_dir, keep):
-        self.schedule, self.first, self.keep = plan.loop.schedule, plan.first, keep
+    _WHOLE = ("residual_mean", "dist_to_fp_mean")
+
+    def __init__(self, plan: _Plan, out_dir):
+        self.schedule, self.first = plan.loop.schedule, plan.first
         self.d = None if plan.instance is None else plan.instance.d  # progress.csv's
         self.paths = [os.path.join(out_dir, name) for name in ("aggregate.csv", "progress.csv")]
         # next: the first column not reduced; held: the columns next.. of every seed
@@ -1037,17 +1037,18 @@ class _Aggregate:
             _write_progress_csv(self.paths[1], rows, [stats[name] for name in
                                                       _PROG_HEADER.split(",")[2:]], a == self.first)
         for name, c in stats.items():
-            if name in self.keep and c is not None:
+            if name in self._WHOLE:
                 self.kept.setdefault(name, []).append(c)
-            else:
-                self.last[name] = c
+            elif c is not None and len(c):
+                self.last[name] = c[-1]
 
     def columns(self) -> dict:
-        """The aggregate's n, k_n and cum_queries, every row of the columns kept and the
-        last block of the others (None for a column the run lacks)."""
+        """The aggregate's n, k_n, cum_queries and _WHOLE columns (None for a column the
+        run lacks)."""
         n, _, batch, cum = (c[self.first:self.next] for c in self.schedule)
-        return {"n": n, "k_n": batch, "cum_queries": cum, **self.last,
-                **{name: np.concatenate(blocks) for name, blocks in self.kept.items()}}
+        return {"n": n, "k_n": batch, "cum_queries": cum,
+                **{name: None if blocks[0] is None else np.concatenate(blocks)
+                   for name, blocks in self.kept.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -1231,40 +1232,30 @@ def _prepare(cfg: dict, out_dir) -> _Plan:
     return plan
 
 
-def _sends_more(plan: _Plan, end: int, b: int) -> bool:
-    """Whether a worker whose seeds all reach end in the window [a, b) sends the next
-    window: the aggregate needs no column past a seed's last, or past the run's."""
-    return end == b and b < len(plan.loop.schedule[0])
-
-
 def _work(cfg: dict, seeds: list[int], out_dir, conn):
     """Run a chunk of seeds in a worker process, from a plan of its own.
 
-    It writes the seeds' CSVs and sends on conn, for each window [a, b) that
-    the aggregate may still need (_sends_more), the chunk's end in it (see
-    _Plan.windows) and then each measured column from a to that end, as the
-    raw buffer of a C-ordered (seeds, end - a) array. Then it sends ("done",
-    abort reasons), or ("error", exception, traceback) in place of whatever
-    was left.
+    It writes the seeds' CSVs and sends on conn, for each window [a, b), the
+    chunk's end in it (see _Plan.windows) and then each measured column from a
+    to that end, as the raw buffer of a C-ordered (seeds, end - a) array. Then
+    it sends ("done", abort reasons), or ("error", exception, traceback) in
+    place of whatever was left.
     """
     with conn:
         try:
             plan = _prepare(cfg, out_dir)
             stacks = plan.stacks(seeds)
-            sending = True
             for a, b, parts in plan.windows(stacks, out_dir):
-                if sending:
-                    end, data = min(e for e, _ in parts), []
-                    for k in range(4):
-                        if parts[0][1][k] is not None:
-                            column = _by_seed([p[k] for _, p in parts], 0, end - a)
-                            data.append(column.reshape(-1).view(np.uint8))  # bytes, if empty too
-                            for _, p in parts:
-                                p[k] = None  # read, so freed before the next column is
-                    conn.send(end)
-                    for buffer in data:
-                        conn.send_bytes(buffer)
-                    sending = _sends_more(plan, end, b)
+                end, data = min(e for e, _ in parts), []
+                for k in range(4):
+                    if parts[0][1][k] is not None:
+                        column = _by_seed([p[k] for _, p in parts], 0, end - a)
+                        data.append(column.reshape(-1).view(np.uint8))  # bytes, if empty too
+                        for _, p in parts:
+                            p[k] = None  # read, so freed before the next column is
+                conn.send(end)
+                for buffer in data:
+                    conn.send_bytes(buffer)
             conn.send(("done", [r for stack in stacks for r in stack.abort_reason]))
         except Exception as exc:  # the CLI process reports it
             import traceback
@@ -1337,18 +1328,15 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
     with _workers(cfg, chunks[1:], out_dir) as conns:
         plan = _prepare(cfg, out_dir)
         stacks = plan.stacks(chunks[0])
-        aggregate = _Aggregate(plan, out_dir, _SUMMARY_COLUMNS[cfg["kind"]])
-        sending = list(zip(conns, map(len, chunks[1:])))  # the workers with windows to send
+        aggregate = _Aggregate(plan, out_dir)
         for a, b, parts in plan.windows(stacks, out_dir):
             dtypes = [None if c is None else c.dtype for c in parts[0][1]]
-            for conn, rows in sending:
+            for conn, rows in zip(conns, map(len, chunks[1:])):
                 end = _message(conn)
                 parts.append((end, [None if t is None else
                                     np.frombuffer(conn.recv_bytes(), t).reshape(rows, end - a)
                                     for t in dtypes]))
             aggregate.add(a, b, parts)
-            sending = [worker for worker, (end, _) in zip(sending, parts[len(stacks):])
-                       if _sends_more(plan, end, b)]
         reasons = [r for stack in stacks for r in stack.abort_reason]
         reasons += [r for conn in conns for r in _message(conn)[1]]
 
@@ -1376,7 +1364,7 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
         means = agg["residual_mean"]
         summary["instance"] = asdict(plan.instance)
         summary["barrier_held"] = bool((means > cfg["epsilon"]).all())
-        summary["final_frac_prog_lt_d"] = float(agg["frac_prog_lt_d"][-1])
+        summary["final_frac_prog_lt_d"] = float(aggregate.last["frac_prog_lt_d"])
         summary["final_mean_residual"] = float(means[-1])
         check("barrier_held", summary["barrier_held"])
         check("final_frac_prog_lt_d_gt_half", summary["final_frac_prog_lt_d"] > 0.5)

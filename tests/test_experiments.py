@@ -648,7 +648,8 @@ class TestRunExperiment:
 
 def _stack_of(schedule, t):
     """A stand-in _Stack on schedule whose blocks are the stack trace t's columns as one."""
-    return SimpleNamespace(blocks=lambda: iter([(0, [None if c is None else c.T for c in t[:4]])]),
+    return SimpleNamespace(blocks=lambda *_: iter([(0, [None if c is None else c.T
+                                                       for c in t[:4]])]),
                            steps=t.steps, loop=SimpleNamespace(schedule=schedule))
 
 
@@ -952,8 +953,10 @@ class TestWindowEdges:
 
     _B = 4
 
-    def _check(self, tmp_path, monkeypatch, doc, block=_B):
+    def _check(self, tmp_path, monkeypatch, doc, block=_B, coords=None):
         monkeypatch.setattr(experiments, "_BLOCK", block)
+        if coords is not None:
+            monkeypatch.setattr(experiments, "_STACK_COORDS", coords)
         monkeypatch.setattr(engine, "_BLOCK", 3)
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: 3)
         cfg = sf.validate_config(doc)
@@ -1026,6 +1029,21 @@ class TestWindowEdges:
                "gamma": 0.9, "N": 2 * self._B + 1, "seeds": list(range(1, 10))}
         self._check(tmp_path, monkeypatch, doc)
 
+    @pytest.mark.parametrize("kind", ["fixedpoint", "abort", "lowerbound", "mdp-disc"])
+    def test_stacks_of_two_seeds(self, tmp_path, monkeypatch, mdp_3x2, kind):
+        # each process steps its stacks round-robin, and a stack waits at each window's
+        # edge without its step buffers, rebuilding them (and mdp's replay of next
+        # states, from its generator's words) when it resumes
+        doc, d = {
+            "fixedpoint": (_fixedpoint_doc(N=2 * self._B + 2, seeds=list(range(1, 10))), 6),
+            "abort": (_abort_doc([1, 2, 3, 4, 5, 7, 10, 11, 27]), 2),
+            "lowerbound": (dict(json.loads((REPO / "configs" / "lowerbound_km.json").read_text()),
+                                seeds=list(range(1, 10))), 10),
+            "mdp-disc": ({"kind": "mdp-disc", "mdp": _write_mdp(tmp_path, mdp_3x2),
+                          "algorithm": "halpern", "gamma": 0.9, "N": 2 * self._B + 1,
+                          "seeds": list(range(1, 10))}, 6)}[kind]
+        self._check(tmp_path, monkeypatch, doc, coords=2 * d)
+
 
 def test_writers_hold_no_whole_column_as_text(tmp_path):
     """Peak traced memory of writing mdp_disc_target's two-seed stack of seed CSVs
@@ -1069,7 +1087,8 @@ def _aggregate_of(schedule, traces, first: int, out, d=None) -> dict:
     the CLI process reduces its own stacks', with every statistic kept whole."""
     plan = SimpleNamespace(loop=SimpleNamespace(schedule=schedule), first=first,
                            instance=None if d is None else SimpleNamespace(d=d))
-    agg = experiments._Aggregate(plan, out, _STATISTICS)
+    agg = experiments._Aggregate(plan, out)
+    agg._WHOLE = _STATISTICS
     for windows in zip(*(experiments._windows(_stack_of(schedule, t), first) for t in traces)):
         a, b = windows[0][:2]
         agg.add(a, b, [(min(ends), columns) for _, _, ends, columns in windows])
@@ -1087,7 +1106,7 @@ def test_aggregate_holds_a_window_not_the_run(tmp_path):
     rng = np.random.default_rng(41471)
     tracemalloc.start()
     try:
-        agg = experiments._Aggregate(plan, str(tmp_path), experiments._SUMMARY_COLUMNS["mdp-disc"])
+        agg = experiments._Aggregate(plan, str(tmp_path))
         for a in range(1, N + 1, B):
             b = min(a + B, N + 1)
             window = [10.0 ** rng.uniform(-4, 1, (seeds, b - a)) for _ in range(3)] + [None]
@@ -1097,8 +1116,35 @@ def test_aggregate_holds_a_window_not_the_run(tmp_path):
     finally:
         tracemalloc.stop()
     assert (tmp_path / "aggregate.csv").read_text().count("\n") == N + 1
-    assert len(columns["n"]) == N and columns["dist_to_fp_mean"].size <= B + 2
+    assert len(columns["n"]) == len(columns["dist_to_fp_mean"]) == N
+    assert agg.last.keys() == {"residual_sem", "dist_to_fp_sem", "noise_norm_mean",
+                               "noise_norm_sem"}
     assert peak < 3 * 3 * seeds * B * 8, peak
+
+
+def test_waiting_stacks_hold_no_step_buffers(tmp_path, monkeypatch):
+    """Peak traced memory of a run of 16 stacks of one seed of d = 4096, in windows of 8
+    columns and engine blocks of 4 steps: one stack's step buffers (27 (B, d) arrays:
+    5 of iterates, 12 of measured differences, 8 of weights and 2 of a step's terms),
+    three (B, d) arrays of each stack (its iterate, T of it and the fixed point), and
+    2 MB for a step's temporaries (its generator's raw words among them). Stacks that
+    held their step buffers and raw words while they waited at a window's edge would
+    hold 31 arrays more each."""
+    d, stacks = 4096, 16
+    monkeypatch.setattr(experiments, "_STACK_COORDS", d)
+    monkeypatch.setattr(experiments, "_BLOCK", 8)
+    cfg = sf.validate_config(_fixedpoint_doc(
+        operator={"kind": "shift-projection", "lam": 0.2, "dim": d},
+        batches={"kind": "constant", "k": 1}, N=20, seeds=list(range(1, stacks + 1))))
+    array = d * 8
+    tracemalloc.start()
+    try:
+        sf.run_experiment(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / f"seed_{stacks}.csv").read_text().count("\n") == 21
+    assert peak < 27 * array + stacks * 3 * array + (2 << 20), peak / array
 
 
 def test_peak_memory_does_not_grow_with_the_horizon(tmp_path):

@@ -333,11 +333,11 @@ class _Stack:
     of columns below stop for any stop up to the last block's end.
 
     With a window, the stack frees its step buffers, (height, B, d) arrays
-    of the block's iterates, measured differences and weights, before it
-    yields a block that reaches an edge first + k * window (k >= 1), and
-    rebuilds them when it resumes: a reader that steps other stacks while
-    this one waits at an edge holds one stack's step buffers, and of each
-    other stack its (B, d) iterate and T of it (and the final iterates of
+    of the block's iterates, measured differences and weights, and T of its
+    iterate before it yields a block that reaches an edge first + k * window
+    (k >= 1), and rebuilds them when it resumes: a reader that steps other
+    stacks while this one waits at an edge holds one stack's step buffers,
+    and of each other stack its (B, d) iterate (and the final iterates of
     its rows that have aborted).
     """
 
@@ -445,6 +445,8 @@ class _Stack:
                 wy, bx = np.empty((2, live.size, d))
                 xrows, wrows, brows = list(xs), list(ws), list(bs)
                 step = o.noise.steps(xs, ests, keyed) if sampled else None
+                if tx is None and not sampled:  # T of x, dropped while it waited
+                    tx = apply(x)
                 xs[0] = x
                 x = xs[0]
             ws[:stop - start] = schedule[1][start:stop, None, None]
@@ -479,7 +481,7 @@ class _Stack:
                     front = front[keep]
                 keyed.seeds = [s for s, kept in zip(keyed.seeds, keep.tolist()) if kept]
             elif window is not None and (stop - first) // window > (start - first) // window:
-                x, xs = x.copy(), None  # it waits at a window's edge
+                x, xs, tx = x.copy(), None, None  # it waits at a window's edge
                 keyed._block = None  # and drops its cached raw words, drawn again if needed
             if xs is None:  # rebuilt for the next block, with a fresh step
                 diffs = ests = ws = bs = wy = bx = xrows = wrows = brows = step = None

@@ -1126,10 +1126,10 @@ def test_waiting_stacks_hold_no_step_buffers(tmp_path, monkeypatch):
     """Peak traced memory of a run of 16 stacks of one seed of d = 4096, in windows of 8
     columns and engine blocks of 4 steps: one stack's step buffers (27 (B, d) arrays:
     5 of iterates, 12 of measured differences, 8 of weights and 2 of a step's terms),
-    three (B, d) arrays of each stack (its iterate, T of it and the fixed point), and
-    2 MB for a step's temporaries (its generator's raw words among them). Stacks that
-    held their step buffers and raw words while they waited at a window's edge would
-    hold 31 arrays more each."""
+    two (B, d) arrays of each stack (its iterate, and its final iterates once it ends),
+    and 2 MB for a step's temporaries (its generator's raw words among them). Stacks
+    that held their step buffers, raw words and T of their iterate while they waited
+    at a window's edge would hold 32 arrays more each."""
     d, stacks = 4096, 16
     monkeypatch.setattr(experiments, "_STACK_COORDS", d)
     monkeypatch.setattr(experiments, "_BLOCK", 8)
@@ -1144,7 +1144,7 @@ def test_waiting_stacks_hold_no_step_buffers(tmp_path, monkeypatch):
     finally:
         tracemalloc.stop()
     assert (tmp_path / f"seed_{stacks}.csv").read_text().count("\n") == 21
-    assert peak < 27 * array + stacks * 3 * array + (2 << 20), peak / array
+    assert peak < 27 * array + stacks * 2 * array + (2 << 20), peak / array
 
 
 def test_peak_memory_does_not_grow_with_the_horizon(tmp_path):

@@ -1,6 +1,6 @@
 """Command-line harness for the experiment runners.
 
-Subcommands: fixedpoint, lowerbound, mdp-avg, mdp-disc (seeded experiment
+Subcommands: one per run kind of experiments._KINDS (seeded experiment
 matrices), fit (power-law fit of an aggregate CSV), validate-mdp (model file
 linting). Exit codes: 0 success, 1 config error (a config, model or input
 file that is invalid or cannot be read), 2 runtime abort, 3 a --check
@@ -17,6 +17,7 @@ import sys
 
 from . import mdp as mdp_mod
 from .experiments import (
+    _KINDS,
     ConfigError,
     _OutputError,
     _writing,
@@ -46,30 +47,23 @@ def _parse_cli_seeds(text: str):
         raise ConfigError(f"--seeds: expected integers, got {text!r}")
 
 
-def _add_run_parser(sub, name: str, help_text: str):
-    p = sub.add_parser(name, help=help_text)
-    p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seeds", help="override config seeds: 'A..B' or comma list")
-    p.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
-    p.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 3 unless the config's pass/fail conditions hold",
-    )
-    return p
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stochfp",
         description="Seeded fixed-point iteration experiments with CSV/JSON outputs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_run_parser(sub, "fixedpoint", "anchored/averaged iteration on a configured operator")
-    _add_run_parser(sub, "lowerbound", "span algorithms against the adversarial instance")
-    _add_run_parser(sub, "mdp-avg", "average-reward synchronous Q-learning")
-    _add_run_parser(sub, "mdp-disc", "discounted synchronous Q-learning")
+    for name, kind in _KINDS.items():
+        p = sub.add_parser(name, help=kind.help)
+        p.add_argument("--config", required=True, help="experiment config JSON")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--seeds", help="override config seeds: 'A..B' or comma list")
+        p.add_argument("--jobs", type=int, default=1, help="parallel seed workers")
+        p.add_argument(
+            "--check",
+            action="store_true",
+            help="exit 3 unless the config's pass/fail conditions hold",
+        )
 
     fit = sub.add_parser("fit", help="power-law fit on an aggregate.csv")
     fit.add_argument("--input", required=True, help="aggregate.csv produced by a run")

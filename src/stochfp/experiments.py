@@ -8,8 +8,11 @@ per experiment directory:
   seed_<seed>.csv   one row per iteration, columns
                     n,beta_or_alpha,k_n,cum_queries,residual,dist_to_fp,noise_norm
   aggregate.csv     per-n mean and standard error across seeds
-  progress.csv      lower-bound runs only: per-n progress statistics
+  progress.csv      per-n progress statistics, for a kind whose runs track prog
   summary.json      config echo, rate fits, bound overlays, check results
+
+Each run kind is one entry of _KINDS: how it reads its fields, builds its loop (with
+any exact solve) and summarizes its run; no other code branches on the kind.
 
 Every float in a CSV is exactly Python's '%.17g' of the value: 17 significant
 digits, which read back as the same double, with trailing zeros dropped. The
@@ -32,7 +35,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,8 +51,7 @@ from .engine import (
     kappa_bar_bounded_range,
 )
 from .linalg import NormKind, norm, norm_equivalence_mu
-from .lower_bound import (MAX_DIM, AdversarialInstance, SpanAlgorithm, _adversarial_loop,
-                          build_instance)
+from .lower_bound import MAX_DIM, SpanAlgorithm, _adversarial_loop, build_instance
 from .operators import AffineContraction, ConstantMap, PlaneRotation, ShiftProjection
 from .oracles import (
     AdditiveGaussianIID,
@@ -70,8 +72,6 @@ __all__ = [
     "evaluate_bounds",
     "read_aggregate_csv",
 ]
-
-_KINDS = ("fixedpoint", "lowerbound", "mdp-avg", "mdp-disc")
 
 
 class ConfigError(ValueError):
@@ -328,25 +328,44 @@ def _validate_fit_block(f: _Fields | None) -> dict | None:
             _real(expect[0], f"{f.path}.expect_slope[0]"),
             _real(expect[1], f"{f.path}.expect_slope[1]"),
         ]
+        if out["expect_slope"][0] > out["expect_slope"][1]:
+            raise ConfigError(f"{f.path}.expect_slope: need lo <= hi, got {expect}")
     f.done()
     return out
 
 
-def _validate_bounds_block(f: _Fields | None) -> dict | None:
+def _bounds(f: _Fields | None, op, norm_kind: NormKind, x0: np.ndarray) -> tuple:
+    """A bounds block, normalized, and its parameters resolved for the built operator,
+    or (None, None) without one; a parameter it cannot resolve is a ConfigError."""
     if f is None:
-        return None
+        return None, None
     family = f.take("family")
     if family not in ("nonexpansive", "contractive"):
         raise ConfigError(f"{f.path}.family: expected 'nonexpansive' or 'contractive'")
     out = {"family": family, "sigma": _real(f.take("sigma"), f"{f.path}.sigma")}
     if out["sigma"] < 0:
         raise ConfigError(f"{f.path}.sigma: must be >= 0")
-    if family == "nonexpansive":
-        m_val = f.take("range_bound", required=False)
-        if m_val is not None:
-            out["range_bound"] = _real(m_val, f"{f.path}.range_bound")
+    m_val = f.take("range_bound", required=False) if family == "nonexpansive" else None
+    if m_val is not None:
+        out["range_bound"] = _real(m_val, f"{f.path}.range_bound")
     f.done()
-    return out
+    if family == "nonexpansive":
+        if m_val is None:
+            if not isinstance(op, ShiftProjection):
+                raise ConfigError("config.bounds.range_bound: required unless the operator is a "
+                                  "shift-projection (whose range bound is d * lam)")
+            m_val = op.range_bound()
+        kappa = kappa_bar_bounded_range(float(m_val), x0, norm_kind)
+        mu = norm_equivalence_mu(norm_kind, op.dim)
+        return out, {"family": family, "kappa_bar": kappa, "mu": mu, "sigma": out["sigma"]}
+    info = op.fixed_point_info()
+    if info.point is None:
+        raise ConfigError("config.bounds: the contractive bound needs the operator's fixed "
+                          f"point ({info.description})")
+    if not op.gamma < 1.0:
+        raise ConfigError("config.bounds: the contractive bound needs a contraction factor < 1")
+    dist0 = norm(x0 - info.point, norm_kind)
+    return out, {"family": family, "dist0": dist0, "gamma": op.gamma, "sigma": out["sigma"]}
 
 
 def validate_config(doc) -> dict:
@@ -357,66 +376,71 @@ def validate_config(doc) -> dict:
     """
     f = _Fields(doc, "config")
     kind = f.take("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"config.kind: expected one of {list(_KINDS)}, got {kind!r}")
-    out: dict = {"kind": kind}
-    out["seeds"] = parse_seed_spec(f.take("seeds"))
+    out: dict = {"kind": kind, "seeds": parse_seed_spec(f.take("seeds"))}
     stream = f.take("stream", required=False)
     out["stream"] = 0 if stream is None else _uint64(stream, "config.stream")
+    _KINDS[kind].read(f, out)
+    f.done()
+    return out
 
-    if kind == "fixedpoint":
-        norm_kind = _build_norm(f.take("norm"), "config.norm")
-        op = _build(f.take("operator"), "config.operator", _OPERATORS, norm_kind)
-        noise = _build(f.take("noise"), "config.noise", _NOISES)
-        method = _build(f.take("method"), "config.method", _STEPS)
-        out.update({name: doc[name] for name in ("norm", "operator", "noise", "method")})
-        try:
-            OracleDescriptor(op, noise)
-        except ValueError as exc:
-            raise ConfigError(f"config.noise: {exc}")
-        batches_spec = f.take("batches", required=False)
-        batches = None if batches_spec is None else _build(batches_spec, "config.batches", _BATCHES)
-        if method.is_halpern:
-            if batches is None:
-                raise ConfigError("config.batches: missing required field (halpern methods batch)")
-            out["batches"] = batches_spec
-        else:
-            if batches is not None and (batches.kind != "constant" or batches.k != 1):
-                raise ConfigError(
-                    "config.batches: averaged (km) methods use one query per step; "
-                    "omit batches or set constant k = 1"
-                )
-            out["batches"] = {"kind": "constant", "k": 1}
-        out["x0"] = _normalize_vector(f.take("x0"), "config.x0", op.dim)
-        out["N"] = _steps(f.take("N"), "config.N")
-        out["bounds"] = _validate_bounds_block(f.sub("bounds", required=False))
-        if out["bounds"] is not None:  # fail fast on missing parameters
-            _bound_params(out["bounds"], op, norm_kind, np.asarray(out["x0"]))
-        out["fit"] = _validate_fit_block(f.sub("fit", required=False))
-        f.done()
-        return out
 
-    if kind == "lowerbound":
-        eps = _real(f.take("epsilon"), "config.epsilon")
-        kb = _real(f.take("kappa_bar"), "config.kappa_bar")
-        sg = _real(f.take("sigma"), "config.sigma")
-        try:
-            build_instance(eps, kb, sg)
-        except ValueError as exc:
-            raise ConfigError(f"config: {exc}")
-        out.update({"epsilon": eps, "kappa_bar": kb, "sigma": sg})
-        _build(f.take("algorithm"), "config.algorithm", _ALGORITHMS)
-        out["algorithm"] = doc["algorithm"]
-        _build(f.take("batches"), "config.batches", _BATCHES)
-        out["batches"] = doc["batches"]
-        f.done()
-        return out
+def _read_vector(f: _Fields, out: dict) -> tuple:
+    """Read an operator run's fields into out, in the order their errors are raised,
+    and build its (norm kind, oracle, step schedule, batch schedule, x0, bound
+    parameters or None): for the document, the plan and evaluate_bounds alike."""
+    norm_kind = _build_norm(f.take("norm"), "config.norm")
+    op = _build(f.take("operator"), "config.operator", _OPERATORS, norm_kind)
+    noise = _build(f.take("noise"), "config.noise", _NOISES)
+    method = _build(f.take("method"), "config.method", _STEPS)
+    out.update({name: f.doc[name] for name in ("norm", "operator", "noise", "method")})
+    try:
+        oracle = OracleDescriptor(op, noise)
+    except ValueError as exc:
+        raise ConfigError(f"config.noise: {exc}")
+    batches_spec = f.take("batches", required=False)
+    batches = None if batches_spec is None else _build(batches_spec, "config.batches", _BATCHES)
+    if method.is_halpern:
+        if batches is None:
+            raise ConfigError("config.batches: missing required field (halpern methods batch)")
+        out["batches"] = batches_spec
+    else:
+        if batches is not None and (batches.kind != "constant" or batches.k != 1):
+            raise ConfigError("config.batches: averaged (km) methods use one query per step; "
+                              "omit batches or set constant k = 1")
+        out["batches"] = {"kind": "constant", "k": 1}
+        batches = BatchSchedule.constant(1)
+    out["x0"] = _normalize_vector(f.take("x0"), "config.x0", op.dim)
+    x0 = np.asarray(out["x0"], dtype=np.float64)
+    out["N"] = _steps(f.take("N"), "config.N")
+    out["bounds"], bounds = _bounds(f.sub("bounds", required=False), op, norm_kind, x0)
+    out["fit"] = _validate_fit_block(f.sub("fit", required=False))
+    return norm_kind, oracle, method, batches, x0, bounds
 
-    # mdp-avg and mdp-disc
+
+def _read_adversarial(f: _Fields, out: dict) -> tuple:
+    """A lower-bound run's fields, into out, and its (instance, algorithm), as _read_vector."""
+    eps = _real(f.take("epsilon"), "config.epsilon")
+    kb = _real(f.take("kappa_bar"), "config.kappa_bar")
+    sg = _real(f.take("sigma"), "config.sigma")
+    try:
+        inst = build_instance(eps, kb, sg)
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}")
+    out.update({"epsilon": eps, "kappa_bar": kb, "sigma": sg})
+    _build(f.take("algorithm"), "config.algorithm", _ALGORITHMS)
+    out["algorithm"] = f.doc["algorithm"]
+    batches = _build(f.take("batches"), "config.batches", _BATCHES)
+    out["batches"] = f.doc["batches"]
+    return inst, SpanAlgorithm(batches=batches, **out["algorithm"])
+
+
+def _read_q(f: _Fields, out: dict) -> tuple:
+    """The fields both Q-learning kinds share, into out: (model, algorithm as given)."""
     model = _build_mdp(f.take("mdp"), "config.mdp")
     out["mdp"] = model.to_dict()
     shape = (model.num_states, model.num_actions)
-    out["N"] = None
     algorithm = f.take("algorithm")
     solver_tol = f.take("solver_tol", required=False)
     out["solver_tol"] = 1e-10 if solver_tol is None else _real(solver_tol, "config.solver_tol")
@@ -437,49 +461,46 @@ def validate_config(doc) -> dict:
                 raise ConfigError(f"config.q0: entries must be finite numbers, got {v!r}") from None
 
         out["q0"] = [[entry(v) for v in row] for row in q0]
+    return model, algorithm
 
-    if kind == "mdp-avg":
-        if algorithm not in ("halpern", "benchmark", "rvi"):
-            raise ConfigError(
-                f"config.algorithm: expected 'halpern', 'benchmark', or 'rvi', got {algorithm!r}"
-            )
-        out["algorithm"] = algorithm
-        anchor = f.sub("anchor", required=algorithm in ("halpern", "rvi"))
-        if algorithm == "benchmark":
-            if anchor is not None:
-                raise ConfigError("config.anchor: the benchmark run subtracts v*, not an anchor")
-            out["anchor"] = None
-        else:
-            out["anchor"] = _validate_anchor(anchor, model)
-        a_exp = f.take("a_exponent", required=False)
-        if algorithm == "rvi":
-            if a_exp is None:
-                raise ConfigError("config.a_exponent: missing required field for the rvi baseline")
-            out["a_exponent"] = _real(a_exp, "config.a_exponent")
-            if not 0.8 < out["a_exponent"] <= 1.0:
-                raise ConfigError("config.a_exponent: must lie in (4/5, 1]")
-        elif a_exp is not None:
-            raise ConfigError("config.a_exponent: only the rvi baseline takes a step exponent")
-        out["N"] = _steps(f.take("N"), "config.N")
-        ratio = f.sub("residual_ratio_check", required=False)
-        if ratio is not None:
-            early = _integer(ratio.take("early_n"), f"{ratio.path}.early_n")
-            late = _integer(ratio.take("late_n"), f"{ratio.path}.late_n")
-            max_ratio = _real(ratio.take("max_ratio"), f"{ratio.path}.max_ratio")
-            ratio.done()
-            if not 1 <= early < late <= out["N"]:
-                raise ConfigError(f"{ratio.path}: need 1 <= early_n < late_n <= N")
-            out["residual_ratio_check"] = {
-                "early_n": early,
-                "late_n": late,
-                "max_ratio": max_ratio,
-            }
-        else:
-            out["residual_ratio_check"] = None
-        f.done()
-        return out
 
-    # mdp-disc
+def _read_average(f: _Fields, out: dict):
+    model, algorithm = _read_q(f, out)
+    if algorithm not in ("halpern", "benchmark", "rvi"):
+        raise ConfigError("config.algorithm: expected 'halpern', 'benchmark', or 'rvi', "
+                          f"got {algorithm!r}")
+    out["algorithm"] = algorithm
+    anchor = f.sub("anchor", required=algorithm in ("halpern", "rvi"))
+    if algorithm == "benchmark":
+        if anchor is not None:
+            raise ConfigError("config.anchor: the benchmark run subtracts v*, not an anchor")
+        out["anchor"] = None
+    else:
+        out["anchor"] = _validate_anchor(anchor, model)
+    a_exp = f.take("a_exponent", required=False)
+    if algorithm == "rvi":
+        if a_exp is None:
+            raise ConfigError("config.a_exponent: missing required field for the rvi baseline")
+        out["a_exponent"] = _real(a_exp, "config.a_exponent")
+        if not 0.8 < out["a_exponent"] <= 1.0:
+            raise ConfigError("config.a_exponent: must lie in (4/5, 1]")
+    elif a_exp is not None:
+        raise ConfigError("config.a_exponent: only the rvi baseline takes a step exponent")
+    out["N"] = _steps(f.take("N"), "config.N")
+    ratio = f.sub("residual_ratio_check", required=False)
+    out["residual_ratio_check"] = None
+    if ratio is not None:
+        early = _integer(ratio.take("early_n"), f"{ratio.path}.early_n")
+        late = _integer(ratio.take("late_n"), f"{ratio.path}.late_n")
+        max_ratio = _real(ratio.take("max_ratio"), f"{ratio.path}.max_ratio")
+        ratio.done()
+        if not 1 <= early < late <= out["N"]:
+            raise ConfigError(f"{ratio.path}: need 1 <= early_n < late_n <= N")
+        out["residual_ratio_check"] = {"early_n": early, "late_n": late, "max_ratio": max_ratio}
+
+
+def _read_discounted(f: _Fields, out: dict):
+    model, algorithm = _read_q(f, out)
     if algorithm not in ("halpern", "vanilla"):
         raise ConfigError(f"config.algorithm: expected 'halpern' or 'vanilla', got {algorithm!r}")
     out["algorithm"] = algorithm
@@ -520,8 +541,6 @@ def validate_config(doc) -> dict:
                               f"N = {out['N']} steps, more than the {_MAX_STEPS} a run may take")
     if q0_norm > model.r_max / (1.0 - out["gamma"]):
         raise ConfigError("config.q0: sup norm must not exceed r_max / (1 - gamma)")
-    f.done()
-    return out
 
 
 def _validate_anchor(f: _Fields, model) -> dict:
@@ -569,18 +588,17 @@ class _Plan:
 
     loop holds iterate_stack's inputs but the seeds, its schedule among them,
     which the writers and the aggregate read beside the stacks' measured
-    columns. first is the first column that a seed file holds: 0 for
-    lowerbound, whose files include n = 0, and 1 otherwise. instance
-    (lowerbound), v_star (mdp-avg) and bounds (fixedpoint with a bounds
-    block) feed the summary.
+    columns. first is the first column that a seed file holds: 0 when the
+    files include n = 0, 1 otherwise. summary(agg, last) returns the kind's
+    block of summary.json and its checks, (name, passed) pairs, from the
+    aggregate's columns and last rows (_Aggregate); it closes over what the
+    kind's plan built beside the loop, such as an exact solution.
     """
 
     loop: _Loop
     stream: int
     first: int
-    instance: AdversarialInstance | None = None
-    v_star: float | None = None
-    bounds: dict | None = None
+    summary: Callable
 
     def stacks(self, seeds: list[int]) -> list[_Stack]:
         """The seeds in stacks of at most _STACK_COORDS iterate coordinates, in seed order."""
@@ -606,56 +624,140 @@ class _Plan:
 
 
 def _plan(cfg: dict) -> _Plan:
-    """Build the run objects of a validated config, solving an MDP exactly once.
-
-    The loop's inputs and schedule come from the helper of the config's kind
-    that the library runs call too (engine._vector_loop,
-    lower_bound._adversarial_loop, mdp._q_loop), so a schedule whose query
-    count passes 2^63 - 1 is a ConfigError before any output exists.
-    """
-    kind, first, extra = cfg["kind"], 1, {}
-    if kind == "fixedpoint":
-        norm_kind = _build_norm(cfg["norm"], "config.norm")
-        op = _build(cfg["operator"], "config.operator", _OPERATORS, norm_kind)
-        oracle = OracleDescriptor(op, _build(cfg["noise"], "config.noise", _NOISES))
-        x0 = np.asarray(cfg["x0"], dtype=np.float64)
-        if cfg["bounds"] is not None:
-            extra["bounds"] = _bound_params(cfg["bounds"], op, norm_kind, x0)
-        # averaged methods take one query a step, as validate_config writes their batches
-        loop = partial(_vector_loop, oracle, x0, _build(cfg["method"], "config.method", _STEPS),
-                       _build(cfg["batches"], "config.batches", _BATCHES), cfg["N"], norm_kind)
-    elif kind == "lowerbound":
-        inst = extra["instance"] = build_instance(cfg["epsilon"], cfg["kappa_bar"], cfg["sigma"])
-        algo = SpanAlgorithm(batches=_build(cfg["batches"], "config.batches", _BATCHES),
-                             **cfg["algorithm"])
-        loop, first = partial(_adversarial_loop, inst, algo), 0
-    else:
-        model = mdp_mod.mdp_from_dict(cfg["mdp"])
-        algorithm, N = cfg["algorithm"], cfg["N"]
-        halpern = StepSchedule.halpern_classic()
-        if kind == "mdp-avg":
-            try:
-                v_star = mdp_mod.solve_average_exact(model, cfg["solver_tol"]).v_star
-            except RuntimeError as exc:  # relative value iteration missed solver_tol
-                raise ConfigError(f"config.mdp: {exc}") from None
-            anchor = None if algorithm == "benchmark" else mdp_mod.AnchorFunction(**cfg["anchor"])
-            maps = mdp_mod._maps(model, v_star=v_star, anchor=anchor)
-            steps = StepSchedule.km_polynomial(cfg["a_exponent"]) if algorithm == "rvi" else halpern
-            batches = BatchSchedule.power_six()
-            extra["v_star"] = v_star
-        else:
-            q_star = mdp_mod.solve_discounted_exact(model, cfg["gamma"], cfg["solver_tol"])
-            maps = mdp_mod._maps(model, gamma=cfg["gamma"], q_star=q_star)
-            steps = _build(cfg["alpha"], "config.alpha", _STEPS) if algorithm == "vanilla" else halpern
-            batches = BatchSchedule.contractive_geometric(cfg["gamma"], N)
-        # halpern and benchmark are anchored and batch; rvi and vanilla take one query a step
-        batches = batches if steps.is_halpern else BatchSchedule.constant(1)
-        loop = partial(mdp_mod._q_loop, model, np.asarray(cfg["q0"], dtype=np.float64), N,
-                       steps.weight, batches.size, steps.is_halpern, **maps)
+    """Build the run objects of a validated config by its kind's plan, solving an MDP
+    exactly once. The loop comes from the helper its library runs call too
+    (engine._vector_loop, lower_bound._adversarial_loop, mdp._q_loop), so a schedule
+    whose query count passes 2^63 - 1 is a ConfigError before any output exists."""
+    kind = _KINDS[cfg["kind"]]
+    loop, summary = kind.plan(cfg)
     try:
-        return _Plan(loop(), cfg["stream"], first, **extra)
+        return _Plan(loop(), cfg["stream"], kind.first, summary)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from None
+
+
+def _plan_vector(cfg: dict) -> tuple:
+    norm_kind, oracle, method, batches, x0, bounds = _read_vector(_Fields(cfg, "config"), {})
+    fit = cfg.get("fit")
+
+    def summary(agg: dict, last: dict) -> tuple:
+        block, checks = {}, []
+        if bounds is not None:
+            overlay = block["bounds"] = _overlay_bounds(bounds, agg)
+            if overlay["family"] == "nonexpansive":
+                checks.append(("bounds_hold", overlay["all_within"]))
+            else:
+                checks.append(("final_bound_holds", overlay["final_within"]))
+        if fit is not None:
+            try:
+                rate = fit_rate(agg["n"], agg["residual_mean"], fit["window"],
+                                fit.get("noise_floor", 1e-12))
+            except ValueError as exc:
+                block["rate_fit"] = {"error": str(exc)}
+                checks.append(("rate_fit", False))
+            else:
+                block["rate_fit"] = dict(asdict(rate), window=list(rate.window))
+                if "expect_slope" in fit:
+                    lo, hi = fit["expect_slope"]
+                    block["rate_fit"]["expect_slope"] = [lo, hi]
+                    block["rate_fit"]["slope_in_range"] = bool(lo <= rate.slope <= hi)
+                    checks.append(("slope_in_range", block["rate_fit"]["slope_in_range"]))
+        return block, checks
+
+    return partial(_vector_loop, oracle, x0, method, batches, cfg["N"], norm_kind), summary
+
+
+def _plan_adversarial(cfg: dict) -> tuple:
+    inst, algo = _read_adversarial(_Fields(cfg, "config"), {})
+
+    def summary(agg: dict, last: dict) -> tuple:
+        means = agg["residual_mean"]
+        block = {"instance": asdict(inst), "barrier_held": bool((means > cfg["epsilon"]).all()),
+                 "final_frac_prog_lt_d": float(last["frac_prog_lt_d"]),
+                 "final_mean_residual": float(means[-1])}
+        return block, [("barrier_held", block["barrier_held"]),
+                       ("final_frac_prog_lt_d_gt_half", block["final_frac_prog_lt_d"] > 0.5)]
+
+    return partial(_adversarial_loop, inst, algo), summary
+
+
+def _q_plan(model, cfg: dict, steps: StepSchedule, batches: BatchSchedule, **maps):
+    """A Q-learning run's loop: anchored steps take batches, averaged ones one query."""
+    batches = batches if steps.is_halpern else BatchSchedule.constant(1)
+    return partial(mdp_mod._q_loop, model, np.asarray(cfg["q0"], dtype=np.float64), cfg["N"],
+                   steps.weight, batches.size, steps.is_halpern, **maps)
+
+
+def _plan_average(cfg: dict) -> tuple:
+    model = mdp_mod.mdp_from_dict(cfg["mdp"])
+    algorithm, ratio = cfg["algorithm"], cfg.get("residual_ratio_check")
+    try:
+        v_star = mdp_mod.solve_average_exact(model, cfg["solver_tol"]).v_star
+    except RuntimeError as exc:  # relative value iteration missed solver_tol
+        raise ConfigError(f"config.mdp: {exc}") from None
+    anchor = None if algorithm == "benchmark" else mdp_mod.AnchorFunction(**cfg["anchor"])
+    steps = (StepSchedule.km_polynomial(cfg["a_exponent"]) if algorithm == "rvi"
+             else StepSchedule.halpern_classic())
+
+    def summary(agg: dict, last: dict) -> tuple:
+        if ratio is None:
+            return {"v_star": v_star}, []
+        ns = agg["n"].tolist()
+        try:
+            early = agg["residual_mean"][ns.index(ratio["early_n"])]
+            late = agg["residual_mean"][ns.index(ratio["late_n"])]
+        except ValueError:  # the aggregate ends before it, as when a seed aborts
+            result = {"error": f"requested n not in the trace of {len(ns)} aggregated rows"}
+        else:
+            result = {**ratio, "early_mean": float(early), "late_mean": float(late),
+                      "ratio": float(late / early) if early > 0 else math.inf,
+                      "held": bool(late <= ratio["max_ratio"] * early)}
+        return ({"v_star": v_star, "residual_ratio": result},
+                [("residual_ratio", result.get("held", False))])
+
+    maps = mdp_mod._maps(model, v_star=v_star, anchor=anchor)
+    return _q_plan(model, cfg, steps, BatchSchedule.power_six(), **maps), summary
+
+
+def _plan_discounted(cfg: dict) -> tuple:
+    model = mdp_mod.mdp_from_dict(cfg["mdp"])
+    q_star = mdp_mod.solve_discounted_exact(model, cfg["gamma"], cfg["solver_tol"])
+    steps = (_build(cfg["alpha"], "config.alpha", _STEPS) if cfg["algorithm"] == "vanilla"
+             else StepSchedule.halpern_classic())
+
+    def summary(agg: dict, last: dict) -> tuple:
+        block = {"N": cfg["N"], "final_mean_dist": float(agg["dist_to_fp_mean"][-1])}
+        if cfg.get("target_epsilon") is None:
+            return block, []
+        block["target_epsilon"] = cfg["target_epsilon"]
+        block["target_met"] = bool(block["final_mean_dist"] <= cfg["target_epsilon"])
+        return block, [("target_met", block["target_met"])]
+
+    maps = mdp_mod._maps(model, gamma=cfg["gamma"], q_star=q_star)
+    return _q_plan(model, cfg, steps, BatchSchedule.contractive_geometric(cfg["gamma"], cfg["N"]),
+                   **maps), summary
+
+
+class _Kind(NamedTuple):
+    """A run kind: its CLI help; read(f, out), which reads its fields of the config object
+    f into the normalized config out; plan(cfg), which returns (a callable that builds
+    the run's _Loop, _Plan.summary); _Plan.first; whether it writes progress.csv."""
+
+    help: str
+    read: Callable
+    plan: Callable
+    first: int = 1
+    progress: bool = False
+
+
+_KINDS = {
+    "fixedpoint": _Kind("anchored/averaged iteration on a configured operator",
+                        _read_vector, _plan_vector),
+    "lowerbound": _Kind("span algorithms against the adversarial instance",
+                        _read_adversarial, _plan_adversarial, first=0, progress=True),
+    "mdp-avg": _Kind("average-reward synchronous Q-learning", _read_average, _plan_average),
+    "mdp-disc": _Kind("discounted synchronous Q-learning", _read_discounted, _plan_discounted),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +1070,7 @@ def _write_progress_csv(path: str, agg: dict, stats, header: bool = True):
 
 
 class _Aggregate:
-    """aggregate.csv, and lowerbound's progress.csv, written as a run's windows close.
+    """aggregate.csv, and progress.csv unless d is None, written as a run's windows close.
 
     add() takes each window's measured columns of every seed, in seed order,
     and reduces them over the seeds up to the first column that some seed
@@ -983,12 +1085,12 @@ class _Aggregate:
 
     _WHOLE = ("residual_mean", "dist_to_fp_mean")
 
-    def __init__(self, plan: _Plan, out_dir):
-        self.schedule, self.first = plan.loop.schedule, plan.first
-        self.d = None if plan.instance is None else plan.instance.d  # progress.csv's
-        self.paths = [os.path.join(out_dir, name) for name in ("aggregate.csv", "progress.csv")]
+    def __init__(self, schedule: tuple, first: int, d: int | None, out_dir):
+        self.schedule, self.first, self.d = schedule, first, d
+        self.files = ["aggregate.csv"] + ([] if d is None else ["progress.csv"])
+        self.paths = [os.path.join(out_dir, name) for name in self.files]
         # next: the first column not reduced; held: the columns next.. of every seed
-        self.next, self.final, self.held = plan.first, False, None
+        self.next, self.final, self.held = first, False, None
         self.kept, self.last = {}, {}
 
     def add(self, a: int, b: int, parts):
@@ -1111,38 +1213,6 @@ def fit_rate(ns, means, window, noise_floor: float | None = 1e-12) -> RateFit:
     return RateFit(float(slope), float(intercept), r2, (lo, hi), int(xs.shape[0]))
 
 
-def _bound_params(spec: dict, op, norm_kind: NormKind, x0: np.ndarray) -> dict:
-    """Resolve a bounds block's parameters for the built operator; raise on gaps."""
-    if spec["family"] == "nonexpansive":
-        m_val = spec.get("range_bound")
-        if m_val is None:
-            if isinstance(op, ShiftProjection):
-                m_val = op.range_bound()
-            else:
-                raise ConfigError(
-                    "config.bounds.range_bound: required unless the operator is a "
-                    "shift-projection (whose range bound is d * lam)"
-                )
-        kappa = kappa_bar_bounded_range(float(m_val), x0, norm_kind)
-        mu = norm_equivalence_mu(norm_kind, op.dim)
-        return {"family": "nonexpansive", "kappa_bar": kappa, "mu": mu, "sigma": spec["sigma"]}
-    info = op.fixed_point_info()
-    if info.point is None:
-        raise ConfigError(
-            "config.bounds: the contractive bound needs the operator's fixed point "
-            f"({info.description})"
-        )
-    if not op.gamma < 1.0:
-        raise ConfigError("config.bounds: the contractive bound needs a contraction factor < 1")
-    dist0 = norm(x0 - info.point, norm_kind)
-    return {
-        "family": "contractive",
-        "dist0": dist0,
-        "gamma": op.gamma,
-        "sigma": spec["sigma"],
-    }
-
-
 def evaluate_bounds(cfg: dict, agg: dict) -> dict:
     """Theoretical curve next to the empirical means, with per-n within_bound flags.
 
@@ -1158,10 +1228,7 @@ def evaluate_bounds(cfg: dict, agg: dict) -> dict:
     """
     if cfg.get("bounds") is None:
         raise ConfigError("config.bounds: this config has no bounds block to evaluate")
-    norm_kind = _build_norm(cfg["norm"], "config.norm")
-    op = _build(cfg["operator"], "config.operator", _OPERATORS, norm_kind)
-    x0 = np.asarray(cfg["x0"], dtype=np.float64)
-    return _overlay_bounds(_bound_params(cfg["bounds"], op, norm_kind, x0), agg)
+    return _overlay_bounds(_read_vector(_Fields(cfg, "config"), {})[-1], agg)
 
 
 def _overlay_bounds(params: dict, agg: dict) -> dict:
@@ -1328,7 +1395,8 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
     with _workers(cfg, chunks[1:], out_dir) as conns:
         plan = _prepare(cfg, out_dir)
         stacks = plan.stacks(chunks[0])
-        aggregate = _Aggregate(plan, out_dir)
+        d = plan.loop.x0.size if _KINDS[cfg["kind"]].progress else None
+        aggregate = _Aggregate(plan.loop.schedule, plan.first, d, out_dir)
         for a, b, parts in plan.windows(stacks, out_dir):
             dtypes = [None if c is None else c.dtype for c in parts[0][1]]
             for conn, rows in zip(conns, map(len, chunks[1:])):
@@ -1340,7 +1408,6 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
         reasons = [r for stack in stacks for r in stack.abort_reason]
         reasons += [r for conn in conns for r in _message(conn)[1]]
 
-    files = [f"seed_{seed}.csv" for seed in seeds] + ["aggregate.csv"]
     agg = aggregate.columns()
     summary: dict = {
         "kind": cfg["kind"],
@@ -1349,85 +1416,16 @@ def run_experiment(cfg: dict, out_dir, jobs: int = 1) -> dict:
         "rows_aggregated": len(agg["n"]),
         "aborted_seeds": [{"seed": s, "reason": r}
                           for s, r in zip(seeds, reasons) if r is not None],
+        "files": sorted([f"seed_{seed}.csv" for seed in seeds] + aggregate.files
+                        + ["summary.json"]),
     }
-    # pass/fail conditions the --check flag enforces via exit code 3
-    checks = []
-
-    def check(name: str, passed):
-        checks.append({"name": name, "passed": bool(passed)})
-
+    block, checks = plan.summary(agg, aggregate.last)
+    summary.update(block)
     if summary["aborted_seeds"]:
-        check("no_aborts", False)
-
-    if cfg["kind"] == "lowerbound":
-        files.append("progress.csv")
-        means = agg["residual_mean"]
-        summary["instance"] = asdict(plan.instance)
-        summary["barrier_held"] = bool((means > cfg["epsilon"]).all())
-        summary["final_frac_prog_lt_d"] = float(aggregate.last["frac_prog_lt_d"])
-        summary["final_mean_residual"] = float(means[-1])
-        check("barrier_held", summary["barrier_held"])
-        check("final_frac_prog_lt_d_gt_half", summary["final_frac_prog_lt_d"] > 0.5)
-
-    if cfg["kind"] == "mdp-avg":
-        summary["v_star"] = plan.v_star
-        ratio = cfg.get("residual_ratio_check")
-        if ratio is not None:
-            res_mean = agg["residual_mean"]
-            ns = agg["n"].tolist()
-            try:
-                early = res_mean[ns.index(ratio["early_n"])]
-                late = res_mean[ns.index(ratio["late_n"])]
-            except ValueError:
-                raise ConfigError("config.residual_ratio_check: requested n not in the trace")
-            summary["residual_ratio"] = {
-                "early_n": ratio["early_n"],
-                "late_n": ratio["late_n"],
-                "early_mean": float(early),
-                "late_mean": float(late),
-                "ratio": float(late / early) if early > 0 else math.inf,
-                "max_ratio": ratio["max_ratio"],
-                "held": bool(late <= ratio["max_ratio"] * early),
-            }
-            check("residual_ratio", summary["residual_ratio"]["held"])
-
-    if cfg["kind"] == "mdp-disc":
-        summary["N"] = cfg["N"]
-        if agg["dist_to_fp_mean"] is not None:
-            summary["final_mean_dist"] = float(agg["dist_to_fp_mean"][-1])
-            if cfg.get("target_epsilon") is not None:
-                summary["target_epsilon"] = cfg["target_epsilon"]
-                summary["target_met"] = bool(
-                    summary["final_mean_dist"] <= cfg["target_epsilon"]
-                )
-                check("target_met", summary["target_met"])
-
-    if cfg["kind"] == "fixedpoint":
-        if plan.bounds is not None:
-            bounds = summary["bounds"] = _overlay_bounds(plan.bounds, agg)
-            if bounds["family"] == "nonexpansive":
-                check("bounds_hold", bounds["all_within"])
-            else:
-                check("final_bound_holds", bounds["final_within"])
-        if cfg.get("fit") is not None:
-            fit_cfg = cfg["fit"]
-            floor = fit_cfg.get("noise_floor", 1e-12)
-            try:
-                fit = fit_rate(agg["n"], agg["residual_mean"], fit_cfg["window"], floor)
-            except ValueError as exc:
-                summary["rate_fit"] = {"error": str(exc)}
-                check("rate_fit", False)
-            else:
-                summary["rate_fit"] = dict(asdict(fit), window=list(fit.window))
-                if "expect_slope" in fit_cfg:
-                    lo, hi = fit_cfg["expect_slope"]
-                    summary["rate_fit"]["expect_slope"] = [lo, hi]
-                    summary["rate_fit"]["slope_in_range"] = bool(lo <= fit.slope <= hi)
-                    check("slope_in_range", summary["rate_fit"]["slope_in_range"])
-
-    summary["checks"] = {"passed": all(c["passed"] for c in checks), "details": checks}
-    files.append("summary.json")
-    summary["files"] = sorted(files)
+        checks.insert(0, ("no_aborts", False))
+    # pass/fail conditions the --check flag enforces via exit code 3
+    details = [{"name": name, "passed": bool(passed)} for name, passed in checks]
+    summary["checks"] = {"passed": all(c["passed"] for c in details), "details": details}
     path = os.path.join(out_dir, "summary.json")
     with _writing(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

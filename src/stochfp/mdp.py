@@ -23,7 +23,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
 
 import numpy as np
 
@@ -294,28 +293,24 @@ def solve_average_exact(
 def check_unichain(m: TabularMDP) -> bool:
     """True iff every deterministic stationary policy induces a single recurrent class.
 
-    Enumerates all A^S policies; refuses instances with S * A^S > 10^6.
+    Enumerates all A^S policies; refuses instances with S * A^S > 10^6. A
+    finite chain, every state of which has a successor, has one closed class
+    exactly when some state is reachable from every state, itself included,
+    so each policy's reachability closure (Warshall's algorithm, over all
+    policies at once) decides it.
     """
-    import networkx as nx
-
     s_count, a_count = m.num_states, m.num_actions
     work = s_count * a_count ** s_count
     if work > _POLICY_ENUM_CAP:
         raise ValueError(
             f"policy enumeration needs S * A^S = {work} > {_POLICY_ENUM_CAP}; instance too large"
         )
-    support = m.transitions > 0.0
-    for policy in product(range(a_count), repeat=s_count):
-        g = nx.DiGraph()
-        g.add_nodes_from(range(s_count))
-        for s in range(s_count):
-            for s2 in np.flatnonzero(support[s, policy[s]]):
-                g.add_edge(s, int(s2))
-        cond = nx.condensation(g)
-        recurrent = sum(1 for node in cond.nodes if cond.out_degree(node) == 0)
-        if recurrent != 1:
-            return False
-    return True
+    policies = np.arange(a_count ** s_count)[:, None] // a_count ** np.arange(s_count) % a_count
+    # reach[p, s, t]: t is reachable from s under policy p in one or more steps
+    reach = (m.transitions > 0.0)[np.arange(s_count), policies]
+    for k in range(s_count):
+        reach |= reach[:, :, k:k + 1] & reach[:, k:k + 1, :]
+    return bool(reach.all(axis=1).any(axis=1).all())
 
 
 def greedy_policy(q: np.ndarray) -> np.ndarray:

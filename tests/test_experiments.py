@@ -156,9 +156,14 @@ class TestValidateConfig:
             sf.validate_config(doc)
 
     def test_fit_window_checked(self):
-        doc = _fixedpoint_doc(fit={"window": [9, 3]})
-        with pytest.raises(sf.ConfigError, match="window"):
-            sf.validate_config(doc)
+        for fit, message in [
+            ({"window": [9, 3]}, "window"),
+            # a band whose slope_in_range check could never pass
+            ({"window": [5, 40], "expect_slope": [0.0, -5.0]},
+             r"^config\.fit\.expect_slope: need lo <= hi, got \[0\.0, -5\.0\]$"),
+        ]:
+            with pytest.raises(sf.ConfigError, match=message):
+                sf.validate_config(_fixedpoint_doc(fit=fit))
 
     def test_unknown_kind(self):
         with pytest.raises(sf.ConfigError, match=r"config\.kind"):
@@ -297,7 +302,7 @@ _DIMS = st.sampled_from([2, 3, 6, 1, MAX_DIM + 1, 10**11])
 @st.composite
 def _config_docs(draw):
     """Config documents of every kind, valid or not, with fields near their caps."""
-    kind = draw(st.sampled_from(experiments._KINDS))
+    kind = draw(st.sampled_from(list(experiments._KINDS)))
     doc = {"kind": kind, "seeds": draw(_SEED_SPECS)}
     if draw(st.booleans()):
         doc["stream"] = draw(st.one_of(_NEAR_TOPS, _NEAR_TOPS, _NEAR_TOPS, _BAD_WORDS))
@@ -1085,9 +1090,7 @@ _STATISTICS = (experiments._AGG_HEADER.split(",")[3:]
 def _aggregate_of(schedule, traces, first: int, out, d=None) -> dict:
     """The aggregate of stacks whose traces are traces, reduced window by window as
     the CLI process reduces its own stacks', with every statistic kept whole."""
-    plan = SimpleNamespace(loop=SimpleNamespace(schedule=schedule), first=first,
-                           instance=None if d is None else SimpleNamespace(d=d))
-    agg = experiments._Aggregate(plan, out)
+    agg = experiments._Aggregate(schedule, first, d, out)
     agg._WHOLE = _STATISTICS
     for windows in zip(*(experiments._windows(_stack_of(schedule, t), first) for t in traces)):
         a, b = windows[0][:2]
@@ -1102,11 +1105,10 @@ def test_aggregate_holds_a_window_not_the_run(tmp_path):
     N, seeds, B = 41471, 40, experiments._BLOCK
     schedule = engine._schedule(sf.StepSchedule.halpern_classic().weight,
                                 sf.BatchSchedule.contractive_geometric(0.9, N).size, N, 6)
-    plan = SimpleNamespace(loop=SimpleNamespace(schedule=schedule), first=1, instance=None)
     rng = np.random.default_rng(41471)
     tracemalloc.start()
     try:
-        agg = experiments._Aggregate(plan, str(tmp_path))
+        agg = experiments._Aggregate(schedule, 1, None, str(tmp_path))
         for a in range(1, N + 1, B):
             b = min(a + B, N + 1)
             window = [10.0 ** rng.uniform(-4, 1, (seeds, b - a)) for _ in range(3)] + [None]
@@ -1387,6 +1389,29 @@ class TestCli:
             assert (out / f"seed_{seed}.csv").read_text().count("\n") == 1 + 125  # n = 0..124
         lines = (out / "seed_3.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2", "3", "4"]
+
+    def test_mdp_avg_seed_that_aborts_before_late_n_exits_two(self, tmp_path, capsys):
+        # the aggregate ends before the ratio check's late_n; that was exit 1 as
+        # "config error: config.residual_ratio_check: requested n not in the trace",
+        # after the seed CSV and aggregate.csv were written, with no summary.json
+        doc = {"kind": "mdp-avg", "mdp": str(REPO / "configs" / "mdp_3x2.json"),
+               "algorithm": "halpern", "anchor": {"kind": "mean"}, "q0": [[1e300] * 2] * 3,
+               "N": 100, "seeds": [8],
+               "residual_ratio_check": {"early_n": 10, "late_n": 100, "max_ratio": 0.5}}
+        out = tmp_path / "o"
+        with np.errstate(over="ignore"):
+            code = cli_main(["mdp-avg", "--config", self._write(tmp_path, doc), "--out", str(out),
+                             "--check"])
+        assert code == 2
+        assert capsys.readouterr().err == "aborted seed 8: non-finite iterate at step 45\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["aborted_seeds"] == [{"seed": 8, "reason": "non-finite iterate at step 45"}]
+        assert summary["rows_aggregated"] == 44
+        assert summary["residual_ratio"] == {
+            "error": "requested n not in the trace of 44 aggregated rows"}
+        assert summary["checks"] == {"passed": False, "details": [
+            {"name": "no_aborts", "passed": False}, {"name": "residual_ratio", "passed": False}]}
+        assert summary["files"] == ["aggregate.csv", "seed_8.csv", "summary.json"]
 
     def test_multichain_average_reward_model_exits_one(self, tmp_path, monkeypatch, capsys):
         # relative value iteration raises this after its sweep cap on a multichain model

@@ -294,6 +294,44 @@ class TestUnichain:
         with pytest.raises(ValueError, match="too large"):
             sf.check_unichain(m)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_policy_reachability(self, data):
+        s_count, a_count = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 3))
+        # states below split never reach states from split on, and the reverse: with
+        # 0 < split < S the model is disconnected
+        split = data.draw(st.integers(0, s_count))
+        block = np.arange(s_count) < split
+        allowed = block[:, None, None] == block[None, None, :]
+        weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 1e-300, 0.3]),
+                                              min_size=s_count ** 2 * a_count,
+                                              max_size=s_count ** 2 * a_count)))
+        p = weights.reshape(s_count, a_count, s_count) * allowed
+        for s in range(s_count):  # an empty row moves to a drawn state of its block
+            for a in range(a_count):
+                if not p[s, a].any():
+                    p[s, a, data.draw(st.sampled_from(np.flatnonzero(allowed[s, 0]).tolist()))] = 1
+        p /= p.sum(axis=2, keepdims=True)
+        m = sf.TabularMDP(p, np.zeros((s_count, a_count)))
+
+        def closed_classes(policy) -> set:
+            reach = []
+            for s in range(s_count):  # the states s reaches, by depth-first search
+                seen, stack = {s}, [s]
+                while stack:
+                    u = stack.pop()
+                    for t in np.flatnonzero(m.transitions[u, policy[u]] > 0).tolist():
+                        if t not in seen:
+                            seen.add(t)
+                            stack.append(t)
+                reach.append(frozenset(seen))
+            # s is recurrent when every state it reaches reaches it back
+            return {reach[s] for s in range(s_count) if all(s in reach[t] for t in reach[s])}
+
+        want = all(len(closed_classes(policy)) == 1
+                   for policy in itertools.product(range(a_count), repeat=s_count))
+        assert sf.check_unichain(m) == want
+
 
 def _per_pair_reference(m, maxv, k, gen):
     """The batch mean drawn pair by pair in row-major order."""
